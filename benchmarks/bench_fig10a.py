@@ -25,7 +25,6 @@ from repro.bench.harness import (
 )
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.index.matching import SequenceMatcher
-from repro.kernels import packed_enabled
 
 N_DOCS = 6000
 DOC_SIZE = 30
@@ -53,12 +52,7 @@ def setup():
     _index_holder.append(index)
     # post-build snapshot: the kernels block reports the query-phase
     # descent hit rate (build inserts invalidate on nearly every put)
-    _descent_base.append((
-        index.tree.descent_hits,
-        index.tree.descent_misses,
-        index.docid_tree.descent_hits,
-        index.docid_tree.descent_misses,
-    ))
+    _descent_base.append((index.tree.descent_hits, index.tree.descent_misses))
     batches = {}
     for length in QUERY_LENGTHS:
         queries = gen.queries(QUERIES_PER_LENGTH, size=length)
@@ -106,18 +100,10 @@ def bench_json_payload():
     kernels = None
     if _index_holder:
         index = _index_holder[0]
-        h0, m0, dh0, dm0 = _descent_base[0] if _descent_base else (0, 0, 0, 0)
+        h0, m0 = _descent_base[0] if _descent_base else (0, 0)
         ch = index.tree.descent_hits - h0
         cm = index.tree.descent_misses - m0
-        dh = index.docid_tree.descent_hits - dh0
-        dm = index.docid_tree.descent_misses - dm0
-        kernels = {"packed": packed_enabled()}
-        if ch + cm:
-            kernels["combined_descent_hit_rate"] = ch / (ch + cm)
-        # the timed phase never touches the DocId tree (the paper excludes
-        # DocId output time), so the rate only exists when seeks happened
-        if dh + dm:
-            kernels["docid_descent_hit_rate"] = dh / (dh + dm)
+        kernels = {"combined_descent_hit_rate": ch / (ch + cm)} if ch + cm else {}
     payload = {
         "config": {
             "n_docs": N_DOCS,

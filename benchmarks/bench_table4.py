@@ -34,7 +34,6 @@ from repro.bench.harness import (
 from repro.bench.workloads import TABLE3_QUERIES
 from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
-from repro.kernels import packed_enabled
 
 N_DBLP = 1500
 N_XMARK = 1500
@@ -55,7 +54,7 @@ _vist_indexes: dict[str, object] = {}
 # post-build descent-counter snapshots: the kernels block reports the
 # *query-phase* hit rate — build inserts bump the structure version on
 # nearly every put, so counting them drowns the signal the gate watches
-_descent_base: dict[str, tuple[int, int, int, int]] = {}
+_descent_base: dict[str, tuple[int, int]] = {}
 _corpus_docs: dict[str, list] = {}  # stashed for the sharded block
 
 
@@ -84,12 +83,7 @@ def indexes(corpora):
             out[dataset, kind] = build_index(kind, docs[dataset], schemas[dataset])
         vist = out[dataset, "vist"]
         _vist_indexes[dataset] = vist
-        _descent_base[dataset] = (
-            vist.tree.descent_hits,
-            vist.tree.descent_misses,
-            vist.docid_tree.descent_hits,
-            vist.docid_tree.descent_misses,
-        )
+        _descent_base[dataset] = (vist.tree.descent_hits, vist.tree.descent_misses)
     return out
 
 
@@ -159,27 +153,21 @@ def bench_json_payload():
         sharded = sharded_throughput(
             _corpus_docs["dblp"], dblp_queries, workers_list=(1, 2, 4), repeats=3
         )
-    # packed-kernel figures: query-phase descent-cache effectiveness
-    # aggregated over both dataset indexes, counted from the post-build
-    # snapshot (the combined-tree rate is the regression-gated one — the
-    # single-slot cache thrashed at ~8% there even query-side)
-    combined_hits = combined_misses = docid_hits = docid_misses = 0
+    # query-phase descent-cache effectiveness of the combined tree,
+    # aggregated over both dataset indexes and counted from the
+    # post-build snapshot (the regression-gated figure — the single-slot
+    # cache thrashed at ~8% there even query-side).  The DocId tree has no
+    # such figure: its output is one cursor per query, a handful of seeks,
+    # and a hit rate over a handful says nothing
+    combined_hits = combined_misses = 0
     for dataset, index in _vist_indexes.items():
-        h0, m0, dh0, dm0 = _descent_base.get(dataset, (0, 0, 0, 0))
+        h0, m0 = _descent_base.get(dataset, (0, 0))
         combined_hits += index.tree.descent_hits - h0
         combined_misses += index.tree.descent_misses - m0
-        docid_hits += index.docid_tree.descent_hits - dh0
-        docid_misses += index.docid_tree.descent_misses - dm0
     kernels = {
-        "packed": packed_enabled(),
         "combined_descent_hit_rate": (
             combined_hits / (combined_hits + combined_misses)
             if combined_hits + combined_misses
-            else 0.0
-        ),
-        "docid_descent_hit_rate": (
-            docid_hits / (docid_hits + docid_misses)
-            if docid_hits + docid_misses
             else 0.0
         ),
     }

@@ -18,10 +18,11 @@ and a *drop* below ``1/--qps-factor`` of the baseline fails the gate —
 qps regresses downward, the opposite direction of seconds.  A baseline
 written before a block existed skips that block with a message.
 
-The packed-kernel figures under a top-level ``kernels`` block (descent
-hit rates) are gated the same higher-is-better way: a rate dropping
-below ``baseline/--qps-factor`` fails.  Baselines predating the block
-skip it with the same commit-a-fresh-snapshot message.
+The ``*_hit_rate`` figures under a top-level ``kernels`` block (the
+combined tree's descent-cache hit rate) are gated the same
+higher-is-better way: a rate dropping below ``baseline/--qps-factor``
+fails.  Baselines predating the block skip it with the same
+commit-a-fresh-snapshot message.
 
 Exit status: 0 when every benchmark is within the factor (or has no
 baseline yet), 1 on a regression, 2 on usage/IO errors.
@@ -117,12 +118,12 @@ def qps_entries(snapshot: object) -> dict[str, float]:
 
 
 def kernel_entries(snapshot: object) -> dict[str, float]:
-    """Gateable packed-kernel figures, flattened as ``kernels.<name>``.
+    """Gateable kernel figures, flattened as ``kernels.<name>``.
 
-    Only the descent hit *rates* are gated (higher is better, like qps);
-    the boolean ``packed`` flag and any non-numeric or non-positive
-    values are skipped with the same tolerance as :func:`qps_entries` —
-    a baseline written before the block existed simply has no entries.
+    Only ``*_hit_rate`` keys are gated (higher is better, like qps);
+    booleans and any non-numeric or non-positive values are skipped with
+    the same tolerance as :func:`qps_entries` — a baseline written
+    before the block existed simply has no entries.
     """
     out: dict[str, float] = {}
     if not isinstance(snapshot, dict):

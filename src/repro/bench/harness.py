@@ -25,7 +25,6 @@ from repro.baselines.pathindex import PathIndex
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
-from repro.kernels import packed_enabled
 from repro.sequence.transform import SequenceEncoder
 
 __all__ = [
@@ -328,7 +327,6 @@ def write_bench_json(name: str, payload: dict, directory: Optional[str] = None) 
     doc = {
         "experiment": name,
         "query_cache": query_cache_enabled(),
-        "packed": packed_enabled(),
         **payload,
     }
     with open(path, "w", encoding="utf-8") as handle:

@@ -1123,29 +1123,34 @@ def _cmd_nodes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _remove_each(remove, doc_ids: list[int]) -> int:
+    """Remove the ids in order; the count goes to stdout only when all of
+    them went.  A failure (unknown id, no DocId entry) leaves the count on
+    stderr and re-raises for :func:`main` to print and turn into an exit
+    code — the earlier removals stand."""
+    removed = 0
+    try:
+        for doc_id in doc_ids:
+            remove(doc_id)
+            removed += 1
+    except ReproError:
+        print(f"{removed} document(s) removed before the error", file=sys.stderr)
+        raise
+    print(f"removed {removed} document(s)")
+    return 0
+
+
 def _cmd_remove(args: argparse.Namespace) -> int:
     from repro.shard import ShardRouter, is_sharded
 
     if is_sharded(args.dbdir):
-        removed = 0
-        try:
-            with ShardRouter(args.dbdir) as router:
-                for doc_id in args.doc_ids:
-                    router.remove(doc_id)
-                    removed += 1
-        finally:
-            print(f"removed {removed} document(s)")
-        return 0
+        with ShardRouter(args.dbdir) as router:
+            return _remove_each(router.remove, args.doc_ids)
     index = open_index(args.dbdir)
-    removed = 0
     try:
-        for doc_id in args.doc_ids:
-            index.remove(doc_id)
-            removed += 1
+        return _remove_each(index.remove, args.doc_ids)
     finally:
         _close_index(index)
-        print(f"removed {removed} document(s)")
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

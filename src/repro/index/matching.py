@@ -1,12 +1,25 @@
 """Non-contiguous subsequence matching (paper Algorithm 2).
 
 Matching walks the query sequence left to right.  At each step the
-current match position is a virtual-suffix-tree scope; the next query
+current match positions are virtual-suffix-tree scopes; the next query
 item is resolved through the D-Ancestor keys (symbol + prefix), the
-matching nodes are narrowed to descendants of the current scope via the
-S-Ancestor range ``(n, n + size]``, and the walk recurses.  At the end,
-every document id in the closed range ``[n, n + size]`` of the final
-node is an answer.
+matching nodes are narrowed to descendants of the current scopes via the
+S-Ancestor range ``(n, n + size]``, and the walk moves one item on.  At
+the end, every document id in the closed range ``[n, n + size]`` of a
+final node is an answer.
+
+**Window merging.**  Scopes are laminar: a child's scope nests strictly
+inside its parent's, siblings are disjoint, and a borrowed private chain
+sits inside its lender's reserve.  So if two match positions carry the
+same wildcard bindings and one's window ``(n, end]`` lies inside the
+other's, everything the inner one can still reach — every later
+candidate, every final DocId range — is reached from the outer one with
+the same bindings.  The walker therefore keeps, per bindings class, only
+the *maximal* windows: a sorted list of pairwise-disjoint ``(n, end]``
+pairs, re-merged after every level.  The raw answer set is exactly that
+of the one-state-per-node walk; the work is one posting-group probe per
+(class, prefix length) and one bisect pass over the shorter of (windows,
+postings), instead of one lookup per matched trie node.
 
 Wildcards: a ``*`` or ``//`` in a query prefix makes the D-Ancestor
 lookup a *range* scan — same symbol, prefix length fixed (``*``) or swept
@@ -17,28 +30,35 @@ will instantiate the ``*`` in ``(v2, P*L)``").
 
 :class:`SequenceMatcher` is shared by RIST and ViST — they differ only in
 how entries were labelled, which the host index hides behind
-:meth:`MatchingHost.iter_candidates` / :meth:`MatchingHost.iter_doc_ids`.
+:meth:`MatchingHost.fetch_postings` / :meth:`MatchingHost.doc_ids_in`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Protocol
+from dataclasses import dataclass
+from typing import Iterable, Protocol
 
 from repro.index.postings import PostingGroup
-from repro.kernels import packed_enabled
 from repro.labeling.scope import Scope
 from repro.obs.metrics import MetricSet
 from repro.query.ast import Dslash, PrefixToken, QueryItem, QuerySequence, Star
 from repro.sequence.encoding import Prefix
 
 Bindings = tuple[tuple[int, tuple[str, ...]], ...]  # wid -> bound labels, sorted
+# sorted, pairwise-disjoint scope windows (starts[k], ends[k]]
+Windows = tuple[list[int], list[int]]
+Frontier = dict[Bindings, Windows]  # one window list per wildcard-bindings class
+
+# guard.step() is charged in units of at most this many windows / final
+# scopes, so a deadline or cancel still lands inside one wide level
+_GUARD_CHUNK = 256
 
 __all__ = [
     "MatchingHost",
     "SequenceMatcher",
     "MatchStats",
     "match_prefix_pattern",
+    "merge_windows",
     "resolve_pattern",
 ]
 
@@ -47,18 +67,16 @@ __all__ = [
 class MatchStats(MetricSet):
     """Index-traversal effort of the most recent match.
 
-    ``range_queries`` counts D/S-Ancestor lookups issued (the paper's
-    "index traversals" — one per search state and prefix length, whether
-    or not the batching layer had to touch the index for it);
-    ``candidates`` counts nodes those lookups yielded; ``search_states``
-    counts distinct ``(item, scope)`` positions visited; ``final_nodes``
-    is the size of the answer frontier.
-
-    The query-path performance layer adds three counters:
-    ``batched_states`` — lookups served from a group another state at the
-    same frontier level already fetched; ``cache_hits``/``cache_misses``
-    — posting-cache traffic of this match (zero when the host has no
-    posting cache).
+    ``range_queries`` counts posting-group probes (the paper's "index
+    traversals": one per bindings class and prefix length at each query
+    item, whether or not the probe had to touch the index);
+    ``search_states`` counts the scope windows expanded; ``candidates``
+    counts the postings those windows yielded (once per resulting
+    bindings class); ``final_nodes`` is the number of maximal final
+    scopes.  ``batched_states`` counts probes served by a group another
+    class already fetched at the same level; ``cache_hits`` /
+    ``cache_misses`` are the posting-cache traffic of this match (zero
+    when the host has no posting cache).
     """
 
     range_queries: int = 0
@@ -178,54 +196,52 @@ class MatchingHost(Protocol):
     def max_prefix_len(self) -> int:
         """Longest item prefix in the index (bounds ``//`` sweeps)."""
 
-    def iter_candidates(
-        self,
-        symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        within: Scope,
-    ) -> Iterator[tuple[Prefix, Scope]]:
-        """Nodes with the given symbol/prefix-length whose prefix starts
-        with ``leading`` and whose id lies in ``(within.n, within.end]``."""
+    def fetch_postings(
+        self, symbol, prefix_len: int, leading: tuple[str, ...]
+    ) -> PostingGroup:
+        """Every node with the given symbol and prefix length whose prefix
+        starts with ``leading``, as columns sorted by label."""
 
-    def iter_doc_ids(self, within: Scope) -> Iterator[int]:
-        """Document ids attached in the closed range ``[n, n + size]``."""
+    def doc_ids_in(self, ranges: Iterable[tuple[int, int]]) -> Iterable[int]:
+        """Document ids attached in the closed label ranges ``[n, end]``
+        (given ascending and pairwise disjoint)."""
 
 
-GroupMemo = dict[tuple, PostingGroup]
+def merge_windows(pairs: list[tuple[int, int]]) -> Windows:
+    """The maximal windows of a laminar family of ``(n, end)`` pairs.
+
+    Sorted by ``n``, a pair that starts at or below the furthest ``end``
+    seen so far is a duplicate of, or nested inside, an earlier pair
+    (laminar scopes never partially overlap), so it is dropped.  The
+    result is ascending and pairwise disjoint and covers exactly the ids
+    the input covered.
+    """
+    pairs.sort()
+    starts: list[int] = []
+    ends: list[int] = []
+    reach = -1
+    for n, end in pairs:
+        if n > reach:
+            starts.append(n)
+            ends.append(end)
+            reach = end
+    return starts, ends
 
 
 class SequenceMatcher:
     """Algorithm 2, parameterised by a :class:`MatchingHost`.
 
-    By default the walk is a *batched level-by-level frontier*: all live
-    states at one query position are expanded together, and states that
-    resolve to the same D-Ancestor key ``(symbol, prefix_len, leading)``
-    share a single posting fetch per level (turning O(states × scans)
-    into O(distinct keys) index traversals).  ``batched=False`` keeps the
-    original depth-first recursion — same answers, used as the reference
-    implementation in equivalence tests.
-
-    ``packed`` selects the *columnar* frontier for the batched walk: the
-    per-level expansion consumes :class:`PostingGroup`'s packed columns
-    directly (``select_span`` + index arithmetic over ``ns``/``ends``/
-    ``prefixes``) and carries states as ``(n, end, bindings)`` int
-    triples, never materialising ``(Prefix, Scope)`` tuples per posting.
-    ``packed=None`` (default) follows the ``REPRO_PACKED`` environment
-    toggle at query time; both settings produce identical answers and
-    identical :class:`MatchStats`.
+    The walk is a level-by-level frontier.  At each query item every
+    bindings class resolves the item's prefix pattern once, fetches one
+    posting group per plausible prefix length (shared across classes by
+    a per-level memo), joins its windows against the group's label
+    column (:meth:`PostingGroup.join`) and emits the child windows;
+    the emitted windows of each resulting class are then merged down to
+    the maximal ones (see the module docstring for why that is exact).
     """
 
-    def __init__(
-        self,
-        host: MatchingHost,
-        *,
-        batched: bool = True,
-        packed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, host: MatchingHost) -> None:
         self.host = host
-        self.batched = batched
-        self.packed = packed
         # Effort of the most recent *completed* match.  Each match runs
         # against its own private MatchStats (threaded through the call
         # chain, never stored on self mid-flight) and publishes it here
@@ -236,16 +252,19 @@ class SequenceMatcher:
 
     def match(self, query: QuerySequence, guard=None, trace=None) -> set[int]:
         """All document ids containing the query sequence."""
-        finals = self.final_scopes(query, guard, trace)
+        starts, ends = self._final_windows(query, guard, trace)
         if trace is not None:
             pager = getattr(self.host, "_pager", None)
             pages0 = pager.read_count if pager is not None else 0
-            span = trace.begin("docid-output", final_scopes=len(finals))
+            span = trace.begin("docid-output", final_scopes=len(starts))
         results: set[int] = set()
-        for scope in finals:
+        for off in range(0, len(starts), _GUARD_CHUNK):
+            ranges = list(
+                zip(starts[off : off + _GUARD_CHUNK], ends[off : off + _GUARD_CHUNK])
+            )
             if guard is not None:
-                guard.step()
-            results.update(self.host.iter_doc_ids(scope))
+                guard.step(len(ranges))
+            results.update(self.host.doc_ids_in(ranges))
         if guard is not None:
             guard.check()  # count the reads of the trailing DocId fetches
         if trace is not None:
@@ -257,353 +276,157 @@ class SequenceMatcher:
         return results
 
     def final_scopes(self, query: QuerySequence, guard=None, trace=None) -> list[Scope]:
-        """Scopes of the nodes matching the query's last item.
+        """The maximal scopes matching the query's last item, ascending.
 
         This is the matching phase *without* the DocId output phase —
         the quantity the paper times in Figure 10 ("does not include the
         time spent in data output after each range query on the DocId
-        B+Tree").  ``match`` unions the DocId ranges of these scopes.
+        B+Tree").  A final node nested inside another final node is not
+        listed: its DocId range is part of the outer one's.
         """
+        starts, ends = self._final_windows(query, guard, trace)
+        return [Scope(n, end - n) for n, end in zip(starts, ends)]
+
+    def _final_windows(self, query: QuerySequence, guard, trace) -> Windows:
         stats = MatchStats()  # private to this call; published at the end
         if guard is not None:
             guard.check()
-        postings = getattr(self.host, "postings", None)
+        host = self.host
+        pager = getattr(host, "_pager", None)
+        postings = getattr(host, "postings", None)
         # cache-delta attribution is approximate under concurrency (the
         # posting cache is shared, so other in-flight matches' traffic
         # lands in the window too); exact for single-threaded runs
-        before = (
-            (postings.stats.hits, postings.stats.misses)
-            if postings is not None
-            else None
-        )
-        if self.batched:
-            packed = packed_enabled() if self.packed is None else self.packed
-            if packed:
-                finals = self._final_scopes_packed(query, stats, guard, trace)
-            else:
-                finals = self._final_scopes_batched(query, stats, guard, trace)
-        else:
-            finals = self._final_scopes_recursive(query, stats, guard, trace)
-        if before is not None:
-            stats.cache_hits = postings.stats.hits - before[0]
-            stats.cache_misses = postings.stats.misses - before[1]
-        stats.final_nodes = len(finals)
+        if postings is not None:
+            hits00, misses00 = postings.stats.hits, postings.stats.misses
+        max_len = host.max_prefix_len()
+        root = host.root_scope()
+        frontier: Frontier = {(): ([root.n], [root.end])}
+        for level, qi in enumerate(query.items):
+            if trace is not None:
+                span = trace.begin(
+                    f"level {level}",
+                    item=str(qi),
+                    frontier_in=sum(len(s) for s, _ in frontier.values()),
+                )
+                rq0, cand0 = stats.range_queries, stats.candidates
+                bat0 = stats.batched_states
+                pages0 = pager.read_count if pager is not None else 0
+                if postings is not None:
+                    hits0, misses0 = postings.stats.hits, postings.stats.misses
+            frontier = self._expand_level(qi, frontier, max_len, stats, guard)
+            if trace is not None:
+                meta = {
+                    "frontier_out": sum(len(s) for s, _ in frontier.values()),
+                    "range_queries": stats.range_queries - rq0,
+                    "candidates": stats.candidates - cand0,
+                    "batched": stats.batched_states - bat0,
+                }
+                if pager is not None:
+                    meta["page_reads"] = pager.read_count - pages0
+                if postings is not None:
+                    meta["cache_hits"] = postings.stats.hits - hits0
+                    meta["cache_misses"] = postings.stats.misses - misses0
+                trace.end(span, **meta)
+            if not frontier:
+                break
+        if len(frontier) == 1:
+            (finals,) = frontier.values()
+        else:  # the classes' windows can nest in each other: merge once more
+            finals = merge_windows(
+                [pair for s, e in frontier.values() for pair in zip(s, e)]
+            )
+        if postings is not None:
+            stats.cache_hits = postings.stats.hits - hits00
+            stats.cache_misses = postings.stats.misses - misses00
+        stats.final_nodes = len(finals[0])
         self.stats = stats  # one reference assignment: match_stats readers
         return finals  # never see a half-filled bundle
 
-    def _final_scopes_batched(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """Level-by-level frontier expansion with shared posting fetches."""
-        items = query.items
-        max_len = self.host.max_prefix_len()
-        if trace is not None:
-            pager = getattr(self.host, "_pager", None)
-            postings = getattr(self.host, "postings", None)
-        frontier: list[tuple[Scope, Bindings]] = [(self.host.root_scope(), ())]
-        for level, qi in enumerate(items):
-            if trace is not None:
-                span = trace.begin(
-                    f"level {level}", item=str(qi), frontier_in=len(frontier)
-                )
-                rq0, cand0 = stats.range_queries, stats.candidates
-                bat0 = stats.batched_states
-                pages0 = pager.read_count if pager is not None else 0
-                if postings is not None:
-                    hits0, misses0 = postings.stats.hits, postings.stats.misses
-            groups: GroupMemo = {}
-            next_frontier: list[tuple[Scope, Bindings]] = []
-            seen: set[tuple[int, Bindings]] = set()
-            for scope, bindings in frontier:
-                stats.search_states += 1
+    def _expand_level(
+        self, qi: QueryItem, frontier: Frontier, max_len: int, stats: MatchStats, guard
+    ) -> Frontier:
+        """Advance every bindings class of the frontier over one query item."""
+        groups: dict[tuple, PostingGroup] = {}  # the level memo
+        emitted: dict[Bindings, list[tuple[int, int]]] = {}
+        for bindings, (starts, ends) in frontier.items():
+            leading, tail = resolve_pattern(qi.prefix, bindings)
+            probed = self._probe(qi.symbol, leading, tail, max_len, groups, stats, guard)
+            stats.search_states += len(starts)
+            # a group holds a handful of distinct (interned) prefixes:
+            # the open tail is matched against each of them once
+            tails: dict[Prefix, list[Bindings]] = {}
+            for w0 in range(0, len(starts), _GUARD_CHUNK):
+                w1 = min(w0 + _GUARD_CHUNK, len(starts))
                 if guard is not None:
-                    guard.step()
-                for child, new_bindings in self._candidates(
-                    qi, scope, bindings, max_len, stats, guard, groups
-                ):
-                    stats.candidates += 1
-                    state = (child.n, new_bindings)
-                    if state not in seen:
-                        seen.add(state)
-                        next_frontier.append((child, new_bindings))
-            frontier = next_frontier
-            if trace is not None:
-                meta = {
-                    "frontier_out": len(frontier),
-                    "range_queries": stats.range_queries - rq0,
-                    "candidates": stats.candidates - cand0,
-                    "batched": stats.batched_states - bat0,
-                }
-                if pager is not None:
-                    meta["page_reads"] = pager.read_count - pages0
-                if postings is not None:
-                    meta["cache_hits"] = postings.stats.hits - hits0
-                    meta["cache_misses"] = postings.stats.misses - misses0
-                trace.end(span, **meta)
-            if not frontier:
-                break
-        finals: list[Scope] = []
-        seen_finals: set[int] = set()
-        for scope, _ in frontier:
-            if scope.n not in seen_finals:
-                seen_finals.add(scope.n)
-                finals.append(scope)
-        return finals
+                    guard.step(w1 - w0)
+                for group in probed:
+                    for a, b in group.join(starts, ends, w0, w1):
+                        if tail:
+                            stats.candidates += self._emit_open_tail(
+                                group, a, b, tail, len(leading), bindings, tails, emitted
+                            )
+                        else:
+                            stats.candidates += b - a
+                            emitted.setdefault(bindings, []).extend(
+                                zip(group.ns[a:b], group.ends[a:b])
+                            )
+        return {
+            bindings: merge_windows(pairs) for bindings, pairs in emitted.items()
+        }
 
-    def _final_scopes_packed(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """Columnar variant of the batched frontier (same answers/stats).
-
-        States are ``(n, end, bindings)`` int triples and expansion reads
-        the posting columns in place — no per-posting ``Scope``/tuple
-        allocation until the final frontier is turned back into scopes.
-        """
-        items = query.items
-        max_len = self.host.max_prefix_len()
-        if trace is not None:
-            pager = getattr(self.host, "_pager", None)
-            postings = getattr(self.host, "postings", None)
-        root = self.host.root_scope()
-        frontier: list[tuple[int, int, Bindings]] = [(root.n, root.end, ())]
-        for level, qi in enumerate(items):
-            if trace is not None:
-                span = trace.begin(
-                    f"level {level}", item=str(qi), frontier_in=len(frontier)
-                )
-                rq0, cand0 = stats.range_queries, stats.candidates
-                bat0 = stats.batched_states
-                pages0 = pager.read_count if pager is not None else 0
-                if postings is not None:
-                    hits0, misses0 = postings.stats.hits, postings.stats.misses
-            groups: GroupMemo = {}
-            next_frontier: list[tuple[int, int, Bindings]] = []
-            seen: set[tuple[int, Bindings]] = set()
-            for n, end, bindings in frontier:
-                stats.search_states += 1
-                if guard is not None:
-                    guard.step()
-                self._expand_packed(
-                    qi, n, end, bindings, max_len, stats, guard, groups, seen,
-                    next_frontier,
-                )
-            frontier = next_frontier
-            if trace is not None:
-                meta = {
-                    "frontier_out": len(frontier),
-                    "range_queries": stats.range_queries - rq0,
-                    "candidates": stats.candidates - cand0,
-                    "batched": stats.batched_states - bat0,
-                }
-                if pager is not None:
-                    meta["page_reads"] = pager.read_count - pages0
-                if postings is not None:
-                    meta["cache_hits"] = postings.stats.hits - hits0
-                    meta["cache_misses"] = postings.stats.misses - misses0
-                trace.end(span, **meta)
-            if not frontier:
-                break
-        finals: list[Scope] = []
-        seen_finals: set[int] = set()
-        for n, end, _ in frontier:
-            if n not in seen_finals:
-                seen_finals.add(n)
-                finals.append(Scope(n, end - n))
-        return finals
-
-    def _expand_packed(
-        self,
-        qi: QueryItem,
-        n: int,
-        end: int,
-        bindings: Bindings,
-        max_len: int,
-        stats: MatchStats,
-        guard,
-        groups: GroupMemo,
-        seen: set[tuple[int, Bindings]],
-        out: list[tuple[int, int, Bindings]],
-    ) -> None:
-        """Expand one packed state over the posting columns, in place.
-
-        Mirrors ``_candidates`` + the dedup loop of the tuple frontier:
-        identical counter increments, identical candidate order, identical
-        ``(child_n, bindings)`` dedup — only the representation differs.
-        """
-        leading, tail = resolve_pattern(qi.prefix, bindings)
-        if not tail:
-            # fully concrete prefix: a single D-Ancestor key, scope range
-            stats.range_queries += 1
-            if guard is not None:
-                guard.step()
-            group = self._group(qi.symbol, len(leading), leading, groups, stats)
-            lo, hi = group.select_span(n, end)
-            ns, ends = group.ns, group.ends
-            for i in range(lo, hi):
-                stats.candidates += 1
-                child_n = ns[i]
-                state = (child_n, bindings)
-                if state not in seen:
-                    seen.add(state)
-                    out.append((child_n, ends[i], bindings))
-            return
-        min_extra = sum(1 for t in tail if isinstance(t, (str, Star)))
-        if all(not isinstance(t, Dslash) for t in tail):
-            lengths = [len(leading) + min_extra]
+    def _probe(
+        self, symbol, leading, tail, max_len: int, groups: dict, stats: MatchStats, guard
+    ) -> list[PostingGroup]:
+        """The non-empty posting groups a resolved pattern can match: one
+        probe per prefix length it can take — a single length when it is
+        concrete or has only ``*`` left, a sweep up to the deepest prefix
+        in the index while a ``//`` is still open."""
+        shortest = len(leading) + sum(1 for t in tail if isinstance(t, (str, Star)))
+        if any(isinstance(t, Dslash) for t in tail):
+            lengths = range(shortest, max_len + 1)
         else:
-            lengths = range(len(leading) + min_extra, max_len + 1)
-        nlead = len(leading)
+            lengths = (shortest,)
+        probed: list[PostingGroup] = []
         for plen in lengths:
             stats.range_queries += 1
             if guard is not None:
                 guard.step()
-            group = self._group(qi.symbol, plen, leading, groups, stats)
-            lo, hi = group.select_span(n, end)
-            ns, ends, prefixes = group.ns, group.ends, group.prefixes
-            for i in range(lo, hi):
-                child_n = ns[i]
-                child_end = ends[i]
-                for new_bindings in match_prefix_pattern(
-                    tail, prefixes[i][nlead:], bindings
-                ):
-                    stats.candidates += 1
-                    state = (child_n, new_bindings)
-                    if state not in seen:
-                        seen.add(state)
-                        out.append((child_n, child_end, new_bindings))
+            key = (symbol, plen, leading)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = self.host.fetch_postings(*key)
+            else:
+                stats.batched_states += 1
+            if len(group):
+                probed.append(group)
+        return probed
 
-    def _final_scopes_recursive(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """The paper's depth-first recursion (reference implementation)."""
-        finals: list[Scope] = []
-        seen_finals: set[int] = set()
-        visited: set[tuple[int, int, Bindings]] = set()
-        items = query.items
-        max_len = self.host.max_prefix_len()
-        if trace is not None:
-            pager = getattr(self.host, "_pager", None)
-            pages0 = pager.read_count if pager is not None else 0
-            walk_span = trace.begin("recursive-walk", items=len(items))
-
-        def search(scope: Scope, i: int, bindings: Bindings) -> None:
-            if i == len(items):
-                if scope.n not in seen_finals:
-                    seen_finals.add(scope.n)
-                    finals.append(scope)
-                return
-            state = (i, scope.n, bindings)
-            if state in visited:
-                return
-            visited.add(state)
-            stats.search_states += 1
-            if guard is not None:
-                guard.step()
-            qi = items[i]
-            for child_scope, new_bindings in self._candidates(
-                qi, scope, bindings, max_len, stats, guard
-            ):
-                stats.candidates += 1
-                search(child_scope, i + 1, new_bindings)
-
-        try:
-            search(self.host.root_scope(), 0, ())
-        finally:
-            if trace is not None:
-                trace.end(
-                    walk_span,
-                    search_states=stats.search_states,
-                    range_queries=stats.range_queries,
-                    candidates=stats.candidates,
-                    final_scopes=len(finals),
-                    page_reads=(
-                        (pager.read_count - pages0) if pager is not None else 0
-                    ),
+    @staticmethod
+    def _emit_open_tail(
+        group: PostingGroup, a: int, b: int, tail, nlead: int, bindings, tails, emitted
+    ) -> int:
+        """Emit postings ``[a, b)`` of ``group`` under every binding set the
+        open ``tail`` admits for their prefix; returns how many were
+        emitted.  Equal prefixes come in long runs (same-path nodes
+        cluster by subtree, and the tuples are interned), so each run goes
+        out in one slice."""
+        ns, ends, prefixes = group.ns, group.ends, group.prefixes
+        count = 0
+        while a < b:
+            prefix = prefixes[a]
+            run = a + 1
+            while run < b and prefixes[run] is prefix:
+                run += 1
+            bound = tails.get(prefix)
+            if bound is None:
+                bound = tails[prefix] = match_prefix_pattern(
+                    tail, prefix[nlead:], bindings
                 )
-        return finals
-
-    # -- candidate generation ---------------------------------------------
-
-    def _candidates(
-        self,
-        qi: QueryItem,
-        scope: Scope,
-        bindings: Bindings,
-        max_len: int,
-        stats: MatchStats,
-        guard,
-        groups: Optional[GroupMemo] = None,
-    ) -> Iterator[tuple[Scope, Bindings]]:
-        leading, tail = resolve_pattern(qi.prefix, bindings)
-        if not tail:
-            # fully concrete prefix: a single D-Ancestor key, scope range
-            stats.range_queries += 1
-            if guard is not None:
-                guard.step()
-            for _, child in self._lookup(
-                qi.symbol, len(leading), leading, scope, groups, stats
-            ):
-                yield child, bindings
-            return
-        min_extra = sum(1 for t in tail if isinstance(t, (str, Star)))
-        if all(not isinstance(t, Dslash) for t in tail):
-            lengths = [len(leading) + min_extra]
-        else:
-            lengths = range(len(leading) + min_extra, max_len + 1)
-        for plen in lengths:
-            stats.range_queries += 1
-            if guard is not None:
-                guard.step()
-            for data_prefix, child in self._lookup(
-                qi.symbol, plen, leading, scope, groups, stats
-            ):
-                for new_bindings in match_prefix_pattern(
-                    tail, data_prefix[len(leading) :], bindings
-                ):
-                    yield child, new_bindings
-
-    def _lookup(
-        self,
-        symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        scope: Scope,
-        groups: Optional[GroupMemo],
-        stats: MatchStats,
-    ) -> Iterable[tuple[Prefix, Scope]]:
-        """One D/S-Ancestor lookup, batched through the level memo."""
-        if groups is None:
-            return self.host.iter_candidates(symbol, prefix_len, leading, scope)
-        group = self._group(symbol, prefix_len, leading, groups, stats)
-        return group.select(scope)
-
-    def _group(
-        self,
-        symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        groups: GroupMemo,
-        stats: MatchStats,
-    ) -> PostingGroup:
-        """Fetch a posting group through the per-level memo."""
-        key = (symbol, prefix_len, leading)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = self._fetch_group(symbol, prefix_len, leading)
-        else:
-            stats.batched_states += 1
-        return group
-
-    def _fetch_group(
-        self, symbol, prefix_len: int, leading: tuple[str, ...]
-    ) -> PostingGroup:
-        fetch = getattr(self.host, "fetch_postings", None)
-        if fetch is not None:
-            return fetch(symbol, prefix_len, leading)
-        # Host implements only the narrow protocol: collect the group by
-        # scanning under the root scope (every data node lies inside it).
-        return PostingGroup(
-            self.host.iter_candidates(
-                symbol, prefix_len, leading, self.host.root_scope()
-            )
-        )
+            count += len(bound) * (run - a)
+            for new_bindings in bound:
+                emitted.setdefault(new_bindings, []).extend(
+                    zip(ns[a:run], ends[a:run])
+                )
+            a = run
+        return count

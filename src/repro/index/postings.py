@@ -2,19 +2,20 @@
 
 A *posting group* is the full set of combined-tree entries under one
 D-Ancestor scan key ``(symbol, prefix_len, leading)`` — exactly the key
-range :meth:`~repro.index.store.CombinedTreeHost.iter_candidates` scans —
+range :meth:`~repro.index.store.CombinedTreeHost._load_postings` scans —
 decoded once and kept sorted by the S-Ancestor label ``n``.  With the
-group resident, a scope-restricted lookup is two :func:`bisect` calls
-over the ``n`` column instead of a root-to-leaf B+Tree descent plus a
-leaf-chain walk, which is the dominant cost of Algorithm 2 on repeated
-query traffic (the same hot ``(symbol, prefix)`` keys are scanned dozens
-of times per branch query and again for every later query).
+group resident, restricting it to a frontier of scope windows is a
+handful of :func:`bisect` calls over the ``n`` column instead of a
+root-to-leaf B+Tree descent plus a leaf-chain walk per window, which is
+the dominant cost of Algorithm 2 on repeated query traffic (the same hot
+``(symbol, prefix)`` keys are scanned by every branch of a query and
+again by every later query).
 
 :class:`PostingCache` is an LRU over such groups.  It is a *lookaside*
 structure: the B+Trees stay byte-identical, the cache is dropped on
 reopen and invalidated (per affected key group) on ``insert``/``remove``.
 Scope labels never change once assigned (Section 3.4: "labels, once
-assigned, stay fixed"), so cached ``(prefix, Scope)`` pairs only go stale
+assigned, stay fixed"), so cached ``(prefix, n, end)`` rows only go stale
 when an entry is *added to* or *removed from* a group — which is what
 :meth:`PostingCache.invalidate_entry` covers.
 """
@@ -22,18 +23,17 @@ when an entry is *added to* or *removed from* a group — which is what
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.kernels import pack_ints
-from repro.labeling.scope import Scope
 from repro.obs.metrics import MetricSet
 from repro.sequence.encoding import Prefix
 
 GroupKey = tuple[Hashable, int, tuple[str, ...]]  # (symbol, prefix_len, leading)
-Posting = tuple[Prefix, Scope]
+Posting = tuple[Prefix, int, int]  # (prefix, n, end): the node owns (n, end]
 
 __all__ = ["PostingGroup", "PostingCacheStats", "PostingCache"]
 
@@ -63,49 +63,71 @@ class PostingGroup:
     The postings live in three columns: ``ns`` and ``ends`` (the
     S-Ancestor label and scope end, packed to ``array('q')`` by
     :func:`repro.kernels.pack_ints` when they fit int64, plain lists
-    otherwise) and ``prefixes`` (interned prefix tuples).  The batched
-    matcher consumes the columns directly via :meth:`select_span` —
-    two bisects plus index arithmetic, no per-posting object churn.
-    ``entries`` (the old list-of-``(Prefix, Scope)`` view) is
-    materialised lazily for the serial/reference paths and cached.
+    otherwise) and ``prefixes`` (interned prefix tuples).  The matcher
+    consumes the columns directly through :meth:`join` — bisects plus
+    index arithmetic, no per-posting object.
     """
 
-    __slots__ = ("ns", "ends", "prefixes", "_entries")
+    __slots__ = ("ns", "ends", "prefixes")
 
     def __init__(self, postings: Iterable[Posting]) -> None:
-        ordered = sorted(postings, key=lambda posting: posting[1].n)
-        self.ns = pack_ints([scope.n for _, scope in ordered])
-        self.ends = pack_ints([scope.end for _, scope in ordered])
+        rows = sorted(postings, key=lambda row: row[1])
+        self.ns = pack_ints([n for _, n, _ in rows])
+        self.ends = pack_ints([end for _, _, end in rows])
         self.prefixes: tuple[Prefix, ...] = tuple(
-            _intern_prefix(prefix) for prefix, _ in ordered
+            _intern_prefix(prefix) for prefix, _, _ in rows
         )
-        self._entries: Optional[list[Posting]] = None
-
-    @property
-    def entries(self) -> list[Posting]:
-        """Tuple view ``[(prefix, Scope), ...]``, built once on demand."""
-        entries = self._entries
-        if entries is None:
-            entries = [
-                (prefix, Scope(n, end - n))
-                for prefix, n, end in zip(self.prefixes, self.ns, self.ends)
-            ]
-            self._entries = entries
-        return entries
 
     def select_span(self, n: int, end: int) -> tuple[int, int]:
-        """Column index range of postings with label in ``(n, end]``.
-
-        ``bisect_right(ns, n)`` equals the old ``bisect_left(ns, n + 1)``
-        for integer columns — first label strictly greater than ``n``.
-        """
+        """Column index range of postings with label in ``(n, end]``."""
         ns = self.ns
         return bisect_right(ns, n), bisect_right(ns, end)
 
-    def select(self, within: Scope) -> list[Posting]:
-        """Postings whose ``n`` lies in the S-Ancestor range ``(n, n+size]``."""
-        lo, hi = self.select_span(within.n, within.end)
-        return self.entries[lo:hi]
+    def join(
+        self, starts: Sequence[int], ends: Sequence[int], w0: int, w1: int
+    ) -> list[tuple[int, int]]:
+        """Column spans ``[a, b)`` of the postings inside any of the
+        windows ``(starts[k], ends[k]]``, ``w0 <= k < w1``.
+
+        The windows are ascending and pairwise disjoint, so the answer
+        is ascending too, and adjacent hits coalesce into one span.  The
+        ``n`` column is first clipped to the hull of the windows; then
+        the shorter side is iterated and bisected into the longer one,
+        each bisect resuming where the last one landed.  Which side is
+        shorter is read off the two lengths, nothing else.
+        """
+        ns = self.ns
+        lo, hi = self.select_span(starts[w0], ends[w1 - 1])
+        spans: list[tuple[int, int]] = []
+        run = stop = lo  # the open span [run, stop); empty while run == stop
+        if w1 - w0 <= hi - lo:
+            # few windows: two bisects on ``ns`` per window
+            for k in range(w0, w1):
+                a = bisect_right(ns, starts[k], stop, hi)
+                if a == hi:
+                    break
+                b = bisect_right(ns, ends[k], a, hi)
+                if a != stop:
+                    if stop > run:
+                        spans.append((run, stop))
+                    run = a
+                stop = b
+        else:
+            # few postings: the one window that can hold ``n`` is the
+            # last one starting below it
+            j = w0
+            for i in range(lo, hi):
+                n = ns[i]
+                j = bisect_left(starts, n, j, w1)
+                if j > w0 and n <= ends[j - 1]:
+                    if i != stop:
+                        if stop > run:
+                            spans.append((run, stop))
+                        run = i
+                    stop = i + 1
+        if stop > run:
+            spans.append((run, stop))
+        return spans
 
     def __len__(self) -> int:
         return len(self.ns)

@@ -23,7 +23,7 @@ from repro.errors import IndexStateError
 from repro.index.base import XmlIndexBase
 from repro.index.matching import SequenceMatcher
 from repro.index.postings import PostingCache
-from repro.index.store import CombinedTreeHost, node_key
+from repro.index.store import CombinedTreeHost, label_key, node_key
 from repro.index.trie import SequenceTrie
 from repro.labeling.scope import Scope
 from repro.query.ast import QuerySequence
@@ -32,7 +32,7 @@ from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree, TreeStats
 from repro.storage.docstore import DocStore
 from repro.storage.pager import MemoryPager, Pager
-from repro.storage.serialization import decode_uint, encode_tuple, encode_uint
+from repro.storage.serialization import decode_uint, encode_uint
 
 __all__ = ["RistIndex"]
 
@@ -49,8 +49,6 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         source_store=None,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
-        batched: bool = True,
-        packed: Optional[bool] = None,
     ) -> None:
         XmlIndexBase.__init__(
             self, encoder, docstore,
@@ -60,7 +58,8 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         self.tree = BPlusTree(self._pager, slot=0)
         self.docid_tree = BPlusTree(self._pager, slot=1)
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
-        self._matcher = SequenceMatcher(self, batched=batched, packed=packed)
+        self._matcher = SequenceMatcher(self)
+        self._load_max_prefix_len()
         self.trie: Optional[SequenceTrie] = SequenceTrie()
         self._root_scope: Optional[Scope] = None
         self._register_host_metrics()
@@ -118,9 +117,7 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
                 )
             )
             for doc_id in node.doc_ids:
-                doc_entries.append(
-                    (encode_tuple((node.scope.n,)), encode_uint(doc_id))
-                )
+                doc_entries.append((label_key(node.scope.n), encode_uint(doc_id)))
         entries.sort()
         doc_entries.sort()
         self.tree.bulk_load(entries)
@@ -156,8 +153,8 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         assert self._root_scope is not None
         return self._root_scope
 
-    def _scope_of(self, n: int, value: bytes) -> Optional[Scope]:
-        return Scope(n, decode_uint(value)[0])
+    def _end_of(self, n: int, value: bytes) -> int:
+        return n + decode_uint(value)[0]
 
     # -- measurements -----------------------------------------------------------
 

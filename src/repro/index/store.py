@@ -13,16 +13,16 @@ Both indexes keep two logical structures in B+Trees (paper Figure 6):
 
 Entry values differ per index (RIST stores a bare size, ViST a full
 :class:`~repro.labeling.dynamic.NodeState`), so hosts provide
-``_scope_of(n, value)``.
+``_end_of(n, value)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.index.postings import PostingCache, PostingGroup
 from repro.labeling.scope import Scope
-from repro.sequence.encoding import Item, Prefix
+from repro.sequence.encoding import Prefix
 from repro.storage.bptree import BPlusTree
 from repro.storage.cache import BufferPool
 from repro.storage.serialization import (
@@ -50,11 +50,27 @@ __all__ = [
     "ROOT_KEY",
     "META_MAX_DEPTH_KEY",
     "META_STORE_BOUNDS_KEY",
+    "label_key",
     "node_key",
     "node_key_len",
     "decode_node_key",
     "CombinedTreeHost",
 ]
+
+
+# item tag + non-negative sign byte + magnitude length, per length
+_LABEL_HEAD = [encode_tuple((0,))[:-1] + bytes((nbytes,)) for nbytes in range(256)]
+
+
+def label_key(n: int) -> bytes:
+    """``encode_tuple((n,))`` of a label without the generic per-item
+    dispatch: tag bytes, magnitude length, big-endian magnitude.  It is
+    the whole DocId-tree key (and the ``n`` suffix of a node key)."""
+    nbytes = (n.bit_length() + 7) // 8
+    try:
+        return _LABEL_HEAD[nbytes] + n.to_bytes(nbytes, "big")
+    except (IndexError, OverflowError):  # oversized or negative: not a label
+        return encode_tuple((n,))
 
 
 # node_key is the hottest function of the insert path (one call per
@@ -135,76 +151,55 @@ class CombinedTreeHost:
     """Matching-host implementation over the two B+Trees.
 
     Subclasses (RIST/ViST indexes) own ``self.tree`` (combined) and
-    ``self.docid_tree`` and implement :meth:`_scope_of`.
+    ``self.docid_tree``, implement :meth:`_end_of` and call
+    :meth:`_load_max_prefix_len` once both trees are open.
 
     When ``self.postings`` holds a :class:`PostingCache`, D-Ancestor key
     groups are decoded once and kept resident, and every lookup becomes
-    two bisects over the cached group (the on-disk layout is untouched;
+    bisects over the cached group (the on-disk layout is untouched;
     hosts must call :meth:`_invalidate_postings` when entries appear or
-    disappear).  With ``postings = None`` every lookup is a fresh B+Tree
-    range scan — the paper's original access path.
+    disappear).  With ``postings = None`` every group fetch is a fresh
+    B+Tree range scan — the paper's original access path.
     """
 
     tree: BPlusTree
     docid_tree: BPlusTree
     postings: Optional[PostingCache] = None
+    # held in memory like the root state: read once when the host opens,
+    # raised under the write lock (the value only ever grows)
+    _max_prefix_len: int = 0
 
     # -- MatchingHost ------------------------------------------------------
 
     def root_scope(self) -> Scope:
         raise NotImplementedError
 
-    def _scope_of(self, n: int, value: bytes) -> Optional[Scope]:
-        """Decode an entry value to its scope; ``None`` to hide the entry."""
+    def _end_of(self, n: int, value: bytes) -> int:
+        """Scope end ``n + size`` of the entry labelled ``n``."""
         raise NotImplementedError
 
     def max_prefix_len(self) -> int:
+        return self._max_prefix_len
+
+    def _stored_max_prefix_len(self) -> int:
         value = self.tree.get(META_MAX_DEPTH_KEY)
-        if value is None:
-            return 0
-        return decode_uint(value)[0]
+        return decode_uint(value)[0] if value is not None else 0
+
+    def _load_max_prefix_len(self) -> None:
+        self._max_prefix_len = self._stored_max_prefix_len()
 
     def _bump_max_prefix_len(self, depth: int) -> None:
-        if depth > self.max_prefix_len():
+        if depth > self._max_prefix_len:
             self.tree.put(META_MAX_DEPTH_KEY, encode_uint(depth))
-
-    def iter_candidates(
-        self,
-        symbol: Symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        within: Scope,
-    ) -> Iterator[tuple[Prefix, Scope]]:
-        if self.postings is not None:
-            yield from self.fetch_postings(symbol, prefix_len, leading).select(within)
-            return
-        stem = encode_tuple((symbol, prefix_len, *leading))
-        if prefix_len == len(leading):
-            # concrete prefix: bound the scan by the S-Ancestor range too
-            lo = stem + encode_tuple((within.n + 1,))
-            hi = stem + encode_tuple((within.end,))
-            for key, value in self.tree.range(lo, hi, include_hi=True):
-                prefix, n = _group_key_tail(key, stem, leading, 0)
-                scope = self._scope_of(n, value)
-                if scope is not None:
-                    yield prefix, scope
-            return
-        extra = prefix_len - len(leading)
-        for key, value in self.tree.range(stem, prefix_range_end(stem)):
-            prefix, n = _group_key_tail(key, stem, leading, extra)
-            if not within.contains_descendant_id(n):
-                continue
-            scope = self._scope_of(n, value)
-            if scope is not None:
-                yield prefix, scope
+            self._max_prefix_len = depth
 
     def fetch_postings(
         self, symbol: Symbol, prefix_len: int, leading: tuple[str, ...]
     ) -> PostingGroup:
         """The whole D-Ancestor key group, sorted by ``n`` (cached if enabled).
 
-        This is the batched-matching entry point: one fetch serves every
-        scope restriction over the group via :meth:`PostingGroup.select`.
+        One fetch serves every scope window of a frontier level via
+        :meth:`PostingGroup.join`.
         """
         if self.postings is None:
             return PostingGroup(self._load_postings(symbol, prefix_len, leading))
@@ -217,15 +212,25 @@ class CombinedTreeHost:
 
     def _load_postings(
         self, symbol: Symbol, prefix_len: int, leading: tuple[str, ...]
-    ) -> Iterator[tuple[Prefix, Scope]]:
-        """Range-scan one D-Ancestor key group out of the combined tree."""
+    ) -> Iterator[tuple[Prefix, int, int]]:
+        """Range-scan one D-Ancestor key group out of the combined tree
+        as ``(prefix, n, end)`` rows."""
         stem = encode_tuple((symbol, prefix_len, *leading))
         extra = prefix_len - len(leading)
+        end_of = self._end_of
         for key, value in self.tree.range(stem, prefix_range_end(stem)):
             prefix, n = _group_key_tail(key, stem, leading, extra)
-            scope = self._scope_of(n, value)
-            if scope is not None:
-                yield prefix, scope
+            yield prefix, n, end_of(n, value)
+
+    def doc_ids_in(self, ranges: Iterable[tuple[int, int]]) -> list[int]:
+        """Document ids attached under the closed label ranges ``[n, end]``
+        (ascending, pairwise disjoint): one cursor over the DocId leaf
+        chain for all of them."""
+        bounds = [(label_key(n), label_key(end + 1)) for n, end in ranges]
+        return [
+            decode_uint(value)[0]
+            for _, value in self.docid_tree.scan_windows(bounds)
+        ]
 
     def _invalidate_postings(self, symbol: Symbol, prefix: Prefix) -> None:
         """Drop cached groups covering ``(symbol, prefix)`` entries."""
@@ -298,17 +303,10 @@ class CombinedTreeHost:
             }
         return out
 
-    def iter_doc_ids(self, within: Scope) -> Iterator[int]:
-        lo, hi = within.doc_range()
-        for _, value in self.docid_tree.range(
-            encode_tuple((lo,)), encode_tuple((hi,)), include_hi=True
-        ):
-            yield decode_uint(value)[0]
-
     # -- DocId tree helpers --------------------------------------------------
 
     def _attach_doc(self, n: int, doc_id: int) -> None:
-        self.docid_tree.insert(encode_tuple((n,)), encode_uint(doc_id))
+        self.docid_tree.insert(label_key(n), encode_uint(doc_id))
 
     def _detach_doc(self, n: int, doc_id: int) -> int:
-        return self.docid_tree.delete(encode_tuple((n,)), encode_uint(doc_id))
+        return self.docid_tree.delete(label_key(n), encode_uint(doc_id))

@@ -36,6 +36,7 @@ from repro.index.store import (
     ROOT_KEY,
     CombinedTreeHost,
     decode_node_key,
+    label_key,
     node_key,
     node_key_len,
 )
@@ -80,8 +81,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         collect_stats: bool = True,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
-        batched: bool = True,
-        packed: Optional[bool] = None,
     ) -> None:
         XmlIndexBase.__init__(
             self, encoder, docstore,
@@ -93,7 +92,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # Query-path posting cache (0 disables).  It lives in instance
         # memory only, so reopening from disk always starts cold.
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
-        self._matcher = SequenceMatcher(self, batched=batched, packed=packed)
+        self._matcher = SequenceMatcher(self)
         # "we collect statistics during data generation for dynamic
         # labeling purposes": with collect_stats the corpus statistics
         # accumulate as documents arrive, and the clue-free allocator
@@ -143,6 +142,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             self.tree.put(ROOT_KEY, self._root_state.to_bytes())
         else:
             self._root_state = NodeState.from_bytes(0, root_value)
+        self._load_max_prefix_len()
         # a crash between a docstore append and the tree commit leaves
         # trailing records past the committed state; drop them now so the
         # index reopens exactly on its last durable commit boundary
@@ -504,9 +504,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         if not buffer:
             return
         buffer.sort()
-        pairs = [
-            (encode_tuple((n,)), encode_uint(doc_id)) for n, doc_id in buffer
-        ]
+        pairs = [(label_key(n), encode_uint(doc_id)) for n, doc_id in buffer]
         if self.docid_tree.is_empty():
             self.docid_tree.bulk_load(pairs)
         else:
@@ -559,11 +557,11 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     def root_scope(self) -> Scope:
         return self._root_state.scope
 
-    def _scope_of(self, n: int, value: bytes) -> Optional[Scope]:
+    def _end_of(self, n: int, value: bytes) -> int:
         # NodeState.to_bytes starts [flags][uint size]...; the query path
-        # only needs the scope, so decode just the size field instead of
-        # rebuilding the whole NodeState per posting (hot in group loads).
-        return Scope(n, decode_uint(value, 1)[0])
+        # only needs the scope end, so decode just the size field instead
+        # of rebuilding the whole NodeState per posting (hot in group loads).
+        return n + decode_uint(value, 1)[0]
 
     # ------------------------------------------------------------------
     # payloads: sequence bytes + the node labels of the insert path

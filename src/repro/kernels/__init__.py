@@ -1,10 +1,10 @@
-"""Packed-column kernels for the query hot path (pure Python, optional).
+"""Packed-column kernels for the query hot path (pure Python).
 
 This module is the *accelerator seam* the ROADMAP's "compiled/vectorized
 hot kernels" phase calls for: every packed representation used by the
 query path funnels through these few functions, so a compiled backend
-(mypyc/Cython/C) can later replace them one-for-one while the pure-Python
-fallback keeps working everywhere.  Three kernels live here today:
+(mypyc/Cython/C) can later replace them one-for-one.  Three kernels live
+here today:
 
 * :func:`pack_ints` — the posting columns.  A sorted ``n``/``end`` column
   becomes an ``array('q')`` (one machine word per label, contiguous, C
@@ -20,19 +20,13 @@ fallback keeps working everywhere.  Three kernels live here today:
   once when the pager produced the buffer.
 * :func:`encode_columns` / :func:`decode_columns` — a byte codec for
   integer column sets.  The differential oracle fingerprints answer sets
-  with it (packed and unpacked configurations must produce *byte
-  identical* answers), and the Hypothesis round-trip property in
+  with it (every configuration must produce *byte identical* raw
+  answers), and the Hypothesis round-trip property in
   ``tests/test_kernels.py`` pins the codec itself.
-
-``REPRO_PACKED=0`` (see :func:`packed_enabled`) disables every packed
-path at once: posting groups keep list columns, leaves decode eagerly,
-and the matcher walks the tuple frontier — the exact pre-packing code,
-kept live as the reference implementation.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from typing import List, Sequence, Union
@@ -41,14 +35,11 @@ from repro.errors import CodecError
 from repro.storage.serialization import decode_int, encode_int, encode_uint, decode_uint
 
 __all__ = [
-    "packed_enabled",
     "pack_ints",
     "encode_columns",
     "decode_columns",
     "leaf_cell_offsets",
 ]
-
-_PACKED_ENV = "REPRO_PACKED"
 
 # array('q') bounds: one machine word per value.  Anything outside falls
 # back to a plain Python list (ViST labels routinely exceed 2**63).
@@ -58,17 +49,6 @@ _INT64_MAX = (1 << 63) - 1
 IntColumn = Union["array", List[int]]
 
 
-def packed_enabled() -> bool:
-    """Whether the packed kernels are active (``REPRO_PACKED=0`` disables).
-
-    Read from the environment on every call so tests and the CI
-    ``kernels`` job can flip the seam per process without re-importing;
-    the call is two dict lookups, far below the cost of any path it
-    gates.
-    """
-    return os.environ.get(_PACKED_ENV, "1") != "0"
-
-
 def pack_ints(values: Sequence[int]) -> IntColumn:
     """Pack an integer column: ``array('q')`` when every value fits int64.
 
@@ -76,12 +56,10 @@ def pack_ints(values: Sequence[int]) -> IntColumn:
     semantics — ``bisect`` and ``len`` work on both, so consumers never
     branch on the representation.
     """
-    if packed_enabled():
-        try:
-            return array("q", values)
-        except OverflowError:
-            pass  # a label exceeds int64: keep exact Python ints
-    return list(values)
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)  # a label exceeds int64: keep exact Python ints
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +80,7 @@ def encode_columns(columns: Sequence[Sequence[int]]) -> bytes:
     (max-width ints up to ±(2**2040 - 1)).  The encoding is canonical —
     equal column sets always produce equal bytes — which is what lets
     the differential oracle compare answer sets *as bytes* across
-    packed/unpacked configurations.
+    configurations.
     """
     out = bytearray(encode_uint(len(columns)))
     for column in columns:

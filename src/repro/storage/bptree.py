@@ -25,12 +25,12 @@ Concurrency and caching
 Nodes are decoded once and cached in memory; dirty nodes are written back
 on :meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
 :meth:`BPlusTree.checkpoint`, which may also drop the cache at a quiescent
-point.  With the packed kernels enabled (``REPRO_PACKED``, see
-:mod:`repro.kernels`), a leaf "decode" is just a one-pass cell-offset
-table over the page buffer — keys and values are sliced out on access,
-so a point lookup touches O(log n) cells of a page instead of
-materialising all of them; mutation paths materialise the entry list
-once and proceed as before.  The tree is **single-writer**: mutation is
+point.  A leaf "decode" is just a one-pass cell-offset table over the
+page buffer (:func:`repro.kernels.leaf_cell_offsets`) — keys and values
+are sliced out on access, so a point lookup touches O(log n) cells of a
+page instead of materialising all of them; scans and mutation paths
+materialise the entry list once and keep it.  The tree is
+**single-writer**: mutation is
 serialised by the owning index's readers–writer lock
 (:class:`repro.exec.locks.RWLock`), the same operating envelope the
 paper's experiments use.  Concurrent *readers* are tolerated by
@@ -48,10 +48,10 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, PageError, StorageError
-from repro.kernels import leaf_cell_offsets, packed_enabled
+from repro.kernels import leaf_cell_offsets
 from repro.obs.metrics import MetricSet
 from repro.storage.pager import MemoryPager, Pager
 
@@ -197,7 +197,7 @@ class _Node:
 class _Leaf(_Node):
     """A leaf node, eager or *lazy*.
 
-    Lazy leaves (packed decode) carry the raw page buffer plus a flat
+    Lazy leaves (decoded from a page) carry the raw page buffer plus a flat
     cell-offset table instead of a materialised entry list; the read-path
     accessors (:meth:`count`, :meth:`key_at`, :meth:`pair_at`,
     :meth:`bisect_entries`) slice cells out of the buffer on demand.
@@ -421,25 +421,11 @@ class BPlusTree:
         (n,) = struct.unpack_from("<H", raw, 1)
         if kind == _LEAF:
             (next_pid,) = struct.unpack_from("<Q", raw, 3)
-            if packed_enabled():
-                # zero-copy decode: offset table only, cells sliced from
-                # the page buffer on access (the end offset is exactly
-                # the page's used-bytes figure, cached for free)
-                offsets, end = leaf_cell_offsets(raw, n, _LEAF_HEADER)
-                return _Leaf(
-                    pid, None, next_pid, raw=raw, offsets=offsets, used=end
-                )
-            off = _LEAF_HEADER
-            entries: list[Pair] = []
-            for _ in range(n):
-                klen, vlen = struct.unpack_from("<HH", raw, off)
-                off += 4
-                key = raw[off : off + klen]
-                off += klen
-                value = raw[off : off + vlen]
-                off += vlen
-                entries.append((key, value))
-            return _Leaf(pid, entries, next_pid)
+            # zero-copy decode: offset table only, cells sliced from the
+            # page buffer on access (the end offset is exactly the page's
+            # used-bytes figure, cached for free)
+            offsets, end = leaf_cell_offsets(raw, n, _LEAF_HEADER)
+            return _Leaf(pid, None, next_pid, raw=raw, offsets=offsets, used=end)
         if kind == _INTERNAL:
             (child0,) = struct.unpack_from("<Q", raw, 3)
             off = _INTERNAL_HEADER
@@ -664,6 +650,40 @@ class BPlusTree:
             leaf = self._node(leaf.next) if leaf.next else None
             idx = 0
 
+    def scan_windows(self, bounds: Iterable[tuple[bytes, bytes]]) -> Iterator[Pair]:
+        """Yield the entries whose key lies in any ``[lo, hi)`` window.
+
+        ``bounds`` must be ascending and pairwise disjoint.  One cursor
+        walks the leaf chain for all of them: the next window is located
+        by a bisect inside the current leaf, the chain is followed when a
+        window runs past the leaf, and a root-to-leaf :meth:`_seek` is
+        paid only when the next window starts beyond the leaf's last key
+        — many narrow windows over neighbouring keys (the DocId output
+        of Algorithm 2) cost one descent, not one each.
+        """
+        self._ensure_open()
+        entries: list[Pair] = []
+        next_pid = idx = 0
+        for lo, hi in bounds:
+            if not entries or entries[-1][0] < lo:
+                leaf, idx = self._seek(lo, True)
+                if leaf is None:
+                    return  # every later window starts past the last key too
+                entries, next_pid = leaf.entries, leaf.next
+            else:
+                idx = bisect_left(entries, (lo, b""), idx)
+            stop = (hi, b"")
+            while True:
+                end = bisect_left(entries, stop, idx)
+                yield from entries[idx:end]
+                idx = end
+                if end < len(entries):
+                    break
+                if not next_pid:
+                    return
+                leaf = self._node(next_pid)
+                entries, next_pid, idx = leaf.entries, leaf.next, 0
+
     def items(self) -> Iterator[Pair]:
         """Iterate every entry in order."""
         return self.range()
@@ -757,11 +777,17 @@ class BPlusTree:
             self._cache.clear()
 
     def close(self) -> None:
-        """Flush and detach from the pager (the pager itself stays open)."""
+        """Flush and detach from the pager (the pager itself stays open).
+
+        The decoded nodes go with it: a closed tree answers nothing, and
+        its owner usually sits in a reference cycle, so memory left here
+        would wait for whenever the cycle collector next runs."""
         if self._closed:
             return
         self.flush()
         self._closed = True
+        self._cache = {}
+        self._descents = ()
 
     @property
     def pager(self) -> Pager:

@@ -130,6 +130,7 @@ class BufferPool(Pager):
         with self._lock:
             self.flush()
             self._base.close()
+            self._pages.clear()  # closed reads must reach the base and raise
 
     # -- cache mechanics -------------------------------------------------
 

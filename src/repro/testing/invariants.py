@@ -20,7 +20,8 @@ contracts the rest of the codebase silently relies on:
     (``reserve_used <= reserve_size``; borrow-labelled *private* nodes
     live inside their lender's used reserve block; regular children stay
     out of the reserve); prefix depths within the recorded
-    ``max-prefix-len`` meta entry.
+    ``max-prefix-len`` meta entry, and the integer the host holds in
+    memory equal to that entry.
 
 **ViST documents** (:func:`check_vist_documents`)
     per-node reference counts equal the number of insert-path traversals
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.index.postings import PostingGroup
 from repro.index.store import (
     META_MAX_DEPTH_KEY,
     META_STORE_BOUNDS_KEY,
@@ -209,6 +211,12 @@ def check_vist_scopes(index) -> InvariantReport:
     root_state = index._root_state
     allocator = index.allocator
     max_depth = index.max_prefix_len()
+    stored_depth = index._stored_max_prefix_len()
+    if stored_depth != max_depth:
+        report.fail(
+            f"held max-prefix-len {max_depth} differs from the stored meta "
+            f"entry {stored_depth}"
+        )
     children: dict[int, list[NodeState]] = {}
     for n, (state, symbol, prefix) in nodes.items():
         report.checked += 1
@@ -343,14 +351,15 @@ def check_posting_coherence(host) -> InvariantReport:
         report.checked += 1
         symbol, prefix_len, leading = key
         cached = cache._groups[key]
-        fresh = sorted(
-            host._load_postings(symbol, prefix_len, leading),
-            key=lambda posting: posting[1].n,
-        )
-        if cached.entries != fresh:
+        fresh = PostingGroup(host._load_postings(symbol, prefix_len, leading))
+        if (cached.ns, cached.ends, cached.prefixes) != (
+            fresh.ns,
+            fresh.ends,
+            fresh.prefixes,
+        ):
             report.fail(
                 f"group ({symbol!r}, {prefix_len}, {leading!r}): cached "
-                f"{len(cached.entries)} posting(s), tree has {len(fresh)}"
+                f"{len(cached)} posting(s), tree has {len(fresh)}"
             )
     return report
 

@@ -5,9 +5,8 @@ For each seed the oracle generates a corpus and a batch of queries
 query with the naive reference evaluator
 (:mod:`repro.testing.reference`), and then drives the whole index zoo:
 
-* **ViST in all 12 configurations** — packed kernels on (posting cache
-  on/off × batched on/off × FilePager/WalPager) plus the plain fallback
-  path (posting cache on/off × batched on/off × FilePager);
+* **ViST in all 4 configurations** — posting cache on/off ×
+  FilePager/WalPager;
 * **Naive** (Algorithm 1 on the materialised trie) and **RIST** (static
   labels);
 * the two join-based baselines (**PathIndex**, **XissIndex**), which are
@@ -20,11 +19,12 @@ Two equalities are asserted per query:
   construction);
 * *raw*: the unverified subsequence-matching results of Naive, RIST and
   every ViST configuration agree with each other (they implement the
-  same Algorithm 2 semantics, so any disagreement is a cache/traversal
+  same subsequence-matching semantics — Naive is Algorithm 1 on the
+  materialised trie, the anchor — so any disagreement is a walker/cache
   bug even though raw results may legitimately differ from XPath).  The
   comparison runs over :func:`repro.kernels.encode_columns` fingerprints
-  of the sorted position sets, so packed and plain configurations are
-  proven *byte identical*, not merely equal under Python ``==``.
+  of the sorted position sets, so the answers are proven *byte
+  identical*, not merely equal under Python ``==``.
 
 On the first divergence of a seed the failing case is **shrunk**
 (greedy: drop documents, prune document subtrees, simplify the query)
@@ -76,35 +76,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VistConfig:
-    """One point of the packed/cache/traversal/pager configuration cube."""
+    """One point of the cache × pager configuration square."""
 
     posting_cache: bool
-    batched: bool
     pager: str  # "file" | "wal"
-    packed: bool = True
 
     @property
     def name(self) -> str:
-        return "vist[{}+{}+{}+{}]".format(
-            "packed" if self.packed else "plain",
-            "cache" if self.posting_cache else "nocache",
-            "batched" if self.batched else "serial",
-            self.pager,
+        return "vist[{}+{}]".format(
+            "cache" if self.posting_cache else "nocache", self.pager
         )
 
 
-# Packed kernels sweep the full cache × traversal × pager cube; the plain
-# fallback path sweeps cache × traversal on the file pager (the pager
-# choice is orthogonal to the packed representation).
 VIST_CONFIGS: tuple[VistConfig, ...] = tuple(
-    VistConfig(posting_cache=cache, batched=batched, pager=pager, packed=True)
+    VistConfig(posting_cache=cache, pager=pager)
     for cache in (True, False)
-    for batched in (True, False)
     for pager in ("file", "wal")
-) + tuple(
-    VistConfig(posting_cache=cache, batched=batched, pager="file", packed=False)
-    for cache in (True, False)
-    for batched in (True, False)
 )
 
 
@@ -187,8 +174,6 @@ class DifferentialOracle:
             SequenceEncoder(),
             pager=pager,
             posting_cache_size=64 if config.posting_cache else 0,
-            batched=config.batched,
-            packed=config.packed,
         )
         ids = index.add_all(corpus)
         return index, {doc_id: pos for pos, doc_id in enumerate(ids)}
@@ -248,8 +233,7 @@ class DifferentialOracle:
                     anchor_index.query(query, verify=False), anchor_map
                 )
                 # byte-level equality: canonical column encoding of the
-                # sorted positions, so packed and plain configurations
-                # must agree byte for byte, not just under list ==
+                # sorted positions, not just list ==
                 anchor_fp = encode_columns([anchor_raw])
                 for family in raw_families[1:]:
                     index, id_to_pos = indexes[family]
@@ -268,8 +252,8 @@ class DifferentialOracle:
             if self.check_invariants:
                 vist_index, _ = indexes[VIST_CONFIGS[0].name]
                 assert_invariants(vist_index)
-            # deletion coherence: remove one document from a cached+batched
-            # ViST and re-check one query against the shrunken reference
+            # deletion coherence: remove one document from a cached ViST
+            # and re-check one query against the shrunken reference
             if corpus and queries:
                 index, id_to_pos = indexes[VIST_CONFIGS[0].name]
                 victim_pos = generator.rng.randrange(len(corpus))

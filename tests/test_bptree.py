@@ -463,3 +463,118 @@ def test_range_matches_reference(keys, bounds):
     got_inc = [k for k, _ in tree.range(lo, hi, include_lo=False, include_hi=True)]
     expected_inc = sorted(k for k in keys if lo < k <= hi)
     assert got_inc == expected_inc
+
+
+# ---------------------------------------------------------------------------
+# scan_windows: one cursor over many windows, range() as the oracle
+
+
+def windows_by_range(tree, bounds):
+    return [pair for lo, hi in bounds for pair in tree.range(lo, hi)]
+
+
+class TestScanWindows:
+    @pytest.fixture
+    def tree(self):
+        t = make_tree(page_size=128)  # a few entries per leaf: windows cross leaves
+        for i in range(0, 400, 2):  # even keys only
+            t.insert(key(i), str(i).encode())
+        return t
+
+    def check(self, tree, bounds):
+        got = list(tree.scan_windows(bounds))
+        assert got == windows_by_range(tree, bounds)
+        return got
+
+    def test_windows_spanning_several_leaves(self, tree):
+        got = self.check(tree, [(key(10), key(90)), (key(90), key(91)), (key(200), key(333))])
+        assert len(got) == 40 + 1 + 67
+
+    def test_empty_windows_between_hits(self, tree):
+        # odd keys do not exist: (11, 12) and (301, 302) hold nothing
+        got = self.check(
+            tree, [(key(11), key(12)), (key(20), key(23)), (key(301), key(302)), (key(398), key(399))]
+        )
+        assert [k for k, _ in got] == [key(20), key(22), key(398)]
+
+    def test_windows_past_the_last_key(self, tree):
+        got = self.check(tree, [(key(390), key(500)), (key(600), key(700)), (key(800), key(900))])
+        assert [k for k, _ in got] == [key(i) for i in range(390, 400, 2)]
+        assert list(tree.scan_windows([(key(1000), key(2000))])) == []
+
+    def test_no_windows_and_empty_tree(self):
+        assert list(make_tree().scan_windows([(b"a", b"z")])) == []
+        assert list(make_tree().scan_windows([])) == []
+
+    def test_many_narrow_windows_share_descents(self, tree):
+        tree.descent_hits = tree.descent_misses = 0
+        bounds = [(key(i), key(i + 1)) for i in range(0, 400, 2)]
+        assert len(self.check(tree, bounds)) == 200
+        per_window = tree.descent_hits + tree.descent_misses
+        tree.descent_hits = tree.descent_misses = 0
+        list(tree.scan_windows(bounds))
+        # check() also ran range() once per window: the cursor alone seeks
+        # once, where the window starts beyond the leaf it stands on
+        assert tree.descent_hits + tree.descent_misses < per_window // 10
+
+    def test_duplicate_keys_spanning_leaves(self):
+        # the DocId tree's shape: many entries (one per document) under one label
+        t = make_tree(page_size=128)
+        for label in (3, 7, 8, 20):
+            for doc in range(40):
+                t.insert(key(label), f"{doc:04d}".encode())
+        bounds = [(key(3), key(4)), (key(7), key(9)), (key(10), key(20)), (key(20), key(21))]
+        got = list(t.scan_windows(bounds))
+        assert got == windows_by_range(t, bounds)
+        assert len(got) == 160
+
+    def test_after_splits_and_deletes(self):
+        rng = random.Random(17)
+        t = make_tree(page_size=128)
+        live = set()
+        for _ in range(1500):
+            i = rng.randrange(600)
+            if i in live and rng.random() < 0.5:
+                t.delete(key(i))
+                live.discard(i)
+            elif i not in live:
+                t.insert(key(i), b"v")
+                live.add(i)
+        cuts = sorted(rng.sample(range(650), 80))
+        bounds = [(key(lo), key(hi)) for lo, hi in zip(cuts[0::2], cuts[1::2])]
+        got = list(t.scan_windows(bounds))
+        assert got == windows_by_range(t, bounds)
+        assert [k for k, _ in got] == [
+            key(i) for i in sorted(live) if any(lo <= key(i) < hi for lo, hi in bounds)
+        ]
+
+    def test_reopened_lazy_leaves_equal_fresh_ones(self, tmp_path):
+        path = tmp_path / "t.db"
+        pager = FilePager(path, page_size=256)
+        t = BPlusTree(pager)
+        for i in range(0, 600, 3):
+            t.insert(key(i), str(i).encode())
+        bounds = [(key(lo), key(lo + 25)) for lo in range(0, 600, 40)]
+        fresh = list(t.scan_windows(bounds))
+        t.close()
+        pager.close()
+        pager = FilePager(path, page_size=256)
+        reopened = BPlusTree(pager)  # leaves decode lazily from page bytes
+        assert list(reopened.scan_windows(bounds)) == fresh
+        assert fresh == windows_by_range(reopened, bounds)
+        pager.close()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    keys=st.lists(st.integers(0, 300), max_size=150),
+    cuts=st.lists(st.integers(0, 320), max_size=40, unique=True),
+)
+def test_scan_windows_matches_range(keys, cuts):
+    """Property: any ascending disjoint windows, duplicate keys included."""
+    tree = BPlusTree(MemoryPager(page_size=128))
+    for serial, k in enumerate(keys):
+        tree.insert(key(k), str(serial).encode())
+    cuts.sort()
+    bounds = [(key(lo), key(hi)) for lo, hi in zip(cuts[0::2], cuts[1::2])]
+    assert list(tree.scan_windows(bounds)) == windows_by_range(tree, bounds)

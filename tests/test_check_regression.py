@@ -163,11 +163,11 @@ class TestMainExitCodes:
     def test_kernel_hit_rate_drop_fails(self, gate, capsys):
         current = {
             "headline_seconds": 1.0,
-            "kernels": {"packed": True, "combined_descent_hit_rate": 0.08},
+            "kernels": {"combined_descent_hit_rate": 0.08},
         }
         baseline = {
             "headline_seconds": 1.0,
-            "kernels": {"packed": True, "combined_descent_hit_rate": 0.8},
+            "kernels": {"combined_descent_hit_rate": 0.8},
         }
         assert gate(current, baseline) == 1
         out = capsys.readouterr().out
@@ -177,7 +177,6 @@ class TestMainExitCodes:
         current = {
             "headline_seconds": 1.0,
             "kernels": {
-                "packed": True,
                 "combined_descent_hit_rate": 0.7,
                 "docid_descent_hit_rate": 0.9,
             },
@@ -185,7 +184,6 @@ class TestMainExitCodes:
         baseline = {
             "headline_seconds": 1.0,
             "kernels": {
-                "packed": True,
                 "combined_descent_hit_rate": 0.6,
                 "docid_descent_hit_rate": 0.95,
             },
@@ -199,7 +197,7 @@ class TestMainExitCodes:
     def test_baseline_without_kernels_block_skips_with_message(self, gate, capsys):
         current = {
             "headline_seconds": 1.0,
-            "kernels": {"packed": True, "combined_descent_hit_rate": 0.8},
+            "kernels": {"combined_descent_hit_rate": 0.8},
         }
         baseline = {"headline_seconds": 1.0}  # predates the kernels block
         assert gate(current, baseline) == 0
@@ -213,13 +211,13 @@ class TestMainExitCodes:
         current = {
             "headline_seconds": 1.0,
             "kernels": {
-                "packed": True,  # bool: not a gated figure
+                "warm_hit_rate": True,  # bool: not a gated figure
                 "combined_descent_hit_rate": "high",
                 "docid_descent_hit_rate": -0.5,
                 "cells": 12,  # numeric but not a *_hit_rate figure
             },
         }
-        baseline = {"headline_seconds": 1.0, "kernels": {"packed": True}}
+        baseline = {"headline_seconds": 1.0, "kernels": {"warm_hit_rate": True}}
         assert gate(current, baseline) == 0
         assert "kernels." not in capsys.readouterr().out
 

@@ -123,7 +123,28 @@ class TestNodesAndRemoveCommands:
         main(["index", db, str(xml_file)])
         capsys.readouterr()
         assert main(["remove", db, "99"]) == 1
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "0 document(s) removed before the error" in captured.err
+        assert "removed" not in captured.out  # no success line for a failed run
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_remove_fails_midway_reports_count_on_stderr(
+        self, tmp_path, xml_file, capsys, shards
+    ):
+        """Both branches (single index, sharded): the ids before the bad one
+        are gone, the count of them is on stderr, the exit code is 1."""
+        db = str(tmp_path / "db")
+        build = ["index", db, str(xml_file), "--split", "purchase"]
+        main(build + (["--shards", str(shards)] if shards else []))
+        capsys.readouterr()
+        assert main(["remove", db, "0", "99", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1 document(s) removed before the error" in captured.err
+        assert "error:" in captured.err and "99" in captured.err
+        main(["query", db, "//purchase"])
+        assert "1 match(es)" in capsys.readouterr().out  # doc 1 was never reached
 
 
 class TestSchemaHandling:

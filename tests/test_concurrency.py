@@ -37,7 +37,6 @@ from repro.exec import QueryExecutor, QueryOutcome, RWLock
 from repro.index.guard import QueryGuard
 from repro.index.postings import PostingCache, PostingGroup
 from repro.index.vist import VistIndex
-from repro.labeling.scope import Scope
 from repro.obs.metrics import MetricsRegistry
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree
@@ -267,7 +266,7 @@ def test_posting_cache_concurrent_lookup_single_install():
     def loader():
         load_calls.append(1)
         time.sleep(0.005)  # widen the miss window
-        return iter([(("x",), Scope(1, 10))])
+        return iter([(("x",), 1, 11)])
 
     def worker():
         gate.wait()

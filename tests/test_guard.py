@@ -29,6 +29,8 @@ from repro.index.guard import IndexHealth, QueryGuard
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
+from repro.obs import QueryTrace
+from repro.query.xpath import parse_xpath
 from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager, page_offset
@@ -241,6 +243,105 @@ def test_all_wildcard_query_respects_guard():
     index = _small_index()
     with pytest.raises(QueryBudgetExceededError):
         index.query("/*", guard=QueryGuard(max_steps=2))
+
+
+# ---------------------------------------------------------------------------
+# one wide level, one wide DocId output: the guard still gets a say inside
+
+
+WIDE = 1500  # at least this many windows in the wide level / final scopes
+CHUNK = 256  # the walker charges windows and final scopes at most this many at a time
+
+
+@pytest.fixture(scope="module")
+def wide_index():
+    """Every record has its own key value ahead of ``<z>`` (siblings are
+    sequenced in label order), so the trie holds WIDE disjoint ``z`` nodes:
+    ``/r/z`` ends on WIDE final scopes and ``/r[z='x']`` expands WIDE
+    windows at its last level."""
+    index = VistIndex()
+    index.add_all(
+        [parse_document(f"<r><k>{i}</k><z>x</z></r>") for i in range(WIDE)]
+    )
+    return index
+
+
+def _sequence(index, xpath):
+    (alternative,) = index.translator.translate(parse_xpath(xpath))
+    return alternative
+
+
+class _CancelOnceAt(QueryGuard):
+    """Stands in for a cancel() from another thread: it arrives while the
+    walk is ``at`` units in, and must take effect at that very tick."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__()
+        self.at = at
+
+    def step(self, n: int = 1) -> None:
+        if self.steps < self.at <= self.steps + n:
+            self.cancel()
+        super().step(n)
+
+
+class TestGuardInsideWideWork:
+    # what the walk charges ahead of the wide part: a window and a probe
+    # per earlier level, plus the wide level's own probe
+    BEFORE_WIDE_LEVEL = 5
+    BEFORE_DOCID_OUTPUT = 4
+
+    def test_unguarded_answers(self, wide_index):
+        assert len(wide_index.match_sequence(_sequence(wide_index, "/r/z"))) == WIDE
+        assert wide_index.match_stats.final_nodes >= WIDE
+        assert len(wide_index.match_sequence(_sequence(wide_index, "/r[z='x']"))) == WIDE
+        assert wide_index.match_stats.search_states >= 2 + WIDE
+
+    def test_one_step_per_probe_window_and_final_scope(self, wide_index):
+        for xpath, before in (
+            ("/r[z='x']", self.BEFORE_WIDE_LEVEL),
+            ("/r/z", self.BEFORE_DOCID_OUTPUT),
+        ):
+            guard = QueryGuard().start()
+            wide_index.match_sequence(_sequence(wide_index, xpath), guard)
+            stats = wide_index.match_stats
+            assert guard.steps == (
+                stats.range_queries + stats.search_states + stats.final_nodes
+            )
+            assert stats.range_queries + stats.search_states >= before
+
+    def test_step_budget_trips_inside_the_wide_level(self, wide_index):
+        budget = self.BEFORE_WIDE_LEVEL + 600
+        guard = QueryGuard(max_steps=budget).start()
+        with pytest.raises(QueryBudgetExceededError) as exc:
+            wide_index.match_sequence(_sequence(wide_index, "/r[z='x']"), guard)
+        assert exc.value.resource == "matcher-step"
+        # tripped at the first chunk past the budget, the level half done
+        assert budget < guard.steps <= budget + CHUNK
+        assert guard.steps < self.BEFORE_WIDE_LEVEL + WIDE
+
+    def test_cancel_lands_inside_the_wide_level(self, wide_index):
+        guard = _CancelOnceAt(self.BEFORE_WIDE_LEVEL + 700).start()
+        with pytest.raises(QueryCancelledError):
+            wide_index.match_sequence(_sequence(wide_index, "/r[z='x']"), guard)
+        assert guard.steps < self.BEFORE_WIDE_LEVEL + 700 + CHUNK
+
+    def test_step_budget_trips_inside_docid_output(self, wide_index):
+        budget = self.BEFORE_DOCID_OUTPUT + 600
+        guard = QueryGuard(max_steps=budget).start()
+        trace = QueryTrace()
+        with pytest.raises(QueryBudgetExceededError):
+            wide_index.match_sequence(_sequence(wide_index, "/r/z"), guard, trace)
+        assert budget < guard.steps <= budget + CHUNK
+        # the walk itself had finished: the output span was open when it hit
+        assert [span.name for span in trace.roots][-1] == "docid-output"
+
+    def test_cancel_lands_inside_docid_output(self, wide_index):
+        guard = _CancelOnceAt(self.BEFORE_DOCID_OUTPUT + 700).start()
+        with pytest.raises(QueryCancelledError):
+            wide_index.match_sequence(_sequence(wide_index, "/r/z"), guard)
+        assert self.BEFORE_DOCID_OUTPUT < guard.steps
+        assert guard.steps < self.BEFORE_DOCID_OUTPUT + 700 + CHUNK
 
 
 # ---------------------------------------------------------------------------

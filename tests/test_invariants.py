@@ -182,8 +182,8 @@ class TestVistCorruption:
         assert index.postings is not None and index.postings._groups
         key = next(iter(index.postings._groups))
         group = index.postings._groups[key]
-        assert group.entries
-        group.entries.pop()
+        assert len(group)
+        group.ends = group.ends[:-1]
         report = check_posting_coherence(index)
         assert not report.ok
 

@@ -1,10 +1,8 @@
-"""The packed-kernel seam: codecs, toggles, and packed/plain parity.
+"""The packed-kernel seam: the column packer, the codec, the leaf table.
 
-Covers the three kernels of :mod:`repro.kernels` (the ``REPRO_PACKED``
-toggle, the int64 column packer, the column byte codec, the zero-copy
-leaf offset table) plus end-to-end parity: a ViST index queried with the
-packed columnar frontier must produce byte-identical answers *and*
-identical MatchStats to the plain tuple frontier.
+Covers the three kernels of :mod:`repro.kernels` (the int64 column
+packer, the column byte codec, the zero-copy leaf offset table) and the
+posting-group columns built on them.
 """
 
 import struct
@@ -16,38 +14,16 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.errors import CodecError
-from repro.index.matching import SequenceMatcher
 from repro.index.postings import PostingGroup
-from repro.index.vist import VistIndex
-from repro.labeling.scope import Scope
-from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import _LEAF_HEADER
-from repro.testing.generator import DocQueryGenerator
 
 # encode_int magnitudes cap at 255 bytes -> |value| < 2**2040
 _MAX_MAGNITUDE = (1 << 2040) - 1
 _INT64_MAX = (1 << 63) - 1
 
 
-class TestPackedEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACKED", raising=False)
-        assert kernels.packed_enabled()
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert not kernels.packed_enabled()
-
-    def test_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert kernels.packed_enabled()
-        monkeypatch.setenv("REPRO_PACKED", "yes")
-        assert kernels.packed_enabled()
-
-
 class TestPackInts:
-    def test_int64_values_pack_to_array(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
+    def test_int64_values_pack_to_array(self):
         col = kernels.pack_ints([3, 1, 2, _INT64_MAX, -(1 << 63)])
         assert isinstance(col, array)
         assert col.typecode == "q"
@@ -58,11 +34,6 @@ class TestPackInts:
         col = kernels.pack_ints(values)
         assert isinstance(col, list)
         assert col == values  # exact Python ints, no truncation
-
-    def test_disabled_returns_list(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        col = kernels.pack_ints([1, 2, 3])
-        assert isinstance(col, list)
 
 
 class TestColumnCodec:
@@ -178,83 +149,34 @@ class TestLeafCellOffsets:
 class TestPostingGroupColumns:
     def test_columns_parallel_and_sorted(self):
         postings = [
-            (("a", "b"), Scope(30, 5)),
-            (("a",), Scope(10, 2)),
-            (("c",), Scope(20, 0)),
+            (("a", "b"), 30, 35),
+            (("a",), 10, 12),
+            (("c",), 20, 20),
         ]
         group = PostingGroup(postings)
         assert list(group.ns) == [10, 20, 30]
         assert list(group.ends) == [12, 20, 35]
         assert group.prefixes == (("a",), ("c",), ("a", "b"))
-        assert group.entries == [
-            (("a",), Scope(10, 2)),
-            (("c",), Scope(20, 0)),
-            (("a", "b"), Scope(30, 5)),
-        ]
+        assert len(group) == 3
 
     def test_select_span_matches_select(self):
-        group = PostingGroup([((), Scope(n, 0)) for n in [10, 20, 30, 40]])
-        lo, hi = group.select_span(10, 30)
-        assert [group.ns[i] for i in range(lo, hi)] == [20, 30]
-        assert [s.n for _, s in group.select(Scope(10, 20))] == [20, 30]
+        # the span of (n, end] equals filtering the label column by hand
+        labels = [10, 20, 30, 40]
+        group = PostingGroup([((), n, n) for n in labels])
+        for n, end in [(10, 30), (0, 100), (40, 140), (25, 29), (9, 10)]:
+            lo, hi = group.select_span(n, end)
+            assert [group.ns[i] for i in range(lo, hi)] == [
+                label for label in labels if n < label <= end
+            ]
 
     def test_prefixes_interned_across_groups(self):
-        a = PostingGroup([(("x", "y"), Scope(1, 0))])
-        b = PostingGroup([(("x", "y"), Scope(2, 0))])
+        a = PostingGroup([(("x", "y"), 1, 1)])
+        b = PostingGroup([(("x", "y"), 2, 2)])
         assert a.prefixes[0] is b.prefixes[0]
 
     def test_big_labels_keep_list_columns(self):
         big = 1 << 200
-        group = PostingGroup([((), Scope(big, 3))])
+        group = PostingGroup([((), big, big + 3)])
         assert isinstance(group.ns, list)
-        assert group.select(Scope(big - 1, 2)) == [((), Scope(big, 3))]
-
-
-class TestPackedPlainParity:
-    """Packed frontier vs plain tuple frontier: answers and stats equal."""
-
-    @pytest.fixture(scope="class")
-    def corpus_index(self):
-        generator = DocQueryGenerator(1234)
-        corpus = generator.corpus(8, 14)
-        index = VistIndex(SequenceEncoder())
-        index.add_all(corpus)
-        queries = [generator.query(corpus) for _ in range(12)]
-        return index, queries
-
-    def test_answers_and_stats_identical(self, corpus_index):
-        index, queries = corpus_index
-        packed = SequenceMatcher(index, packed=True)
-        plain = SequenceMatcher(index, packed=False)
-        compared = 0
-        for query in queries:
-            for qseq in index.translator.translate(query):
-                a = packed.final_scopes(qseq)
-                stats_a = packed.stats.snapshot()
-                b = plain.final_scopes(qseq)
-                stats_b = plain.stats.snapshot()
-                assert a == b
-                # cache hit/miss deltas differ run-to-run (shared posting
-                # cache warms up); every traversal counter must match
-                for field in (
-                    "range_queries",
-                    "candidates",
-                    "search_states",
-                    "final_nodes",
-                    "batched_states",
-                ):
-                    assert stats_a[field] == stats_b[field], (field, qseq)
-                # byte-identical under the canonical column encoding
-                assert kernels.encode_columns(
-                    [sorted(s.n for s in a)]
-                ) == kernels.encode_columns([sorted(s.n for s in b)])
-                compared += 1
-        assert compared >= 12
-
-    def test_match_results_identical(self, corpus_index):
-        index, queries = corpus_index
-        packed = SequenceMatcher(index, packed=True)
-        plain = SequenceMatcher(index, packed=False)
-        for query in queries[:6]:
-            for qseq in index.translator.translate(query):
-                assert packed.match(qseq) == plain.match(qseq)
+        assert group.select_span(big - 1, big + 1) == (0, 1)
+        assert group.join([big - 1], [big + 1], 0, 1) == [(0, 1)]

@@ -5,17 +5,27 @@ XPath-embedding oracle for single-path queries (which avoid the known
 branch ambiguities), and must always be a superset of the oracle for
 arbitrary wildcard paths.  These invariants are checked over random
 corpora and random query paths containing ``*`` and ``//``.
+
+The window-merged walker itself is pinned against Algorithm 1 on the
+materialised trie (:class:`NaiveIndex`): for generated corpora and
+queries the two raw answers must be equal, posting cache on and off,
+with roomy labels and with labels so tight that scopes underflow and
+private borrowed chains are on the path.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.doc.model import XmlNode
+from repro.errors import QueryError, ScopeUnderflowError
+from repro.index.naive import NaiveIndex
 from repro.index.verification import verify_document
 from repro.index.vist import VistIndex
+from repro.labeling.dynamic import DEFAULT_MAX
 from repro.query.ast import DSLASH_LABEL, STAR_LABEL, QueryNode
 from repro.sequence.transform import SequenceEncoder
+from repro.testing.generator import DocQueryGenerator
 
 LABELS = ["a", "b", "c", "d"]
 
@@ -125,3 +135,56 @@ def test_branch_queries_verified_mode_is_exact(docs, query):
         raw = set(index.query(query))
         assert expected <= raw  # no false negatives outside the aliasing caveat
     assert sorted(expected) == index.query(query, verify=True)
+
+
+# ---------------------------------------------------------------------------
+# the walker against Algorithm 1 on the materialised trie
+
+TIGHT_LABELS = 1 << 24  # small enough that inserts borrow from reserves
+
+
+def assert_walker_equals_naive(corpus, queries, max_label) -> int:
+    """Raw ``match_sequence`` answers of ViST (posting cache on and off)
+    equal NaiveIndex's, alternative by alternative; returns the number of
+    scope underflows the ViST builds went through."""
+    naive = NaiveIndex(SequenceEncoder())
+    naive_pos = {doc_id: pos for pos, doc_id in enumerate(naive.add_all(corpus))}
+    underflows = 0
+    for cache_size in (64, 0):
+        vist = VistIndex(
+            SequenceEncoder(), posting_cache_size=cache_size, max_label=max_label
+        )
+        vist_pos = {doc_id: pos for pos, doc_id in enumerate(vist.add_all(corpus))}
+        underflows += vist.underflow_count
+        for query in queries:
+            try:
+                alternatives = vist.translator.translate(query)
+            except QueryError:  # untranslatable or all-wildcard: no sequence to match
+                continue
+            for alternative in alternatives:
+                got = sorted(vist_pos[d] for d in vist.match_sequence(alternative))
+                want = sorted(naive_pos[d] for d in naive.match_sequence(alternative))
+                assert got == want, (query.to_xpath(), cache_size)
+    return underflows
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    max_label=st.sampled_from([DEFAULT_MAX, TIGHT_LABELS]),
+)
+def test_walker_equals_naive_raw_answer(seed, max_label):
+    generator = DocQueryGenerator(seed)
+    corpus = generator.corpus(6, 12)
+    queries = [generator.query(corpus) for _ in range(5)]
+    try:
+        assert_walker_equals_naive(corpus, queries, max_label)
+    except ScopeUnderflowError:
+        reject()  # the tight label space could not hold this corpus at all
+
+
+def test_walker_equals_naive_across_borrowed_chains():
+    generator = DocQueryGenerator(5)
+    corpus = generator.corpus(10, 10)
+    queries = [generator.query(corpus) for _ in range(40)]
+    assert assert_walker_equals_naive(corpus, queries, TIGHT_LABELS) > 0

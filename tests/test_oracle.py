@@ -93,6 +93,7 @@ class TestOracleRuns:
         assert report.ok, [d.to_dict() for d in report.divergences]
         # queries per seed + the post-deletion re-check
         assert report.pairs == 3 * (2 + 1)
+        assert len(VIST_CONFIGS) == 4  # posting cache on/off x file/wal pager
         assert report.families == len(VIST_CONFIGS) + 4
 
     @pytest.mark.slow
@@ -110,7 +111,7 @@ class TestOracleRuns:
             divergences=[
                 Divergence(
                     seed=17,
-                    family="vist[cache+batched+wal]",
+                    family="vist[cache+wal]",
                     kind="exact",
                     xpath="/r/a",
                     expected=[0],

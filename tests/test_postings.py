@@ -1,4 +1,4 @@
-"""Query-path cache coherence: posting cache, batched matching, descent reuse.
+"""Query-path cache coherence: posting cache, window joins, descent reuse.
 
 The posting cache is a lookaside structure — the B+Trees stay the source
 of truth — so every test here is an equivalence test at heart: the cached
@@ -9,16 +9,13 @@ reopen-from-disk, and buffer-pool eviction pressure.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.doc.model import XmlNode
-from repro.index.matching import SequenceMatcher
 from repro.index.postings import PostingCache, PostingGroup
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
-from repro.labeling.scope import Scope
-from repro.query.xpath import parse_xpath
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
@@ -30,27 +27,72 @@ def make_index(**kwargs) -> VistIndex:
     return VistIndex(SequenceEncoder(schema=build_purchase_schema()), **kwargs)
 
 
+def labels_in(group: PostingGroup, n: int, end: int) -> list[int]:
+    lo, hi = group.select_span(n, end)
+    return list(group.ns[lo:hi])
+
+
 class TestPostingGroup:
     def test_sorted_by_n_and_select_bisects(self):
-        entries = [((), Scope(n, 0)) for n in [40, 10, 30, 20]]
-        group = PostingGroup(entries)
+        group = PostingGroup([((), n, n) for n in [40, 10, 30, 20]])
         assert list(group.ns) == [10, 20, 30, 40]
         # S-Ancestor range is (n, n+size]: excludes n itself, includes end
-        assert [s.n for _, s in group.select(Scope(10, 20))] == [20, 30]
-        assert [s.n for _, s in group.select(Scope(0, 100))] == [10, 20, 30, 40]
-        assert group.select(Scope(40, 100)) == []
+        assert labels_in(group, 10, 30) == [20, 30]
+        assert labels_in(group, 0, 100) == [10, 20, 30, 40]
+        assert labels_in(group, 40, 140) == []
         assert len(group) == 4
 
     def test_select_boundary_inclusive_end(self):
-        group = PostingGroup([((), Scope(5, 0)), ((), Scope(8, 0))])
-        assert [s.n for _, s in group.select(Scope(4, 4))] == [5, 8]
-        assert [s.n for _, s in group.select(Scope(5, 3))] == [8]
+        group = PostingGroup([((), 5, 5), ((), 8, 8)])
+        assert labels_in(group, 4, 8) == [5, 8]
+        assert labels_in(group, 5, 8) == [8]
+
+    def test_join_coalesces_adjacent_hits_on_both_sides(self):
+        group = PostingGroup([((), n, n) for n in range(10, 20)])
+        # few windows (iterated side: windows)
+        assert group.join([9, 12, 17], [12, 15, 18], 0, 3) == [(0, 6), (8, 9)]
+        # only the windows in [w0, w1) count
+        assert group.join([9, 12, 17], [12, 15, 18], 1, 2) == [(3, 6)]
+        # many windows, few postings inside their hull (iterated side: postings)
+        sparse = PostingGroup([((), n, n) for n in (10, 50, 51, 90)])
+        starts = list(range(0, 100, 4))
+        ends = [s + 2 for s in starts]  # (0,2], (4,6], ... : 10, 50 hit; 51, 90 miss
+        assert sparse.join(starts, ends, 0, len(starts)) == [(0, 2), (3, 4)]
+        assert sparse.join(starts, ends, 0, 3) == [(0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 400), max_size=60, unique=True),
+    cuts=st.lists(st.integers(0, 400), max_size=60, unique=True),
+    data=st.data(),
+)
+def test_join_equals_brute_force(labels, cuts, data):
+    """Property: ``join`` returns exactly the postings inside some window,
+    whichever side it iterates and whichever window slice it is given."""
+    group = PostingGroup([((), n, n) for n in labels])
+    cuts.sort()
+    starts, ends = cuts[0::2], cuts[1::2]  # disjoint (s, e] windows
+    starts = starts[: len(ends)]
+    if not starts:
+        return
+    w0 = data.draw(st.integers(0, len(starts) - 1))
+    w1 = data.draw(st.integers(w0 + 1, len(starts)))
+    spans = group.join(starts, ends, w0, w1)
+    got = [group.ns[i] for a, b in spans for i in range(a, b)]
+    want = sorted(
+        n for n in labels if any(starts[k] < n <= ends[k] for k in range(w0, w1))
+    )
+    assert got == want
+    # maximal spans: ascending, non-empty, never touching
+    assert all(a < b for a, b in spans)
+    assert all(prev[1] < nxt[0] for prev, nxt in zip(spans, spans[1:]))
 
 
 class TestPostingCache:
     def test_hit_miss_counters(self):
         cache = PostingCache(capacity=4)
-        loader = lambda: [((), Scope(1, 0))]
+        loader = lambda: [((), 1, 1)]
         g1 = cache.lookup("A", 0, (), loader)
         g2 = cache.lookup("A", 0, (), loader)
         assert g1 is g2
@@ -233,40 +275,6 @@ class TestVistCoherence:
         assert index.match_stats.cache_hits > 0  # warm second run
 
 
-@settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    n_docs=st.integers(min_value=1, max_value=10),
-)
-def test_cached_batched_equals_uncached_recursive(seed, n_docs):
-    """Property: all four (cache x traversal) combos yield the same scopes."""
-    cached = make_index(posting_cache_size=8)
-    uncached = make_index(posting_cache_size=0)
-    rng = random.Random(seed)
-    locs = ["boston", "newyork", "austin"]
-    makers = ["intel", "amd", "ibm"]
-    for _ in range(n_docs):
-        doc = build_record(
-            rng.choice(locs), rng.choice(locs), rng.sample(makers, rng.randint(1, 2))
-        )
-        cached.add(doc)
-        uncached.add(doc)
-    matchers = [
-        SequenceMatcher(cached, batched=True),
-        SequenceMatcher(cached, batched=False),
-        SequenceMatcher(uncached, batched=True),
-        SequenceMatcher(uncached, batched=False),
-    ]
-    for q in QUERIES:
-        for qseq in cached.translator.translate(parse_xpath(q)):
-            results = [
-                sorted((s.n, s.size) for s in m.final_scopes(qseq)) for m in matchers
-            ]
-            assert all(r == results[0] for r in results[1:]), q
-
-
 # ---------------------------------------------------------------------------
 # invalidate_entry staleness property (model-based)
 
@@ -296,24 +304,26 @@ def test_invalidate_entry_keeps_wildcard_groups_coherent(ops):
     """
     symbol = "E"
     cache = PostingCache(capacity=64)
-    store: dict[tuple, list[Scope]] = {}
+    store: dict[tuple, list[int]] = {}
     next_n = [0]
 
-    def cold(plen: int, leading: tuple) -> list[tuple[tuple, Scope]]:
+    def cold(plen: int, leading: tuple) -> list[tuple[tuple, int, int]]:
         return [
-            (prefix, scope)
-            for prefix, scopes in store.items()
+            (prefix, n, n + 5)
+            for prefix, labels in store.items()
             if len(prefix) == plen and prefix[: len(leading)] == leading
-            for scope in scopes
+            for n in labels
         ]
+
+    def rows(group: PostingGroup) -> list[tuple[tuple, int, int]]:
+        return list(zip(group.prefixes, group.ns, group.ends))
 
     cached_keys: list[tuple[int, tuple]] = []
     for op in ops:
         if op[0] == "add":
             prefix = op[1]
-            scope = Scope(next_n[0], 0)
+            store.setdefault(prefix, []).append(next_n[0])
             next_n[0] += 10
-            store.setdefault(prefix, []).append(scope)
             cache.invalidate_entry(symbol, prefix)
         elif op[0] == "remove":
             prefix = op[1]
@@ -328,15 +338,15 @@ def test_invalidate_entry_keeps_wildcard_groups_coherent(ops):
                 symbol, plen, leading, lambda: cold(plen, leading)
             )
             cached_keys.append((plen, leading))
-            want = sorted(cold(plen, leading), key=lambda e: e[1].n)
-            assert group.entries == want, (
+            want = sorted(cold(plen, leading), key=lambda row: row[1])
+            assert rows(group) == want, (
                 f"stale group for plen={plen} leading={leading}"
             )
         # every group still resident must match a cold run right now
         for plen, leading in cached_keys:
             resident = cache._groups.get((symbol, plen, leading))
             if resident is not None:
-                want = sorted(cold(plen, leading), key=lambda e: e[1].n)
-                assert resident.entries == want, (
+                want = sorted(cold(plen, leading), key=lambda row: row[1])
+                assert rows(resident) == want, (
                     f"resident group went stale: plen={plen} leading={leading}"
                 )

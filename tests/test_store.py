@@ -7,8 +7,24 @@ from repro.index.store import (
     META_MAX_DEPTH_KEY,
     ROOT_KEY,
     decode_node_key,
+    label_key,
     node_key,
 )
+from repro.storage.serialization import encode_tuple
+
+
+class TestLabelKey:
+    def test_equals_the_generic_tuple_codec(self):
+        # 0, both sides of the small-uint table edge, past int64, a ViST root end
+        for n in (0, 1, 255, 256, 2**14 - 1, 2**14, 2**14 + 1, 2**63, 2**255, 2**256 - 1):
+            assert label_key(n) == encode_tuple((n,)), n
+
+    @given(n=st.integers(0, 1 << 300))
+    def test_property_equals_the_generic_tuple_codec(self, n):
+        assert label_key(n) == encode_tuple((n,))
+
+    def test_is_the_label_suffix_of_a_node_key(self):
+        assert node_key("L", ("P",), 2**70).endswith(label_key(2**70))
 
 
 class TestNodeKey:
