@@ -628,6 +628,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
             _print_cache_stats(index)
         if trace is not None:
+            print(engine.explain(args.xpath))
             print(trace.render())
     finally:
         _close_index(index)

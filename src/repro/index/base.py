@@ -16,13 +16,18 @@ from itertools import islice
 from typing import Iterable, Optional, Union
 
 from repro.doc.model import XmlDocument, XmlNode
-from repro.errors import CorruptionError, IndexStateError
+from repro.errors import CorruptionError, IndexStateError, TranslationError
 from repro.exec.locks import RWLock
 from repro.index.guard import IndexHealth, QueryGuard
+from repro.index.verification import (
+    find_result_nodes,
+    query_needs_raw_values,
+    verify_document,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import QueryTrace
 from repro.query.ast import QueryNode, QuerySequence
-from repro.query.translate import QueryTranslator
+from repro.query.translate import QueryTranslator, raw_is_exact, relax_query_tree
 from repro.query.xpath import parse_xpath
 from repro.sequence.encoding import StructureEncodedSequence
 from repro.sequence.transform import SequenceEncoder
@@ -47,6 +52,7 @@ class QueryPlan:
     alternatives: list[str] = field(default_factory=list)
     auto_verified: bool = False  # unexpressible constraint => verification
     relaxed_candidates: bool = False  # same-label branches in exact mode
+    raw_exact: bool = False  # raw matching proven exact: verify=True skips the docstore
     needs_raw_values: bool = False  # range/inequality predicates
     translation_error: Optional[str] = None  # cap exceeded => fallback
     notes: list[str] = field(default_factory=list)
@@ -62,6 +68,7 @@ class QueryPlan:
         for flag, label in [
             (self.auto_verified, "auto-verified (constraint not expressible raw)"),
             (self.relaxed_candidates, "exact mode uses relaxed candidates"),
+            (self.raw_exact, "exact from the index (no verification)"),
             (self.needs_raw_values, "needs raw values (source_store)"),
         ]:
             if flag:
@@ -107,6 +114,11 @@ class XmlIndexBase:
         self._m_queries = self.metrics.counter("queries.total")
         self._m_degraded = self.metrics.counter("queries.degraded")
         self._m_latency = self.metrics.histogram("queries.latency_ms")
+        # exact-mode routing: queries answered exactly, how many of them
+        # from the index alone, and the candidates the rest had to load
+        self._m_exact = self.metrics.counter("queries.exact")
+        self._m_verify_skipped = self.metrics.counter("queries.verify_skipped")
+        self._m_verified = self.metrics.counter("queries.verified_candidates")
 
     # -- ingestion ---------------------------------------------------------
 
@@ -261,9 +273,12 @@ class XmlIndexBase:
         """Evaluate a structural query; returns sorted matching doc ids.
 
         ``query`` is an XPath-subset string or a pre-built query tree.
-        With ``verify=True``, candidate documents are re-checked by tree
-        embedding against their stored sequences, removing the
-        false positives the raw ViST semantics admits (see DESIGN.md).
+        ``verify=True`` asks for the exact answer: candidate documents
+        are re-checked by tree embedding against their stored sequences,
+        removing the false positives the raw ViST semantics admits —
+        unless the query tree alone proves raw matching exact
+        (:func:`~repro.query.translate.raw_is_exact`), in which case the
+        index's answer is returned and no document is read (DESIGN.md §2).
 
         ``fallback`` enables the paper's footnote-2 escape hatch: a query
         whose branch permutations exceed ``max_alternatives`` is
@@ -352,32 +367,59 @@ class XmlIndexBase:
         trace: Optional[QueryTrace] = None,
     ) -> list[int]:
         """The normal (index-backed) evaluation path of :meth:`query`."""
-        from repro.errors import TranslationError
-        from repro.query.translate import relax_query_tree
-
-        from repro.index.verification import query_needs_raw_values
-
-        # range/inequality value predicates are never expressible over
-        # hashes, on any index type: always verify (with raw values)
-        verify = verify or query_needs_raw_values(root) or self._needs_verification(root)
-        if all(node.is_wildcard for node in root.preorder()):
-            # e.g. "/*": no concrete item survives translation; every
-            # document is a candidate and verification decides
+        doc_ids, unverified = self._candidates(root, verify, fallback, guard, trace)
+        if verify or unverified:
+            self._m_exact.inc()
+        if unverified:
             span = (
-                trace.begin("scan-all-documents", documents=len(self.docstore))
+                trace.begin("verify", candidates=len(doc_ids))
                 if trace is not None
                 else None
             )
-            matched = []
-            for doc_id in self.docstore.ids():
+            self._m_verified.inc(len(doc_ids))
+            verified = []
+            for d in doc_ids:
                 if guard is not None:
                     guard.step()
-                if self._verify_one(doc_id, root):
-                    matched.append(doc_id)
+                if self._verify_one(d, root):
+                    verified.append(d)
+            doc_ids = verified
             if span is not None:
-                trace.end(span, matched=len(matched))
-            return sorted(matched)
-        if verify and self._needs_relaxed_candidates(root):
+                trace.end(span, verified=len(verified))
+        elif verify:
+            self._m_verify_skipped.inc()
+            if trace is not None:
+                trace.annotate(verify="skipped: raw-exact")
+        if guard is not None:
+            guard.check()  # reads issued since the last tick still count
+        return doc_ids
+
+    def _candidates(
+        self,
+        root: QueryNode,
+        verify: bool,
+        fallback: bool,
+        guard: Optional[QueryGuard],
+        trace: Optional[QueryTrace],
+    ) -> tuple[list[int], bool]:
+        """Candidate doc ids of ``root`` and whether they still need
+        verifying.  Ascending: docstore offsets ascend with ids, so the
+        verifier reads the record file forward and guard ticks repeat."""
+        # exact mode answers from the index alone when the query tree
+        # proves raw matching exact; raw queries never ask.  Otherwise
+        # range/inequality value predicates and vanished wildcard steps
+        # are not expressible raw, on any index type: always verify
+        raw_exact = verify and raw_is_exact(root)
+        unverified = not raw_exact and (
+            verify or query_needs_raw_values(root) or self._needs_verification(root)
+        )
+        if all(node.is_wildcard for node in root.preorder()):
+            # e.g. "/*": no concrete item survives translation; every
+            # document is a candidate and verification decides
+            if trace is not None:
+                trace.end(trace.begin("scan-all-documents", documents=len(self.docstore)))
+            return sorted(self.docstore.ids()), True
+        if unverified and self._needs_relaxed_candidates(root):
             # same-label sibling branches demand duplicate (symbol, prefix)
             # items that one data node may satisfy alone — raw matching
             # loses such answers (the Q5 caveat), so exact mode draws its
@@ -390,25 +432,8 @@ class XmlIndexBase:
                 if not fallback:
                     raise
                 doc_ids = self._execute(relax_query_tree(root), guard, trace)
-                verify = True
-        if verify:
-            span = (
-                trace.begin("verify", candidates=len(doc_ids))
-                if trace is not None
-                else None
-            )
-            verified = set()
-            for d in doc_ids:
-                if guard is not None:
-                    guard.step()
-                if self._verify_one(d, root):
-                    verified.add(d)
-            doc_ids = verified
-            if span is not None:
-                trace.end(span, verified=len(verified))
-        if guard is not None:
-            guard.check()  # reads issued since the last tick still count
-        return sorted(doc_ids)
+                unverified = True
+        return sorted(doc_ids), unverified
 
     def _degraded_query(
         self, root: QueryNode, guard: Optional[QueryGuard] = None
@@ -456,14 +481,12 @@ class XmlIndexBase:
         """Describe how :meth:`query` would evaluate ``query`` — the
         translated sequence alternatives and every routing decision —
         without touching the data."""
-        from repro.errors import TranslationError
-        from repro.index.verification import query_needs_raw_values
-
         root = parse_xpath(query) if isinstance(query, str) else query
         plan = QueryPlan(index_type=type(self).__name__, xpath=root.to_xpath())
         plan.needs_raw_values = query_needs_raw_values(root)
         plan.auto_verified = plan.needs_raw_values or self._needs_verification(root)
         plan.relaxed_candidates = self._needs_relaxed_candidates(root)
+        plan.raw_exact = raw_is_exact(root)
         if all(node.is_wildcard for node in root.preorder()):
             plan.notes.append("all-wildcard query: every document is a candidate")
             return plan
@@ -471,16 +494,21 @@ class XmlIndexBase:
             plan.notes.append("join-based evaluation (no sequence translation)")
             return plan
         try:
-            for alternative in self.translator.translate(root):
-                plan.alternatives.append(" ".join(str(i) for i in alternative))
+            # the query as written first: raw mode's cap error is reported
+            # even where exact mode, matching the relaxed tree, avoids it
+            alternatives = self.translator.translate(root)
+            if plan.relaxed_candidates:
+                alternatives = self.translator.translate(relax_query_tree(root))
         except TranslationError as exc:
             plan.translation_error = str(exc)
             plan.auto_verified = True
+            plan.raw_exact = False
+            return plan
+        for alternative in alternatives:
+            plan.alternatives.append(" ".join(str(i) for i in alternative))
         return plan
 
     def _verify_one(self, doc_id: int, root: QueryNode) -> bool:
-        from repro.index.verification import query_needs_raw_values, verify_document
-
         if query_needs_raw_values(root):
             sequence, raw = self._load_raw_sequence(doc_id)
             return verify_document(sequence, root, self.encoder.hasher, raw)
@@ -512,21 +540,32 @@ class XmlIndexBase:
         structure-encoded sequence (equivalently, its expanded tree).
         The matched nodes are the bindings of the query's *result node*
         (the deepest step of the main location path), as an XPath engine
-        would return.  Always exact: candidates come from the verified
-        evaluation path.
+        would return.  Always exact: every candidate of the exact
+        evaluation path is checked here.
         """
-        from repro.index.verification import find_result_nodes, query_needs_raw_values
-
         root = parse_xpath(query) if isinstance(query, str) else query
         needs_raw = query_needs_raw_values(root)
         out: dict[int, list[int]] = {}
         self._prepare_for_query()
-        with self.rwlock.read():  # candidate query + per-doc reload, one snapshot
-            for doc_id in self.query(root, verify=True):
+        self._m_queries.inc()
+        with self.rwlock.read():  # candidates + per-doc load, one snapshot
+            try:
+                doc_ids, _ = self._candidates(root, True, True, None, None)
+            except CorruptionError as exc:
+                if not self.degraded_fallback:
+                    raise
+                # as in query(): distrust the index, ask every document
+                self.health.record_corruption(exc)
+                self.health.degraded_queries += 1
+                self._m_degraded.inc()
+                doc_ids = sorted(self.docstore.ids())
+            for doc_id in doc_ids:
                 if needs_raw:
                     sequence, raw = self._load_raw_sequence(doc_id)
                 else:
                     sequence, raw = self.load_sequence(doc_id), None
+                # non-empty exactly when verify_document accepts, so each
+                # candidate is loaded and rebuilt once, for both answers
                 positions = find_result_nodes(sequence, root, self.encoder.hasher, raw)
                 if positions:
                     out[doc_id] = positions

@@ -81,17 +81,19 @@ def rebuild_tree(
     supports range predicates, without it only hash equality.
     """
     super_root = SequenceTreeNode(None)
+    # stack[d] is the open node whose children sit at depth d; entries
+    # past the current depth go stale and are overwritten before use
     stack: list[SequenceTreeNode] = [super_root]
     value_index = 0
-    for position, item in enumerate(sequence):
-        depth = len(item.prefix) + 1  # stack position under the super-root
-        del stack[depth:]
-        node = SequenceTreeNode(item.symbol, position)
-        stack[-1].children.append(node)
-        if item.is_value:
+    for position, (symbol, depth) in enumerate(sequence.symbol_depths()):
+        node = SequenceTreeNode(symbol, position)
+        stack[depth].children.append(node)
+        if isinstance(symbol, int):
             if raw_values is not None:
                 node.raw = raw_values[value_index]
             value_index += 1
+        elif depth + 1 < len(stack):
+            stack[depth + 1] = node
         else:
             stack.append(node)
     return super_root

@@ -578,16 +578,17 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
 
     def _parse_payload(self, payload: bytes) -> tuple[StructureEncodedSequence, list[int]]:
         seq_len, offset = decode_uint(payload)
-        sequence = StructureEncodedSequence.from_bytes(payload[offset : offset + seq_len])
         offset += seq_len
         labels: list[int] = []
         while offset < len(payload):
             n, offset = decode_uint(payload, offset)
             labels.append(n)
-        return sequence, labels
+        return self._payload_to_sequence(payload), labels
 
     def _payload_to_sequence(self, payload: bytes) -> StructureEncodedSequence:
-        return self._parse_payload(payload)[0]
+        # the labels behind the sequence are remove()'s business only
+        seq_len, offset = decode_uint(payload)
+        return StructureEncodedSequence.from_bytes(payload[offset : offset + seq_len])
 
     # ------------------------------------------------------------------
     # maintenance / measurements

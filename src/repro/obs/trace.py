@@ -83,6 +83,10 @@ class QueryTrace:
                 break
         return span
 
+    def annotate(self, **meta) -> None:
+        """Attach metadata to the innermost open span."""
+        self._stack[-1].annotate(**meta)
+
     def unwind_to(self, span: Optional[Span]) -> None:
         """Close spans left open above ``span`` (exception cleanup).
 

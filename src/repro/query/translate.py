@@ -43,7 +43,7 @@ from repro.query.ast import (
 )
 from repro.sequence.transform import SequenceEncoder
 
-__all__ = ["QueryTranslator", "relax_query_tree"]
+__all__ = ["QueryTranslator", "relax_query_tree", "raw_is_exact"]
 
 
 def relax_query_tree(root: QueryNode) -> QueryNode:
@@ -81,6 +81,40 @@ def relax_query_tree(root: QueryNode) -> QueryNode:
     if wildcard_best is not None and not best:
         relaxed.add(relax_query_tree(wildcard_best))
     return relaxed
+
+
+def raw_is_exact(root: QueryNode) -> bool:
+    """True when raw subsequence matching of ``root`` is already sound and
+    complete, so exact mode may answer from the index alone (DESIGN.md §2).
+
+    An item ``(x, p)`` spells its whole root-to-node path, so a *single
+    chain* of query steps is implied by its last item: no second data
+    node can stand in for any step of it.  Raw matching goes wrong only
+    where one query node carries several constraints (children, plus an
+    ``=`` value) that different data nodes sharing its path may each meet
+    in part — unless that node is the query root, which binds the one
+    node every document has exactly one of.  Hence: every node but a
+    non-``//`` root carries at most one constraint; the root's branches
+    have distinct concrete labels (else answers are lost, see
+    :func:`relax_query_tree`); no wildcard leaf vanishes in translation
+    (``/a/*``); no comparison other than ``=``; not all-wildcard.
+    """
+    nodes = list(root.preorder())
+    if all(node.is_wildcard for node in nodes):
+        return False
+    for node in nodes:
+        if node.value is not None and node.op != "=":
+            return False
+        constraints = len(node.children) + (node.value is not None)
+        if constraints == 0 and node.is_wildcard:
+            return False
+        if constraints > 1 and (node is not root or node.is_dslash):
+            return False
+    branches = [child.label for child in root.children]
+    return len(branches) < 2 or (
+        len(set(branches)) == len(branches)
+        and not any(child.is_wildcard for child in root.children)
+    )
 
 
 def _tree_size(node: QueryNode) -> int:

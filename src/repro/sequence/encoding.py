@@ -81,13 +81,38 @@ def item_key_prefix(symbol: Symbol, prefix_len: int, known: Iterable[str] = ()) 
 class StructureEncodedSequence:
     """An immutable sequence of :class:`Item` with document payload codecs."""
 
-    __slots__ = ("items",)
+    __slots__ = ("_items", "_pairs")
 
     def __init__(self, items: Iterable[Item]) -> None:
-        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "_pairs", None)
 
     def __setattr__(self, *_args) -> None:  # pragma: no cover - guard
         raise AttributeError("StructureEncodedSequence is immutable")
+
+    @property
+    def items(self) -> tuple[Item, ...]:
+        """The items; a decoded payload replays its prefix label stack
+        here, on first use (verification never asks)."""
+        items = self._items
+        if items is None:
+            stack: list[str] = []
+            built = []
+            for symbol, depth in self._pairs:
+                del stack[depth:]
+                built.append(Item(symbol, tuple(stack)))
+                if isinstance(symbol, str):
+                    stack.append(symbol)
+            items = tuple(built)
+            object.__setattr__(self, "_items", items)
+        return items
+
+    def symbol_depths(self) -> tuple[tuple[Symbol, int], ...]:
+        """``(symbol, depth)`` per item in preorder — the payload's own
+        content, and all that rebuilding the document tree needs."""
+        if self._pairs is None:
+            return tuple((item.symbol, len(item.prefix)) for item in self._items)
+        return self._pairs
 
     def __len__(self) -> int:
         return len(self.items)
@@ -132,31 +157,33 @@ class StructureEncodedSequence:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StructureEncodedSequence":
-        """Rebuild a sequence, replaying the prefix label stack."""
+        """Decode a payload to its ``(symbol, depth)`` pairs, checking
+        that they are a preorder (no depth skips a level)."""
         count, offset = decode_uint(data)
-        stack: list[str] = []
-        items: list[Item] = []
+        end = len(data)
+        pairs: list[tuple[Symbol, int]] = []
+        open_depth = 0  # labels on the prefix stack the pairs replay to
         for _ in range(count):
-            if offset >= len(data):
+            if offset >= end:
                 raise CodecError("truncated sequence payload")
             kind = data[offset]
-            offset += 1
             symbol: Symbol
             if kind == 0x01:
-                symbol, offset = decode_uint(data, offset)
+                symbol, offset = decode_uint(data, offset + 1)
             elif kind == 0x00:
-                symbol, offset = decode_str(data, offset)
+                symbol, offset = decode_str(data, offset + 1)
             else:
                 raise CodecError(f"bad symbol kind byte {kind:#x}")
             depth, offset = decode_uint(data, offset)
-            if depth > len(stack):
+            if depth > open_depth:
                 raise CodecError(
-                    f"invalid preorder payload: depth {depth} exceeds stack {len(stack)}"
+                    f"invalid preorder payload: depth {depth} exceeds stack {open_depth}"
                 )
-            del stack[depth:]
-            items.append(Item(symbol, tuple(stack)))
-            if isinstance(symbol, str):
-                stack.append(symbol)
-        if offset != len(data):
+            open_depth = depth + 1 - kind  # a label opens a level, a value does not
+            pairs.append((symbol, depth))
+        if offset != end:
             raise CodecError("trailing bytes after sequence payload")
-        return cls(items)
+        sequence = cls.__new__(cls)
+        object.__setattr__(sequence, "_items", None)
+        object.__setattr__(sequence, "_pairs", tuple(pairs))
+        return sequence

@@ -675,7 +675,8 @@ class ShardedExecutor:
 
         attempt()
         if deadline is not None:
-            self._supervisor.schedule(timeout_s, on_deadline)
+            timer = self._supervisor.schedule(timeout_s, on_deadline)
+            logical.add_done_callback(lambda _f: self._supervisor.cancel(timer))
         if hedge_ms is not None:
             self._supervisor.schedule(hedge_ms / 1000.0, on_hedge)
         return logical
@@ -721,7 +722,12 @@ class ShardedExecutor:
                 merged: list[int] = []
                 for s, locals_ in results.items():
                     globals_of = self.map.globals_of(s)
-                    merged.extend(globals_of[local] for local in locals_)
+                    # add() tells the worker before the map: a local id
+                    # past the map is a document whose add() has not
+                    # returned yet, so this query need not see it
+                    merged.extend(
+                        globals_of[local] for local in locals_ if local < len(globals_of)
+                    )
                 outcome.result = sorted(merged)
                 if missing:
                     outcome.missing_shards = sorted(missing)

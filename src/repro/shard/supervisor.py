@@ -173,18 +173,28 @@ class ShardSupervisor:
 
     # -- the event loop --------------------------------------------------
 
-    def schedule(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the supervisor thread after ``delay_s`` seconds.
+    def schedule(self, delay_s: float, fn: Callable[[], None]) -> list:
+        """Run ``fn`` on the supervisor thread after ``delay_s`` seconds;
+        returns the entry :meth:`cancel` takes.
 
         After :meth:`stop` this is a no-op — a late retry or hedge fired
         into a closing executor must not resurrect anything.
         """
+        entry = [fn]
         with self._cond:
-            if self._stopped:
-                return
-            self._seq += 1
-            heapq.heappush(self._heap, (time.monotonic() + delay_s, self._seq, fn))
-            self._cond.notify_all()
+            if not self._stopped:
+                self._seq += 1
+                heapq.heappush(self._heap, (time.monotonic() + delay_s, self._seq, entry))
+                self._cond.notify_all()
+        return entry
+
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Drop a scheduled callback and everything it keeps alive.  An
+        RPC deadline outlives its RPC by the whole timeout (60 s by
+        default); uncancelled, each held its closures, future and decoded
+        reply that long — megabytes per second of served traffic."""
+        entry[0] = None
 
     def _run(self) -> None:
         while True:
@@ -199,7 +209,9 @@ class ShardSupervisor:
                         self._cond.wait(timeout=0.5)
                 if self._stopped:
                     return
-                _when, _seq, fn = heapq.heappop(self._heap)
+                fn = heapq.heappop(self._heap)[2][0]
+            if fn is None:  # cancelled
+                continue
             try:
                 fn()
             except Exception as exc:  # pragma: no cover - defensive

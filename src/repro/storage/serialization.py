@@ -130,26 +130,23 @@ def encode_bytes(value: bytes) -> bytes:
 
 def decode_bytes(data: bytes, offset: int = 0) -> tuple[bytes, int]:
     """Decode a terminated byte string; returns ``(value, next_offset)``."""
-    out = bytearray()
-    i = offset
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if b != 0x00:
-            out.append(b)
-            i += 1
-            continue
-        if i + 1 >= n:
+    # one find() per 0x00 in the value: labels almost never hold one, so
+    # the first hit is the terminator and the value is a single slice
+    out = b""
+    start = offset
+    while True:
+        i = data.find(0, start)
+        if i < 0:
+            raise CodecError("unterminated byte string")
+        if i + 1 >= len(data):
             raise CodecError("truncated escaped byte string")
         nxt = data[i + 1]
         if nxt == 0x00:
-            return bytes(out), i + 2
-        if nxt == 0x01:
-            out.append(0x00)
-            i += 2
-            continue
-        raise CodecError(f"bad escape byte {nxt:#x}")
-    raise CodecError("unterminated byte string")
+            return out + data[start:i], i + 2
+        if nxt != 0x01:
+            raise CodecError(f"bad escape byte {nxt:#x}")
+        out += data[start : i + 1]  # the run and the 0x00 it escapes
+        start = i + 2
 
 
 def encode_str(value: str) -> bytes:

@@ -129,6 +129,7 @@ class OracleReport:
 
     seeds: int = 0
     pairs: int = 0  # (corpus, query) evaluations
+    raw_exact: int = 0  # pairs exact mode answered from the index alone
     families: int = 0
     divergences: list[Divergence] = field(default_factory=list)
 
@@ -200,8 +201,9 @@ class DifferentialOracle:
 
     # -- per-seed run ----------------------------------------------------
 
-    def run_seed(self, seed: int) -> tuple[int, list[Divergence]]:
-        """Evaluate one seed; returns (pairs evaluated, divergences)."""
+    def run_seed(self, seed: int) -> tuple[int, int, list[Divergence]]:
+        """Evaluate one seed; returns (pairs evaluated, pairs the first
+        ViST configuration answered raw-exact, divergences)."""
         generator = DocQueryGenerator(seed)
         corpus = generator.corpus(self.docs_per_seed, self.doc_size)
         queries = [generator.query(corpus) for _ in range(self.queries_per_seed)]
@@ -287,11 +289,14 @@ class DifferentialOracle:
                     )
                 if self.check_invariants:
                     assert_invariants(index)
+            # the index's own count: the routing ran, not just the classifier
+            vist_index, _ = indexes[VIST_CONFIGS[0].name]
+            raw_exact = vist_index.metrics.counter("queries.verify_skipped").value
             for index, _ in indexes.values():
                 close = getattr(index, "close", None)
                 if close is not None:
                     close()
-        return pairs, divergences
+        return pairs, raw_exact, divergences
 
     def _report(
         self,
@@ -431,9 +436,10 @@ class DifferentialOracle:
     ) -> OracleReport:
         report = OracleReport(families=len(VIST_CONFIGS) + 4)
         for seed in seeds:
-            pairs, divergences = self.run_seed(seed)
+            pairs, raw_exact, divergences = self.run_seed(seed)
             report.seeds += 1
             report.pairs += pairs
+            report.raw_exact += raw_exact
             report.divergences.extend(divergences)
             if progress is not None:
                 progress(seed, report)
@@ -463,7 +469,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     report = oracle.run(range(args.start, args.start + args.seeds))
     print(
-        f"oracle: {report.seeds} seed(s), {report.pairs} document/query pair(s), "
+        f"oracle: {report.seeds} seed(s), {report.pairs} document/query pair(s) "
+        f"({report.raw_exact} answered raw-exact, without verification), "
         f"{report.families} famil(ies)/config(s), "
         f"{len(report.divergences)} divergence(s)"
     )
@@ -472,6 +479,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.out and report.divergences:
         report.write_artifacts(args.out)
         print(f"failure artifacts written to {args.out}")
+    if report.seeds >= 50 and not report.raw_exact:
+        # every exact answer went through the verifier: the classifier
+        # has gone vacuous, and equality alone would never show it
+        print("oracle: no pair was answered raw-exact")
+        return 1
     return 1 if report.divergences else 0
 
 

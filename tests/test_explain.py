@@ -21,11 +21,15 @@ class TestExplain:
         assert "(a,)" in plan.alternatives[0]
         assert not plan.auto_verified
         assert not plan.relaxed_candidates
+        assert plan.raw_exact
+        assert "exact from the index (no verification)" in str(plan)
 
     def test_same_label_branches_flagged(self, index):
         plan = index.explain("/A[B/C]/B/D")
-        assert len(plan.alternatives) == 2  # the Q5 permutations
+        # what exact mode matches: the relaxed tree, not the Q5 permutations
+        assert plan.alternatives == ["(A,) (B,A) (C,AB)"]
         assert plan.relaxed_candidates
+        assert not plan.raw_exact
 
     def test_childless_wildcard_auto_verified(self, index):
         plan = index.explain("/a/*")
@@ -41,6 +45,7 @@ class TestExplain:
         plan = index.explain("/A[B/C][B/D][B/E]/B/F")  # 4! = 24 > 6
         assert plan.translation_error is not None
         assert plan.auto_verified
+        assert not plan.raw_exact
 
     def test_baseline_plans_have_no_alternatives(self):
         path = PathIndex(SequenceEncoder())
@@ -55,8 +60,9 @@ class TestExplain:
     def test_str_rendering(self, index):
         text = str(index.explain("/A[B/C]/B/D"))
         assert "query plan (VistIndex)" in text
-        assert "sequence alternatives: 2" in text
+        assert "sequence alternatives: 1" in text
         assert "relaxed candidates" in text
+        assert "no verification" not in text
 
     def test_explain_does_not_touch_data(self, index):
         # no documents indexed; explain must still work

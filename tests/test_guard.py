@@ -399,6 +399,48 @@ def test_corruption_mid_query_degrades_and_stays_correct(tmp_path):
     assert degraded_seen
 
 
+def test_query_nodes_degrades_like_query(tmp_path):
+    """query_nodes takes its candidates from the index too: a corrupt
+    page on the way makes every document a candidate, never a wrong or
+    missing position."""
+    index = _small_index(
+        VistIndex,
+        pager=FilePager(tmp_path / "v.db"),
+        docstore=FileDocStore(tmp_path / "d.dat"),
+    )
+    xpath = "/site//item[location='US']"
+    expected = index.query_nodes(xpath)
+    assert sorted(expected) == list(range(6))
+    index.flush()
+    index.close()
+    index.docstore.close()
+    npages = (tmp_path / "v.db").stat().st_size // page_offset(1, 4096)
+    degraded_seen = False
+    for page_id in range(1, npages):
+        for name in ("v.db", "d.dat"):
+            dst = tmp_path / f"n{page_id}-{name}"
+            dst.write_bytes((tmp_path / name).read_bytes())
+        _corrupt_page(tmp_path / f"n{page_id}-v.db", page_id, 4096)
+        try:
+            reopened = VistIndex(
+                pager=FilePager(tmp_path / f"n{page_id}-v.db"),
+                docstore=FileDocStore(tmp_path / f"n{page_id}-d.dat"),
+            )
+        except CorruptPageError:
+            continue
+        try:
+            assert reopened.query_nodes(xpath) == expected
+            if not reopened.health.ok:
+                degraded_seen = True
+                reopened.degraded_fallback = False
+                with pytest.raises(CorruptPageError):
+                    reopened.query_nodes(xpath)
+        finally:
+            reopened.close()
+            reopened.docstore.close()
+    assert degraded_seen
+
+
 def test_degraded_fallback_can_be_disabled(tmp_path):
     index = _small_index(
         VistIndex,

@@ -132,6 +132,21 @@ class TestOracleRuns:
         assert rc == 0
         assert "0 divergence(s)" in capsys.readouterr().out
 
+    def test_cli_fails_when_nothing_is_answered_raw_exact(self, capsys, monkeypatch):
+        """A classifier that always says "verify" passes every equality;
+        the sweep's own count of skipped verifications catches it."""
+        from repro.index import base
+        from repro.testing.oracle import main
+
+        small = ["--seeds", "50", "--docs", "1", "--doc-size", "4", "--queries", "1"]
+        assert main(small) == 0
+        assert " 0 answered raw-exact" not in capsys.readouterr().out
+        monkeypatch.setattr(base, "raw_is_exact", lambda root: False)
+        assert main(small) == 1
+        out = capsys.readouterr().out
+        assert "(0 answered raw-exact" in out and "0 divergence(s)" in out
+        assert main(["--seeds", "49"] + small[2:]) == 0  # too few seeds to judge
+
 
 class _BrokenOracle(DifferentialOracle):
     """Stub whose evaluation 'fails' iff some doc still holds label `x`

@@ -192,6 +192,29 @@ class TestItemKeys:
         assert k1 < k2
 
 
+def _reference_from_bytes(data: bytes) -> list[Item]:
+    """The payload decoder as it was before it went lean: one prefix tuple
+    per item, replaying the label stack.  Kept as the test reference."""
+    from repro.storage.serialization import decode_str, decode_uint
+
+    count, offset = decode_uint(data)
+    stack: list[str] = []
+    items: list[Item] = []
+    for _ in range(count):
+        kind = data[offset]
+        offset += 1
+        if kind == 0x01:
+            symbol, offset = decode_uint(data, offset)
+        else:
+            symbol, offset = decode_str(data, offset)
+        depth, offset = decode_uint(data, offset)
+        del stack[depth:]
+        items.append(Item(symbol, tuple(stack)))
+        if isinstance(symbol, str):
+            stack.append(symbol)
+    return items
+
+
 class TestSequenceCodec:
     def test_roundtrip_figure4(self):
         encoder = SequenceEncoder(schema=figure3_schema())
@@ -213,10 +236,45 @@ class TestSequenceCodec:
         with pytest.raises(CodecError):
             StructureEncodedSequence.from_bytes(bad)
 
+    def test_rejects_every_malformed_payload(self):
+        good = StructureEncodedSequence(
+            [Item("a", ()), Item(7, ("a",)), Item("b", ("a",))]
+        ).to_bytes()
+        for cut in range(len(good)):  # truncation anywhere
+            with pytest.raises(CodecError):
+                StructureEncodedSequence.from_bytes(good[:cut])
+        with pytest.raises(CodecError, match="trailing bytes"):
+            StructureEncodedSequence.from_bytes(good + b"\x00")
+        with pytest.raises(CodecError, match="bad symbol kind byte 0x2"):
+            StructureEncodedSequence.from_bytes(b"\x01\x01" + b"\x02" + b"a\x00\x00" + b"\x00")
+        # depth beyond the stack: a value leaf does not open a level ...
+        value_then_deeper = b"\x01\x03" + b"\x00a\x00\x00\x00" + b"\x01\x01\x07\x01\x01"
+        with pytest.raises(CodecError, match="depth 2 exceeds stack 1"):
+            StructureEncodedSequence.from_bytes(value_then_deeper + b"\x00b\x00\x00\x01\x02")
+        # ... and a drop to depth 0 closes every level above it
+        with pytest.raises(CodecError, match="depth 2 exceeds stack 1"):
+            StructureEncodedSequence.from_bytes(
+                b"\x01\x04" + b"\x00a\x00\x00\x00" + b"\x00b\x00\x00\x01\x01"
+                + b"\x00c\x00\x00\x00" + b"\x00d\x00\x00\x01\x02"
+            )
+
     def test_immutability(self):
         seq = StructureEncodedSequence([Item("a", ())])
         with pytest.raises(AttributeError):
             seq.items = ()
+        with pytest.raises(AttributeError):
+            StructureEncodedSequence.from_bytes(seq.to_bytes()).items = ()
+
+    @given(xml_trees)
+    def test_property_decoder_equals_stack_replaying_reference(self, tree):
+        """The lean decoder against the decoder it replaced (values, empty
+        text, depth drops): same items, and the same ``(symbol, depth)``
+        pairs whether a sequence was decoded or encoded."""
+        seq = SequenceEncoder().encode_node(tree)
+        decoded = StructureEncodedSequence.from_bytes(seq.to_bytes())
+        assert decoded.symbol_depths() == seq.symbol_depths()
+        assert list(decoded.items) == _reference_from_bytes(seq.to_bytes())
+        assert decoded[len(decoded) - 1] == seq[len(seq) - 1] and hash(decoded) == hash(seq)
 
     @given(xml_trees)
     def test_property_roundtrip_random_trees(self, tree):

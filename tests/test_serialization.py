@@ -99,12 +99,22 @@ class TestBytes:
         assert encode_bytes(b"ab") < encode_bytes(b"ab\x00")
 
     def test_unterminated(self):
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="unterminated"):
             decode_bytes(b"abc")
+        with pytest.raises(CodecError, match="unterminated"):
+            decode_bytes(b"a\x00\x01bc")  # an escape, then no terminator
+        with pytest.raises(CodecError, match="unterminated"):
+            decode_bytes(b"abc\x00\x00", 5)  # offset at the end
 
     def test_bad_escape(self):
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="bad escape byte 0x7"):
             decode_bytes(b"a\x00\x07")
+
+    def test_truncated_escape(self):
+        with pytest.raises(CodecError, match="truncated escaped"):
+            decode_bytes(b"a\x00")
+        with pytest.raises(CodecError, match="truncated escaped"):
+            decode_bytes(b"a\x00\x01b\x00")
 
     @given(st.binary(max_size=64), st.binary(max_size=64))
     def test_order_preserving(self, a, b):
@@ -113,6 +123,18 @@ class TestBytes:
     @given(st.binary(max_size=64))
     def test_roundtrip_property(self, raw):
         assert decode_bytes(encode_bytes(raw))[0] == raw
+
+    @given(
+        st.lists(st.sampled_from([b"\x00", b"\x01", b"a", b"\xff"]), max_size=24),
+        st.binary(max_size=8),
+        st.binary(max_size=8),
+    )
+    def test_roundtrip_embedded_zero_bytes_at_an_offset(self, parts, before, after):
+        """Values dense in 0x00 (and 0x01, the escape's second byte),
+        decoded from the middle of a buffer: value and next offset."""
+        raw = b"".join(parts)
+        data = before + encode_bytes(raw) + after
+        assert decode_bytes(data, len(before)) == (raw, len(data) - len(after))
 
 
 class TestStr:

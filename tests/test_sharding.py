@@ -459,6 +459,41 @@ class TestShardedExecutor:
             assert sorted(router.query("//b")) == [new_id]
             assert sorted(router.query("//a")) == [g for g in ids if g != ids[2]]
 
+    def test_query_between_worker_add_and_map_append(self, sharded_db):
+        """add() tells the worker first and the routing map second; a
+        query answered in between carries a local id the map cannot
+        translate yet.  It must resolve — without the unacknowledged
+        document — not die inside the reply callback."""
+        from repro.shard.routing import shard_of
+
+        dbdir, ids = sharded_db
+        with ShardedExecutor(dbdir) as executor:
+            g = executor.map.next_doc_id
+            s = shard_of(g, executor.nshards, executor.map.hash_fn)
+            expect_local = len(executor.map.globals_of(s))
+            executor._write_call(  # the first half of add()
+                s,
+                {"op": "add", "xml": _doc(g).to_xml(), "expect_local": expect_local},
+            )
+            outcome = executor.submit("//a").result(30)
+            assert outcome.ok and outcome.result == ids
+            executor.map.append_next()  # the second half
+            assert executor.submit("//a").result(30).result == ids + [g]
+
+    def test_answered_rpcs_release_their_deadline_timers(self, sharded_db):
+        """An rpc deadline sits on the supervisor heap for the whole
+        timeout (60 s); once the rpc is answered it must hold nothing —
+        not its closures, future and decoded reply, request after request."""
+        dbdir, ids = sharded_db
+        with ShardedExecutor(dbdir) as executor:
+            for _ in range(25):
+                assert executor.submit("//a").result(30).result == ids
+            with executor._supervisor._cond:
+                entries = [entry for _when, _seq, entry in executor._supervisor._heap]
+            assert len(entries) >= 25 * 3  # one deadline per shard rpc
+            live = [entry for entry in entries if entry[0] is not None]
+            assert len(live) <= 1  # the heartbeat tick, when enabled
+
     def test_stats_carry_per_shard_snapshots(self, sharded_db):
         dbdir, ids = sharded_db
         with ShardedExecutor(dbdir) as executor:
