@@ -17,12 +17,7 @@ effect.
 
 import pytest
 
-from repro.bench.harness import (
-    Report,
-    build_index,
-    metrics_snapshot,
-    query_cache_enabled,
-)
+from repro.bench.harness import Report, build_index, metrics_snapshot
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.index.matching import SequenceMatcher
 
@@ -41,7 +36,6 @@ REPORT = Report(
 
 _lengths: dict[int, dict] = {}
 _index_holder: list = []
-_descent_base: list = []
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +44,6 @@ def setup():
     docs = list(gen.documents(N_DOCS))
     index = build_index("vist", docs)
     _index_holder.append(index)
-    # post-build snapshot: the kernels block reports the query-phase
-    # descent hit rate (build inserts invalidate on nearly every put)
-    _descent_base.append((index.tree.descent_hits, index.tree.descent_misses))
     batches = {}
     for length in QUERY_LENGTHS:
         queries = gen.queries(QUERIES_PER_LENGTH, size=length)
@@ -97,23 +88,14 @@ def bench_json_payload():
     """Machine-readable Figure 10(a) results (written by conftest teardown)."""
     if not _lengths:
         return None
-    kernels = None
-    if _index_holder:
-        index = _index_holder[0]
-        h0, m0 = _descent_base[0] if _descent_base else (0, 0)
-        ch = index.tree.descent_hits - h0
-        cm = index.tree.descent_misses - m0
-        kernels = {"combined_descent_hit_rate": ch / (ch + cm)} if ch + cm else {}
     payload = {
         "config": {
             "n_docs": N_DOCS,
             "doc_size": DOC_SIZE,
             "queries_per_length": QUERIES_PER_LENGTH,
-            "query_cache": query_cache_enabled(),
         },
         "lengths": {str(k): v for k, v in sorted(_lengths.items())},
         "headline_seconds": sum(v["seconds_per_query"] for v in _lengths.values()),
-        "kernels": kernels,
         "cache_stats": _index_holder[0].cache_stats() if _index_holder else None,
         "metrics": metrics_snapshot(_index_holder[0]) if _index_holder else None,
     }

@@ -11,7 +11,7 @@ claims on a DBLP corpus written by ``write_corpus``:
   write lock, insert, store fsyncs and WAL commit per record, measured
   on a capped subset (the rate extrapolates; running 10k durable
   commits would dominate CI);
-* **bulk** — ``repro ingest``'s exact configuration: WAL + buffer pool,
+* **bulk** — ``repro ingest``'s exact configuration: the WAL pager,
   ``add_batch`` over ``iter_stream_records``, ``durability="batch"``.
 
 The issue's acceptance bar is bulk ≥ 5x baseline docs/sec.  The ratio

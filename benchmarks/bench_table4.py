@@ -28,7 +28,6 @@ from repro.bench.harness import (
     build_index,
     metrics_snapshot,
     parallel_throughput,
-    query_cache_enabled,
     sharded_throughput,
 )
 from repro.bench.workloads import TABLE3_QUERIES
@@ -51,10 +50,6 @@ _rows: dict[str, dict[str, float]] = {}
 _matches: dict[str, int] = {}
 _match_stats: dict[str, dict] = {}
 _vist_indexes: dict[str, object] = {}
-# post-build descent-counter snapshots: the kernels block reports the
-# *query-phase* hit rate — build inserts bump the structure version on
-# nearly every put, so counting them drowns the signal the gate watches
-_descent_base: dict[str, tuple[int, int]] = {}
 _corpus_docs: dict[str, list] = {}  # stashed for the sharded block
 
 
@@ -81,9 +76,7 @@ def indexes(corpora):
     for dataset in ("dblp", "xmark"):
         for kind in KINDS:
             out[dataset, kind] = build_index(kind, docs[dataset], schemas[dataset])
-        vist = out[dataset, "vist"]
-        _vist_indexes[dataset] = vist
-        _descent_base[dataset] = (vist.tree.descent_hits, vist.tree.descent_misses)
+        _vist_indexes[dataset] = out[dataset, "vist"]
     return out
 
 
@@ -153,34 +146,14 @@ def bench_json_payload():
         sharded = sharded_throughput(
             _corpus_docs["dblp"], dblp_queries, workers_list=(1, 2, 4), repeats=3
         )
-    # query-phase descent-cache effectiveness of the combined tree,
-    # aggregated over both dataset indexes and counted from the
-    # post-build snapshot (the regression-gated figure — the single-slot
-    # cache thrashed at ~8% there even query-side).  The DocId tree has no
-    # such figure: its output is one cursor per query, a handful of seeks,
-    # and a hit rate over a handful says nothing
-    combined_hits = combined_misses = 0
-    for dataset, index in _vist_indexes.items():
-        h0, m0 = _descent_base.get(dataset, (0, 0))
-        combined_hits += index.tree.descent_hits - h0
-        combined_misses += index.tree.descent_misses - m0
-    kernels = {
-        "combined_descent_hit_rate": (
-            combined_hits / (combined_hits + combined_misses)
-            if combined_hits + combined_misses
-            else 0.0
-        ),
-    }
     payload = {
         "config": {
             "n_dblp": N_DBLP,
             "n_xmark": N_XMARK,
             "kinds": KINDS,
-            "query_cache": query_cache_enabled(),
         },
         "queries": queries,
         "headline_seconds": headline,
-        "kernels": kernels,
         "parallel": parallel,
         "sharded": sharded,
         "cache_stats": {

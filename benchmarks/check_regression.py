@@ -18,12 +18,6 @@ and a *drop* below ``1/--qps-factor`` of the baseline fails the gate —
 qps regresses downward, the opposite direction of seconds.  A baseline
 written before a block existed skips that block with a message.
 
-The ``*_hit_rate`` figures under a top-level ``kernels`` block (the
-combined tree's descent-cache hit rate) are gated the same
-higher-is-better way: a rate dropping below ``baseline/--qps-factor``
-fails.  Baselines predating the block skip it with the same
-commit-a-fresh-snapshot message.
-
 Exit status: 0 when every benchmark is within the factor (or has no
 baseline yet), 1 on a regression, 2 on usage/IO errors.
 """
@@ -117,29 +111,6 @@ def qps_entries(snapshot: object) -> dict[str, float]:
     return out
 
 
-def kernel_entries(snapshot: object) -> dict[str, float]:
-    """Gateable kernel figures, flattened as ``kernels.<name>``.
-
-    Only ``*_hit_rate`` keys are gated (higher is better, like qps);
-    booleans and any non-numeric or non-positive values are skipped with
-    the same tolerance as :func:`qps_entries` — a baseline written
-    before the block existed simply has no entries.
-    """
-    out: dict[str, float] = {}
-    if not isinstance(snapshot, dict):
-        return out
-    kernels = snapshot.get("kernels")
-    if not isinstance(kernels, dict):
-        return out
-    for key, raw in kernels.items():
-        if not isinstance(key, str) or not key.endswith("_hit_rate"):
-            continue
-        value = _positive(raw)
-        if value is not None:
-            out[f"kernels.{key}"] = value
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="+", help="BENCH_*.json files at the repo root")
@@ -190,8 +161,6 @@ def main(argv: list[str] | None = None) -> int:
         # snapshot can lose its headline and still carry qps blocks
         now_qps = qps_entries(current)
         then_qps = qps_entries(baseline)
-        now_qps.update(kernel_entries(current))
-        then_qps.update(kernel_entries(baseline))
         floor = 1.0 / args.qps_factor
         for key in sorted(now_qps):
             if key not in then_qps:
@@ -202,12 +171,8 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             ratio = now_qps[key] / then_qps[key]
             verdict = "OK" if ratio >= floor else "REGRESSION"
-            if key.startswith("kernels."):
-                figures = f"{then_qps[key]:.3f} -> {now_qps[key]:.3f}"
-            else:
-                figures = f"{then_qps[key]:.1f} -> {now_qps[key]:.1f} qps"
             print(
-                f"{name} {key}: {figures} "
+                f"{name} {key}: {then_qps[key]:.1f} -> {now_qps[key]:.1f} qps "
                 f"({ratio:.2f}x, floor {floor:.2f}x) {verdict}"
             )
             if ratio < floor:

@@ -6,30 +6,18 @@ system on a 662 MHz machine) to laptop-Python sizes — DESIGN.md explains
 why the *shapes* survive the substitution even though absolute numbers
 do not.
 
-Two suite-wide options control the query-path performance layer:
+One suite-wide option:
 
-``--no-query-cache``
-    build ViST/RIST indexes with the posting cache disabled (the paper's
-    original per-scan access path), so cached and uncached runs of the
-    same benchmark can be compared;
 ``--no-bench-json``
     skip writing the machine-readable ``BENCH_<name>.json`` snapshots at
     the repo root (modules that define ``bench_json_payload()`` write one
     per run; CI diffs them against the committed baseline).
 """
 
-import os
-
 import pytest
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--no-query-cache",
-        action="store_true",
-        default=False,
-        help="disable the posting cache in benchmark-built ViST/RIST indexes",
-    )
     parser.addoption(
         "--no-bench-json",
         action="store_true",
@@ -39,10 +27,6 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    if config.getoption("--no-query-cache"):
-        # build_index reads the env var, so module-scope fixtures built
-        # before any test body see the switch too
-        os.environ["REPRO_QUERY_CACHE"] = "0"
     # Allocation sequences across a full benchmark run are deterministic,
     # so cyclic-GC collections land at *fixed* points — and a gen-2 pause
     # (tens of ms with eight module-scope indexes resident) that happens

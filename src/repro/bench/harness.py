@@ -30,7 +30,6 @@ from repro.sequence.transform import SequenceEncoder
 __all__ = [
     "INDEX_KINDS",
     "build_index",
-    "query_cache_enabled",
     "time_call",
     "time_queries",
     "parallel_throughput",
@@ -53,36 +52,18 @@ _FACTORIES = {
     "apex": ApexIndex,
 }
 
-#: Environment switch for the query-path caches: set ``REPRO_QUERY_CACHE=0``
-#: (or pass ``--no-query-cache`` to the benchmark suite) to build ViST/RIST
-#: indexes with the posting cache disabled, i.e. the paper's original
-#: per-scan access path.  Lets the same benchmark run in both modes.
-_CACHE_ENV = "REPRO_QUERY_CACHE"
-_DEFAULT_POSTING_CACHE = 512
-
-
-def query_cache_enabled() -> bool:
-    """Whether benchmark-built indexes use the posting cache."""
-    return os.environ.get(_CACHE_ENV, "1") != "0"
-
 
 def build_index(kind: str, documents: Iterable, schema=None, **kwargs):
     """Build an index of the given kind over ``documents``.
 
     ``kind`` is one of :data:`INDEX_KINDS`.  ViST/RIST default to
     refcount-free ingestion here (benchmarks measure the paper's
-    configuration; deletion benchmarks opt back in) and honour the
-    ``REPRO_QUERY_CACHE`` switch for the posting cache.
+    configuration; deletion benchmarks opt back in).
     """
     encoder = SequenceEncoder(schema=schema)
     factory = _FACTORIES[kind]
     if kind == "vist":
         kwargs.setdefault("track_refs", False)
-    if kind in ("vist", "rist"):
-        kwargs.setdefault(
-            "posting_cache_size",
-            _DEFAULT_POSTING_CACHE if query_cache_enabled() else 0,
-        )
     index = factory(encoder, **kwargs)
     for doc in documents:
         index.add(doc)
@@ -326,7 +307,6 @@ def write_bench_json(name: str, payload: dict, directory: Optional[str] = None) 
     path = bench_json_path(name, directory)
     doc = {
         "experiment": name,
-        "query_cache": query_cache_enabled(),
         **payload,
     }
     with open(path, "w", encoding="utf-8") as handle:

@@ -40,7 +40,6 @@ from repro.errors import (
 from repro.index.guard import QueryGuard
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager
 from repro.storage.wal import WalPager
@@ -255,7 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--max-page-reads",
         type=int,
-        help="abort after this many pager reads (exit code 5)",
+        help="abort after this many physical page reads, i.e. node-cache "
+        "misses: a page already decoded by this process costs none "
+        "(exit code 5)",
     )
     p_query.add_argument(
         "--parallel",
@@ -433,15 +434,13 @@ def open_index(
     # one, so WAL-built databases always recover, whichever command
     # touches them next.
     if wal or Path(str(page_file) + ".wal").exists():
-        base = WalPager(str(page_file))
+        pager = WalPager(str(page_file))
     else:
-        base = FilePager(page_file)
+        pager = FilePager(page_file)
     return VistIndex(
         SequenceEncoder(schema=load_schema(dbdir)),
         docstore=FileDocStore(dbdir / "docs.dat"),
-        # write-back LRU pool in front of the page file: repeated index
-        # traversals in one invocation hit memory, not disk
-        pager=BufferPool(base, capacity=512),
+        pager=pager,
         source_store=FileDocStore(dbdir / "sources.dat"),
     )
 
@@ -1079,18 +1078,11 @@ def _print_cache_stats(index: VistIndex) -> None:
         )
     else:
         print("posting cache: disabled")
-    for name, descent in caches["descent"].items():
-        print(
-            f"descent cache [{name}]: {descent['hits']} hits / "
-            f"{descent['misses']} misses ({descent['hit_rate']:.1%})"
-        )
-    pool = caches.get("buffer_pool")
-    if pool is not None:
-        print(
-            f"buffer pool: {pool['hits']} hits / {pool['misses']} misses "
-            f"({pool['hit_rate']:.1%}), {pool['evictions']} eviction(s), "
-            f"{pool['writebacks']} writeback(s)"
-        )
+    nodes = caches["buffer_pool"]
+    print(
+        f"node cache: {nodes['hits']} hits / {nodes['misses']} misses "
+        f"({nodes['hit_rate']:.1%}), {nodes['writebacks']} writeback(s)"
+    )
 
 
 def _cmd_nodes(args: argparse.Namespace) -> int:

@@ -6,8 +6,8 @@ path keeps that write-side simplicity and adds snapshot isolation at the
 index boundary: any number of queries run under the read lock, a
 mutation (``add``/``remove``/``finalize``/``flush``) holds the write
 lock alone, so every query observes the index as of the moment its read
-section began — structure versions, scope labels and cached descents
-cannot change underneath it.
+section began — tree structure, scope labels and posting groups cannot
+change underneath it.
 """
 
 from __future__ import annotations

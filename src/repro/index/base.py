@@ -466,9 +466,10 @@ class XmlIndexBase:
     def _page_read_counter(self):
         """Callable reporting cumulative pager reads, for page budgets.
 
-        Counts logical reads at the pager the index talks to (a
-        :class:`~repro.storage.cache.BufferPool` counts cache hits too,
-        keeping budgets deterministic regardless of cache temperature).
+        What is counted is *physical* page reads: the B+Trees reach the
+        pager only on a node-cache miss, so a page this process has
+        already decoded costs nothing and a warm repeat of a query spends
+        no budget at all — the figure depends on cache temperature.
         Indexes without a pager return ``None`` — page budgets are then
         inert.
         """

@@ -24,7 +24,6 @@ from repro.index.postings import PostingCache, PostingGroup
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Prefix
 from repro.storage.bptree import BPlusTree
-from repro.storage.cache import BufferPool
 from repro.storage.serialization import (
     decode_items,
     decode_tuple,
@@ -260,18 +259,36 @@ class CombinedTreeHost:
             metrics.register("postings.groups", lambda: len(postings))
         pager = self.tree.pager
         metrics.register("pager.reads", lambda: pager.read_count)
-        pool_stats = getattr(pager, "stats", None)
-        if pool_stats is not None:
-            metrics.register("buffer_pool", pool_stats)
+        metrics.register("buffer_pool", self._node_cache_stats)
         for name, tree in (("combined", self.tree), ("docid", self.docid_tree)):
             # tree.stats() walks the tree, so it joins the dump as a lazy
             # callable — paid only when somebody snapshots the registry
-            metrics.register(
-                f"tree.{name}", lambda tree=tree: tree.stats().snapshot()
-            )
+            metrics.register(f"tree.{name}", lambda tree=tree: self._tree_shape(tree))
+
+    def _tree_shape(self, tree: BPlusTree) -> dict:
+        # a reader like any other: a walk that misses the node cache while
+        # a writer runs would install its stale decode over the node the
+        # writer has just mutated
+        with self.rwlock.read():
+            return tree.stats().snapshot()
+
+    def _node_cache_stats(self) -> dict:
+        """The two trees' decoded-node caches, summed.  Published as
+        ``buffer_pool``: it is the only cache between the trees and the
+        page file, and the name is what the benchmark harness reads."""
+        trees = (self.tree, self.docid_tree)
+        hits = sum(tree.cache_hits for tree in trees)
+        misses = sum(tree.cache_misses for tree in trees)
+        return {
+            "hits": hits,
+            "misses": misses,
+            "writebacks": sum(tree.cache_writebacks for tree in trees),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
 
     def cache_stats(self) -> dict:
-        """Query-path cache counters: postings, B+Tree descents, buffer pool."""
+        """Query-path cache counters: posting groups, decoded nodes
+        (``buffer_pool``), seeks per tree (``descent``)."""
         out: dict = {}
         if self.postings is not None:
             stats = self.postings.stats
@@ -284,23 +301,10 @@ class CombinedTreeHost:
                 "hit_rate": stats.hit_rate,
             }
         out["descent"] = {
-            name: {
-                "hits": tree.descent_hits,
-                "misses": tree.descent_misses,
-                "hit_rate": tree.descent_hit_rate,
-            }
-            for name, tree in (("combined", self.tree), ("docid", self.docid_tree))
+            "combined": {"seeks": self.tree.seeks},
+            "docid": {"seeks": self.docid_tree.seeks},
         }
-        pager = self.tree.pager
-        if isinstance(pager, BufferPool):
-            stats = pager.stats
-            out["buffer_pool"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "writebacks": stats.writebacks,
-                "hit_rate": stats.hit_rate,
-            }
+        out["buffer_pool"] = self._node_cache_stats()
         return out
 
     # -- DocId tree helpers --------------------------------------------------

@@ -3,7 +3,7 @@
 This module is the *accelerator seam* the ROADMAP's "compiled/vectorized
 hot kernels" phase calls for: every packed representation used by the
 query path funnels through these few functions, so a compiled backend
-(mypyc/Cython/C) can later replace them one-for-one.  Three kernels live
+(mypyc/Cython/C) can later replace them one-for-one.  Two kernels live
 here today:
 
 * :func:`pack_ints` — the posting columns.  A sorted ``n``/``end`` column
@@ -18,11 +18,6 @@ here today:
   *on access*, so a point lookup touches O(log n) cells of a page
   instead of materialising all of them.  The CRC was already verified
   once when the pager produced the buffer.
-* :func:`encode_columns` / :func:`decode_columns` — a byte codec for
-  integer column sets.  The differential oracle fingerprints answer sets
-  with it (every configuration must produce *byte identical* raw
-  answers), and the Hypothesis round-trip property in
-  ``tests/test_kernels.py`` pins the codec itself.
 """
 
 from __future__ import annotations
@@ -31,20 +26,10 @@ import struct
 from array import array
 from typing import List, Sequence, Union
 
-from repro.errors import CodecError
-from repro.storage.serialization import decode_int, encode_int, encode_uint, decode_uint
-
 __all__ = [
     "pack_ints",
-    "encode_columns",
-    "decode_columns",
     "leaf_cell_offsets",
 ]
-
-# array('q') bounds: one machine word per value.  Anything outside falls
-# back to a plain Python list (ViST labels routinely exceed 2**63).
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 IntColumn = Union["array", List[int]]
 
@@ -60,76 +45,6 @@ def pack_ints(values: Sequence[int]) -> IntColumn:
         return array("q", values)
     except OverflowError:
         return list(values)  # a label exceeds int64: keep exact Python ints
-
-
-# ----------------------------------------------------------------------
-# column byte codec (oracle fingerprints, round-trip property tests)
-
-_COL_FIXED64 = 0x00  # little-endian i64 * count
-_COL_VARINT = 0x01  # order-preserving encode_int per value (any width)
-
-_PACK_I64 = struct.Struct("<q")
-
-
-def encode_columns(columns: Sequence[Sequence[int]]) -> bytes:
-    """Serialise integer columns to a canonical byte string.
-
-    Each column is length-prefixed and tagged with its packing mode:
-    fixed 64-bit little-endian words when every value fits, else the
-    unbounded :func:`~repro.storage.serialization.encode_int` codec
-    (max-width ints up to ±(2**2040 - 1)).  The encoding is canonical —
-    equal column sets always produce equal bytes — which is what lets
-    the differential oracle compare answer sets *as bytes* across
-    configurations.
-    """
-    out = bytearray(encode_uint(len(columns)))
-    for column in columns:
-        values = list(column)
-        out += encode_uint(len(values))
-        if all(_INT64_MIN <= v <= _INT64_MAX for v in values):
-            out.append(_COL_FIXED64)
-            packed = array("q", values)
-            if struct.pack("<h", 1) != array("h", [1]).tobytes():  # pragma: no cover
-                packed.byteswap()  # big-endian host: canonicalise
-            out += packed.tobytes()
-        else:
-            out.append(_COL_VARINT)
-            for v in values:
-                out += encode_int(v)
-    return bytes(out)
-
-
-def decode_columns(data: bytes) -> list[list[int]]:
-    """Inverse of :func:`encode_columns` (always plain lists of ints)."""
-    ncols, offset = decode_uint(data)
-    columns: list[list[int]] = []
-    for _ in range(ncols):
-        count, offset = decode_uint(data, offset)
-        if offset >= len(data):
-            raise CodecError("truncated column: missing mode byte")
-        mode = data[offset]
-        offset += 1
-        if mode == _COL_FIXED64:
-            end = offset + 8 * count
-            if end > len(data):
-                raise CodecError("truncated fixed64 column")
-            packed = array("q")
-            packed.frombytes(data[offset:end])
-            if struct.pack("<h", 1) != array("h", [1]).tobytes():  # pragma: no cover
-                packed.byteswap()
-            columns.append(packed.tolist())
-            offset = end
-        elif mode == _COL_VARINT:
-            values: list[int] = []
-            for _ in range(count):
-                v, offset = decode_int(data, offset)
-                values.append(v)
-            columns.append(values)
-        else:
-            raise CodecError(f"unknown column mode {mode:#x}")
-    if offset != len(data):
-        raise CodecError("trailing bytes after last column")
-    return columns
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ Two complementary windows into a running index (docs/INTERNALS.md §10):
 
 * :mod:`repro.obs.metrics` — process-lifetime aggregates.  A
   :class:`MetricsRegistry` unifies the counter bundles that used to live
-  as ad-hoc stat objects on ``BufferPool``, ``PostingCache``,
-  ``SequenceMatcher`` and the B+Trees, adds true counters, gauges and
-  bounded histograms (p50/p95/p99), and dumps the lot as one JSON
-  document (``repro stats --json``, ``BENCH_*.json``).
+  as ad-hoc stat objects on ``PostingCache``, ``SequenceMatcher`` and
+  the B+Trees, adds true counters, gauges and bounded histograms
+  (p50/p95/p99), and dumps the lot as one JSON document (``repro stats
+  --json``, ``BENCH_*.json``).
 * :mod:`repro.obs.trace` — per-query attribution.  A
   :class:`QueryTrace` records the evaluation as a tree of lightweight
   spans (translation, per-level frontier expansion, DocId output,

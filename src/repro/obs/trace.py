@@ -4,8 +4,8 @@ A :class:`QueryTrace` is handed to :meth:`XmlIndexBase.query` (CLI:
 ``repro query --explain``).  Evaluation stages open spans —
 translation, one per match alternative, one per frontier level of
 Algorithm 2, DocId output, verification, degraded fallback — and attach
-the counter *deltas* the stage consumed (page reads, buffer-pool and
-posting-cache hits, range queries, candidates, guard ticks).  The
+the counter *deltas* the stage consumed (page reads, posting-cache
+hits, range queries, candidates, guard ticks).  The
 result is a per-stage attribution of one query: which level of which
 alternative did the index traversals, how many pages they touched, and
 where the time went.

@@ -425,7 +425,6 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     from repro.cli import load_schema
     from repro.index.vist import VistIndex
     from repro.sequence.transform import SequenceEncoder
-    from repro.storage.cache import BufferPool
     from repro.storage.docstore import FileDocStore
     from repro.storage.pager import FilePager
     from repro.testing.invariants import assert_invariants
@@ -478,7 +477,7 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     rebuilt = VistIndex(
         SequenceEncoder(schema=load_schema(dbdir)),
         docstore=FileDocStore(doc_side),
-        pager=BufferPool(FilePager(tree_side), capacity=512),
+        pager=FilePager(tree_side),
     )
     try:
         for doc_id in range(old_docs.id_bound):

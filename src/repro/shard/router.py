@@ -10,8 +10,8 @@ directory per shard::
       shard-1/  ...
 
 Each shard is opened exactly like a single-directory database
-(:func:`repro.cli.open_index`): its own pager, WAL, buffer pool,
-docstore and source store.  The router owns add/remove routing (global
+(:func:`repro.cli.open_index`): its own pager, WAL, docstore and
+source store.  The router owns add/remove routing (global
 id → stable hash → shard, see :mod:`repro.shard.routing`), answers
 queries by a *sequential* scatter over the open shards (the
 process-parallel path is :class:`~repro.shard.executor.ShardedExecutor`),

@@ -1,7 +1,7 @@
 """Per-shard worker process: ``python -m repro.shard.worker SHARD_DIR``.
 
 One worker owns one shard directory — a complete single-directory index
-(pager, WAL, buffer pool, docstore) opened exactly as ``repro query``
+(pager, WAL, docstore) opened exactly as ``repro query``
 would open it — and serves the frame protocol of
 :mod:`repro.shard.protocol` on a loopback TCP socket.  Queries are
 answered through the existing thread machinery: every ``query`` frame is

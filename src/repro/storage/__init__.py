@@ -1,4 +1,4 @@
-"""Storage substrate: pager, buffer pool, codecs, B+Tree, document store.
+"""Storage substrate: pagers, codecs, B+Tree, document store.
 
 This subpackage replaces the Berkeley DB dependency of the original ViST
 implementation with a self-contained, paged B+Tree (duplicate keys, range
@@ -6,7 +6,6 @@ scans, dynamic deletes) plus the byte-level codecs its keys need.
 """
 
 from repro.storage.bptree import BPlusTree, TreeStats
-from repro.storage.cache import BufferPool, CacheStats
 from repro.storage.docstore import DocStore, FileDocStore, MemoryDocStore
 from repro.storage.pager import DEFAULT_PAGE_SIZE, FilePager, MemoryPager, Pager
 from repro.storage.wal import WalPager
@@ -27,8 +26,6 @@ from repro.storage.serialization import (
 __all__ = [
     "BPlusTree",
     "TreeStats",
-    "BufferPool",
-    "CacheStats",
     "DocStore",
     "FileDocStore",
     "MemoryDocStore",

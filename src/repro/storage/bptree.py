@@ -22,25 +22,28 @@ the pager's metadata blob holding its root page id and entry count.
 
 Concurrency and caching
 -----------------------
-Nodes are decoded once and cached in memory; dirty nodes are written back
-on :meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
-:meth:`BPlusTree.checkpoint`, which may also drop the cache at a quiescent
-point.  A leaf "decode" is just a one-pass cell-offset table over the
-page buffer (:func:`repro.kernels.leaf_cell_offsets`) — keys and values
-are sliced out on access, so a point lookup touches O(log n) cells of a
-page instead of materialising all of them; scans and mutation paths
-materialise the entry list once and keep it.  The tree is
-**single-writer**: mutation is
-serialised by the owning index's readers–writer lock
+Nodes are decoded once and kept in memory — the one cache between a tree
+and its page file, counted where the work happens
+(:attr:`BPlusTree.cache_hits` / :attr:`BPlusTree.cache_misses`; a miss is
+exactly one pager read).  The cache is unbounded: an open tree keeps
+every page it has touched decoded until :meth:`BPlusTree.close`, and
+:meth:`BPlusTree.checkpoint` with ``clear_cache=True`` is the one release
+valve, at a quiescent point.  It is never stale, because the tree is
+**single-writer** and nodes are mutated in place: mutation is serialised
+by the owning index's readers–writer lock
 (:class:`repro.exec.locks.RWLock`), the same operating envelope the
-paper's experiments use.  Concurrent *readers* are tolerated by
-construction on the lookup path: the descent cache is a small LRU of
-immutable :class:`_DescentSlot` objects held as one atomically-swapped
-tuple; each slot carries its own structure version and is re-validated
-after the leaf is fetched, so a reader that raced a writer retries the
-full descent instead of trusting a stale slot, and the leaf-chain walk
-in :meth:`BPlusTree._seek` recovers from landing on a leaf that a
-concurrent split has since divided.
+paper's experiments use.  Dirty nodes are written back on
+:meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
+:meth:`BPlusTree.checkpoint`.  A leaf "decode" is just a one-pass
+cell-offset table over the page buffer
+(:func:`repro.kernels.leaf_cell_offsets`) — keys and values are sliced
+out on access, so a point lookup touches O(log n) cells of a page instead
+of materialising all of them; scans and mutation paths materialise the
+entry list once and keep it.  Concurrent *readers* share the cache
+without a lock: two of them missing the same page both decode it and one
+copy wins the dict slot, and the leaf-chain walk in
+:meth:`BPlusTree._seek` recovers a reader that landed on a leaf a split
+has since divided.
 """
 
 from __future__ import annotations
@@ -67,34 +70,6 @@ _META_FMT = "<H"  # number of slots
 
 Pair = tuple[bytes, bytes]
 
-
-# How many recent descents each tree remembers.  One slot thrashes on the
-# combined tree (Algorithm 2 interleaves D-Ancestor key groups level by
-# level, so consecutive seeks alternate between distant leaves); a handful
-# covers a whole frontier level's worth of hot groups.
-_DESCENT_SLOTS = 8
-
-
-class _DescentSlot:
-    """One remembered descent: routing separators + leaf, version-stamped.
-
-    Immutable after construction; ``BPlusTree._descents`` holds up to
-    ``_DESCENT_SLOTS`` of these as one tuple swapped atomically as a
-    whole, so a concurrent reader either sees a complete slot list or an
-    older one — never a half-updated ``(version, lo, hi, pid)``.  The
-    stamped ``version`` makes validation a single comparison against the
-    tree's current structure version.
-    """
-
-    __slots__ = ("version", "lo", "hi", "pid")
-
-    def __init__(
-        self, version: int, lo: Optional[Pair], hi: Optional[Pair], pid: int
-    ) -> None:
-        self.version = version
-        self.lo = lo
-        self.hi = hi
-        self.pid = pid
 
 __all__ = [
     "BPlusTree",
@@ -166,11 +141,7 @@ def reachable_page_ids(meta: bytes, read_page) -> set[int]:
 
 @dataclass
 class TreeStats(MetricSet):
-    """Size/shape statistics for one tree (used by the Figure 11 benches).
-
-    ``descent_hits``/``descent_misses`` count root-to-leaf descents served
-    from (vs missing) the last-descent cache — see :meth:`BPlusTree._seek`.
-    """
+    """Size/shape statistics for one tree (used by the Figure 11 benches)."""
 
     entries: int
     height: int
@@ -178,8 +149,6 @@ class TreeStats(MetricSet):
     internal_pages: int
     page_size: int
     used_bytes: int
-    descent_hits: int = 0
-    descent_misses: int = 0
 
     @property
     def total_pages(self) -> int:
@@ -335,17 +304,13 @@ class BPlusTree:
         self._cache: dict[int, _Node] = {}
         self._dirty: set[int] = set()
         self._closed = False
-        # Descent cache.  Consecutive seeks over nearby keys — Algorithm
-        # 2's dominant pattern — reuse a leaf when the seek bound still
-        # falls between the separators that routed a recent descent.  A
-        # small LRU of immutable _DescentSlot objects, held as one tuple
-        # swapped atomically as a whole so concurrent readers can never
-        # observe a torn update; multiple slots keep the interleaved key
-        # groups of a frontier level from evicting each other.
-        self._descents: tuple[_DescentSlot, ...] = ()
-        self._structure_version = 0
-        self.descent_hits = 0
-        self.descent_misses = 0
+        # Plain integers bumped without a lock: concurrent readers can
+        # lose an increment, never corrupt one.  A miss is exactly one
+        # pager read; a writeback is one node serialised by flush().
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_writebacks = 0
+        self.seeks = 0
         root_pid, count = self._load_slot()
         if root_pid == 0:
             root = self._new_leaf()
@@ -401,8 +366,11 @@ class BPlusTree:
     def _node(self, pid: int) -> _Node:
         node = self._cache.get(pid)
         if node is None:
+            self.cache_misses += 1
             node = self._decode(pid, self._pager.read(pid))
             self._cache[pid] = node
+        else:
+            self.cache_hits += 1
         return node
 
     def _touch(self, node: _Node) -> None:
@@ -555,7 +523,6 @@ class BPlusTree:
             next_level.append((first_pair, node.pid))
             level = next_level
 
-        self._bump_structure_version()
         self._free_node(old_root)
         self._root_pid = level[0][1]
         self._count = count
@@ -755,8 +722,6 @@ class BPlusTree:
             internal_pages=internal_pages,
             page_size=self._capacity,
             used_bytes=used,
-            descent_hits=self.descent_hits,
-            descent_misses=self.descent_misses,
         )
 
     def flush(self) -> None:
@@ -766,11 +731,14 @@ class BPlusTree:
             node = self._cache.get(pid)
             if node is not None:
                 self._pager.write(pid, self._encode(node))
+                self.cache_writebacks += 1
         self._dirty.clear()
         self._store_slot()
 
     def checkpoint(self, clear_cache: bool = False) -> None:
-        """Flush; optionally drop the decoded-node cache to bound memory."""
+        """Flush and sync; ``clear_cache`` also drops every decoded node —
+        the one way to release an open tree's memory (callers must be at
+        a quiescent point: no reader may hold a node)."""
         self.flush()
         self._pager.sync()
         if clear_cache:
@@ -787,7 +755,6 @@ class BPlusTree:
         self.flush()
         self._closed = True
         self._cache = {}
-        self._descents = ()
 
     @property
     def pager(self) -> Pager:
@@ -841,7 +808,6 @@ class BPlusTree:
         return max(1, len(sizes) - 1)
 
     def _split_leaf(self, node: _Leaf) -> tuple[Pair, int]:
-        self._bump_structure_version()
         sizes = [_LEAF_CELL_OVERHEAD + len(k) + len(v) for k, v in node.entries]
         cut = self._split_point(sizes, _LEAF_HEADER)
         right_entries = node.entries[cut:]
@@ -853,7 +819,6 @@ class BPlusTree:
         return right.entries[0], right.pid
 
     def _split_internal(self, node: _Internal) -> tuple[Pair, int]:
-        self._bump_structure_version()
         sizes = [_INTERNAL_CELL_OVERHEAD + len(k) + len(v) for k, v in node.seps]
         cut = self._split_point(sizes, _INTERNAL_HEADER)
         # The separator at `cut` moves up; children split around it.
@@ -877,38 +842,18 @@ class BPlusTree:
 
     def _seek(self, key: bytes, inclusive: bool) -> tuple[Optional[_Leaf], int]:
         """Find the first leaf position with entry key >= (or >) ``key``."""
+        self.seeks += 1
         # Route by (key, b""), which sorts at-or-before any real entry of
         # `key`, so bisect lands on the leftmost child that may contain it.
         bound = (key, b"")
         node = self._node(self._root_pid)
-        if isinstance(node, _Internal):
-            leaf = self._cached_descent(bound)
-            if leaf is None:
-                # Walk down, remembering the separators that routed the
-                # descent: any later bound between them lands on the same
-                # leaf, so the interior reads can be skipped wholesale.
-                lo: Optional[Pair] = None
-                hi: Optional[Pair] = None
-                while isinstance(node, _Internal):
-                    idx = bisect_right(node.seps, bound)
-                    if idx > 0:
-                        lo = node.seps[idx - 1]
-                    if idx < len(node.seps):
-                        hi = node.seps[idx]
-                    node = self._node(node.children[idx])
-                assert isinstance(node, _Leaf)
-                slots = self._descents  # snapshot; swapped back as a whole
-                if len(slots) >= _DESCENT_SLOTS:
-                    slots = slots[len(slots) - _DESCENT_SLOTS + 1 :]
-                self._descents = slots + (
-                    _DescentSlot(self._structure_version, lo, hi, node.pid),
-                )
-                self.descent_misses += 1
-            else:
-                self.descent_hits += 1
-                node = leaf
+        while isinstance(node, _Internal):
+            node = self._node(node.children[bisect_right(node.seps, bound)])
         assert isinstance(node, _Leaf)
         idx = node.bisect_entries(bound)
+        # The walk along the leaf chain is also what recovers a reader
+        # that raced a split: the entries a split moved are in the leaves
+        # to the right of the one the descent reached.
         leaf: Optional[_Leaf] = node
         while leaf is not None:
             count = leaf.count
@@ -924,64 +869,6 @@ class BPlusTree:
             idx = 0
         return None, 0
 
-    def _cached_descent(self, bound: Pair) -> Optional[_Leaf]:
-        """Re-validate a recent descent: structure unchanged and ``bound``
-        between a remembered slot's routing separators means its leaf.
-
-        The slot tuple is loaded exactly once (it may be swapped by
-        another seek at any moment) and scanned newest-first; a matching
-        slot's version is checked again *after* the leaf fetch: a writer
-        that bumped the structure version while the page was being loaded
-        invalidates the reuse, and the caller retries with a full descent
-        instead of trusting a stale leaf.  A hit moves the slot to the
-        MRU end — the reorder swap can lose against a concurrent update,
-        which only costs eviction ordering, never correctness (a slot
-        resurrected past an invalidation carries a stale version and can
-        never validate).
-        """
-        slots = self._descents  # single load of the atomically-swapped tuple
-        for i in range(len(slots) - 1, -1, -1):
-            slot = slots[i]
-            if slot.version != self._structure_version:
-                continue
-            if (slot.lo is None or slot.lo <= bound) and (
-                slot.hi is None or bound < slot.hi
-            ):
-                node = self._node(slot.pid)
-                if slot.version != self._structure_version:
-                    return None  # raced a structural change mid-fetch: retry
-                if not isinstance(node, _Leaf):
-                    return None
-                if i != len(slots) - 1:
-                    self._descents = slots[:i] + slots[i + 1 :] + (slot,)
-                return node
-        return None
-
-    def _bump_structure_version(self) -> None:
-        """Invalidate the descent cache (any split/merge/entry movement).
-
-        The slots are cleared *before* the version bump so a concurrent
-        reader can never pair an old slot with the new version number.
-        """
-        self._descents = ()
-        self._structure_version += 1
-
-    @property
-    def structure_version(self) -> int:
-        """Monotone counter bumped on every structural change (splits,
-        merges, borrows, root swaps, bulk loads).  Invariant checkers use
-        it to assert monotonicity across mutations."""
-        return self._structure_version
-
-    @property
-    def descent_hit_rate(self) -> float:
-        """Fraction of seeks that skipped the interior walk."""
-        # snapshot both counters once: re-reading them under concurrent
-        # increment can report a rate above 1.0
-        hits, misses = self.descent_hits, self.descent_misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     # deletion internals
 
@@ -992,7 +879,6 @@ class BPlusTree:
             root = self._node(self._root_pid)
             if isinstance(root, _Internal) and len(root.children) == 1:
                 child_pid = root.children[0]
-                self._bump_structure_version()
                 self._free_node(root)
                 self._root_pid = child_pid
         return found
@@ -1087,7 +973,6 @@ class BPlusTree:
                 parent._used = None
                 moved = True
         if moved:
-            self._bump_structure_version()
             self._touch(left)
             self._touch(child)
             self._touch(parent)
@@ -1134,7 +1019,6 @@ class BPlusTree:
                 parent._used = None
                 moved = True
         if moved:
-            self._bump_structure_version()
             self._touch(right)
             self._touch(child)
             self._touch(parent)
@@ -1171,7 +1055,6 @@ class BPlusTree:
         del parent.seps[sep_idx]
         del parent.children[sep_idx + 1]
         parent._used = None
-        self._bump_structure_version()
         self._free_node(right)
         self._touch(left)
         self._touch(parent)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import zlib
 from typing import Optional
 
@@ -74,6 +75,11 @@ class WalPager(Pager):
             os.fspath(journal_path) if journal_path is not None else self.path + ".wal"
         )
         self.read_count = 0
+        # seek() then read()/write() on the one shared handle is a two-step
+        # critical section (as in FilePager): concurrent queries miss the
+        # node cache into read(), and an interleaved seek hands a reader
+        # another page's slot — with a valid CRC, so silently.
+        self._io_lock = threading.Lock()
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if existing:
             with open(self.path, "rb") as fh:
@@ -165,8 +171,9 @@ class WalPager(Pager):
         if cached is not None:
             return cached
         offset = page_offset(page_id, self.page_size)
-        self._file.seek(offset)
-        raw = self._file.read(slot_size(self.page_size))
+        with self._io_lock:
+            self._file.seek(offset)
+            raw = self._file.read(slot_size(self.page_size))
         if len(raw) != slot_size(self.page_size):
             # allocated after the last commit but never written back: the
             # main file has no bytes for it yet
@@ -311,8 +318,9 @@ class WalPager(Pager):
         os.fsync(journal.fileno())
 
     def _main_write(self, page_id: int, data: bytes, page_size: int) -> None:
-        self._file.seek(page_offset(page_id, page_size))
-        self._file.write(data + pack_trailer(data))
+        with self._io_lock:
+            self._file.seek(page_offset(page_id, page_size))
+            self._file.write(data + pack_trailer(data))
 
     def _main_sync(self) -> None:
         self._file.flush()

@@ -42,7 +42,6 @@ _EXPORTS = {
     "FaultSweepReport": "repro.testing.faults",
     "sweep_commit_faults": "repro.testing.faults",
     "InvariantReport": "repro.testing.invariants",
-    "VersionMonitor": "repro.testing.invariants",
     "check_bptree": "repro.testing.invariants",
     "check_index": "repro.testing.invariants",
     "check_posting_coherence": "repro.testing.invariants",

@@ -31,9 +31,6 @@ contracts the rest of the codebase silently relies on:
 **Posting cache** (:func:`check_posting_coherence`)
     every resident posting group byte-equals a fresh scan of its
     D-Ancestor key range.
-
-:class:`VersionMonitor` asserts ``structure_version`` monotonicity
-across a sequence of mutations.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from repro.storage.bptree import BPlusTree, _Internal, _Leaf, _Node, Pair
 
 __all__ = [
     "InvariantReport",
-    "VersionMonitor",
     "check_bptree",
     "check_vist_scopes",
     "check_vist_documents",
@@ -91,23 +87,6 @@ class InvariantReport:
         lines = [f"FAIL {self.name}: {len(self.violations)} violation(s)"]
         lines.extend(f"  - {v}" for v in self.violations)
         return "\n".join(lines)
-
-
-class VersionMonitor:
-    """Asserts a B+Tree's ``structure_version`` never moves backwards."""
-
-    def __init__(self, tree: BPlusTree) -> None:
-        self._tree = tree
-        self.last = tree.structure_version
-
-    def observe(self) -> int:
-        version = self._tree.structure_version
-        if version < self.last:
-            raise AssertionError(
-                f"structure_version went backwards: {self.last} -> {version}"
-            )
-        self.last = version
-        return version
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,7 @@ Two equalities are asserted per query:
   every ViST configuration agree with each other (they implement the
   same subsequence-matching semantics — Naive is Algorithm 1 on the
   materialised trie, the anchor — so any disagreement is a walker/cache
-  bug even though raw results may legitimately differ from XPath).  The
-  comparison runs over :func:`repro.kernels.encode_columns` fingerprints
-  of the sorted position sets, so the answers are proven *byte
-  identical*, not merely equal under Python ``==``.
+  bug even though raw results may legitimately differ from XPath).
 
 On the first divergence of a seed the failing case is **shrunk**
 (greedy: drop documents, prune document subtrees, simplify the query)
@@ -54,7 +51,6 @@ from repro.baselines.nodeindex import XissIndex
 from repro.baselines.pathindex import PathIndex
 from repro.doc.model import XmlNode
 from repro.index.naive import NaiveIndex
-from repro.kernels import encode_columns
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.query.ast import QueryNode
@@ -234,13 +230,10 @@ class DifferentialOracle:
                 anchor_raw = self._positions(
                     anchor_index.query(query, verify=False), anchor_map
                 )
-                # byte-level equality: canonical column encoding of the
-                # sorted positions, not just list ==
-                anchor_fp = encode_columns([anchor_raw])
                 for family in raw_families[1:]:
                     index, id_to_pos = indexes[family]
                     raw = self._positions(index.query(query, verify=False), id_to_pos)
-                    if encode_columns([raw]) != anchor_fp:
+                    if raw != anchor_raw:
                         divergences.append(
                             self._report(
                                 seed, family, "raw", corpus, query, anchor_raw, raw

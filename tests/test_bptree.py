@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, StorageError
 from repro.storage.bptree import BPlusTree
-from repro.storage.cache import BufferPool
 from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.wal import WalPager
 
 
 def make_tree(page_size=256):
@@ -234,16 +234,16 @@ class TestPersistence:
         assert b2.get(key(5)) == b"B"
         pager2.close()
 
-    def test_through_buffer_pool(self, tmp_path):
-        pool = BufferPool(FilePager(tmp_path / "t.db", page_size=256), capacity=8)
-        t = BPlusTree(pool)
+    def test_through_wal_pager(self, tmp_path):
+        pager = WalPager(tmp_path / "t.db", page_size=256)
+        t = BPlusTree(pager)
         for i in range(300):
             t.insert(key(i), b"v")
-        t.checkpoint(clear_cache=True)
+        t.checkpoint(clear_cache=True)  # commits: reads below hit the main file
         for i in range(300):
             assert t.get(key(i)) == b"v"
         t.close()
-        pool.close()
+        pager.close()
 
     def test_checkpoint_clear_cache_preserves_data(self):
         t = make_tree()
@@ -275,44 +275,45 @@ class TestStats:
         assert s.internal_pages == 0
 
 
-class TestDescentCache:
-    """Root-to-leaf descent reuse: the interior path of the last _seek."""
+class TestNodeCache:
+    """The decoded-node cache: the one cache between a tree and its pager."""
 
-    def filled(self, n=600, page_size=128):
-        t = make_tree(page_size=page_size)
+    def filled(self, pager, n=600):
+        t = BPlusTree(pager)
         for i in range(n):
             t.insert(key(i), b"v")
         return t
 
-    def test_sequential_lookups_hit(self):
-        t = self.filled()
-        for i in range(600):
-            assert t.get(key(i)) == b"v"
-        assert t.descent_hits > 0
-        # sequential keys share leaves, so most descents are cache hits
-        assert t.descent_hit_rate > 0.5
+    def test_miss_is_one_pager_read_and_repeat_hits(self):
+        pager = MemoryPager(page_size=128)
+        t = self.filled(pager)
+        t.checkpoint(clear_cache=True)
+        reads, misses = pager.read_count, t.cache_misses
+        assert t.get(key(5)) == b"v"
+        cold = t.cache_misses - misses
+        assert cold == pager.read_count - reads >= 2  # root + leaf at least
+        reads, misses, hits = pager.read_count, t.cache_misses, t.cache_hits
+        assert t.get(key(5)) == b"v"
+        assert (t.cache_misses, pager.read_count) == (misses, reads)
+        assert t.cache_hits - hits == cold
 
-    def test_stats_expose_counters(self):
-        t = self.filled()
+    def test_flush_counts_nodes_written_back(self):
+        t = self.filled(MemoryPager(page_size=128), n=50)
+        t.flush()
+        written = t.cache_writebacks
+        assert written == t.stats().total_pages
+        t.flush()  # nothing dirty
+        assert t.cache_writebacks == written
+        t.insert(key(1000), b"v")  # dirties one leaf, no split
+        t.flush()
+        assert t.cache_writebacks == written + 1
+
+    def test_every_seek_is_counted(self):
+        t = self.filled(MemoryPager(page_size=128))
+        seeks = t.seeks
         for i in range(50):
             t.contains(key(i))
-        s = t.stats()
-        assert s.descent_hits == t.descent_hits
-        assert s.descent_misses == t.descent_misses
-        assert s.descent_hits + s.descent_misses > 0
-
-    def test_structural_change_invalidates(self):
-        t = self.filled()
-        t.get(key(10))
-        t.get(key(11))  # warm: same leaf
-        hits = t.descent_hits
-        # enough inserts around the cached leaf to force a split
-        for j in range(40):
-            t.insert(key(10) + f"-{j:03d}".encode(), b"v")
-        assert t.get(key(10)) == b"v"  # must not land on a stale leaf
-        for i in range(600):
-            assert t.get(key(i)) == b"v"
-        assert t.descent_hits >= hits
+        assert t.seeks == seeks + 50
 
     def test_correct_across_random_mutations(self):
         t = make_tree(page_size=128)
@@ -326,54 +327,18 @@ class TestDescentCache:
             elif i not in model:
                 t.insert(key(i), str(step).encode())
                 model[i] = str(step).encode()
-            # interleave point lookups that exercise the cached descent
+            # interleave point lookups with the splits and merges
             probe = rng.randrange(200)
             assert t.get(key(probe)) == model.get(probe)
             assert t.contains(key(probe)) == (probe in model)
-        assert t.descent_hits > 0
-
-    def test_single_leaf_tree_never_caches(self):
-        t = make_tree()
-        t.insert(b"a", b"1")
-        assert t.get(b"a") == b"1"
-        assert t.descent_hits == 0 and t.descent_misses == 0
 
     def test_checkpoint_clear_cache_is_safe(self):
-        t = self.filled()
+        t = self.filled(MemoryPager(page_size=128))
         t.get(key(5))
         t.checkpoint(clear_cache=True)
-        # cached descent stores pids; pages must re-decode after the drop
+        assert not t._cache  # the release valve: every decoded node dropped
         assert t.get(key(5)) == b"v"
         assert t.get(key(6)) == b"v"
-
-    def test_interleaved_key_groups_hit_lru(self):
-        """Regression: the combined-tree access pattern must not thrash.
-
-        Algorithm 2 interleaves lookups across a handful of distant
-        D-Ancestor key groups per frontier level.  The old single-slot
-        cache evicted on every alternation (8% hit rate on dblp,
-        BENCH_table4.json); the LRU must keep all groups resident.
-        """
-        t = self.filled(n=2000, page_size=128)
-        # four key groups spread across distant leaves, round-robin probes
-        groups = [0, 500, 1000, 1500]
-        for round_ in range(50):
-            for base in groups:
-                assert t.get(key(base + round_)) == b"v"
-        # warmup misses once per group+round-edge at worst; alternation
-        # itself must no longer evict — demand a decisively high rate
-        assert t.descent_hit_rate > 0.5, (
-            t.descent_hits,
-            t.descent_misses,
-        )
-
-    def test_lru_capacity_is_bounded(self):
-        t = self.filled(n=2000, page_size=128)
-        for i in range(0, 2000, 7):
-            t.get(key(i))
-        from repro.storage.bptree import _DESCENT_SLOTS
-
-        assert len(t._descents) <= _DESCENT_SLOTS
 
 
 class TestFirstHitSeek:
@@ -506,16 +471,16 @@ class TestScanWindows:
         assert list(make_tree().scan_windows([(b"a", b"z")])) == []
         assert list(make_tree().scan_windows([])) == []
 
-    def test_many_narrow_windows_share_descents(self, tree):
-        tree.descent_hits = tree.descent_misses = 0
+    def test_many_narrow_windows_seek_once(self, tree):
+        tree.seeks = 0
         bounds = [(key(i), key(i + 1)) for i in range(0, 400, 2)]
         assert len(self.check(tree, bounds)) == 200
-        per_window = tree.descent_hits + tree.descent_misses
-        tree.descent_hits = tree.descent_misses = 0
+        per_window = tree.seeks
+        tree.seeks = 0
         list(tree.scan_windows(bounds))
         # check() also ran range() once per window: the cursor alone seeks
         # once, where the window starts beyond the leaf it stands on
-        assert tree.descent_hits + tree.descent_misses < per_window // 10
+        assert tree.seeks < per_window // 10
 
     def test_duplicate_keys_spanning_leaves(self):
         # the DocId tree's shape: many entries (one per document) under one label

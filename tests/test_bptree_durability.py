@@ -1,5 +1,5 @@
 """Durability-oriented B+Tree properties: flush/reopen interleavings,
-page-size sweeps, and buffer-pool-backed operation."""
+page-size sweeps, and cache drops in the middle of a build."""
 
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.bptree import BPlusTree
-from repro.storage.cache import BufferPool
 from repro.storage.pager import FilePager, MemoryPager
 
 
@@ -68,19 +67,20 @@ def test_page_size_sweep(page_size):
     assert got == survivors[10:50]
 
 
-def test_buffer_pool_smaller_than_working_set(tmp_path):
-    """A pool far smaller than the tree still yields correct results."""
-    pool = BufferPool(FilePager(tmp_path / "t.db", page_size=256), capacity=3)
-    tree = BPlusTree(pool)
+def test_cache_dropped_mid_build_rereads_the_file(tmp_path):
+    """Dropping every decoded node between inserts loses nothing: the
+    tree re-reads what it flushed straight from the page file."""
+    pager = FilePager(tmp_path / "t.db", page_size=256)
+    tree = BPlusTree(pager)
     for i in range(500):
         tree.insert(f"k{i:05d}".encode(), str(i).encode())
         if i % 97 == 0:
             tree.checkpoint(clear_cache=True)
     for i in range(0, 500, 7):
         assert tree.get(f"k{i:05d}".encode()) == str(i).encode()
-    assert pool.stats.evictions > 0
+    assert tree.cache_misses > 0
     tree.close()
-    pool.close()
+    pager.close()
 
 
 def test_checkpoint_then_reader_sees_everything(tmp_path):

@@ -160,67 +160,6 @@ class TestMainExitCodes:
         assert gate(current, baseline) == 0
         assert "qps" not in capsys.readouterr().out
 
-    def test_kernel_hit_rate_drop_fails(self, gate, capsys):
-        current = {
-            "headline_seconds": 1.0,
-            "kernels": {"combined_descent_hit_rate": 0.08},
-        }
-        baseline = {
-            "headline_seconds": 1.0,
-            "kernels": {"combined_descent_hit_rate": 0.8},
-        }
-        assert gate(current, baseline) == 1
-        out = capsys.readouterr().out
-        assert "kernels.combined_descent_hit_rate" in out and "REGRESSION" in out
-
-    def test_kernel_hit_rate_within_floor_ok(self, gate, capsys):
-        current = {
-            "headline_seconds": 1.0,
-            "kernels": {
-                "combined_descent_hit_rate": 0.7,
-                "docid_descent_hit_rate": 0.9,
-            },
-        }
-        baseline = {
-            "headline_seconds": 1.0,
-            "kernels": {
-                "combined_descent_hit_rate": 0.6,
-                "docid_descent_hit_rate": 0.95,
-            },
-        }
-        assert gate(current, baseline) == 0
-        out = capsys.readouterr().out
-        assert "kernels.combined_descent_hit_rate" in out
-        assert "kernels.docid_descent_hit_rate" in out
-        assert "REGRESSION" not in out
-
-    def test_baseline_without_kernels_block_skips_with_message(self, gate, capsys):
-        current = {
-            "headline_seconds": 1.0,
-            "kernels": {"combined_descent_hit_rate": 0.8},
-        }
-        baseline = {"headline_seconds": 1.0}  # predates the kernels block
-        assert gate(current, baseline) == 0
-        out = capsys.readouterr().out
-        assert (
-            "kernels.combined_descent_hit_rate: baseline has no such figure; "
-            "skipping" in out
-        )
-
-    def test_unusable_kernel_values_ignored(self, gate, capsys):
-        current = {
-            "headline_seconds": 1.0,
-            "kernels": {
-                "warm_hit_rate": True,  # bool: not a gated figure
-                "combined_descent_hit_rate": "high",
-                "docid_descent_hit_rate": -0.5,
-                "cells": 12,  # numeric but not a *_hit_rate figure
-            },
-        }
-        baseline = {"headline_seconds": 1.0, "kernels": {"warm_hit_rate": True}}
-        assert gate(current, baseline) == 0
-        assert "kernels." not in capsys.readouterr().out
-
     def test_skip_and_regression_mix_still_fails(self, tmp_path, monkeypatch, capsys):
         # one snapshot skips (keyless baseline), the other regresses:
         # the skip must not mask the failure exit code

@@ -173,6 +173,8 @@ class TestSchemaHandling:
         assert "documents: 1" in out
         assert "combined:" in out
         assert "docid:" in out
+        assert out.count("node cache:") == 1
+        assert "descent cache" not in out and "buffer pool" not in out
 
 
 class TestExplainAndMetrics:
@@ -221,6 +223,15 @@ class TestExplainAndMetrics:
             main(["query", db, query, "--engine", engine])
             assert "{1}" in capsys.readouterr().out
 
+    def test_profile_prints_one_node_cache_line(self, tmp_path, xml_file, capsys):
+        db = self._db(tmp_path, xml_file, capsys)
+        assert main(["query", db, self.BRANCH_QUERY, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "match effort:" in out and "posting cache:" in out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("node cache:")]
+        assert " hits / " in line and " misses (" in line and "writeback(s)" in line
+        assert "descent cache" not in out and "buffer pool" not in out
+
     def test_stats_json_dumps_full_registry(self, tmp_path, xml_file, capsys):
         import json as _json
 
@@ -230,7 +241,21 @@ class TestExplainAndMetrics:
         assert main(["stats", db, "--json"]) == 0
         snap = _json.loads(capsys.readouterr().out)
         assert snap["documents"] == 2
-        for key in ("health", "pager", "queries", "tree"):
+        for key in ("health", "pager", "queries", "tree", "buffer_pool"):
             assert key in snap, f"registry dump missing {key!r}"
+        # every physical read is a node-cache miss and the other way round
+        assert snap["buffer_pool"]["misses"] == snap["pager"]["reads"] > 0
         assert snap["health"]["status"] == "ok"
         assert set(snap["tree"]) == {"combined", "docid"}
+
+    def test_stats_json_on_a_sharded_dbdir(self, tmp_path, xml_file, capsys):
+        import json as _json
+
+        db = str(tmp_path / "sdb")
+        main(["index", db, str(xml_file), "--split", "purchase", "--shards", "2"])
+        capsys.readouterr()
+        assert main(["stats", db, "--json"]) == 0
+        snap = _json.loads(capsys.readouterr().out)
+        assert snap["documents"] == 2
+        for shard in snap["shard"].values():
+            assert shard["buffer_pool"]["misses"] == shard["pager"]["reads"]

@@ -4,12 +4,15 @@ Layers covered, bottom up:
 
 * :class:`repro.exec.locks.RWLock` unit semantics (reentrancy, writer
   exclusion, the upgrade refusal, writer preference);
-* the B+Tree descent-slot regression: ``get``/``range`` from reader
-  threads racing an inserting writer must never see a torn or stale
-  descent (the old bare-tuple ``_descent`` could pair a pre-split leaf
-  with a post-split structure);
-* shared caches under contention: :class:`BufferPool`,
-  :class:`PostingCache`, the metrics registry;
+* the B+Tree reader-vs-split hammer: ``get``/``range`` from reader
+  threads racing an inserting writer must never lose a committed key
+  (the leaf-chain walk of ``_seek`` recovers a reader that reached a
+  leaf a split has since divided);
+* the shared file handle of :class:`FilePager` / :class:`WalPager`
+  under concurrent ``read()`` (node-cache misses of concurrent queries
+  land there with nothing in between);
+* shared caches under contention: :class:`PostingCache`, the metrics
+  registry;
 * :class:`repro.exec.executor.QueryExecutor` API contracts (ordering,
   error capture, fresh guard per query);
 * the multi-threaded differential-oracle hammer: K worker threads run M
@@ -17,15 +20,18 @@ Layers covered, bottom up:
   while a writer thread interleaves inserts and removes of noise
   documents; every verified result must equal the single-threaded
   reference evaluator's answer and the index must pass ``repro check``'s
-  invariants afterwards.
+  invariants afterwards — over a :class:`FilePager` and over a
+  :class:`WalPager`.
 
-The first hammer configuration runs in tier-1; the full sweep is marked
-``slow`` and runs in the CI concurrency job.
+The first hammer configuration of each pager runs in tier-1; the full
+sweep is marked ``slow`` and runs in the CI concurrency job.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from functools import partial
 import threading
 import time
 
@@ -40,9 +46,9 @@ from repro.index.vist import VistIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree
-from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager
+from repro.storage.wal import WalPager
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import assert_invariants
 from repro.testing.reference import reference_results
@@ -181,18 +187,18 @@ class TestRWLock:
 
 
 # ---------------------------------------------------------------------------
-# B+Tree descent-slot regression: readers racing an inserting writer
+# B+Tree readers racing an inserting writer
 
 
 def test_bptree_descent_race_get_and_range_vs_insert():
-    """Two-thread hammer for the descent-reuse race (fixed by _DescentSlot).
+    """Hammer for readers descending while a writer splits nodes.
 
     The committed region uses ``a``-prefixed keys; the writer appends
-    ``w``-prefixed keys, so every split keeps bumping the structure
-    version (invalidating descents mid-read) while the readers' own keys
-    stay put.  Committed keys must always be found and range scans over
-    the committed region must always be complete — a stale or torn
-    descent slot breaks both.
+    ``w``-prefixed keys, so leaves and internal nodes keep splitting
+    while the readers' own keys stay put.  Committed keys must always be
+    found and range scans over the committed region must always be
+    complete — a descent that trusted a pre-split leaf without walking
+    the chain breaks both.
     """
     tree = BPlusTree()
     committed = [f"a{i:06d}".encode() for i in range(1500)]
@@ -230,31 +236,34 @@ def test_bptree_descent_race_get_and_range_vs_insert():
 # shared caches under contention
 
 
-def test_buffer_pool_concurrent_reads(tmp_path):
-    base = FilePager(tmp_path / "pool.db")
-    pids = []
-    for i in range(8):
-        pid = base.allocate()
-        base.write(pid, bytes([i]) * base.page_size)
-        pids.append(pid)
-    base.sync()
-    base.close()
+@pytest.mark.parametrize("pager_cls", [FilePager, WalPager], ids=["file", "wal"])
+def test_pager_concurrent_reads_return_the_page_asked_for(tmp_path, pager_cls):
+    """seek()+read() on the one shared handle must not interleave: every
+    slot carries a valid CRC for itself, so a reader handed another
+    page's slot would not notice — and a B+Tree would decode the wrong
+    node."""
+    path = tmp_path / "pages.db"
+    pager = pager_cls(path, page_size=256)
+    pids = [pager.allocate() for _ in range(64)]
+    for pid in pids:
+        pager.write(pid, bytes([pid % 251]) * pager.page_size)
+    pager.close()  # WalPager: committed, so reads below go to the file
 
-    pool = BufferPool(FilePager(tmp_path / "pool.db"), capacity=3)
+    pager = pager_cls(path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
 
-        def reader():
-            rng = random.Random(threading.get_ident())
-            for _ in range(400):
-                i = rng.randrange(len(pids))
-                assert pool.read(pids[i]) == bytes([i]) * pool.page_size
+        def reader(seed):
+            rng = random.Random(seed)
+            for _ in range(20_000):
+                pid = rng.choice(pids)
+                assert pager.read(pid) == bytes([pid % 251]) * pager.page_size
 
-        _run_threads([reader] * 4)
-        stats = pool.stats
-        assert stats.hits + stats.misses == 4 * 400
-        assert 0.0 <= stats.hit_rate <= 1.0
+        _run_threads([partial(reader, seed) for seed in range(4)])
     finally:
-        pool.close()
+        sys.setswitchinterval(interval)
+        pager.close()
 
 
 def test_posting_cache_concurrent_lookup_single_install():
@@ -395,15 +404,7 @@ def _noise_doc(i: int) -> XmlNode:
     return root
 
 
-def _open_hammer_index(tmp_path) -> VistIndex:
-    return VistIndex(
-        SequenceEncoder(),
-        docstore=FileDocStore(tmp_path / "docs.dat"),
-        pager=BufferPool(FilePager(tmp_path / "vist.db"), capacity=64),
-    )
-
-
-def _run_hammer(tmp_path, *, seed, docs, threads, submissions, writer_ops):
+def _run_hammer(tmp_path, pager_cls, *, seed, docs, threads, submissions, writer_ops):
     """K threads x M verified queries vs the reference, writer interleaved."""
     generator = DocQueryGenerator(seed)
     corpus = generator.corpus(docs, 12)
@@ -414,9 +415,16 @@ def _run_hammer(tmp_path, *, seed, docs, threads, submissions, writer_ops):
         for pos, query in enumerate(queries)
     }
 
-    index = _open_hammer_index(tmp_path)
+    index = VistIndex(
+        SequenceEncoder(),
+        docstore=FileDocStore(tmp_path / "docs.dat"),
+        pager=pager_cls(tmp_path / "vist.db"),
+    )
     try:
         ids = index.add_all(corpus)
+        index.flush()
+        for tree in (index.tree, index.docid_tree):
+            tree.checkpoint(clear_cache=True)  # the query threads start cold
         id_to_pos = {doc_id: pos for pos, doc_id in enumerate(ids)}
         seeded_ids = set(ids)
 
@@ -485,19 +493,29 @@ def _run_hammer(tmp_path, *, seed, docs, threads, submissions, writer_ops):
         index.docstore.close()
 
 
+_FIRST_CONFIG = dict(seed=11, docs=10, threads=4, submissions=36, writer_ops=30)
+
+
 def test_oracle_hammer_first_config(tmp_path):
     """Tier-1 hammer: 4 threads, 36 verified queries, interleaved writer."""
-    _run_hammer(
-        tmp_path, seed=11, docs=10, threads=4, submissions=36, writer_ops=30
-    )
+    _run_hammer(tmp_path, FilePager, **_FIRST_CONFIG)
+
+
+def test_oracle_hammer_first_config_wal(tmp_path):
+    """The same over a WalPager: misses of concurrent queries read the
+    main file through its shared handle, the writer's pages sit in the
+    overlay until the final flush commits them."""
+    _run_hammer(tmp_path, WalPager, **_FIRST_CONFIG)
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("pager_cls", [FilePager, WalPager], ids=["file", "wal"])
 @pytest.mark.parametrize("seed", [23, 37, 59])
-def test_oracle_hammer_full_sweep(tmp_path, seed):
+def test_oracle_hammer_full_sweep(tmp_path, pager_cls, seed):
     """CI sweep: more seeds, more submissions, longer writer interleaving."""
     _run_hammer(
         tmp_path,
+        pager_cls,
         seed=seed,
         docs=14,
         threads=4,

@@ -7,7 +7,7 @@ degraded-mode contract is exercised directly (a corrupt page mid-match
 flips health to read-suspect and the answer still comes back correct,
 via the docstore).  :class:`~repro.testing.faults.FlakyFilePager` proves
 transient read faults are retried invisibly while persistent ones
-escape loudly, and the BufferPool test pins the rule that a frame
+escape loudly, and the node-cache test pins the rule that a page
 failing its checksum is never cached.
 """
 
@@ -31,7 +31,7 @@ from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.obs import QueryTrace
 from repro.query.xpath import parse_xpath
-from repro.storage.cache import BufferPool
+from repro.storage.bptree import BPlusTree
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager, page_offset
 from repro.testing.faults import FlakyFilePager
@@ -237,6 +237,34 @@ def test_page_read_budget_on_disk_index(tmp_path):
     finally:
         reopened.close()
         reopened.docstore.close()
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["file", "wal"])
+def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path, wal):
+    """Physical reads are what is budgeted: the same query that a cold
+    index cannot answer under ``max_page_reads=0`` passes once warm."""
+    from repro.cli import _close_index, open_index
+
+    index = open_index(tmp_path / "db", wal=wal)
+    for i in range(6):
+        index.add(
+            parse_document(
+                f"<site><item><location>US</location><name>v{i}</name></item></site>"
+            )
+        )
+    _close_index(index)
+    index = open_index(tmp_path / "db", wal=wal)
+    try:
+        query = "/site//item[location='US']"
+        with pytest.raises(QueryBudgetExceededError) as exc:
+            index.query(query, guard=QueryGuard(max_page_reads=0))
+        assert exc.value.resource == "page-read"
+        assert index.query(query) == list(range(6))  # unguarded: warms the index
+        guard = QueryGuard(max_page_reads=0)
+        assert index.query(query, guard=guard) == list(range(6))
+        assert guard.page_reads == 0
+    finally:
+        _close_index(index)
 
 
 def test_all_wildcard_query_respects_guard():
@@ -522,30 +550,30 @@ class TestFlakyReads:
 
 
 # ---------------------------------------------------------------------------
-# buffer pool hygiene
+# node cache hygiene
 
 
-def test_buffer_pool_never_caches_corrupt_frame(tmp_path):
-    base = FilePager(tmp_path / "pool.db")
-    pid = base.allocate()
-    base.write(pid, b"q" * base.page_size)
-    base.sync()
-    base.close()
+def test_node_cache_never_holds_a_corrupt_page(tmp_path):
+    path = tmp_path / "t.db"
+    pager = FilePager(path)
+    tree = BPlusTree(pager)
+    for i in range(600):
+        tree.insert(f"k{i:05d}".encode(), b"q" * 8)
+    pid = tree._seek(b"k00300", True)[0].pid
+    assert pid != tree._root_pid  # a leaf below an internal root
+    tree.close()
+    pager.close()
 
-    _corrupt_page(tmp_path / "pool.db", pid, 4096)
-    base = FilePager(tmp_path / "pool.db")
-    pool = BufferPool(base, capacity=8)
+    _corrupt_page(path, pid, 4096)
+    pager = FilePager(path)
+    tree = BPlusTree(pager)
     with pytest.raises(CorruptPageError):
-        pool.read(pid)
-    assert pid not in pool._pages  # the bad frame was not installed
+        tree.get(b"k00300")
+    assert pid not in tree._cache  # the bad page was not installed
 
-    # heal the underlying file; an honest miss must now succeed, which it
-    # could not if the corrupt (or a negative) frame had been cached
-    with open(tmp_path / "pool.db", "r+b") as fh:
-        offset = page_offset(pid, 4096) + 64
-        fh.seek(offset)
-        byte = fh.read(1)
-        fh.seek(offset)
-        fh.write(bytes([byte[0] ^ 0xFF]))
-    assert pool.read(pid) == b"q" * base.page_size
-    pool.close()
+    # heal the file (the same flip again); an honest miss must now
+    # succeed, which it could not if the corrupt (or a negative) node had
+    # been cached
+    _corrupt_page(path, pid, 4096)
+    assert tree.get(b"k00300") == b"q" * 8
+    pager.close()

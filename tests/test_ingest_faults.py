@@ -22,7 +22,6 @@ from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.shard.router import ShardRouter
-from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore, MemoryDocStore
 from repro.storage.wal import WalPager
 from repro.testing.faults import sweep_commit_faults
@@ -159,7 +158,7 @@ class TestTrailingDocTruncation:
         return VistIndex(
             SequenceEncoder(schema=None),
             docstore=FileDocStore(tmp_path / "docs.dat"),
-            pager=BufferPool(WalPager(str(tmp_path / "vist.db")), capacity=64),
+            pager=WalPager(str(tmp_path / "vist.db")),
             source_store=FileDocStore(tmp_path / "sources.dat"),
         )
 
@@ -184,7 +183,7 @@ class TestTrailingDocTruncation:
         # skip index.flush(): the tree state on disk is the 8-doc commit
         index.docstore.close()
         index.source_store.close()
-        index._pager.base.close()
+        index._pager.abandon()
 
         reopened = self._open(tmp_path)
         try:

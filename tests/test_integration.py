@@ -16,7 +16,6 @@ from repro.errors import CodecError, PageError, StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager, MemoryPager
 
@@ -125,16 +124,16 @@ class TestPersistenceCycles:
         rng = random.Random(12)
         docs = [random_doc(rng) for _ in range(40)]
         mem = VistIndex(SequenceEncoder())
-        buffered = VistIndex(
+        on_file = VistIndex(
             SequenceEncoder(),
-            pager=BufferPool(FilePager(tmp_path / "v.db", page_size=1024), capacity=16),
+            pager=FilePager(tmp_path / "v.db", page_size=1024),
             max_label=1 << 64,
         )
         for doc in docs:
             mem.add(doc)
-            buffered.add(doc)
+            on_file.add(doc)
         for expr in QUERIES:
-            assert mem.query(expr) == buffered.query(expr), expr
+            assert mem.query(expr) == on_file.query(expr), expr
 
     def test_remove_survives_reopen(self, tmp_path):
         encoder = SequenceEncoder()

@@ -18,7 +18,6 @@ from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import (
-    VersionMonitor,
     assert_invariants,
     check_bptree,
     check_index,
@@ -131,15 +130,6 @@ class TestBPlusTreeCorruption:
         leaf.entries.append((b"zzzzzz", b"x"))
         report = check_bptree(tree)
         assert any("separator bound" in v for v in report.violations)
-
-    def test_version_monitor_rejects_decrease(self):
-        tree = self.make_tree()
-        monitor = VersionMonitor(tree)
-        tree.insert(b"zz-bump", b"v")
-        monitor.observe()
-        tree._structure_version -= 1
-        with pytest.raises(AssertionError, match="backwards"):
-            monitor.observe()
 
 
 def _tamper_node(index: VistIndex, mutate) -> None:

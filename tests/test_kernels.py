@@ -1,24 +1,20 @@
-"""The packed-kernel seam: the column packer, the codec, the leaf table.
+"""The packed-kernel seam: the column packer and the leaf table.
 
-Covers the three kernels of :mod:`repro.kernels` (the int64 column
-packer, the column byte codec, the zero-copy leaf offset table) and the
-posting-group columns built on them.
+Covers the two kernels of :mod:`repro.kernels` (the int64 column packer,
+the zero-copy leaf offset table) and the posting-group columns built on
+them.
 """
 
 import struct
 from array import array
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.errors import CodecError
 from repro.index.postings import PostingGroup
 from repro.storage.bptree import _LEAF_HEADER
 
-# encode_int magnitudes cap at 255 bytes -> |value| < 2**2040
-_MAX_MAGNITUDE = (1 << 2040) - 1
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -34,74 +30,6 @@ class TestPackInts:
         col = kernels.pack_ints(values)
         assert isinstance(col, list)
         assert col == values  # exact Python ints, no truncation
-
-
-class TestColumnCodec:
-    def test_known_layout_fixed64(self):
-        data = kernels.encode_columns([[1, 2]])
-        assert kernels.decode_columns(data) == [[1, 2]]
-        # count=2 then the fixed64 mode byte then two little-endian words
-        assert struct.pack("<qq", 1, 2) in data
-
-    def test_wide_ints_use_varint_mode(self):
-        values = [0, -(1 << 200), _MAX_MAGNITUDE]
-        data = kernels.encode_columns([values])
-        assert kernels.decode_columns(data) == [values]
-
-    def test_empty_cases(self):
-        assert kernels.decode_columns(kernels.encode_columns([])) == []
-        assert kernels.decode_columns(kernels.encode_columns([[]])) == [[]]
-        assert kernels.decode_columns(kernels.encode_columns([[], [5]])) == [[], [5]]
-
-    def test_canonical_for_equal_inputs(self):
-        # list vs array inputs of the same values: identical bytes — the
-        # property the oracle's byte-fingerprint comparison rests on
-        a = kernels.encode_columns([[10, 20, 30]])
-        b = kernels.encode_columns([array("q", [10, 20, 30])])
-        assert a == b
-
-    def test_truncation_raises(self):
-        data = kernels.encode_columns([[1, 2, 3]])
-        with pytest.raises(CodecError):
-            kernels.decode_columns(data[:-1])
-
-    def test_trailing_bytes_raise(self):
-        data = kernels.encode_columns([[1]])
-        with pytest.raises(CodecError):
-            kernels.decode_columns(data + b"\x00")
-
-    def test_unknown_mode_raises(self):
-        data = bytearray(kernels.encode_columns([[1]]))
-        # the mode byte follows the ncols uint and the count uint
-        data[2] = 0x7F
-        with pytest.raises(CodecError):
-            kernels.decode_columns(bytes(data))
-
-    @given(
-        st.lists(
-            st.lists(
-                st.integers(min_value=-_MAX_MAGNITUDE, max_value=_MAX_MAGNITUDE),
-                max_size=20,
-            ),
-            max_size=6,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip_structural_identity(self, columns):
-        assert kernels.decode_columns(kernels.encode_columns(columns)) == columns
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.integers(min_value=-(1 << 63), max_value=_INT64_MAX),
-                st.integers(min_value=-_MAX_MAGNITUDE, max_value=_MAX_MAGNITUDE),
-            ),
-            max_size=30,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_mixed_width_column(self, values):
-        assert kernels.decode_columns(kernels.encode_columns([values])) == [values]
 
 
 class TestLeafCellOffsets:

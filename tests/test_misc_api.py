@@ -7,7 +7,6 @@ from repro.index.matching import SequenceMatcher
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree
-from repro.storage.cache import BufferPool
 from repro.storage.wal import WalPager
 
 
@@ -64,16 +63,15 @@ class TestMatchStats:
 
 
 class TestPagerStacking:
-    def test_buffer_pool_over_wal_pager(self, tmp_path):
-        """The LRU pool composes with the WAL pager underneath."""
+    def test_tree_over_wal_pager(self, tmp_path):
+        """A tree straight on the WAL pager: checkpoint is the commit."""
         wal = WalPager(tmp_path / "w.db", page_size=512)
-        pool = BufferPool(wal, capacity=4)
-        tree = BPlusTree(pool)
+        tree = BPlusTree(wal)
         for i in range(200):
             tree.insert(f"k{i:04d}".encode(), b"v")
-        tree.checkpoint()  # flush pool -> wal overlay -> commit
+        tree.checkpoint()  # dirty nodes -> wal overlay -> commit
         tree.close()
-        pool.close()
+        wal.close()
 
         reopened = WalPager(tmp_path / "w.db")
         tree2 = BPlusTree(reopened)
@@ -82,8 +80,7 @@ class TestPagerStacking:
         reopened.close()
 
     def test_vist_over_buffered_wal(self, tmp_path):
-        pool = BufferPool(WalPager(tmp_path / "v.db"), capacity=32)
-        index = VistIndex(SequenceEncoder(), pager=pool)
+        index = VistIndex(SequenceEncoder(), pager=WalPager(tmp_path / "v.db"))
         ids = index.add_all(docs(10))
         index.flush()
         assert index.query("/r/a[text='v3']") == [ids[3]]

@@ -103,12 +103,11 @@ class TestMetricSet:
         from repro.index.matching import MatchStats
         from repro.index.postings import PostingCacheStats
         from repro.storage.bptree import TreeStats
-        from repro.storage.cache import CacheStats
 
-        for cls in (MatchStats, PostingCacheStats, CacheStats):
+        for cls in (MatchStats, PostingCacheStats):
             snap = cls().snapshot()
             assert snap and all(not k.startswith("_") for k in snap)
-        assert "hit_rate" in CacheStats().snapshot()
+        assert "hit_rate" in PostingCacheStats().snapshot()
         tree = TreeStats(
             entries=4, height=1, leaf_pages=2, internal_pages=1,
             page_size=4096, used_bytes=100,

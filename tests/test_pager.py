@@ -1,20 +1,20 @@
-"""Tests for the page storage layer (memory + file pagers, buffer pool)."""
+"""Tests for the page storage layer (memory, file and WAL pagers)."""
 
 import pytest
 
 from repro.errors import PageError
-from repro.storage.cache import BufferPool
 from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.wal import WalPager
 
 
-@pytest.fixture(params=["memory", "file", "buffered"])
+@pytest.fixture(params=["memory", "file", "wal"])
 def pager(request, tmp_path):
     if request.param == "memory":
         p = MemoryPager(page_size=256)
     elif request.param == "file":
         p = FilePager(tmp_path / "pages.db", page_size=256)
     else:
-        p = BufferPool(FilePager(tmp_path / "pages.db", page_size=256), capacity=4)
+        p = WalPager(tmp_path / "pages.db", page_size=256)
     yield p
     p.close()
 
@@ -133,38 +133,3 @@ class TestFilePager:
         with pytest.raises(PageError):
             p.set_metadata(b"x" * 300)
         p.close()
-
-
-class TestBufferPool:
-    def test_hits_and_misses(self, tmp_path):
-        pool = BufferPool(FilePager(tmp_path / "p.db", page_size=256), capacity=2)
-        a = pool.allocate()
-        pool.write(a, b"a")
-        pool.read(a)
-        assert pool.stats.hits >= 1
-
-    def test_eviction_writes_back(self, tmp_path):
-        base = FilePager(tmp_path / "p.db", page_size=256)
-        pool = BufferPool(base, capacity=2)
-        pids = [pool.allocate() for _ in range(5)]
-        for i, pid in enumerate(pids):
-            pool.write(pid, bytes([i + 1]) * 10)
-        assert pool.stats.evictions > 0
-        for i, pid in enumerate(pids):
-            assert pool.read(pid)[:10] == bytes([i + 1]) * 10
-
-    def test_flush_clears_dirty(self, tmp_path):
-        base = FilePager(tmp_path / "p.db", page_size=256)
-        pool = BufferPool(base, capacity=8)
-        pid = pool.allocate()
-        pool.write(pid, b"dirty")
-        pool.flush()
-        assert base.read(pid)[:5] == b"dirty"
-
-    def test_capacity_validation(self):
-        with pytest.raises(PageError):
-            BufferPool(MemoryPager(), capacity=0)
-
-    def test_hit_rate_zero_when_untouched(self):
-        pool = BufferPool(MemoryPager(), capacity=2)
-        assert pool.stats.hit_rate == 0.0

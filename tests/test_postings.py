@@ -1,9 +1,9 @@
-"""Query-path cache coherence: posting cache, window joins, descent reuse.
+"""Query-path cache coherence: posting cache, window joins, node cache.
 
 The posting cache is a lookaside structure — the B+Trees stay the source
 of truth — so every test here is an equivalence test at heart: the cached
 index must answer exactly like the uncached one under inserts, removals,
-reopen-from-disk, and buffer-pool eviction pressure.
+and reopen-from-disk.
 """
 
 import random
@@ -17,7 +17,6 @@ from repro.index.postings import PostingCache, PostingGroup
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.cache import BufferPool
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager
 from tests.conftest import build_figure3_record, build_purchase_schema, build_record
@@ -225,26 +224,6 @@ class TestVistCoherence:
         reopened.close()
         reopened.docstore.close()
 
-    def test_descent_cache_survives_buffer_pool_eviction(self, tmp_path):
-        # a 4-page pool forces constant eviction under the descent cache;
-        # cached pids must re-decode correctly after their pages cycle out
-        pool = BufferPool(FilePager(tmp_path / "vist.db"), capacity=4)
-        index = make_index(
-            pager=pool, docstore=FileDocStore(tmp_path / "docs.dat")
-        )
-        reference = make_index(posting_cache_size=0)
-        for doc in corpus(15):
-            index.add(doc)
-            reference.add(doc)
-        for _ in range(3):
-            for q in QUERIES:
-                assert index.query(q) == reference.query(q), q
-        stats = index.cache_stats()
-        assert stats["buffer_pool"]["evictions"] > 0
-        assert stats["descent"]["combined"]["hits"] > 0
-        index.close()
-        index.docstore.close()
-
     def test_rist_finalize_clears_cache(self):
         index = RistIndex(SequenceEncoder(schema=build_purchase_schema()))
         uncached = make_index(posting_cache_size=0)
@@ -254,14 +233,33 @@ class TestVistCoherence:
         for q in QUERIES:
             assert index.query(q) == uncached.query(q), q
 
-    def test_cache_stats_shape(self):
-        index = make_index()
+    def test_cache_stats_shape(self, tmp_path):
+        index = make_index(pager=FilePager(tmp_path / "vist.db"))
         index.add(build_figure3_record())
-        index.query("/P/S/N")
-        stats = index.cache_stats()
+        index.flush()
+        index.close()
+        pager = FilePager(tmp_path / "vist.db")
+        index = make_index(pager=pager)
+        before, reads = index.cache_stats(), pager.read_count
+        assert index.query("/P/S/N")  # cold: every node comes off the pager
+        cold = index.cache_stats()
+        assert set(cold) == {"postings", "descent", "buffer_pool"}
         for field in ("groups", "hits", "misses", "invalidations", "hit_rate"):
-            assert field in stats["postings"]
-        assert set(stats["descent"]) == {"combined", "docid"}
+            assert field in cold["postings"]
+        assert set(cold["buffer_pool"]) == {"hits", "misses", "writebacks", "hit_rate"}
+        missed = cold["buffer_pool"]["misses"] - before["buffer_pool"]["misses"]
+        assert missed == pager.read_count - reads > 0
+        assert set(cold["descent"]) == {"combined", "docid"}
+        assert cold["descent"]["combined"] == {"seeks": index.tree.seeks}
+        assert cold["descent"]["combined"]["seeks"] > before["descent"]["combined"]["seeks"]
+        index.postings.clear()  # make the repeat go back to the tree
+        assert index.query("/P/S/N")
+        warm = index.cache_stats()["buffer_pool"]
+        assert warm["misses"] == cold["buffer_pool"]["misses"]
+        assert warm["hits"] > cold["buffer_pool"]["hits"]
+        assert 0.0 < warm["hit_rate"] < 1.0
+        index.close()
+        pager.close()
 
     def test_match_stats_counters(self):
         index = make_index(posting_cache_size=16)
