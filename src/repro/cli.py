@@ -395,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scrub.set_defaults(handler=_cmd_scrub)
 
     p_salvage = sub.add_parser(
-        "salvage", help="rebuild a damaged index from its document store"
+        "salvage",
+        help="rebuild a damaged (or older-format) index from its document store",
     )
     p_salvage.add_argument("dbdir", type=Path)
     p_salvage.set_defaults(handler=_cmd_salvage)

@@ -89,6 +89,15 @@ class CodecError(StorageError):
     """A value cannot be encoded to (or decoded from) its byte form."""
 
 
+class IndexFormatError(StorageError):
+    """The index file's entries are in a layout this build does not read.
+
+    Raised on open when the tree's format stamp is missing or carries
+    another number.  There is no second decoder: the message names
+    ``repro salvage``, which rebuilds the index from the document store.
+    """
+
+
 class KeyTooLargeError(StorageError):
     """A key/value pair is too large to fit in a single B+Tree page."""
 

@@ -44,11 +44,23 @@ META_MAX_DEPTH_KEY = encode_tuple(("", 0, "max-depth"))
 # durable commit so reopening can truncate uncommitted trailing appends
 # (see VistIndex._record_store_bounds / _recover_store_bounds)
 META_STORE_BOUNDS_KEY = encode_tuple(("", 0, "store-bounds"))
+# layout of what a ViST tree holds (NodeState values, docstore payloads),
+# stamped when the tree is created.  There is one decoder: a tree with
+# another number, or none, is rebuilt by `repro salvage`, never read.
+META_FORMAT_KEY = encode_tuple(("", 0, "format"))
+ENTRY_FORMAT = 2
+# every combined-tree key that is not a trie node
+RESERVED_KEYS = frozenset(
+    (ROOT_KEY, META_MAX_DEPTH_KEY, META_STORE_BOUNDS_KEY, META_FORMAT_KEY)
+)
 
 __all__ = [
     "ROOT_KEY",
     "META_MAX_DEPTH_KEY",
     "META_STORE_BOUNDS_KEY",
+    "META_FORMAT_KEY",
+    "ENTRY_FORMAT",
+    "RESERVED_KEYS",
     "label_key",
     "node_key",
     "node_key_len",

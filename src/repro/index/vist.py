@@ -26,12 +26,20 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import IndexStateError, KeyTooLargeError, ScopeUnderflowError
+from repro.errors import (
+    CodecError,
+    IndexFormatError,
+    IndexStateError,
+    KeyTooLargeError,
+    ScopeUnderflowError,
+)
 from repro.doc.stats import CorpusStats
 from repro.index.base import XmlIndexBase
 from repro.index.matching import SequenceMatcher
 from repro.index.postings import PostingCache
 from repro.index.store import (
+    ENTRY_FORMAT,
+    META_FORMAT_KEY,
     META_STORE_BOUNDS_KEY,
     ROOT_KEY,
     CombinedTreeHost,
@@ -52,7 +60,7 @@ from repro.labeling.scope import Scope
 from repro.query.ast import QuerySequence
 from repro.sequence.encoding import Item, StructureEncodedSequence
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.bptree import BPlusTree, TreeStats
+from repro.storage.bptree import _LEAF_CELL_OVERHEAD, BPlusTree, TreeStats
 from repro.storage.docstore import DocStore
 from repro.storage.pager import MemoryPager, Pager
 from repro.storage.serialization import (
@@ -136,6 +144,10 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # tree yet, so _end_batch can insert them directly instead of
         # paying put()'s delete-then-insert
         self._overlay_created: Optional[set[int]] = None
+        if self.tree.is_empty():
+            self.tree.put(META_FORMAT_KEY, encode_uint(ENTRY_FORMAT))
+        else:
+            self._check_format()
         root_value = self.tree.get(ROOT_KEY)
         if root_value is None:
             self._root_state = NodeState(scope=Scope(0, max_label - 1), parent_n=0)
@@ -149,6 +161,18 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         self.recovered_trailing_docs = self._recover_store_bounds()
         self._register_host_metrics()
         self.metrics.register("underflows", lambda: self.underflow_count)
+
+    def _check_format(self) -> None:
+        """Refuse a tree whose entries this build's one decoder cannot read."""
+        stamp = self.tree.get(META_FORMAT_KEY)
+        if stamp == encode_uint(ENTRY_FORMAT):
+            return
+        found = "no format stamp" if stamp is None else f"format {decode_uint(stamp)[0]}"
+        raise IndexFormatError(
+            f"the index holds entries with {found}, this build reads only "
+            f"format {ENTRY_FORMAT}; run `repro salvage DBDIR` to rebuild it "
+            "from the document store"
+        )
 
     # ------------------------------------------------------------------
     # ingestion (Algorithm 4)
@@ -231,12 +255,10 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         """Reject sequences whose keys cannot fit a B+Tree cell *before*
         touching any persistent state, so a failed add never leaves a
         partially inserted document behind."""
-        budget = self._pager.page_size // 4
-        # worst-case NodeState size given the root label width: flags +
-        # refs/k counters + up to nine label-width integers (size, parent,
-        # reserve, three chain cursors of two integers each)
-        label_width = len(encode_uint(self._root_state.scope.end))
-        value_allowance = 40 + 9 * label_width
+        budget = self._pager.page_size // 4 - _LEAF_CELL_OVERHEAD
+        # every label-sized field of a non-root entry is at most the root's
+        # scope end; the codec prices the worst state it can write
+        value_allowance = NodeState.max_encoded_len(self._root_state.scope.end)
         for item in sequence:
             key_size = node_key_len(item.symbol, item.prefix, self._root_state.scope.end)
             if key_size + value_allowance > budget:
@@ -569,19 +591,28 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     def _make_payload(
         self, sequence: StructureEncodedSequence, labels: list[int]
     ) -> bytes:
+        # the insert path as first label + successive differences: a child's
+        # n exceeds its parent's and a borrowed block sits above its lender,
+        # so encode_uint's CodecError on a negative is the ordering check
         seq_bytes = sequence.to_bytes()
         out = bytearray(encode_uint(len(seq_bytes)))
         out += seq_bytes
+        prev = 0
         for n in labels:
-            out += encode_uint(n)
+            out += encode_uint(n - prev)
+            prev = n
         return bytes(out)
 
     def _parse_payload(self, payload: bytes) -> tuple[StructureEncodedSequence, list[int]]:
         seq_len, offset = decode_uint(payload)
         offset += seq_len
         labels: list[int] = []
+        n = 0
         while offset < len(payload):
-            n, offset = decode_uint(payload, offset)
+            delta, offset = decode_uint(payload, offset)
+            if not delta:
+                raise CodecError("payload label list does not ascend")
+            n += delta
             labels.append(n)
         return self._payload_to_sequence(payload), labels
 

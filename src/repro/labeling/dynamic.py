@@ -18,10 +18,24 @@ sequence — the paper's repair, implemented in
 :class:`NodeState` is the bookkeeping stored in each S-Ancestor B+Tree
 entry: the scope, the parent id (used for the immediate-child test of
 Algorithm 4), λ-chain cursors, the reserve watermark and a reference
-count for deletion.  λ-chains persist a ``(next, remaining)`` cursor so
-allocating the ``k``-th child is O(1) in exact integer arithmetic — no
-floating point ever touches a label, because at ``Max = 2**256`` float
-rounding would overlap scopes.
+count for deletion.  A λ-chain persists one cursor, ``next``; the width
+still free is ``region end − next`` because a chain carves one fixed
+region for life, so allocating the ``k``-th child is O(1) in exact
+integer arithmetic — no floating point ever touches a label, because at
+``Max = 2**256`` float rounding would overlap scopes.
+
+**Entry codec.**  Labels are 256-bit integers, but a node's neighbours
+are close: 86 % of trie nodes are an only child, one id above their
+parent.  :meth:`NodeState.to_bytes` therefore stores every label as its
+distance from the node's own ``n`` (which the key already carries) and
+omits what is idle::
+
+    [flags][size][n − parent_n][refs]
+    [reserve_used]          only with _FLAG_RESERVE
+    [k][next − n]           once per chain whose flag bit is set
+
+``size`` stays the first integer, at offset 1: the query path decodes
+nothing else (``VistIndex._end_of``).
 """
 
 from __future__ import annotations
@@ -39,6 +53,18 @@ from repro.storage.serialization import decode_uint, encode_uint
 DEFAULT_MAX = 1 << 256  # root scope [0, 2^256); labels are unbounded ints
 
 _FLAG_PRIVATE = 0x01
+_FLAG_RESERVE = 0x02  # reserve_used > 0 follows
+_FLAG_PLAIN = 0x04  # per chain: (k, next - n) follows, in this order
+_FLAG_VALUE = 0x08
+_FLAG_EXTRA = 0x10
+_CHAIN_FLAGS = (
+    ("plain", _FLAG_PLAIN),
+    ("value", _FLAG_VALUE),
+    ("extra", _FLAG_EXTRA),
+)
+_KNOWN_FLAGS = _FLAG_PRIVATE | _FLAG_RESERVE | _FLAG_PLAIN | _FLAG_VALUE | _FLAG_EXTRA
+# refs and chain lengths count documents and children, not labels
+_COUNTER_BOUND = (1 << 64) - 1
 _WEIGHT_SCALE = 1_000_000
 
 __all__ = [
@@ -54,37 +80,27 @@ __all__ = [
 
 @dataclass
 class Chain:
-    """Cursor of one λ-chain: children carved left-to-right off a region."""
+    """Cursor of one λ-chain: children carved left-to-right off a region.
+
+    A chain serves one ``(region_lo, region_width)`` for life (a function
+    of the owning node's scope and item), so the unallocated width is
+    always ``region_lo + region_width - next`` and only ``next`` persists.
+    """
 
     k: int = 0  # children allocated so far
     next: int = 0  # next free id (valid once k > 0)
-    remaining: int = 0  # width still unallocated (valid once k > 0)
 
     def allocate(self, region_lo: int, region_width: int, lam: int) -> Optional[Scope]:
         """Carve the next child scope; ``None`` on underflow (Eq. 5–6)."""
         if lam < 2:
             lam = 2
-        if self.k == 0:
-            self.next = region_lo
-            self.remaining = region_width
-        share = self.remaining // lam
+        start = self.next if self.k else region_lo
+        share = (region_lo + region_width - start) // lam
         if share < 1:
             return None
-        scope = Scope(self.next, share - 1)
-        self.next += share
-        self.remaining -= share
+        self.next = start + share
         self.k += 1
-        return scope
-
-    def to_bytes(self) -> bytes:
-        return encode_uint(self.k) + encode_uint(self.next) + encode_uint(self.remaining)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int) -> tuple["Chain", int]:
-        k, offset = decode_uint(data, offset)
-        nxt, offset = decode_uint(data, offset)
-        remaining, offset = decode_uint(data, offset)
-        return cls(k=k, next=nxt, remaining=remaining), offset
+        return Scope(start, share - 1)
 
 
 @dataclass
@@ -109,16 +125,23 @@ class NodeState:
     extra: Chain = field(default_factory=Chain)
 
     def to_bytes(self) -> bytes:
+        n = self.scope.n
         flags = _FLAG_PRIVATE if self.private else 0
+        tail = b""
+        if self.reserve_used:
+            flags |= _FLAG_RESERVE
+            tail = encode_uint(self.reserve_used)
+        for name, bit in _CHAIN_FLAGS:
+            chain = getattr(self, name)
+            if chain.k:
+                flags |= bit
+                tail += encode_uint(chain.k) + encode_uint(chain.next - n)
         return (
             bytes([flags])
             + encode_uint(self.scope.size)
-            + encode_uint(self.parent_n)
+            + encode_uint(n - self.parent_n)
             + encode_uint(self.refs)
-            + encode_uint(self.reserve_used)
-            + self.plain.to_bytes()
-            + self.value.to_bytes()
-            + self.extra.to_bytes()
+            + tail
         )
 
     @classmethod
@@ -126,26 +149,45 @@ class NodeState:
         if not data:
             raise CodecError("empty node state")
         flags = data[0]
-        offset = 1
-        size, offset = decode_uint(data, offset)
-        parent_n, offset = decode_uint(data, offset)
+        if flags & ~_KNOWN_FLAGS:
+            raise CodecError(f"unknown node state flag bits {flags & ~_KNOWN_FLAGS:#x}")
+        size, offset = decode_uint(data, 1)
+        parent_delta, offset = decode_uint(data, offset)
+        if parent_delta > n:
+            raise CodecError(f"parent delta {parent_delta} exceeds the label {n}")
         refs, offset = decode_uint(data, offset)
-        reserve_used, offset = decode_uint(data, offset)
-        plain, offset = Chain.from_bytes(data, offset)
-        value, offset = Chain.from_bytes(data, offset)
-        extra, offset = Chain.from_bytes(data, offset)
-        if offset != len(data):
-            raise CodecError("trailing bytes in node state")
-        return cls(
+        reserve_used = 0
+        if flags & _FLAG_RESERVE:
+            reserve_used, offset = decode_uint(data, offset)
+            if not reserve_used:
+                raise CodecError("node state flags an unused reserve")
+        state = cls(
             scope=Scope(n, size),
-            parent_n=parent_n,
+            parent_n=n - parent_delta,
             refs=refs,
             reserve_used=reserve_used,
             private=bool(flags & _FLAG_PRIVATE),
-            plain=plain,
-            value=value,
-            extra=extra,
         )
+        for name, bit in _CHAIN_FLAGS:
+            if flags & bit:
+                k, offset = decode_uint(data, offset)
+                delta, offset = decode_uint(data, offset)
+                if not k or not delta:
+                    raise CodecError(f"node state flags an idle {name} chain")
+                setattr(state, name, Chain(k=k, next=n + delta))
+        if offset != len(data):
+            raise CodecError("trailing bytes in node state")
+        return state
+
+    @staticmethod
+    def max_encoded_len(label_bound: int) -> int:
+        """Longest :meth:`to_bytes` of any state under a root whose labels
+        stay within ``label_bound``: private, reserve used, three chains —
+        six label-width integers (size, parent delta, reserve, three
+        ``next`` deltas) and four counters (refs, three ``k``)."""
+        label = len(encode_uint(label_bound))
+        counter = len(encode_uint(_COUNTER_BOUND))
+        return 1 + 6 * label + 4 * counter
 
 
 class ScopeAllocator:
@@ -262,6 +304,7 @@ class UniformAllocator(ScopeAllocator):
             return None
         child_scope = Scope(scope.n + 1 + k * share, share - 1)
         parent_state.plain.k = k + 1
+        parent_state.plain.next = child_scope.end + 1
         return child_scope
 
 

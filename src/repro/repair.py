@@ -16,7 +16,10 @@ then do the side files atomically replace the damaged originals.  The
 docstore is the source of truth — its records carry their own checksums —
 so salvage refuses to run when the docstore itself is damaged.
 ``sources.dat`` (original XML text) is untouched: ids are preserved, so
-it stays aligned.
+it stays aligned.  Because only the sequence half of each stored payload
+is read and the old tree is never opened through the index, salvage is
+also the upgrade path for a directory whose entry format this build does
+not read (:class:`~repro.errors.IndexFormatError`).
 """
 
 from __future__ import annotations
@@ -482,9 +485,11 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     try:
         for doc_id in range(old_docs.id_bound):
             if doc_id in old_docs:
-                # _parse_payload strips the old insert-path labels; the
-                # re-insert assigns fresh ones and persists a new payload
-                sequence, _ = rebuilt._parse_payload(old_docs.get(doc_id))
+                # only the sequence half of a payload is read — its bytes
+                # are the same in every entry format, which is what makes
+                # salvage the upgrade path; the re-insert assigns fresh
+                # labels and persists a new payload
+                sequence = rebuilt._payload_to_sequence(old_docs.get(doc_id))
                 new_id = rebuilt.add_sequence(sequence)
                 report.documents += 1
             else:

@@ -39,12 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.index.postings import PostingGroup
-from repro.index.store import (
-    META_MAX_DEPTH_KEY,
-    META_STORE_BOUNDS_KEY,
-    ROOT_KEY,
-    decode_node_key,
-)
+from repro.index.store import RESERVED_KEYS, decode_node_key
 from repro.labeling.dynamic import NodeState
 from repro.storage.bptree import BPlusTree, _Internal, _Leaf, _Node, Pair
 
@@ -177,7 +172,7 @@ def _vist_nodes(index) -> dict[int, tuple[NodeState, object, tuple]]:
     """All combined-tree nodes: ``n -> (state, symbol, prefix)``."""
     nodes: dict[int, tuple[NodeState, object, tuple]] = {}
     for key, value in index.tree.items():
-        if key in (ROOT_KEY, META_MAX_DEPTH_KEY, META_STORE_BOUNDS_KEY):
+        if key in RESERVED_KEYS:
             continue
         symbol, prefix, n = decode_node_key(key)
         nodes[n] = (NodeState.from_bytes(n, value), symbol, prefix)

@@ -1,0 +1,369 @@
+"""The parent-relative entry codec: what it stores, what it refuses, and
+the proof that it moved no label.
+
+* Hypothesis round trips of :class:`NodeState` (labels up to 2**256, every
+  flag combination) and of docstore payload label lists, a borrowed insert
+  path included;
+* every malformed value — truncated, trailing byte, unknown flag bit,
+  parent delta above the label — is a :class:`CodecError`;
+* the **label-assignment pin**: sha-256 over every combined-tree key and
+  DocId entry of a seeded corpus, computed at the commit *before*
+  ``Chain.remaining`` was deleted and committed here as constants;
+* the **byte-census gate**: mean entry value and payload label bytes on
+  that corpus (exact for the seed, bounded at the reading + 10 %);
+* both edges of ``_validate_key_sizes`` at the default page size.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.datasets.dblp import DblpConfig, DblpGenerator, dblp_schema
+from repro.datasets.xmark import XmarkConfig, XmarkGenerator
+from repro.doc.model import XmlNode
+from repro.errors import CodecError, KeyTooLargeError
+from repro.index.store import RESERVED_KEYS, decode_node_key, node_key, node_key_len
+from repro.index.vist import VistIndex
+from repro.labeling.dynamic import Chain, LambdaAllocator, NodeState
+from repro.labeling.scope import Scope
+from repro.sequence.transform import SequenceEncoder
+from repro.storage.bptree import _LEAF_CELL_OVERHEAD
+from repro.storage.pager import DEFAULT_PAGE_SIZE
+from repro.storage.serialization import decode_uint, encode_uint
+from repro.testing.invariants import assert_invariants
+
+LABELS = st.integers(min_value=0, max_value=1 << 256)
+COUNTS = st.sampled_from([0, 1, 2, 300, (1 << 64) - 1])
+
+
+@st.composite
+def node_states(draw) -> NodeState:
+    n = draw(LABELS)
+    state = NodeState(
+        scope=Scope(n, draw(LABELS)),
+        parent_n=draw(st.integers(min_value=0, max_value=n)),
+        refs=draw(COUNTS),
+        reserve_used=draw(st.one_of(st.just(0), LABELS)),
+        private=draw(st.booleans()),
+    )
+    for name in ("plain", "value", "extra"):
+        if draw(st.booleans()):
+            k = draw(COUNTS.filter(bool))
+            distance = draw(st.integers(min_value=1, max_value=1 << 256))
+            setattr(state, name, Chain(k=k, next=n + distance))
+    return state
+
+
+class TestNodeStateCodec:
+    @given(state=node_states())
+    def test_round_trip(self, state):
+        data = state.to_bytes()
+        assert NodeState.from_bytes(state.scope.n, data) == state
+        # the query path reads the scope end and nothing else: size is
+        # the first integer, at offset 1, whatever the flags say
+        assert decode_uint(data, 1)[0] == state.scope.size
+
+    def test_every_flag_combination_round_trips(self):
+        n = (1 << 255) + 12345
+        for mask in range(32):
+            state = NodeState(
+                scope=Scope(n, 1 << 200),
+                parent_n=n - 1,
+                refs=3,
+                private=bool(mask & 1),
+                reserve_used=77 if mask & 2 else 0,
+            )
+            if mask & 4:
+                state.plain = Chain(k=2, next=n + (1 << 198))
+            if mask & 8:
+                state.value = Chain(k=1, next=n + 9)
+            if mask & 16:
+                state.extra = Chain(k=500, next=n + (1 << 199))
+            data = state.to_bytes()
+            assert data[0] == mask
+            assert NodeState.from_bytes(n, data) == state
+
+    def test_idle_fields_cost_nothing(self):
+        n = 1 << 250
+        leaf = NodeState(scope=Scope(n, 0), parent_n=n - 1, refs=1)
+        # flags, size 0, delta 1, refs 1: an only-child leaf is six bytes
+        assert len(leaf.to_bytes()) == 1 + 1 + 2 + 2
+
+    @given(state=node_states())
+    def test_within_the_priced_worst_case(self, state):
+        bound = max(
+            state.scope.n,
+            state.scope.size,
+            state.reserve_used,
+            *(c.next - state.scope.n for c in (state.plain, state.value, state.extra) if c.k),
+        )
+        assert len(state.to_bytes()) <= NodeState.max_encoded_len(bound)
+
+    @given(state=node_states(), cut=st.integers(min_value=0, max_value=400))
+    def test_truncation_is_a_codec_error(self, state, cut):
+        data = state.to_bytes()
+        with pytest.raises(CodecError):
+            NodeState.from_bytes(state.scope.n, data[: cut % len(data)])
+
+    @given(state=node_states(), junk=st.binary(min_size=1, max_size=3))
+    def test_trailing_bytes_are_a_codec_error(self, state, junk):
+        with pytest.raises(CodecError):
+            NodeState.from_bytes(state.scope.n, state.to_bytes() + junk)
+
+    @pytest.mark.parametrize("bit", [0x20, 0x40, 0x80])
+    def test_unknown_flag_bit_is_a_codec_error(self, bit):
+        data = bytearray(NodeState(Scope(9, 4), parent_n=8).to_bytes())
+        data[0] |= bit
+        with pytest.raises(CodecError, match="flag"):
+            NodeState.from_bytes(9, bytes(data))
+
+    def test_parent_delta_above_the_label_is_a_codec_error(self):
+        data = NodeState(Scope(1000, 4), parent_n=10).to_bytes()  # delta 990
+        assert NodeState.from_bytes(1000, data).parent_n == 10
+        with pytest.raises(CodecError, match="delta"):
+            NodeState.from_bytes(989, data)
+
+    def test_flagged_but_idle_fields_are_a_codec_error(self):
+        # a set flag bit promises a non-zero field: one encoding per state
+        size_delta_refs = encode_uint(4) + encode_uint(1) + encode_uint(0)
+        with pytest.raises(CodecError, match="reserve"):
+            NodeState.from_bytes(9, b"\x02" + size_delta_refs + encode_uint(0))
+        with pytest.raises(CodecError, match="idle plain chain"):
+            NodeState.from_bytes(
+                9, b"\x04" + size_delta_refs + encode_uint(0) + encode_uint(5)
+            )
+
+    def test_state_behind_its_own_label_cannot_be_written(self):
+        # a cursor at or below n contradicts Chain's contract; the encoder
+        # refuses it instead of writing a wrapped delta
+        state = NodeState(Scope(50, 10), parent_n=40, plain=Chain(k=1, next=7))
+        with pytest.raises(CodecError):
+            state.to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# docstore payloads
+
+
+def _chain_doc(depth: int, leaf: str = "leaf") -> XmlNode:
+    root = XmlNode("c0")
+    node = root
+    for i in range(1, depth):
+        node = node.element(f"c{i}")
+    node.text = leaf
+    return root
+
+
+class TestPayloadLabels:
+    @given(
+        first=st.integers(min_value=1, max_value=1 << 256),
+        steps=st.lists(st.integers(min_value=1, max_value=1 << 256), max_size=40),
+        depth=st.integers(min_value=1, max_value=6),
+    )
+    def test_label_list_round_trips(self, first, steps, depth):
+        index = VistIndex(SequenceEncoder())
+        sequence = index.encoder.encode_node(_chain_doc(depth))
+        labels = [first]
+        for step in steps:
+            labels.append(labels[-1] + step)
+        payload = index._make_payload(sequence, labels)
+        assert index._parse_payload(payload) == (sequence, labels)
+        assert index._payload_to_sequence(payload) == sequence
+
+    def test_borrowed_path_round_trips(self):
+        """``max_label=2**16`` underflows on a deep chain: the stored path
+        is shared labels, then a sequential block above the lender."""
+        index = VistIndex(
+            SequenceEncoder(),
+            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            max_label=1 << 16,
+        )
+        ids = [index.add(_chain_doc(18, leaf=f"v{i}")) for i in range(6)]
+        assert index.underflow_count >= 1
+        private = {
+            decode_node_key(key)[2]
+            for key, value in _node_entries(index)
+            if NodeState.from_bytes(decode_node_key(key)[2], value).private
+        }
+        borrowed = 0
+        for doc_id in ids:
+            sequence, labels = index._parse_payload(index.docstore.get(doc_id))
+            assert len(labels) == len(sequence)
+            assert labels == sorted(set(labels))
+            borrowed += labels[-1] in private
+        assert borrowed
+        assert_invariants(index)
+        for doc_id in ids[::2]:
+            index.remove(doc_id)  # remove() walks the decoded labels
+        assert_invariants(index)
+
+    def test_descending_labels_cannot_be_written(self):
+        index = VistIndex(SequenceEncoder())
+        sequence = index.encoder.encode_node(_chain_doc(3))
+        with pytest.raises(CodecError):
+            index._make_payload(sequence, [10, 9, 11])
+
+    def test_repeated_label_is_a_codec_error(self):
+        index = VistIndex(SequenceEncoder())
+        sequence = index.encoder.encode_node(_chain_doc(3))
+        payload = index._make_payload(sequence, [10, 11]) + encode_uint(0)
+        with pytest.raises(CodecError, match="ascend"):
+            index._parse_payload(payload)
+
+    def test_truncated_label_list_is_a_codec_error(self):
+        index = VistIndex(SequenceEncoder())
+        sequence = index.encoder.encode_node(_chain_doc(3))
+        payload = index._make_payload(sequence, [1 << 200, (1 << 200) + (1 << 90)])
+        with pytest.raises(CodecError):
+            index._parse_payload(payload[:-3])
+
+
+# ---------------------------------------------------------------------------
+# the pinned corpus: labels unchanged, bytes bounded
+
+# sha-256 over every non-reserved combined-tree key and every DocId
+# (key, value), computed by _label_digest at the commit before this codec
+# (Chain still carried `remaining`; 3 974 and 4 036 trie nodes)
+PINNED = {
+    "lambda": "252a224d793c5fdc9f5706b0c00f417f3847dd2f1439e16951ca3d7fe6928978",
+    "clue": "f9e541d31a2133675b98926b77a5b282b60e1f15d94cf45afb60ba3f9c549b8e",
+}
+
+
+def _pinned_index(schema) -> VistIndex:
+    """300 DBLP + 100 XMark records, seed 7, through both insert paths
+    (batched and per-document), then every seventh document removed."""
+    index = VistIndex(SequenceEncoder(schema=schema))
+    dblp = list(DblpGenerator(DblpConfig(seed=7)).records(300))
+    xmark = list(XmarkGenerator(XmarkConfig(seed=7)).records(100))
+    ids = index.add_batch(dblp[:200], batch_size=64, durability="none")
+    ids += [index.add(doc) for doc in xmark[:50]]
+    ids += index.add_batch(dblp[200:] + xmark[50:], batch_size=64, durability="none")
+    for doc_id in ids[3::7]:
+        index.remove(doc_id)
+    return index
+
+
+def _node_entries(index: VistIndex):
+    return [(key, value) for key, value in index.tree.items() if key not in RESERVED_KEYS]
+
+
+def _label_digest(index: VistIndex) -> str:
+    digest = hashlib.sha256()
+    for key, _ in _node_entries(index):
+        digest.update(len(key).to_bytes(4, "big") + key)
+    for key, value in index.docid_tree.items():
+        digest.update(len(key).to_bytes(4, "big") + key + value)
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module", params=["lambda", "clue"])
+def pinned(request):
+    schema = dblp_schema() if request.param == "clue" else None
+    return request.param, _pinned_index(schema)
+
+
+def test_label_assignment_pin(pinned):
+    """Deleting ``remaining`` changed no scope: same keys, same DocIds."""
+    name, index = pinned
+    assert _label_digest(index) == PINNED[name]
+    assert_invariants(index)
+
+
+def test_pinned_corpus_exercises_every_chain(pinned):
+    name, index = pinned
+    states = [
+        NodeState.from_bytes(decode_node_key(key)[2], value)
+        for key, value in _node_entries(index)
+    ]
+    if name == "lambda":
+        assert any(s.plain.k > 1 for s in states)
+    else:  # XMark records are unknown to dblp_schema(): the overflow chain
+        assert any(s.value.k > 1 for s in states)
+        assert any(s.extra.k > 0 for s in states) or index._root_state.extra.k > 0
+
+
+def test_byte_census_gate(pinned):
+    """Counts, exact for the seed.  The readings at this commit are 63.8 /
+    6.91 (λ) and 54.8 / 12.07 (clue) against 129.1 / 32.5 and 106.5 / 33.0
+    before; the bounds are the readings + 10 %."""
+    name, index = pinned
+    entries = _node_entries(index)
+    mean_value = sum(len(value) for _, value in entries) / len(entries)
+    label_bytes = items = 0
+    for doc_id in index.docstore.ids():
+        payload = index.docstore.get(doc_id)
+        seq_len, offset = decode_uint(payload)
+        label_bytes += len(payload) - offset - seq_len
+        items += len(index._payload_to_sequence(payload))
+    max_value, max_label_bytes = {"lambda": (70.2, 7.6), "clue": (60.4, 13.3)}[name]
+    assert mean_value <= max_value
+    assert label_bytes / items <= max_label_bytes
+
+
+# ---------------------------------------------------------------------------
+# _validate_key_sizes prices the value the codec will actually write
+
+
+def _doc_with_root_label(length: int) -> XmlNode:
+    return XmlNode("k" * length)
+
+
+def _root_key_len(index: VistIndex, length: int) -> int:
+    return node_key_len("k" * length, (), index._root_state.scope.end)
+
+
+class TestKeySizeBudget:
+    def cell_budget(self) -> int:
+        return DEFAULT_PAGE_SIZE // 4 - _LEAF_CELL_OVERHEAD
+
+    def longest_accepted_label(self, index: VistIndex) -> int:
+        allowance = NodeState.max_encoded_len(index._root_state.scope.end)
+        length = 1
+        while _root_key_len(index, length + 1) + allowance <= self.cell_budget():
+            length += 1
+        assert _root_key_len(index, length) + allowance == self.cell_budget()
+        return length
+
+    def test_a_key_the_old_allowance_rejected_now_fits_with_the_worst_state(self):
+        index = VistIndex(SequenceEncoder())
+        end = index._root_state.scope.end
+        length = self.longest_accepted_label(index)
+        # the nine-integer allowance this replaces would have refused it
+        old_allowance = 40 + 9 * len(encode_uint(end))
+        assert _root_key_len(index, length) + old_allowance > DEFAULT_PAGE_SIZE // 4
+        doc_id = index.add(_doc_with_root_label(length))
+        assert index.query("/" + "k" * length) == [doc_id]
+        # ... and a cell under that key still fits when its label and its
+        # state are the widest the codec can write: private, reserve used,
+        # three chains, every label-sized field as wide as the root allows
+        key = node_key("k" * length, (), end)
+        worst = NodeState(
+            scope=Scope(end, end),
+            parent_n=0,
+            refs=(1 << 64) - 1,
+            reserve_used=end,
+            private=True,
+            plain=Chain(k=(1 << 64) - 1, next=end + end),
+            value=Chain(k=(1 << 64) - 1, next=end + end),
+            extra=Chain(k=(1 << 64) - 1, next=end + end),
+        )
+        assert len(worst.to_bytes()) == NodeState.max_encoded_len(end)
+        index.tree.insert(key, worst.to_bytes())
+        assert NodeState.from_bytes(end, index.tree.get(key)) == worst
+        with pytest.raises(KeyTooLargeError):  # the budget is tight, not padded
+            index.tree.insert(key, worst.to_bytes() + b"\x00")
+
+    def test_one_byte_past_the_budget_is_rejected_before_any_write(self):
+        index = VistIndex(SequenceEncoder())
+        ok = index.add(XmlNode("r"))
+        length = self.longest_accepted_label(index) + 1
+        before = (list(index.tree.items()), len(index.docstore))
+        with pytest.raises(KeyTooLargeError):
+            index.add(_doc_with_root_label(length))
+        assert (list(index.tree.items()), len(index.docstore)) == before
+        assert index.query("/r") == [ok]

@@ -1,0 +1,215 @@
+"""The entry-format stamp and the upgrade path, tested without old code.
+
+There is one decoder.  A tree created by this build carries
+``META_FORMAT_KEY``; a non-empty tree without it (or with another number)
+cannot be opened, and the typed error names ``repro salvage`` — which
+rebuilds the index from the *sequence* half of every stored payload, bytes
+that are the same in every entry format.  The old layout is hand-built
+here, byte by byte; nothing in ``src/`` can read it.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.bench.workloads import TABLE3_QUERIES
+from repro.cli import main, open_index
+from repro.datasets.dblp import DblpConfig, DblpGenerator
+from repro.errors import IndexFormatError
+from repro.index.store import (
+    ENTRY_FORMAT,
+    META_FORMAT_KEY,
+    RESERVED_KEYS,
+    ROOT_KEY,
+    decode_node_key,
+)
+from repro.index.vist import VistIndex
+from repro.labeling.dynamic import NodeState
+from repro.shard import ShardRouter
+from repro.shard.routing import shard_dir
+from repro.storage.docstore import FileDocStore
+from repro.storage.serialization import decode_uint, encode_uint
+from repro.testing.invariants import assert_invariants
+
+pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
+
+DBLP_QUERIES = [q.xpath for q in TABLE3_QUERIES if q.dataset == "dblp"]
+REMOVED = (5, 17)  # tombstones: salvage keeps ids positional across them
+
+
+def _records():
+    return list(DblpGenerator(DblpConfig(seed=3)).records(120))
+
+
+def _close(index: VistIndex) -> None:
+    index.flush()
+    index.close()
+    index.docstore.close()
+    if index.source_store is not None:
+        index.source_store.close()
+
+
+def _build(dbdir: Path) -> None:
+    index = open_index(dbdir)
+    index.add_batch(_records(), durability="none")
+    for doc_id in REMOVED:
+        index.remove(doc_id)
+    _close(index)
+
+
+def _answers(dbdir: Path) -> dict[str, list[int]]:
+    index = open_index(dbdir)
+    try:
+        assert_invariants(index)
+        return {q: index.query(q, verify=True) for q in DBLP_QUERIES}
+    finally:
+        _close(index)
+
+
+def _drop_stamp(dbdir: Path) -> None:
+    index = open_index(dbdir)
+    assert index.tree.delete(META_FORMAT_KEY) == 1
+    _close(index)
+
+
+@pytest.fixture(scope="module")
+def fresh_answers(tmp_path_factory) -> dict[str, list[int]]:
+    dbdir = tmp_path_factory.mktemp("fresh") / "db"
+    _build(dbdir)
+    answers = _answers(dbdir)
+    assert len(answers) == 5 and all(answers.values())
+    return answers
+
+
+# ---------------------------------------------------------------------------
+# (a) the stamp
+
+
+def test_new_tree_is_stamped(tmp_path):
+    index = open_index(tmp_path / "db")
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+    _close(index)
+    _close(open_index(tmp_path / "db"))  # and reopens
+
+
+def test_unstamped_tree_cannot_be_opened(tmp_path, capsys):
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    _drop_stamp(dbdir)
+    with pytest.raises(IndexFormatError, match="repro salvage"):
+        open_index(dbdir)
+    assert main(["query", str(dbdir), "/book"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "salvage" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_other_format_number_cannot_be_opened(tmp_path):
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    index = open_index(dbdir)
+    index.tree.put(META_FORMAT_KEY, encode_uint(ENTRY_FORMAT + 1))
+    _close(index)
+    with pytest.raises(IndexFormatError, match=f"format {ENTRY_FORMAT + 1}.*salvage"):
+        open_index(dbdir)
+
+
+# ---------------------------------------------------------------------------
+# (b) an old-layout DBDIR, built by hand
+
+
+def _old_state_bytes(index: VistIndex, state: NodeState) -> bytes:
+    """The nine-integer ``NodeState`` the format stamp replaced:
+    ``[flags][size][parent_n][refs][reserve_used]`` then ``(k, next,
+    remaining)`` for each of the plain / value / extra chains."""
+    scope = state.scope
+    out = bytes([1 if state.private else 0])
+    for field in (scope.size, state.parent_n, state.refs, state.reserve_used):
+        out += encode_uint(field)
+    region_end = scope.n + 1 + index.allocator.usable_size(scope)
+    for chain in (state.plain, state.value, state.extra):
+        remaining = region_end - chain.next if chain.k else 0
+        out += encode_uint(chain.k) + encode_uint(chain.next) + encode_uint(remaining)
+    return out
+
+
+def _rewrite_in_old_layout(dbdir: Path) -> None:
+    """Turn a DBDIR of this build into what the previous one wrote: no
+    format stamp, absolute cursors in every tree value, and docstore
+    payloads as ``[len][sequence bytes][absolute labels]``."""
+    index = open_index(dbdir)
+    for key, value in list(index.tree.items()):
+        if key in RESERVED_KEYS - {ROOT_KEY}:
+            continue
+        n = 0 if key == ROOT_KEY else decode_node_key(key)[2]
+        state = NodeState.from_bytes(n, value)
+        index.tree.put(key, _old_state_bytes(index, state))
+    index.tree.delete(META_FORMAT_KEY)
+    old_docs = FileDocStore(dbdir / "docs.dat.old")
+    for doc_id in range(index.docstore.id_bound):
+        if doc_id in index.docstore:
+            payload = index.docstore.get(doc_id)
+            seq_len, offset = decode_uint(payload)
+            _, labels = index._parse_payload(payload)
+            old_docs.add(
+                payload[: offset + seq_len] + b"".join(encode_uint(n) for n in labels)
+            )
+        else:
+            old_docs.remove(old_docs.add(b""))
+    old_docs.close()
+    _close(index)
+    (dbdir / "docs.dat.old").replace(dbdir / "docs.dat")
+
+
+def test_salvage_upgrades_a_hand_built_old_layout(tmp_path, capsys, fresh_answers):
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    new_size = (dbdir / "docs.dat").stat().st_size
+    _rewrite_in_old_layout(dbdir)
+    # the hand-built payloads really are the wide ones
+    assert (dbdir / "docs.dat").stat().st_size > 2 * new_size
+    with pytest.raises(IndexFormatError, match="salvage"):
+        open_index(dbdir)
+
+    assert main(["salvage", str(dbdir)]) == 0
+    out = capsys.readouterr().out
+    assert f"rebuilt {120 - len(REMOVED)} document(s)" in out
+    assert f"+{len(REMOVED)} tombstone(s)" in out
+
+    assert _answers(dbdir) == fresh_answers
+    # back to narrow payloads (tombstones now burn an empty record)
+    assert (dbdir / "docs.dat").stat().st_size <= new_size
+    index = open_index(dbdir)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+    assert all(doc_id not in index.docstore for doc_id in REMOVED)
+    _close(index)
+
+
+# ---------------------------------------------------------------------------
+# (c) sharded layout
+
+
+def test_every_shard_is_stamped_and_salvage_upgrades_all(tmp_path, capsys):
+    dbdir = tmp_path / "sdb"
+    with ShardRouter(dbdir, 3) as router:
+        router.add_batch(_records(), durability="none")
+        expected = {q: router.query(q, verify=True) for q in DBLP_QUERIES}
+    assert all(expected.values())
+    shards = [shard_dir(dbdir, k) for k in range(3)]
+    for path in shards:
+        index = open_index(path)
+        assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+        _close(index)
+        _drop_stamp(path)
+    with pytest.raises(IndexFormatError, match="salvage"):
+        ShardRouter(dbdir)
+
+    assert main(["salvage", str(dbdir)]) == 0
+    assert "3 shard(s) salvaged" in capsys.readouterr().out
+    with ShardRouter(dbdir) as router:
+        assert {q: router.query(q, verify=True) for q in DBLP_QUERIES} == expected
+        for shard in router.shards:
+            assert_invariants(shard)

@@ -9,7 +9,7 @@ checks nothing).
 import pytest
 
 from repro.doc.model import XmlNode
-from repro.index.store import ROOT_KEY, META_MAX_DEPTH_KEY, decode_node_key
+from repro.index.store import RESERVED_KEYS, decode_node_key
 from repro.index.vist import VistIndex
 from repro.labeling.dynamic import NodeState
 from repro.sequence.transform import SequenceEncoder
@@ -135,7 +135,7 @@ class TestBPlusTreeCorruption:
 def _tamper_node(index: VistIndex, mutate) -> None:
     """Decode one non-root combined-tree entry, mutate it, write it back."""
     for key, value in index.tree.items():
-        if key in (ROOT_KEY, META_MAX_DEPTH_KEY):
+        if key in RESERVED_KEYS:
             continue
         _symbol, _prefix, n = decode_node_key(key)
         state = NodeState.from_bytes(n, value)

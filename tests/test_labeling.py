@@ -14,6 +14,7 @@ from repro.labeling.dynamic import (
     ClueAllocator,
     LambdaAllocator,
     NodeState,
+    UniformAllocator,
 )
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
@@ -89,13 +90,35 @@ class TestChain:
             pytest.fail("chain never underflowed")
         assert chain.allocate(0, 64, 2) is None
 
-    def test_roundtrip(self):
+    @given(
+        region_lo=st.integers(min_value=0, max_value=1 << 256),
+        region_width=st.integers(min_value=0, max_value=1 << 256),
+        lams=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=80),
+    )
+    def test_matches_reference_chain_with_explicit_remaining(
+        self, region_lo, region_width, lams
+    ):
+        """``allocate`` derives the free width from ``next``; a reference
+        chain that carries ``remaining`` as its own field (the cursor the
+        entry format used to persist) hands out the same scopes, whatever
+        λ each call brings."""
         chain = Chain()
-        chain.allocate(5, 1000, 2)
-        data = chain.to_bytes()
-        restored, offset = Chain.from_bytes(data, 0)
-        assert offset == len(data)
-        assert restored == chain
+        ref_k = ref_next = ref_remaining = 0
+        for lam in lams:
+            if ref_k == 0:
+                ref_next, ref_remaining = region_lo, region_width
+            share = ref_remaining // max(lam, 2)
+            expected = None
+            if share >= 1:
+                expected = Scope(ref_next, share - 1)
+                ref_next += share
+                ref_remaining -= share
+                ref_k += 1
+            assert chain.allocate(region_lo, region_width, lam) == expected
+            assert chain.k == ref_k
+            if ref_k:
+                assert chain.next == ref_next
+                assert chain.next + ref_remaining == region_lo + region_width
 
     @given(
         width=st.integers(min_value=2, max_value=1 << 200),
@@ -295,3 +318,49 @@ class TestClueAllocator:
             ClueAllocator(fs, clue_fraction=1.5)
         with pytest.raises(LabelingError):
             ClueAllocator(fs, fallback_lam=1)
+
+
+class TestChainCursorInvariant:
+    """Every allocator keeps ``Chain``'s promise — ``next`` is valid once
+    ``k > 0`` — which is what lets the entry codec store ``next - n``."""
+
+    PARENT = Item("S", ("P",))
+    CHILDREN = [
+        Item("N", ("P", "S")),  # clue slot
+        Item("ZZZ", ("P", "S")),  # unpredicted: overflow chain
+        Item("I", ("P", "S")),
+        Item("YYY", ("P", "S")),
+    ]
+    VALUE_PARENT = Item("N", ("P", "S"))
+    VALUES = [Item(h, ("P", "S", "N")) for h in (11, 22, 33)]
+
+    @staticmethod
+    def assert_cursors(state):
+        for chain in (state.plain, state.value, state.extra):
+            if chain.k > 0:
+                assert state.scope.n < chain.next <= state.scope.end + 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LambdaAllocator(lam=3),
+            lambda: UniformAllocator(expected_children=5),
+            lambda: ClueAllocator(FollowSets(purchase_schema())),
+        ],
+        ids=["lambda", "uniform", "clue"],
+    )
+    @pytest.mark.parametrize("scope", [Scope(0, DEFAULT_MAX - 1), Scope(700, 90), Scope(5, 3)])
+    def test_next_is_inside_the_scope_after_every_place(self, make, scope):
+        alloc = make()
+        for parent, children in (
+            (self.PARENT, self.CHILDREN),
+            (self.VALUE_PARENT, self.VALUES),
+        ):
+            state = NodeState(scope=scope, parent_n=0)
+            for child in children * 3:
+                placed = alloc.place(state, parent, child)
+                self.assert_cursors(state)
+                if placed is not None:
+                    assert state.scope.covers(placed)
+                # what the codec relies on: the state always round-trips
+                assert NodeState.from_bytes(scope.n, state.to_bytes()) == state

@@ -140,8 +140,14 @@ class TestWorkerDeath:
                     assert causes and all(
                         isinstance(c, ShardUnavailableError) for c in causes
                     )
-            # unsupervised: the shard stays down, and says so immediately
+            # unsupervised: the shard stays down.  When all six were
+            # answered before the kill, the reader thread may not have seen
+            # EOF yet — give it the test's own promptness budget
+            deadline = time.monotonic() + 5.0
+            while executor.clients[1].state != DOWN and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert executor.clients[1].state == DOWN
+            # ... and says so immediately
             t0 = time.monotonic()
             outcome = executor.submit("//a").result(30)
             assert time.monotonic() - t0 < 5.0

@@ -154,14 +154,14 @@ class TestDeletion:
         assert len(index) == 1
 
     def test_remove_reclaims_unshared_entries(self):
-        from repro.index.store import META_MAX_DEPTH_KEY
+        from repro.index.store import META_FORMAT_KEY, META_MAX_DEPTH_KEY
 
         index = make_index()
         a = index.add(build_record("boston", "newyork", ["intel"]))
         index.remove(a)
-        # only the root state and the max-depth metadata survive
+        # only the root state, the format stamp and the max-depth metadata survive
         remaining = {k for k, _ in index.tree.items()}
-        assert remaining == {ROOT_KEY, META_MAX_DEPTH_KEY}
+        assert remaining == {ROOT_KEY, META_FORMAT_KEY, META_MAX_DEPTH_KEY}
         assert len(index.docid_tree) == 0
 
     def test_remove_keeps_shared_entries(self):
