@@ -17,7 +17,7 @@ effect.
 
 import pytest
 
-from repro.bench.harness import Report, build_index, metrics_snapshot
+from repro.bench.harness import Report, build_index
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.index.matching import SequenceMatcher
 
@@ -34,16 +34,12 @@ REPORT = Report(
     paper_note="monotone growth: ~0.3s @ len 2 to ~4.5s @ len 12 (their scale)",
 )
 
-_lengths: dict[int, dict] = {}
-_index_holder: list = []
-
 
 @pytest.fixture(scope="module")
 def setup():
     gen = SyntheticGenerator(SyntheticConfig(doc_size=DOC_SIZE, seed=10))
     docs = list(gen.documents(N_DOCS))
     index = build_index("vist", docs)
-    _index_holder.append(index)
     batches = {}
     for length in QUERY_LENGTHS:
         queries = gen.queries(QUERIES_PER_LENGTH, size=length)
@@ -66,37 +62,8 @@ def test_fig10a_query_length(benchmark, setup, length):
     )
     per_query = benchmark.stats.stats.median / QUERIES_PER_LENGTH
     final_nodes = sum(len(r) for r in results)
-    range_queries = batched_states = cache_hits = cache_misses = 0
+    range_queries = 0
     for qseq in batch:
         matcher.final_scopes(qseq)
         range_queries += matcher.stats.range_queries
-        batched_states += matcher.stats.batched_states
-        cache_hits += matcher.stats.cache_hits
-        cache_misses += matcher.stats.cache_misses
     REPORT.add(length, per_query, range_queries // QUERIES_PER_LENGTH, final_nodes)
-    _lengths[length] = {
-        "seconds_per_query": per_query,
-        "range_queries": range_queries,
-        "batched_states": batched_states,
-        "cache_hits": cache_hits,
-        "cache_misses": cache_misses,
-        "final_nodes": final_nodes,
-    }
-
-
-def bench_json_payload():
-    """Machine-readable Figure 10(a) results (written by conftest teardown)."""
-    if not _lengths:
-        return None
-    payload = {
-        "config": {
-            "n_docs": N_DOCS,
-            "doc_size": DOC_SIZE,
-            "queries_per_length": QUERIES_PER_LENGTH,
-        },
-        "lengths": {str(k): v for k, v in sorted(_lengths.items())},
-        "headline_seconds": sum(v["seconds_per_query"] for v in _lengths.values()),
-        "cache_stats": _index_holder[0].cache_stats() if _index_holder else None,
-        "metrics": metrics_snapshot(_index_holder[0]) if _index_holder else None,
-    }
-    return "fig10a", payload

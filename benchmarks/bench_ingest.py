@@ -10,7 +10,7 @@ claims on a DBLP corpus written by ``write_corpus``:
 * **baseline** — the pre-bulk idiom ``add_batch(..., batch_size=1)``:
   write lock, insert, store fsyncs and WAL commit per record, measured
   on a capped subset (the rate extrapolates; running 10k durable
-  commits would dominate CI);
+  commits would dominate the run);
 * **bulk** — ``repro ingest``'s exact configuration: the WAL pager,
   ``add_batch`` over ``iter_stream_records``, ``durability="batch"``.
 
@@ -23,13 +23,9 @@ assertion therefore gates a conservative 2.5x floor (measured ~3.5-4x
 on a fast-fsync VM) while the report records the actual ratio.
 
 Peak memory is measured in a separate untimed pass (tracemalloc slows
-allocation several-fold and must never wrap the timed run).  Scale with
-``REPRO_INGEST_RECORDS`` (default 2000 keeps the CI smoke short; the
-committed snapshot is a 10000-record run).
+allocation several-fold and must never wrap the timed run).
 """
 
-import os
-import resource
 import tracemalloc
 
 import pytest
@@ -39,11 +35,11 @@ from repro.cli import open_index
 from repro.datasets.dblp import RECORD_LABELS, DblpConfig, write_corpus
 from repro.doc import iter_stream_records
 
-N_RECORDS = int(os.environ.get("REPRO_INGEST_RECORDS", "2000"))
-BATCH_SIZE = int(os.environ.get("REPRO_INGEST_BATCH", "2000"))
+N_RECORDS = 10000
+BATCH_SIZE = 2000
 # durable per-document commits are an order of magnitude slower than the
 # batch path; cap the baseline loop and extrapolate its rate
-BASELINE_CAP = min(N_RECORDS, 200)
+BASELINE_CAP = 200
 # O(record + batch) bound for the streaming pass: the corpus itself must
 # never be resident (a 100MB corpus ingests in the same footprint)
 PEAK_ALLOC_BOUND = 256 * 1024 * 1024
@@ -55,7 +51,7 @@ REPORT = Report(
     paper_note="(infrastructure) ViST dynamic insert, amortised per batch",
 )
 
-_results: dict[str, dict] = {}
+_docs_per_sec: dict[str, float] = {}
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +91,7 @@ def test_per_document_add_baseline(benchmark, corpus_file, tmp_path):
     corpus_mb = corpus_file.stat().st_size / 1e6
     mb_per_sec = docs_per_sec * corpus_mb / N_RECORDS
     REPORT.add("per-doc durable add", BASELINE_CAP, seconds, docs_per_sec, mb_per_sec, "-")
-    _results["baseline"] = {
-        "records": BASELINE_CAP,
-        "seconds": seconds,
-        "docs_per_sec": docs_per_sec,
-        "mb_per_sec": mb_per_sec,
-    }
+    _docs_per_sec["baseline"] = docs_per_sec
 
 
 def test_streaming_bulk_ingest(benchmark, corpus_file, tmp_path):
@@ -121,13 +112,7 @@ def test_streaming_bulk_ingest(benchmark, corpus_file, tmp_path):
     docs_per_sec = N_RECORDS / seconds
     mb_per_sec = corpus_bytes / 1e6 / seconds
     REPORT.add("streaming add_batch", N_RECORDS, seconds, docs_per_sec, mb_per_sec, "-")
-    _results["bulk"] = {
-        "records": N_RECORDS,
-        "seconds": seconds,
-        "docs_per_sec": docs_per_sec,
-        "mb_per_sec": mb_per_sec,
-        "corpus_bytes": corpus_bytes,
-    }
+    _docs_per_sec["bulk"] = docs_per_sec
 
 
 def test_bulk_ingest_memory_flat(corpus_file, tmp_path):
@@ -144,44 +129,14 @@ def test_bulk_ingest_memory_flat(corpus_file, tmp_path):
     assert peak < PEAK_ALLOC_BOUND, f"peak allocation {peak/1e6:.0f}MB not flat"
     peak_mb = peak / 1e6
     REPORT.add("memory pass (untimed)", N_RECORDS, "-", "-", "-", peak_mb)
-    _results["memory"] = {"peak_tracemalloc_bytes": peak}
 
 
 def test_ingest_speedup(corpus_file):
     """Acceptance floor: bulk beats per-document durable adds ≥ 2.5x
     even on fast-fsync hardware (see module docstring — on commodity
     disks the baseline is fsync-bound and the ratio clears 5-10x)."""
-    if "baseline" not in _results or "bulk" not in _results:
+    if "baseline" not in _docs_per_sec or "bulk" not in _docs_per_sec:
         pytest.skip("timing tests did not run")
-    speedup = _results["bulk"]["docs_per_sec"] / _results["baseline"]["docs_per_sec"]
-    _results["speedup"] = speedup
+    speedup = _docs_per_sec["bulk"] / _docs_per_sec["baseline"]
     REPORT.add("speedup (bulk/baseline)", "-", "-", f"{speedup:.1f}x", "-", "-")
     assert speedup >= 2.5, f"bulk ingest only {speedup:.1f}x over per-doc adds"
-
-
-def bench_json_payload():
-    """Machine-readable ingest results (written by the conftest teardown)."""
-    if "bulk" not in _results:
-        return None
-    bulk = _results["bulk"]
-    payload = {
-        "config": {
-            "n_records": N_RECORDS,
-            "batch_size": BATCH_SIZE,
-            "baseline_cap": BASELINE_CAP,
-        },
-        # figure of merit for check_regression: the bulk wall-clock
-        "headline_seconds": bulk["seconds"],
-        "ingest": {
-            "docs_per_sec": bulk["docs_per_sec"],
-            "mb_per_sec": bulk["mb_per_sec"],
-            "corpus_bytes": bulk["corpus_bytes"],
-            "peak_tracemalloc_bytes": _results.get("memory", {}).get(
-                "peak_tracemalloc_bytes"
-            ),
-            "baseline_docs_per_sec": _results.get("baseline", {}).get("docs_per_sec"),
-            "speedup_vs_per_doc": _results.get("speedup"),
-            "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        },
-    }
-    return "ingest", payload

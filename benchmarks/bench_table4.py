@@ -23,13 +23,7 @@ to slowest throughout because everything is joins.
 
 import pytest
 
-from repro.bench.harness import (
-    Report,
-    build_index,
-    metrics_snapshot,
-    parallel_throughput,
-    sharded_throughput,
-)
+from repro.bench.harness import Report, build_index
 from repro.bench.workloads import TABLE3_QUERIES
 from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
@@ -48,9 +42,6 @@ REPORT = Report(
 
 _rows: dict[str, dict[str, float]] = {}
 _matches: dict[str, int] = {}
-_match_stats: dict[str, dict] = {}
-_vist_indexes: dict[str, object] = {}
-_corpus_docs: dict[str, list] = {}  # stashed for the sharded block
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +56,6 @@ def corpora():
         "xmark": list(xmark.records(N_XMARK)),
     }
     schemas = {"dblp": dblp.schema, "xmark": xmark.schema}
-    _corpus_docs.update(docs)
     return docs, schemas
 
 
@@ -76,7 +66,6 @@ def indexes(corpora):
     for dataset in ("dblp", "xmark"):
         for kind in KINDS:
             out[dataset, kind] = build_index(kind, docs[dataset], schemas[dataset])
-        _vist_indexes[dataset] = out[dataset, "vist"]
     return out
 
 
@@ -92,17 +81,6 @@ def test_table4(benchmark, indexes, query, kind):
     )
     _rows.setdefault(query.qid, {})[kind] = benchmark.stats.stats.median
     _matches[query.qid] = len(result)
-    if kind == "vist":
-        stats = index.match_stats
-        _match_stats[query.qid] = {
-            "range_queries": stats.range_queries,
-            "candidates": stats.candidates,
-            "search_states": stats.search_states,
-            "final_nodes": stats.final_nodes,
-            "batched_states": stats.batched_states,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-        }
     if len(_rows[query.qid]) == len(KINDS):
         row = _rows[query.qid]
         REPORT.add(
@@ -114,55 +92,3 @@ def test_table4(benchmark, indexes, query, kind):
             row["apex"],
             _matches[query.qid],
         )
-
-
-def bench_json_payload():
-    """Machine-readable Table 4 results (written by the conftest teardown)."""
-    if not _rows:
-        return None
-    queries = {
-        qid: {
-            "seconds": timings,
-            "matches": _matches.get(qid),
-            "vist_match_stats": _match_stats.get(qid),
-        }
-        for qid, timings in sorted(_rows.items())
-    }
-    headline = sum(t["vist"] for t in _rows.values() if "vist" in t)
-    # concurrency smoke: the dblp Table-3 workload through the thread-pool
-    # executor vs the sequential loop over the same shared index.  Runs
-    # after the timed rounds so it cannot perturb headline_seconds.
-    parallel = None
-    sharded = None
-    dblp_queries = [q.xpath for q in TABLE3_QUERIES if q.dataset == "dblp"]
-    if "dblp" in _vist_indexes and dblp_queries:
-        parallel = parallel_throughput(
-            _vist_indexes["dblp"], dblp_queries, threads=4, repeats=3
-        )
-    if "dblp" in _corpus_docs and dblp_queries:
-        # the process-parallel counterpart: same workload scatter-gathered
-        # over 1/2/4 per-shard worker processes (threads above stay as the
-        # GIL-bound contrast).  Interpret speedup against cpu_count.
-        sharded = sharded_throughput(
-            _corpus_docs["dblp"], dblp_queries, workers_list=(1, 2, 4), repeats=3
-        )
-    payload = {
-        "config": {
-            "n_dblp": N_DBLP,
-            "n_xmark": N_XMARK,
-            "kinds": KINDS,
-        },
-        "queries": queries,
-        "headline_seconds": headline,
-        "parallel": parallel,
-        "sharded": sharded,
-        "cache_stats": {
-            dataset: index.cache_stats()
-            for dataset, index in sorted(_vist_indexes.items())
-        },
-        "metrics": {
-            dataset: metrics_snapshot(index)
-            for dataset, index in sorted(_vist_indexes.items())
-        },
-    }
-    return "table4", payload

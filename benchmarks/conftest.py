@@ -5,25 +5,9 @@ corpora are scaled down from the paper's testbed (a 2003 C++/Berkeley DB
 system on a 662 MHz machine) to laptop-Python sizes — DESIGN.md explains
 why the *shapes* survive the substitution even though absolute numbers
 do not.
-
-One suite-wide option:
-
-``--no-bench-json``
-    skip writing the machine-readable ``BENCH_<name>.json`` snapshots at
-    the repo root (modules that define ``bench_json_payload()`` write one
-    per run; CI diffs them against the committed baseline).
 """
 
 import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--no-bench-json",
-        action="store_true",
-        default=False,
-        help="do not write BENCH_<name>.json snapshots at the repo root",
-    )
 
 
 def pytest_configure(config):
@@ -38,17 +22,8 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="module", autouse=True)
 def emit_module_report(request):
-    """Emit the module's ``REPORT`` and JSON payload after its benchmarks ran."""
+    """Emit the module's ``REPORT`` after its benchmarks ran."""
     yield
     report = getattr(request.module, "REPORT", None)
     if report is not None and report.rows:
         report.emit()
-    builder = getattr(request.module, "bench_json_payload", None)
-    if builder is not None and not request.config.getoption("--no-bench-json"):
-        from repro.bench.harness import write_bench_json
-
-        result = builder()
-        if result is not None:
-            name, payload = result
-            path = write_bench_json(name, payload)
-            print(f"\nwrote {path}")

@@ -23,19 +23,33 @@ when an entry is *added to* or *removed from* a group — which is what
 from __future__ import annotations
 
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, List, Sequence, Union
 
-from repro.kernels import pack_ints
 from repro.obs.metrics import MetricSet
 from repro.sequence.encoding import Prefix
 
 GroupKey = tuple[Hashable, int, tuple[str, ...]]  # (symbol, prefix_len, leading)
 Posting = tuple[Prefix, int, int]  # (prefix, n, end): the node owns (n, end]
+IntColumn = Union["array", List[int]]
 
 __all__ = ["PostingGroup", "PostingCacheStats", "PostingCache"]
+
+
+def pack_ints(values: Sequence[int]) -> IntColumn:
+    """Pack an integer column: ``array('q')`` when every value fits int64.
+
+    The fallback is a plain list with identical ordering and indexing
+    semantics — ``bisect`` and ``len`` work on both, so consumers never
+    branch on the representation.
+    """
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)  # a label exceeds int64: keep exact Python ints
 
 
 # Prefix interning: every posting of a concrete D-Ancestor group shares
@@ -62,7 +76,7 @@ class PostingGroup:
 
     The postings live in three columns: ``ns`` and ``ends`` (the
     S-Ancestor label and scope end, packed to ``array('q')`` by
-    :func:`repro.kernels.pack_ints` when they fit int64, plain lists
+    :func:`pack_ints` when they fit int64, plain lists
     otherwise) and ``prefixes`` (interned prefix tuples).  The matcher
     consumes the columns directly through :meth:`join` — bisects plus
     index arithmetic, no per-posting object.

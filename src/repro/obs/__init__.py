@@ -7,7 +7,8 @@ Two complementary windows into a running index (docs/INTERNALS.md §10):
   as ad-hoc stat objects on ``PostingCache``, ``SequenceMatcher`` and
   the B+Trees, adds true counters, gauges and bounded histograms
   (p50/p95/p99), and dumps the lot as one JSON document (``repro stats
-  --json``, ``BENCH_*.json``).
+  --json``; the end-to-end benchmark reads the same counters for its
+  per-layer rows).
 * :mod:`repro.obs.trace` — per-query attribution.  A
   :class:`QueryTrace` records the evaluation as a tree of lightweight
   spans (translation, per-level frontier expansion, DocId output,
@@ -20,7 +21,7 @@ live counters stay plain attribute increments exactly as before, the
 registry only *reads* them at snapshot time, and span recording costs
 one ``if trace is not None`` per frontier level (never per state or per
 candidate).  With tracing off the query path is within noise of the
-uninstrumented baseline (the bench smoke job enforces 2%).
+uninstrumented baseline.
 """
 
 from repro.obs.metrics import (

@@ -36,7 +36,7 @@ paper's experiments use.  Dirty nodes are written back on
 :meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
 :meth:`BPlusTree.checkpoint`.  A leaf "decode" is just a one-pass
 cell-offset table over the page buffer
-(:func:`repro.kernels.leaf_cell_offsets`) — keys and values are sliced
+(:func:`leaf_cell_offsets`) — keys and values are sliced
 out on access, so a point lookup touches O(log n) cells of a page instead
 of materialising all of them; scans and mutation paths materialise the
 entry list once and keep it.  Concurrent *readers* share the cache
@@ -49,12 +49,12 @@ has since divided.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, PageError, StorageError
-from repro.kernels import leaf_cell_offsets
 from repro.obs.metrics import MetricSet
 from repro.storage.pager import MemoryPager, Pager
 
@@ -77,6 +77,35 @@ __all__ = [
     "decode_slot_directory",
     "reachable_page_ids",
 ]
+
+
+_CELL_HDR = struct.Struct("<HH")
+
+
+def leaf_cell_offsets(raw: bytes, count: int, header: int) -> tuple[array, int]:
+    """Offset table for a B+Tree leaf: one pass, no per-cell slicing.
+
+    Returns ``(offsets, end)`` where ``offsets`` is a flat
+    ``array('I')`` of ``(key_offset, key_len, value_len)`` triples into
+    ``raw`` and ``end`` is the offset one past the last cell — which is
+    exactly the page's used-bytes figure, so the caller gets it for
+    free.  Cells are materialised lazily by slicing ``raw`` at access
+    time; the buffer itself (already CRC-verified by the pager) is the
+    only copy of the data.
+    """
+    offsets = array("I", bytes(12 * count))
+    off = header
+    unpack = _CELL_HDR.unpack_from
+    pos = 0
+    for _ in range(count):
+        klen, vlen = unpack(raw, off)
+        off += 4
+        offsets[pos] = off
+        offsets[pos + 1] = klen
+        offsets[pos + 2] = vlen
+        pos += 3
+        off += klen + vlen
+    return offsets, off
 
 
 def decode_slot_directory(meta: bytes) -> list[tuple[int, int]]:

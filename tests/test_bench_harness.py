@@ -1,19 +1,8 @@
 """Tests for the benchmark harness and workloads."""
 
-import json
-
 import pytest
 
-from repro.bench.harness import (
-    INDEX_KINDS,
-    Report,
-    bench_json_path,
-    build_index,
-    read_bench_json,
-    time_call,
-    time_queries,
-    write_bench_json,
-)
+from repro.bench.harness import INDEX_KINDS, Report, build_index, time_call
 from repro.bench.workloads import TABLE3_QUERIES
 from repro.doc.model import XmlNode
 from repro.query.xpath import parse_xpath
@@ -48,17 +37,16 @@ class TestBuildIndex:
         with pytest.raises(KeyError):
             build_index("btree-of-doom", tiny_corpus())
 
+    def test_build_index_cache_on_by_default(self):
+        index = build_index("vist", tiny_corpus())
+        assert index.postings is not None
+
 
 class TestTiming:
     def test_time_call_returns_result(self):
         seconds, value = time_call(lambda: 41 + 1)
         assert value == 42
         assert seconds >= 0
-
-    def test_time_queries(self):
-        index = build_index("vist", tiny_corpus())
-        seconds = time_queries(index, ["/p", "/p/s"], repeats=2)
-        assert seconds > 0
 
 
 class TestReport:
@@ -74,15 +62,16 @@ class TestReport:
         assert "1.2346" in text  # floats rendered at 4 decimals
         assert "longer-label" in text
 
-    def test_emit_appends_to_file(self, tmp_path, capsys):
+    def test_emit_rewrites_the_transcript(self, tmp_path, capsys):
         report = Report("myexp", "t", ["h"])
         report.add("row1")
         report.emit(directory=str(tmp_path))
         report.emit(directory=str(tmp_path))
         out = capsys.readouterr().out
-        assert "myexp" in out
+        assert out.count("row1") == 2  # both runs printed
         content = (tmp_path / "myexp.txt").read_text()
-        assert content.count("row1") == 2
+        assert content.count("row1") == 1  # one run leaves one table
+        assert content.count("== myexp") == 1
 
     def test_empty_report_renders_headers(self):
         report = Report("e", "t", ["only", "headers"])
@@ -102,30 +91,6 @@ class TestReport:
         report = Report("e", "t", ["n", "time"], bar_column=1)
         report.add(1, 0.0)
         assert "▌" in report.render()  # min one tick, no division by zero
-
-
-class TestBenchJson:
-    def test_write_and_read_roundtrip(self, tmp_path):
-        path = write_bench_json(
-            "myexp", {"headline_seconds": 1.5, "rows": [1, 2]}, directory=tmp_path
-        )
-        assert path == bench_json_path("myexp", directory=tmp_path)
-        assert path.endswith("BENCH_myexp.json")
-        data = read_bench_json("myexp", directory=tmp_path)
-        assert data["experiment"] == "myexp"
-        assert data["headline_seconds"] == 1.5
-        assert data["rows"] == [1, 2]
-
-    def test_written_file_is_stable_json(self, tmp_path):
-        write_bench_json("exp", {"b": 1, "a": 2}, directory=tmp_path)
-        text = (tmp_path / "BENCH_exp.json").read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == json.loads(text)  # valid JSON
-        assert text.index('"a"') < text.index('"b"')  # sorted keys → clean diffs
-
-    def test_build_index_cache_on_by_default(self):
-        index = build_index("vist", tiny_corpus())
-        assert index.postings is not None
 
 
 class TestWorkloads:

@@ -1,13 +1,14 @@
 """Unit + property tests for the B+Tree (the Berkeley DB substitute)."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, StorageError
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import _LEAF_HEADER, BPlusTree, leaf_cell_offsets
 from repro.storage.pager import FilePager, MemoryPager
 from repro.storage.wal import WalPager
 
@@ -543,3 +544,47 @@ def test_scan_windows_matches_range(keys, cuts):
     cuts.sort()
     bounds = [(key(lo), key(hi)) for lo, hi in zip(cuts[0::2], cuts[1::2])]
     assert list(tree.scan_windows(bounds)) == windows_by_range(tree, bounds)
+
+
+class TestLeafCellOffsets:
+    """The zero-copy leaf decode: one offset table, cells sliced on access."""
+
+    @staticmethod
+    def _leaf_page(cells):
+        out = bytearray(struct.pack("<BHQ", 0x01, len(cells), 0))
+        for k, v in cells:
+            out += struct.pack("<HH", len(k), len(v)) + k + v
+        return bytes(out)
+
+    def test_offsets_reconstruct_cells(self):
+        cells = [(b"alpha", b"1"), (b"beta", b""), (b"", b"value-2")]
+        raw = self._leaf_page(cells)
+        offsets, end = leaf_cell_offsets(raw, len(cells), _LEAF_HEADER)
+        assert end == len(raw)
+        got = []
+        for j in range(0, len(offsets), 3):
+            base, klen, vlen = offsets[j], offsets[j + 1], offsets[j + 2]
+            got.append((raw[base : base + klen], raw[base + klen : base + klen + vlen]))
+        assert got == cells
+
+    def test_empty_page(self):
+        raw = self._leaf_page([])
+        offsets, end = leaf_cell_offsets(raw, 0, _LEAF_HEADER)
+        assert len(offsets) == 0
+        assert end == _LEAF_HEADER
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.binary(max_size=16),
+                st.binary(max_size=16),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_end_equals_used_bytes(self, cells):
+        raw = self._leaf_page(cells)
+        offsets, end = leaf_cell_offsets(raw, len(cells), _LEAF_HEADER)
+        assert end == len(raw)
+        assert len(offsets) == 3 * len(cells)

@@ -7,13 +7,14 @@ and reopen-from-disk.
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.doc.model import XmlNode
-from repro.index.postings import PostingCache, PostingGroup
+from repro.index.postings import PostingCache, PostingGroup, pack_ints
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
@@ -86,6 +87,59 @@ def test_join_equals_brute_force(labels, cuts, data):
     # maximal spans: ascending, non-empty, never touching
     assert all(a < b for a, b in spans)
     assert all(prev[1] < nxt[0] for prev, nxt in zip(spans, spans[1:]))
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+class TestPackInts:
+    def test_int64_values_pack_to_array(self):
+        col = pack_ints([3, 1, 2, _INT64_MAX, -(1 << 63)])
+        assert isinstance(col, array)
+        assert col.typecode == "q"
+        assert list(col) == [3, 1, 2, _INT64_MAX, -(1 << 63)]
+
+    def test_oversized_values_fall_back_to_list(self):
+        values = [1, 2, 1 << 256]  # ViST labels routinely exceed int64
+        col = pack_ints(values)
+        assert isinstance(col, list)
+        assert col == values  # exact Python ints, no truncation
+
+
+class TestPostingGroupColumns:
+    def test_columns_parallel_and_sorted(self):
+        postings = [
+            (("a", "b"), 30, 35),
+            (("a",), 10, 12),
+            (("c",), 20, 20),
+        ]
+        group = PostingGroup(postings)
+        assert list(group.ns) == [10, 20, 30]
+        assert list(group.ends) == [12, 20, 35]
+        assert group.prefixes == (("a",), ("c",), ("a", "b"))
+        assert len(group) == 3
+
+    def test_select_span_matches_select(self):
+        # the span of (n, end] equals filtering the label column by hand
+        labels = [10, 20, 30, 40]
+        group = PostingGroup([((), n, n) for n in labels])
+        for n, end in [(10, 30), (0, 100), (40, 140), (25, 29), (9, 10)]:
+            lo, hi = group.select_span(n, end)
+            assert [group.ns[i] for i in range(lo, hi)] == [
+                label for label in labels if n < label <= end
+            ]
+
+    def test_prefixes_interned_across_groups(self):
+        a = PostingGroup([(("x", "y"), 1, 1)])
+        b = PostingGroup([(("x", "y"), 2, 2)])
+        assert a.prefixes[0] is b.prefixes[0]
+
+    def test_big_labels_keep_list_columns(self):
+        big = 1 << 200
+        group = PostingGroup([((), big, big + 3)])
+        assert isinstance(group.ns, list)
+        assert group.select_span(big - 1, big + 1) == (0, 1)
+        assert group.join([big - 1], [big + 1], 0, 1) == [(0, 1)]
 
 
 class TestPostingCache:
