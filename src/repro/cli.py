@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Optional
 
@@ -259,18 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(exit code 5)",
     )
     p_query.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        help="batch mode: run the query --repeat times across N worker "
-        "threads sharing the open index, and report the throughput",
-    )
-    p_query.add_argument(
         "--repeat",
         type=int,
         default=100,
-        help="number of submissions in --parallel/--workers batch mode "
-        "(default 100)",
+        help="number of submissions in --workers batch mode (default 100)",
     )
     p_query.add_argument(
         "--workers",
@@ -287,24 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "the missing shard set) when a shard is down, instead of failing "
         "with exit code 8",
     )
-    p_query.add_argument(
-        "--hedge-ms",
-        type=float,
-        metavar="MS",
-        help="with --workers: duplicate a shard call that has not answered "
-        "after MS milliseconds and take the first response (hedged reads)",
-    )
     p_query.set_defaults(handler=_cmd_query)
 
     p_serve = sub.add_parser(
         "serve",
-        help="line-oriented query loop: one XPath per stdin line, answered "
-        "by a pool of worker threads over one shared open index",
+        help="query loop: one XPath per stdin line (or TCP frames with "
+        "--port), answered in order on the thread that read it",
     )
     p_serve.add_argument("dbdir", type=Path)
-    p_serve.add_argument(
-        "--threads", type=int, default=4, help="worker threads (default 4)"
-    )
     p_serve.add_argument("--verify", action="store_true", help="exact mode")
     p_serve.add_argument(
         "--deadline-ms",
@@ -319,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="sharded DBDIR only: serve scatter-gather over N per-shard "
-        "worker processes instead of threads over one shared index",
+        "worker processes (N must match the shard count)",
     )
     p_serve.add_argument(
         "--port",
@@ -340,13 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sharded DBDIR only: answer from the live shards (responses "
         "annotated with the missing shard set) when a worker is down, "
         "instead of erroring the affected queries",
-    )
-    p_serve.add_argument(
-        "--hedge-ms",
-        type=float,
-        metavar="MS",
-        help="sharded DBDIR only: duplicate a shard call that has not "
-        "answered after MS milliseconds and take the first response",
     )
     p_serve.set_defaults(handler=_cmd_serve)
 
@@ -574,12 +550,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.workers is not None:
         raise ReproError(
             f"{args.dbdir} is not sharded; --workers needs a database built "
-            "with `repro index --shards N` (use --parallel for threads)"
+            "with `repro index --shards N`"
         )
-    if args.partial or args.hedge_ms is not None:
+    if args.partial:
         raise ReproError(
-            "--partial/--hedge-ms apply to sharded scatter-gather; "
-            "use them with --workers on a sharded database"
+            "--partial applies to sharded scatter-gather; "
+            "use it with --workers on a sharded database"
         )
     guard = None
     if args.deadline_ms is not None or args.max_steps is not None or args.max_page_reads is not None:
@@ -596,9 +572,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     index = open_index(args.dbdir)
     try:
         engine, idmap = _resolve_engine(index, args.engine)
-        if args.parallel:
-            return _run_parallel_query(args, engine, idmap)
-        result = engine.query(args.xpath, verify=args.verify, guard=guard, trace=trace)
+        result =engine.query(args.xpath, verify=args.verify, guard=guard, trace=trace)
         if idmap is not None:
             result = {idmap[doc_id] for doc_id in result}
         mode = "verified" if args.verify else "raw"
@@ -636,11 +610,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _guard_factory(args: argparse.Namespace):
-    """Per-query guard builder for the concurrent paths, or ``None``.
+    """Per-query guard builder for the serving paths, or ``None``.
 
-    A guard tracks one query at a time, so the executor needs a fresh
-    one per submission rather than the single shared instance the
-    sequential path uses.
+    A guard tracks one query at a time, and unsharded TCP serving runs
+    one query per connection thread at once, so every request gets a
+    fresh one rather than the single instance ``repro query`` uses.
     """
     deadline_ms = args.deadline_ms
     max_steps = args.max_steps
@@ -652,48 +626,6 @@ def _guard_factory(args: argparse.Namespace):
         max_steps=max_steps,
         max_page_reads=max_page_reads,
     )
-
-
-def _run_parallel_query(args: argparse.Namespace, engine, idmap) -> int:
-    """``query --parallel N``: the same query --repeat times over N threads."""
-    import time
-
-    from repro.exec import QueryExecutor
-
-    repeat = max(1, args.repeat)
-    queries = [args.xpath] * repeat
-    with QueryExecutor(
-        engine,
-        threads=args.parallel,
-        verify=args.verify,
-        guard_factory=_guard_factory(args),
-    ) as executor:
-        t0 = time.perf_counter()
-        outcomes = executor.run(queries)
-        elapsed = time.perf_counter() - t0
-    for outcome in outcomes:
-        outcome.unwrap()  # propagate guard/corruption errors to main()
-    distinct = {frozenset(outcome.result) for outcome in outcomes}
-    if len(distinct) != 1:
-        print(
-            f"error: {len(distinct)} distinct result sets across "
-            f"{repeat} identical parallel runs",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    result = set(outcomes[0].result)
-    if idmap is not None:
-        result = {idmap[doc_id] for doc_id in result}
-    mode = "verified" if args.verify else "raw"
-    if args.engine != "vist":
-        mode += f", {args.engine}"
-    print(f"{len(result)} match(es) ({mode}): {result}")
-    qps = repeat / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"parallel: {repeat} queries x {args.parallel} thread(s) "
-        f"in {elapsed:.3f}s ({qps:.0f} qps)"
-    )
-    return 0
 
 
 def _guard_spec(args: argparse.Namespace) -> Optional[dict]:
@@ -712,7 +644,7 @@ def _query_sharded(args: argparse.Namespace) -> int:
     The single-shot path answers in-process through the embedded
     :class:`ShardRouter` (no worker processes to spawn for one query);
     ``--workers N`` is the batch mode, scatter-gathering over N per-shard
-    worker processes like ``--parallel`` does over threads.
+    worker processes.
     """
     for flag, name in (
         (args.explain and args.workers is None, "--explain"),
@@ -724,17 +656,11 @@ def _query_sharded(args: argparse.Namespace) -> int:
                 f"{name} is not supported on sharded databases"
                 + (" (except --explain with --workers)" if name == "--explain" else "")
             )
-    if args.parallel:
+    if args.partial and args.workers is None:
         raise ReproError(
-            "--parallel threads share one open index; on a sharded "
-            "database use --workers N (N = shard count)"
+            "--partial needs the worker-process path; "
+            "add --workers N (N = shard count)"
         )
-    if args.partial or args.hedge_ms is not None:
-        if args.workers is None:
-            raise ReproError(
-                "--partial/--hedge-ms need the worker-process path; "
-                "add --workers N (N = shard count)"
-            )
     if args.workers is not None:
         return _run_sharded_query(args)
     from repro.shard import ShardRouter
@@ -784,7 +710,6 @@ def _run_sharded_query(args: argparse.Namespace) -> int:
         verify=args.verify,
         guard_spec=_guard_spec(args),
         partial=args.partial,
-        hedge_ms=args.hedge_ms,
     ) as executor:
         t0 = time.perf_counter()
         outcomes = executor.run([args.xpath] * repeat)
@@ -829,10 +754,12 @@ def _run_sharded_query(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Query-serving loop: stdin lines by default, TCP frames with --port.
 
-    Two backends, one loop: threads over a shared open index (the
-    default), or — on a sharded database — scatter-gather over one
-    worker process per shard (``--workers``).  Either way outcomes are
-    emitted in submission order, and EOF or Ctrl-C mid-stream drains
+    Two backends, one loop, both driven through one ``submit(xpath,
+    position=, verify=) -> Future``: on a sharded database
+    :meth:`ShardedExecutor.submit` scatter-gathers over one worker
+    process per shard (``--workers``); otherwise :func:`_answer_inline`
+    answers on the thread that read the request.  Either way outcomes
+    are emitted in submission order, and EOF or Ctrl-C mid-stream drains
     whatever is already in flight before exiting cleanly (code 0).
     """
     from repro.shard import is_sharded
@@ -843,9 +770,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{args.dbdir} is not sharded; --workers needs a database "
             "built with `repro index --shards N`"
         )
-    if not sharded and (args.partial or args.hedge_ms is not None):
+    if not sharded and args.partial:
         raise ReproError(
-            "--partial/--hedge-ms apply to sharded scatter-gather serving; "
+            "--partial applies to sharded scatter-gather serving; "
             f"{args.dbdir} is not sharded"
         )
     if sharded:
@@ -856,33 +783,56 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             verify=args.verify,
             guard_spec=_guard_spec(args),
-            threads_per_worker=max(1, args.threads // 2),
             partial=args.partial,
-            hedge_ms=args.hedge_ms,
         ) as executor:
-            return _serve_loop(args, executor)
-    from repro.exec import QueryExecutor
-
+            return _serve_loop(args, executor.submit)
     index = open_index(args.dbdir)
     try:
-        with QueryExecutor(
-            index,
-            threads=args.threads,
-            verify=args.verify,
-            guard_factory=_guard_factory(args),
-        ) as executor:
-            return _serve_loop(args, executor)
+        return _serve_loop(args, _answer_inline(index, args))
     finally:
         _close_index(index)
 
 
-def _serve_loop(args: argparse.Namespace, executor) -> int:
+def _finished(outcome) -> Future:
+    future: Future = Future()
+    future.set_result(outcome)
+    return future
+
+
+def _answer_inline(index: VistIndex, args: argparse.Namespace):
+    """``submit`` for unsharded serving: the query runs on the caller's
+    thread and the returned future is already finished.
+
+    Same signature as :meth:`ShardedExecutor.submit`.  Exceptions are
+    captured into the outcome, as the sharded path captures them, so a
+    bad query is an answer, not the end of the loop.
+    """
+    from repro.shard.executor import QueryOutcome
+
+    guard_factory = _guard_factory(args)
+
+    def submit(xpath: str, position: int = 0, *, verify: Optional[bool] = None):
+        outcome = QueryOutcome(position=position, query=xpath)
+        try:
+            outcome.result = index.query(
+                xpath,
+                verify=args.verify if verify is None else verify,
+                guard=guard_factory() if guard_factory is not None else None,
+            )
+        except Exception as exc:  # noqa: BLE001 - captured per outcome
+            outcome.error = exc
+        return _finished(outcome)
+
+    return submit
+
+
+def _serve_loop(args: argparse.Namespace, submit) -> int:
     if args.port is not None:
-        return _serve_tcp(executor, args.host, args.port)
-    return _serve_stdin(executor)
+        return _serve_tcp(submit, args.host, args.port)
+    return _serve_stdin(submit)
 
 
-def _serve_stdin(executor) -> int:
+def _serve_stdin(submit) -> int:
     """Line-oriented loop: one XPath per stdin line, answers in order."""
     from collections import deque
 
@@ -893,7 +843,7 @@ def _serve_stdin(executor) -> int:
             xpath = line.strip()
             if not xpath or xpath.startswith("#"):
                 continue
-            pending.append((xpath, executor.submit(xpath, position=served)))
+            pending.append((xpath, submit(xpath, position=served)))
             served += 1
             # drain whatever has already finished, in order, so the
             # loop stays responsive without blocking on the newest
@@ -915,7 +865,7 @@ def _print_served(xpath: str, future) -> None:
     if outcome.ok:
         result = outcome.result
         note = ""
-        if getattr(outcome, "missing_shards", None):
+        if outcome.missing_shards:
             note = f" (partial: missing shards {outcome.missing_shards})"
         print(
             f"{outcome.position}\t{xpath}\t"
@@ -926,7 +876,7 @@ def _print_served(xpath: str, future) -> None:
     sys.stdout.flush()
 
 
-def _serve_tcp(executor, host: str, port: int) -> int:
+def _serve_tcp(submit, host: str, port: int) -> int:
     """Frame-protocol server: 4-byte length prefix + JSON, like the shard
     workers speak (:mod:`repro.shard.protocol`).
 
@@ -934,12 +884,15 @@ def _serve_tcp(executor, host: str, port: int) -> int:
     object ``{"xpath": ..., "verify": bool}``.  Replies carry
     ``{"position", "ok", "result" | "error"/"error_type"}`` and are sent
     in submission order per connection, pipelining-friendly: the client
-    may stream many requests before reading any reply.
+    may stream many requests before reading any reply.  A malformed
+    frame takes its position like any request and is answered in turn
+    with a ``FrameError``.
     """
     import queue
     import socket
     import threading
 
+    from repro.shard.executor import QueryOutcome
     from repro.shard.protocol import FrameError, recv_frame, send_frame
 
     served = [0]
@@ -952,15 +905,18 @@ def _serve_tcp(executor, host: str, port: int) -> int:
             # a dedicated sender keeps replies ordered without making the
             # reader block on the oldest in-flight query
             while True:
-                item = replies.get()
-                if item is None:
+                future = replies.get()
+                if future is None:
                     break
-                position, xpath, future = item
                 outcome = future.result()
-                payload = {"position": position, "xpath": xpath, "ok": outcome.ok}
+                payload = {
+                    "position": outcome.position,
+                    "xpath": outcome.query,
+                    "ok": outcome.ok,
+                }
                 if outcome.ok:
                     payload["result"] = sorted(outcome.result)
-                    if getattr(outcome, "missing_shards", None):
+                    if outcome.missing_shards:
                         payload["missing_shards"] = outcome.missing_shards
                 else:
                     payload["error"] = str(outcome.error)
@@ -982,31 +938,21 @@ def _serve_tcp(executor, host: str, port: int) -> int:
                 if request is None:
                     break
                 if isinstance(request, str):
-                    xpath, verify = request, None
+                    future = submit(request, position=position)
                 elif isinstance(request, dict) and "xpath" in request:
-                    xpath = str(request["xpath"])
                     verify = request.get("verify")
+                    future = submit(
+                        str(request["xpath"]),
+                        position=position,
+                        verify=None if verify is None else bool(verify),
+                    )
                 else:
-                    try:
-                        send_frame(conn, {
-                            "position": position, "ok": False,
-                            "error": f"malformed request: {request!r}",
-                            "error_type": "FrameError",
-                        })
-                    except OSError:
-                        break
-                    continue
-                if verify is None:
-                    future = executor.submit(xpath, position=position)
-                elif hasattr(executor, "submit_with"):  # thread backend
-                    future = executor.submit_with(
-                        xpath, position=position, verify=bool(verify)
-                    )
-                else:  # sharded backend takes verify directly
-                    future = executor.submit(
-                        xpath, position=position, verify=bool(verify)
-                    )
-                replies.put((position, xpath, future))
+                    future = _finished(QueryOutcome(
+                        position=position,
+                        query=None,
+                        error=FrameError(f"malformed request: {request!r}"),
+                    ))
+                replies.put(future)
                 position += 1
         finally:
             replies.put(None)
@@ -1248,7 +1194,7 @@ def _stats_workers(args: argparse.Namespace) -> int:
 
     Unlike the embedded path this includes the ``supervision`` block —
     per-shard states (healthy/restarting/down) and the restart /
-    unavailable / retry / hedge counters of the fault-tolerance layer.
+    unavailable / retry counters of the fault-tolerance layer.
     """
     import json
 

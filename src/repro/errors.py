@@ -218,7 +218,7 @@ class ShardUnavailableError(ShardError):
 class ShardQueryError(ShardError):
     """One or more shards failed to answer a scatter-gather query.
 
-    Captured per :class:`~repro.exec.executor.QueryOutcome` — a failing
+    Captured per :class:`~repro.shard.executor.QueryOutcome` — a failing
     shard poisons *that outcome*, never the executor — with the per-shard
     causes in :attr:`shard_errors` (shard index → exception).
     """

@@ -1,6 +1,5 @@
-"""Concurrent query execution: the RW lock and the thread-pool executor."""
+"""Concurrent reads of one index: the readers–writer lock."""
 
-from repro.exec.executor import QueryExecutor, QueryOutcome
 from repro.exec.locks import RWLock
 
-__all__ = ["QueryExecutor", "QueryOutcome", "RWLock"]
+__all__ = ["RWLock"]

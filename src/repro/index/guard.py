@@ -13,8 +13,8 @@ the lazily-armed deadline clock *and* a pending :meth:`QueryGuard.cancel`
 — so reusing a guard object across sequential queries is safe and a
 cancellation delivered to one query can never poison the next
 (:meth:`QueryGuard.reset` is the standalone form).  Concurrent queries
-must each use their own guard (the executor builds a fresh one per
-submission).
+must each use their own guard (the shard worker and ``repro serve``
+build a fresh one per request).
 
 :class:`IndexHealth` records what the corruption-defense layer observed.
 An index starts ``ok``; the first :class:`~repro.errors.CorruptionError`

@@ -18,15 +18,15 @@ Layers:
   sequential scatter queries, and ``reshard``;
 * :mod:`repro.shard.protocol` — length-prefixed JSON frames;
 * :mod:`repro.shard.worker` — the per-shard worker process
-  (``python -m repro.shard.worker``) wrapping the existing
-  :class:`~repro.exec.executor.QueryExecutor` + RWLock machinery;
+  (``python -m repro.shard.worker``): one open index, one query thread,
+  heartbeats and writes inline on the connection thread;
 * :mod:`repro.shard.executor` — :class:`ShardedExecutor`, the
   scatter-gather client that fans queries out over sockets and merges
-  ordered :class:`~repro.exec.executor.QueryOutcome` results;
+  ordered :class:`~repro.shard.executor.QueryOutcome` results;
 * :mod:`repro.shard.supervisor` — worker supervision: the
   healthy → restarting → down state machine, the jittered-backoff
   :class:`RestartPolicy`, and the scheduler thread that also drives
-  per-RPC retries, hedges, and deadlines (docs/INTERNALS.md section 13).
+  per-RPC retries and deadlines (docs/INTERNALS.md section 13).
 """
 
 from repro.shard.routing import MANIFEST_FILE, ShardMap, is_sharded, shard_of

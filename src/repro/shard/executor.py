@@ -1,7 +1,6 @@
 """ShardedExecutor: fault-tolerant scatter-gather over worker processes.
 
-The process-parallel counterpart of :class:`~repro.exec.QueryExecutor`:
-one worker **process** per shard (spawned as ``python -m
+One worker **process** per shard (spawned as ``python -m
 repro.shard.worker``, each holding its shard's index open with its own
 pager/WAL and answering over a loopback socket), a demultiplexing reader
 thread per connection, and request pipelining — any number of client
@@ -26,9 +25,7 @@ an exact union, because membership is a per-document decision.
 * *Per-RPC resilience* — every shard call carries a deadline (derived
   from the query guard's ``deadline_ms`` plus a grace period, else the
   executor-wide ``rpc_timeout_s``); idempotent ops (query/stats/ping)
-  get bounded retries with backoff across worker restarts; ``hedge_ms``
-  optionally duplicates a straggling query call and takes the first
-  answer.
+  get bounded retries with backoff across worker restarts.
 * *Graceful degradation* — with ``partial=True``, availability failures
   degrade to partial results annotated with the missing shard set
   (``QueryOutcome.missing_shards``) and counted in the
@@ -56,11 +53,11 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ShardError, ShardQueryError, ShardUnavailableError
-from repro.exec.executor import QueryOutcome
 from repro.obs import MetricsRegistry
 from repro.shard.protocol import recv_frame, rehydrate_error, send_frame
 from repro.shard.routing import ShardMap, read_manifest, shard_dir, write_manifest
@@ -72,12 +69,47 @@ from repro.shard.supervisor import (
     ShardSupervisor,
 )
 
-__all__ = ["ShardedExecutor"]
+__all__ = ["QueryOutcome", "ShardedExecutor"]
 
 _SPAWN_TIMEOUT = 30.0
 _SHUTDOWN_TIMEOUT = 10.0
 #: poll interval while an RPC waits out a worker restart
 _RESTART_WAIT_TICK = 0.05
+
+
+@dataclass
+class QueryOutcome:
+    """What one submitted query produced.
+
+    Exceptions are captured, not raised, so one poisoned query in a batch
+    cannot take down the batch: callers inspect :attr:`ok` / :attr:`error`
+    per outcome (the cross-shard oracle hammers assert on exactly this).
+    """
+
+    position: int
+    query: object
+    result: Optional[list[int]] = None
+    error: Optional[BaseException] = None
+    elapsed_ms: float = 0.0
+    #: shards that could not answer when the executor ran in ``partial``
+    #: mode.  ``None`` means the result is complete; a list (possibly
+    #: long) means ``result`` is the exact union of the *answering*
+    #: shards and nothing more is claimed.
+    missing_shards: Optional[list[int]] = None
+    #: per-shard spans for ``--explain``
+    #: ({shard: {"status", "elapsed_ms"|"error"}}).
+    shard_detail: Optional[dict] = field(default=None, repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    def unwrap(self) -> list[int]:
+        """The result, re-raising the captured exception if there is one."""
+        if self.error is not None:
+            raise self.error
+        assert self.result is not None
+        return self.result
 
 
 class _ShardClient:
@@ -96,7 +128,6 @@ class _ShardClient:
         self,
         shard: int,
         path: Path,
-        threads: int,
         *,
         worker_module: str = "repro.shard.worker",
         extra_env: Optional[dict] = None,
@@ -105,7 +136,6 @@ class _ShardClient:
     ) -> None:
         self.shard = shard
         self.path = path
-        self.threads = threads
         self.worker_module = worker_module
         self.extra_env = dict(extra_env) if extra_env else None
         self.socket_wrapper = socket_wrapper
@@ -137,10 +167,7 @@ class _ShardClient:
         if self.extra_env:
             env.update(self.extra_env)
         self.proc = subprocess.Popen(
-            [
-                sys.executable, "-m", self.worker_module, str(self.path),
-                "--port", "0", "--threads", str(self.threads),
-            ],
+            [sys.executable, "-m", self.worker_module, str(self.path), "--port", "0"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=env,
@@ -388,9 +415,6 @@ class ShardedExecutor:
     ``partial``
         degrade availability failures to partial results annotated with
         ``missing_shards`` instead of failing the outcome.
-    ``hedge_ms``
-        duplicate a query call that has not answered after this many
-        milliseconds and take the first response.
     ``rpc_retries`` / ``retry_backoff_s``
         bounded retries (with exponential backoff) for idempotent calls
         that hit an availability failure — e.g. a worker that died and
@@ -414,9 +438,7 @@ class ShardedExecutor:
         workers: Optional[int] = None,
         verify: bool = False,
         guard_spec: Optional[dict] = None,
-        threads_per_worker: int = 2,
         partial: bool = False,
-        hedge_ms: Optional[float] = None,
         rpc_retries: int = 2,
         retry_backoff_s: float = 0.05,
         rpc_timeout_s: Optional[float] = 60.0,
@@ -441,7 +463,6 @@ class ShardedExecutor:
         self.verify = verify
         self.guard_spec = dict(guard_spec) if guard_spec else None
         self.partial = partial
-        self.hedge_ms = hedge_ms
         self.rpc_retries = max(0, rpc_retries)
         self.retry_backoff_s = retry_backoff_s
         self.rpc_timeout_s = rpc_timeout_s
@@ -465,7 +486,6 @@ class ShardedExecutor:
                 client = _ShardClient(
                     k,
                     shard_dir(self.dbdir, k),
-                    threads_per_worker,
                     worker_module=worker_module,
                     extra_env=worker_env,
                     socket_wrapper=socket_wrapper,
@@ -567,9 +587,8 @@ class ShardedExecutor:
         *,
         retryable: bool,
         timeout_s: Optional[float],
-        hedge_ms: Optional[float] = None,
     ) -> Future:
-        """One logical RPC: deadline + bounded retries + optional hedge.
+        """One logical RPC: deadline + bounded retries.
 
         The returned future resolves to the worker's response object
         (``ok`` true or false — worker-side typed errors are *answers*,
@@ -582,18 +601,20 @@ class ShardedExecutor:
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         attempts = [0]
 
+        # the reply (reader thread) and the deadline (supervisor thread)
+        # can race to settle the call: the first one wins
         def resolve(response) -> None:
             if not logical.done():
                 try:
                     logical.set_result(response)
-                except Exception:  # pragma: no cover - hedge race
+                except Exception:  # pragma: no cover - deadline race
                     pass
 
         def fail(exc: BaseException) -> None:
             if not logical.done():
                 try:
                     logical.set_exception(exc)
-                except Exception:  # pragma: no cover - hedge race
+                except Exception:  # pragma: no cover - deadline race
                     pass
 
         def attempt() -> None:
@@ -659,26 +680,10 @@ class ShardedExecutor:
                 )
             )
 
-        def on_hedge() -> None:
-            if logical.done() or client.state != HEALTHY:
-                return
-            self._shard_counter(client.shard, "hedges").inc()
-
-            def on_hedged(fut: Future) -> None:
-                try:
-                    response = fut.result()
-                except BaseException:  # noqa: BLE001 - primary path decides
-                    return
-                resolve(response)
-
-            client.call(payload).add_done_callback(on_hedged)
-
         attempt()
         if deadline is not None:
             timer = self._supervisor.schedule(timeout_s, on_deadline)
             logical.add_done_callback(lambda _f: self._supervisor.cancel(timer))
-        if hedge_ms is not None:
-            self._supervisor.schedule(hedge_ms / 1000.0, on_hedge)
         return logical
 
     def _rpc_deadline_s(self) -> Optional[float]:
@@ -779,11 +784,7 @@ class ShardedExecutor:
 
         for client in self.clients:
             self._call(
-                client,
-                payload,
-                retryable=True,
-                timeout_s=timeout_s,
-                hedge_ms=self.hedge_ms,
+                client, payload, retryable=True, timeout_s=timeout_s
             ).add_done_callback(on_shard(client.shard))
         return outcome_future
 

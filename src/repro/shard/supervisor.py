@@ -27,7 +27,7 @@ lifetime: queries against a down shard fail fast (or degrade to partial
 results when the caller opted in).
 
 The supervisor doubles as the shard layer's monotonic-time event loop:
-per-RPC retries, hedges, and deadlines are all :meth:`~ShardSupervisor.
+per-RPC retries and deadlines are all :meth:`~ShardSupervisor.
 schedule`\\ d callbacks on the same thread, so the executor never spawns
 a timer thread per request.
 """
@@ -177,7 +177,7 @@ class ShardSupervisor:
         """Run ``fn`` on the supervisor thread after ``delay_s`` seconds;
         returns the entry :meth:`cancel` takes.
 
-        After :meth:`stop` this is a no-op — a late retry or hedge fired
+        After :meth:`stop` this is a no-op — a late retry or deadline fired
         into a closing executor must not resurrect anything.
         """
         entry = [fn]

@@ -3,14 +3,16 @@
 One worker owns one shard directory — a complete single-directory index
 (pager, WAL, docstore) opened exactly as ``repro query``
 would open it — and serves the frame protocol of
-:mod:`repro.shard.protocol` on a loopback TCP socket.  Queries are
-answered through the existing thread machinery: every ``query`` frame is
-submitted to a :class:`~repro.exec.executor.QueryExecutor` over the open
-index (snapshot isolation via the index RWLock, fresh
-:class:`~repro.index.guard.QueryGuard` per query), so responses may
-complete out of order and carry the request ``id`` for demultiplexing.
-``add``/``remove`` frames run inline on the connection thread — the
-index write lock already serialises them against in-flight reads.
+:mod:`repro.shard.protocol` on a loopback TCP socket.  ``query`` frames
+are answered one at a time, in arrival order, on the worker's one query
+thread (a fresh :class:`~repro.index.guard.QueryGuard` per frame):
+matching is pure Python under the GIL, so a second query thread would
+add lock hand-offs and no parallelism — the parallelism is one process
+per shard.  Every other op (``ping``, ``stats``, ``add``, ``remove``,
+``flush``, ``shutdown``) runs inline on the connection thread, so a long
+query can never make a heartbeat miss; the index write lock serialises
+``add``/``remove`` against the query in flight.  Replies may therefore
+overtake one another and carry the request ``id`` for demultiplexing.
 
 Lifecycle: the worker announces ``PORT <n>`` on stdout once listening
 (the parent spawns with ``--port 0`` and reads the line), exits on a
@@ -23,14 +25,15 @@ from __future__ import annotations
 
 import argparse
 import os
+import queue
 import signal
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exec.executor import QueryExecutor
 from repro.index.guard import QueryGuard
 from repro.shard.protocol import FrameError, recv_frame, send_frame
 
@@ -54,11 +57,16 @@ def _guard_factory_from(spec):
 
 
 class _ShardServer:
-    def __init__(self, index, threads: int) -> None:
+    def __init__(self, index) -> None:
         self.index = index
-        self.executor = QueryExecutor(index, threads=threads)
         self.stop = threading.Event()
         self._conn_threads: list[threading.Thread] = []
+        # (conn, send_lock, request) per query frame; None ends the thread
+        self._queries: queue.SimpleQueue = queue.SimpleQueue()
+        self._query_thread = threading.Thread(
+            target=self._answer_queries, name="repro-query", daemon=True
+        )
+        self._query_thread.start()
 
     # -- per-connection --------------------------------------------------
 
@@ -96,31 +104,35 @@ class _ShardServer:
             {"ok": False, "error": str(exc), "error_type": type(exc).__name__},
         )
 
+    def _answer_queries(self) -> None:
+        """The query thread: answer queued ``query`` frames in order."""
+        for conn, send_lock, request in iter(self._queries.get, None):
+            request_id = request.get("id", 0)
+            t0 = time.perf_counter()
+            try:
+                guard_factory = _guard_factory_from(request.get("guard"))
+                result = self.index.query(
+                    request["xpath"],
+                    verify=bool(request.get("verify", False)),
+                    guard=guard_factory() if guard_factory is not None else None,
+                )
+            except Exception as exc:  # an answer for this frame, not a crash
+                self._fail(conn, send_lock, request_id, exc)
+                continue
+            self._reply(conn, send_lock, request_id, {
+                "ok": True,
+                "result": list(result),
+                "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
+            })
+
     def _dispatch(self, conn, send_lock, request) -> None:
         request_id = request.get("id", 0)
         op = request.get("op")
+        if op == "query":
+            self._queries.put((conn, send_lock, request))
+            return
         try:
-            if op == "query":
-                guard_factory = _guard_factory_from(request.get("guard"))
-                future = self.executor.submit_with(
-                    request["xpath"],
-                    verify=bool(request.get("verify", False)),
-                    guard_factory=guard_factory,
-                )
-
-                def deliver(fut, _id=request_id):
-                    outcome = fut.result()
-                    if outcome.ok:
-                        self._reply(conn, send_lock, _id, {
-                            "ok": True,
-                            "result": list(outcome.result),
-                            "elapsed_ms": outcome.elapsed_ms,
-                        })
-                    else:
-                        self._fail(conn, send_lock, _id, outcome.error)
-
-                future.add_done_callback(deliver)
-            elif op == "add":
+            if op == "add":
                 from repro.doc.parser import parse_document
 
                 document = parse_document(request["xml"])
@@ -189,15 +201,16 @@ class _ShardServer:
             self._conn_threads.append(thread)
 
     def close(self) -> None:
+        """Stop, after the query thread answers what is already queued."""
         self.stop.set()
-        self.executor.close()
+        self._queries.put(None)
+        self._query_thread.join()
 
 
 def serve_shard(
     shard_dir: Path,
     host: str,
     port: int,
-    threads: int,
     server_cls: type = _ShardServer,
 ) -> int:
     """Open the shard and serve it until told to stop.
@@ -210,7 +223,7 @@ def serve_shard(
     from repro.cli import _close_index, open_index
 
     index = open_index(shard_dir)
-    server = server_cls(index, threads)
+    server = server_cls(index)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -257,12 +270,8 @@ def main(argv=None, server_cls: type = _ShardServer) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks an ephemeral port (announced on stdout)")
-    parser.add_argument("--threads", type=int, default=2,
-                        help="query worker threads over the shard (default 2)")
     args = parser.parse_args(argv)
-    return serve_shard(
-        args.shard_dir, args.host, args.port, args.threads, server_cls=server_cls
-    )
+    return serve_shard(args.shard_dir, args.host, args.port, server_cls=server_cls)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ by **seeded** schedules so every chaos run is reproducible from its seed:
   - **tears** a reply frame (writes the length prefix and *half* the
     payload, then dies — the client must fail typed on the truncated
     stream, not hang waiting for the rest);
-  - **delays** replies by ``delay_ms`` (exercises heartbeats, hedged
-    reads, and RPC deadlines);
+  - **delays** replies by ``delay_ms`` (exercises heartbeats and RPC
+    deadlines);
   - **refuses to come up** (``fail_start_rate``, respawned generations
     only) — exercises the restart budget and the sticky ``down`` state.
 
@@ -97,8 +97,8 @@ class FaultyShardServer(_ShardServer):
     like a real SIGKILL.
     """
 
-    def __init__(self, index, threads: int) -> None:
-        super().__init__(index, threads)
+    def __init__(self, index) -> None:
+        super().__init__(index)
         self.config = ChaosConfig.from_env()
         shard = int(os.environ.get("REPRO_SHARD_ID", "0"))
         generation = int(os.environ.get("REPRO_SHARD_GENERATION", "0"))

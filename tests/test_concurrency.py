@@ -13,9 +13,7 @@ Layers covered, bottom up:
   land there with nothing in between);
 * shared caches under contention: :class:`PostingCache`, the metrics
   registry;
-* :class:`repro.exec.executor.QueryExecutor` API contracts (ordering,
-  error capture, fresh guard per query);
-* the multi-threaded differential-oracle hammer: K worker threads run M
+* the multi-threaded differential-oracle hammer: K plain threads split M
   seeded queries (``verify=True``) against one shared on-disk ViST index
   while a writer thread interleaves inserts and removes of noise
   documents; every verified result must equal the single-threaded
@@ -38,9 +36,7 @@ import time
 import pytest
 
 from repro.doc.model import XmlNode
-from repro.errors import QueryBudgetExceededError
-from repro.exec import QueryExecutor, QueryOutcome, RWLock
-from repro.index.guard import QueryGuard
+from repro.exec import RWLock
 from repro.index.postings import PostingCache, PostingGroup
 from repro.index.vist import VistIndex
 from repro.obs.metrics import MetricsRegistry
@@ -313,85 +309,6 @@ def test_metrics_registry_snapshot_under_load():
 
 
 # ---------------------------------------------------------------------------
-# QueryExecutor API
-
-
-def _tiny_index() -> VistIndex:
-    from repro.doc.parser import parse_document
-
-    index = VistIndex()
-    for i in range(4):
-        index.add(
-            parse_document(
-                f"<site><item><location>US</location>"
-                f"<name>v{i}</name></item></site>"
-            )
-        )
-    return index
-
-
-class TestQueryExecutor:
-    def test_outcomes_keep_submission_order(self):
-        index = _tiny_index()
-        queries = ["/site//item", "/site//item[location='US']", "/site"] * 4
-        expected = [index.query(q) for q in queries]
-        with QueryExecutor(index, threads=3) as executor:
-            outcomes = executor.run(queries)
-        assert [o.position for o in outcomes] == list(range(len(queries)))
-        assert [o.unwrap() for o in outcomes] == expected
-        assert all(o.ok and o.elapsed_ms >= 0.0 for o in outcomes)
-
-    def test_one_poisoned_query_does_not_kill_the_batch(self):
-        index = _tiny_index()
-        guard_budget = iter([None, QueryGuard(max_steps=1), None])
-        with QueryExecutor(
-            index, threads=2, guard_factory=lambda: next(guard_budget)
-        ) as executor:
-            outcomes = executor.run(["/site//item"] * 3)
-        assert outcomes[0].ok and outcomes[2].ok
-        assert not outcomes[1].ok
-        assert isinstance(outcomes[1].error, QueryBudgetExceededError)
-        with pytest.raises(QueryBudgetExceededError):
-            outcomes[1].unwrap()
-
-    def test_fresh_guard_per_submission(self):
-        index = _tiny_index()
-        built: list[QueryGuard] = []
-
-        def factory() -> QueryGuard:
-            guard = QueryGuard(max_steps=10_000)
-            built.append(guard)
-            return guard
-
-        with QueryExecutor(index, threads=2, guard_factory=factory) as executor:
-            outcomes = executor.run(["/site//item"] * 5)
-        assert len(built) == 5
-        assert len({id(g) for g in built}) == 5
-        assert [o.guard for o in outcomes] == built
-
-    def test_submit_after_close_raises(self):
-        executor = QueryExecutor(_tiny_index(), threads=1)
-        executor.close()
-        with pytest.raises(RuntimeError):
-            executor.submit("/site")
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(ValueError):
-            QueryExecutor(_tiny_index(), threads=0)
-
-    def test_results_unwraps(self):
-        index = _tiny_index()
-        with QueryExecutor(index, threads=2, verify=True) as executor:
-            assert executor.results(["/site//item"]) == [
-                index.query("/site//item", verify=True)
-            ]
-
-    def test_outcome_repr_hides_guard(self):
-        outcome = QueryOutcome(position=0, query="/q", guard=QueryGuard())
-        assert "guard" not in repr(outcome)
-
-
-# ---------------------------------------------------------------------------
 # the multi-threaded differential-oracle hammer
 
 
@@ -405,7 +322,8 @@ def _noise_doc(i: int) -> XmlNode:
 
 
 def _run_hammer(tmp_path, pager_cls, *, seed, docs, threads, submissions, writer_ops):
-    """K threads x M verified queries vs the reference, writer interleaved."""
+    """K threads share M verified queries (thread k takes positions
+    k, k+K, ...) vs the reference, writer interleaved."""
     generator = DocQueryGenerator(seed)
     corpus = generator.corpus(docs, 12)
     queries = [generator.query(corpus) for _ in range(12)]
@@ -452,32 +370,39 @@ def _run_hammer(tmp_path, pager_cls, *, seed, docs, threads, submissions, writer
             index.metrics.snapshot()
 
         workload = [queries[i % len(queries)] for i in range(submissions)]
+        # position -> result, or the exception that query raised
+        answers: dict[int, object] = {}
+
+        def query_lane(offset: int) -> None:
+            for pos in range(offset, submissions, threads):
+                try:
+                    answers[pos] = index.query(workload[pos], verify=True)
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    answers[pos] = exc
+
         writer_thread = threading.Thread(target=writer)
         stats_thread = threading.Thread(target=snapshotter)
         writer_thread.start()
         stats_thread.start()
-        with QueryExecutor(index, threads=threads, verify=True) as executor:
-            outcomes = executor.run(workload)
+        _run_threads([partial(query_lane, k) for k in range(threads)])
         writer_thread.join(60)
         stats_thread.join(60)
         assert not writer_thread.is_alive() and not stats_thread.is_alive()
         assert not writer_errors, f"writer thread failed: {writer_errors[0]!r}"
 
-        for outcome in outcomes:
-            assert outcome.ok, (
-                f"query #{outcome.position} "
-                f"{workload[outcome.position].to_xpath()!r} raised: "
-                f"{outcome.error!r}"
+        assert sorted(answers) == list(range(submissions))
+        for pos, answer in sorted(answers.items()):
+            assert not isinstance(answer, Exception), (
+                f"query #{pos} {workload[pos].to_xpath()!r} raised: {answer!r}"
             )
             got = sorted(
                 id_to_pos[doc_id]
-                for doc_id in outcome.result
+                for doc_id in answer
                 if doc_id in seeded_ids
             )
-            want = expected[outcome.position % len(queries)]
+            want = expected[pos % len(queries)]
             assert got == want, (
-                f"query #{outcome.position} "
-                f"{workload[outcome.position].to_xpath()!r}: "
+                f"query #{pos} {workload[pos].to_xpath()!r}: "
                 f"verified={got} reference={want}"
             )
 

@@ -12,8 +12,7 @@ The contract under test (docs/INTERNALS.md section 13):
   annotated with the missing shard set and counted in
   ``shard.K.unavailable`` — with it off, a missing shard poisons the
   outcome loudly (no silently shrunken answers, ever);
-* hedged reads and per-RPC deadlines bound tail latency against slow or
-  wedged workers;
+* per-RPC deadlines bound tail latency against slow or wedged workers;
 * under the seeded chaos harness (:mod:`repro.testing.chaos`: worker
   kills mid-query, torn frames, delayed replies, refused respawns) the
   cross-shard differential-oracle workload never hangs, never returns a
@@ -283,7 +282,7 @@ class TestDownAndPartial:
 
 
 # ---------------------------------------------------------------------------
-# per-RPC deadlines and hedged reads
+# per-RPC deadlines
 
 
 class TestRpcResilience:
@@ -323,28 +322,6 @@ class TestRpcResilience:
             assert executor._rpc_deadline_s() == pytest.approx(0.75)
         with ShardedExecutor(dbdir, rpc_timeout_s=33.0) as executor:
             assert executor._rpc_deadline_s() == 33.0
-
-    def test_hedged_reads_fire_and_answers_stay_exact(self, sharded_db):
-        """Half the replies delayed past the hedge threshold: hedges must
-        fire (counter moves) and every answer is still exact."""
-        dbdir, ids = sharded_db
-        config = ChaosConfig(seed=4, delay_rate=0.5, delay_ms=300.0)
-        with ShardedExecutor(
-            dbdir,
-            worker_module="repro.testing.chaos",
-            worker_env=config.to_env(),
-            hedge_ms=30.0,
-            rpc_timeout_s=30.0,
-        ) as executor:
-            outcomes = executor.run(["//a"] * 10)
-            assert all(o.ok for o in outcomes)
-            assert all(o.result == ids for o in outcomes)
-            snapshot = executor.supervision_snapshot()
-            hedges = sum(
-                snapshot["shard"][str(k)].get("hedges", 0)
-                for k in range(executor.nshards)
-            )
-            assert hedges > 0
 
 
 # ---------------------------------------------------------------------------

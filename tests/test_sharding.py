@@ -9,6 +9,9 @@ Layers covered, bottom up:
   skew, remove-then-readd id stability, reshard to fewer/more shards
   preserving every differential-oracle answer, crash-stale manifests;
 * the frame protocol (roundtrip, truncation, error rehydration);
+* the worker's frame server in process: heartbeats answered while a
+  query runs, a fresh guard per ``query`` frame, a failed frame leaving
+  the connection serving;
 * :class:`ShardedExecutor` end-to-end over real worker processes:
   answers equal the embedded router's, per-shard failures are captured
   per outcome (not fatal), routed writes land where the router says;
@@ -25,8 +28,10 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 import time
+from contextlib import contextmanager
 from zlib import crc32
 
 import pytest
@@ -395,6 +400,116 @@ class TestProtocol:
         exc = rehydrate_error({})
         assert isinstance(exc, ShardError)
         assert "unknown worker error" in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# the worker's frame server, in process over a socketpair
+
+
+def _tiny_index():
+    from repro.doc.parser import parse_document
+    from repro.index.vist import VistIndex
+
+    index = VistIndex()
+    for i in range(4):
+        index.add(
+            parse_document(
+                f"<site><item><location>US</location>"
+                f"<name>v{i}</name></item></site>"
+            )
+        )
+    return index
+
+
+class _BlockingIndex:
+    """A stub index whose queries wait until ``release`` is set."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def query(self, xpath, *, verify=False, guard=None):
+        self.entered.set()
+        assert self.release.wait(10)
+        return [0]
+
+
+@contextmanager
+def _serving(index):
+    """A worker ``_ShardServer`` on one end of a socketpair; yields the
+    other end, then hangs up and closes the server."""
+    from repro.shard.worker import _ShardServer
+
+    server = _ShardServer(index)
+    ours, theirs = socket.socketpair()
+    reader = threading.Thread(target=server.handle_connection, args=(theirs,))
+    reader.start()
+    try:
+        ours.settimeout(10)
+        yield ours
+    finally:
+        ours.close()
+        reader.join(10)
+        server.close()
+    assert not reader.is_alive()
+
+
+class TestShardServer:
+    def test_ping_answers_while_a_query_runs(self):
+        """Heartbeats stay on the connection thread: a ping sent behind
+        a blocked query is answered first, and the query still answers."""
+        index = _BlockingIndex()
+        with _serving(index) as sock:
+            send_frame(sock, {"id": 1, "op": "query", "xpath": "//a"})
+            assert index.entered.wait(10)
+            send_frame(sock, {"id": 2, "op": "ping"})
+            sock.settimeout(1.0)
+            try:
+                assert recv_frame(sock) == {"id": 2, "ok": True}
+                assert not index.release.is_set()  # the query is still blocked
+            finally:
+                index.release.set()
+            sock.settimeout(10)
+            reply = recv_frame(sock)
+        assert reply["id"] == 1 and reply["ok"] and reply["result"] == [0]
+
+    def test_exhausted_guard_fails_only_its_frame(self):
+        index = _tiny_index()
+        want = sorted(index.query("/site//item"))
+        with _serving(index) as sock:
+            send_frame(sock, {
+                "id": 1, "op": "query", "xpath": "/site//item",
+                "guard": {"max_steps": 1},
+            })
+            send_frame(sock, {"id": 2, "op": "query", "xpath": "/site//item"})
+            first, second = recv_frame(sock), recv_frame(sock)
+        assert first["id"] == 1 and not first["ok"]
+        assert first["error_type"] == "QueryBudgetExceededError"
+        assert second["id"] == 2 and second["ok"]
+        assert sorted(second["result"]) == want
+
+    def test_each_frame_gets_its_own_guard(self, monkeypatch):
+        import repro.shard.worker as worker
+        from repro.index.guard import QueryGuard
+
+        built: list[QueryGuard] = []
+
+        class RecordingGuard(QueryGuard):
+            def __init__(self, **kwargs) -> None:
+                super().__init__(**kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(worker, "QueryGuard", RecordingGuard)
+        with _serving(_tiny_index()) as sock:
+            for i in range(3):
+                send_frame(sock, {
+                    "id": i, "op": "query", "xpath": "/site//item",
+                    "guard": {"max_steps": 10_000},
+                })
+            replies = [recv_frame(sock) for _ in range(3)]
+        assert [reply["ok"] for reply in replies] == [True] * 3
+        assert len(built) == 3
+        assert len({id(guard) for guard in built}) == 3
 
 
 # ---------------------------------------------------------------------------
