@@ -6,13 +6,14 @@ The paper never compares them; this ablation does, sweeping the label
 budget (the root scope ``Max``) on two corpora and counting
 scope-underflow (borrow) events.
 
-Finding (recorded in EXPERIMENTS.md): clue-based allocation wins when
-the schema's value-cardinality estimates are *tight* relative to the
-budget (DBLP at 2^96: far fewer underflows than λ=2), but an inflated
-cardinality estimate spends ``log2(cardinality)`` bits of scope per
-value level and can *lose* to the λ rule on value-heavy substructures
-(XMark items).  Everything still works either way — underflow borrowing
-(Section 3.4.1) absorbs the difference at a locality cost.
+Finding (recorded in EXPERIMENTS.md): with λ floored at ``k + 1``
+(``Chain.allocate``), λ=2 — the default allocator — never borrows on
+either corpus at any budget from 2^64 up.  A larger constant λ spends
+``log2(λ)`` bits on every only child, so λ=8 still borrows on deep XMark
+items at 2^64 and 2^96; clue-based allocation spends ``log2(cardinality)``
+bits per value level and its slot fractions per element level, and
+loses to λ=2 everywhere.  Everything still works either way — underflow
+borrowing (Section 3.4.1) absorbs the difference at a locality cost.
 """
 
 import pytest

@@ -1,13 +1,12 @@
 """Corpus statistics collected from documents.
 
-Dynamic scope allocation without clues (paper Section 3.4.1, "Dynamic
-Scope Allocation without Clues") relies on "a rough estimation of the
-number of different elements that follow a given element" — the expected
-child-count λ used by Eq. 5–6.  :class:`CorpusStats` accumulates exactly
-that from sample documents: per-label fanout, value cardinalities, depth
-and sequence-length distributions.  The synthetic data generator collects
-these on the fly, matching the paper's remark that "we collect statistics
-during data generation for dynamic labeling purposes".
+:class:`CorpusStats` accumulates per-label fanout, value cardinalities,
+depth and sequence-length distributions from sample documents.  The
+synthetic data generator collects these on the fly, matching the paper's
+remark that "we collect statistics during data generation" (Section 4).
+The paper feeds such estimates to Eq. 5–6 as λ; this index does not:
+:meth:`repro.labeling.dynamic.Chain.allocate` floors λ at ``k + 1``,
+which needs no estimate (DESIGN §6).
 """
 
 from __future__ import annotations
@@ -49,43 +48,10 @@ class CorpusStats:
                 else:
                     self._child_labels[node.label].add(child.label)
 
-    def observe_sequence(self, sequence) -> None:
-        """Fold one structure-encoded sequence into the statistics.
-
-        Used by :class:`~repro.index.vist.VistIndex` to self-tune its
-        λ allocator while ingesting ("we collect statistics during data
-        generation for dynamic labeling purposes", paper Section 4).
-        Value distinctness is tracked over hashes rather than strings —
-        the same estimate the allocator needs.
-        """
-        self.documents += 1
-        stack: list[list] = []  # [label, child_count]
-        for item in sequence:
-            self.nodes += 1
-            depth = item.depth
-            self.max_depth = max(self.max_depth, depth + 1)
-            while len(stack) > depth:
-                label, children = stack.pop()
-                self._fanout_sum[label] += children
-                self._fanout_count[label] += 1
-            if stack:
-                stack[-1][1] += 1
-            if item.is_value:
-                if item.prefix:
-                    self._values[item.prefix[-1]].add(item.symbol)
-            else:
-                if item.prefix:
-                    self._child_labels[item.prefix[-1]].add(item.symbol)
-                stack.append([item.symbol, 0])
-        while stack:
-            label, children = stack.pop()
-            self._fanout_sum[label] += children
-            self._fanout_count[label] += 1
-
-    # -- estimates consumed by the dynamic labeller ------------------------
+    # -- estimates ---------------------------------------------------------
 
     def expected_fanout(self, label: str, default: float = 2.0) -> float:
-        """λ for Eq. 5–6: mean child count observed under ``label``."""
+        """Mean child count observed under ``label``."""
         count = self._fanout_count.get(label, 0)
         if count == 0:
             return default

@@ -33,7 +33,6 @@ from repro.errors import (
     KeyTooLargeError,
     ScopeUnderflowError,
 )
-from repro.doc.stats import CorpusStats
 from repro.index.base import XmlIndexBase
 from repro.index.matching import SequenceMatcher
 from repro.index.postings import PostingCache
@@ -86,7 +85,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         source_store: Optional[DocStore] = None,
         max_label: int = DEFAULT_MAX,
         track_refs: bool = True,
-        collect_stats: bool = True,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
     ) -> None:
@@ -101,16 +99,11 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # memory only, so reopening from disk always starts cold.
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
         self._matcher = SequenceMatcher(self)
-        # "we collect statistics during data generation for dynamic
-        # labeling purposes": with collect_stats the corpus statistics
-        # accumulate as documents arrive, and the clue-free allocator
-        # tunes its λ per parent label from them
-        self.stats = CorpusStats() if collect_stats else None
         if allocator is None:
             if self.encoder.schema is not None:
                 allocator = ClueAllocator(FollowSets(self.encoder.schema))
             else:
-                allocator = LambdaAllocator(lam=4, stats=self.stats)
+                allocator = LambdaAllocator()
         self.allocator = allocator
         self.track_refs = track_refs
         self.underflow_count = 0  # borrow events, reported by the ablation bench
@@ -185,8 +178,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         if len(sequence) == 0:
             raise IndexStateError("cannot index an empty sequence")
         self._validate_key_sizes(sequence)
-        if self.stats is not None:
-            self.stats.observe_sequence(sequence)
         pending: dict[int, tuple[bytes, NodeState]] = {}
         pending[0] = (ROOT_KEY, self._root_state)
         path_items: list[Optional[Item]] = [None]
@@ -367,6 +358,17 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         if self.track_refs:
             for state in path_states[lender_idx + 1 :]:
                 state.refs -= 1
+        # abandoned nodes this insert created (a suffix of ``created``) are
+        # traversed by no document: unmake them, or they would stay on the
+        # tree unreferenced and outlive their parents on removal
+        abandoned = {state.scope.n for state in path_states[lender_idx + 1 :]}
+        while created and (n := decode_node_key(created[-1][0])[2]) in abandoned:
+            _, item, parent_n = created.pop()
+            del pending[n]
+            self._child_cache.pop((parent_n, item), None)
+            if self._overlay_children is not None:
+                self._overlay_children.pop((parent_n, item), None)
+                self._overlay_created.discard(n)
         borrowed_items = [path_items[k] for k in range(lender_idx + 1, i + 1)]
         borrowed_items.extend(sequence[j] for j in range(i, len(sequence)))
         prev_n = path_states[lender_idx].scope.n

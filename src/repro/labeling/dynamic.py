@@ -6,8 +6,10 @@ sub-scope is carved out of the parent on the fly (Algorithm 3):
 
 * with clues (Eq. 3–4): each follow-set candidate owns a deterministic
   slot sized by its Eq. 2 probability;
-* without clues (Eq. 5–6): the ``k``-th inserted child receives
-  ``(r - l - 1)(λ-1)^{k-1} / λ^k`` of the parent range.
+* without clues (Eq. 5–6): the ``k``-th inserted child (counting from 0)
+  receives a ``1/λ`` share of what the parent has left, with λ floored at
+  ``k + 1`` so that a node with many children does not halve its range
+  once per child.
 
 Every node also *reserves* the tail of its scope, and when allocation
 bottoms out (scope underflow), the insert path borrows a sequential block
@@ -22,9 +24,9 @@ count for deletion.  A λ-chain persists one cursor, ``next``; the width
 still free is ``region end − next`` because a chain carves one fixed
 region for life, so allocating the ``k``-th child is O(1) in exact
 integer arithmetic — no floating point ever touches a label, because at
-``Max = 2**256`` float rounding would overlap scopes.
+``Max = 2**128`` float rounding would overlap scopes.
 
-**Entry codec.**  Labels are 256-bit integers, but a node's neighbours
+**Entry codec.**  Labels are 128-bit integers, but a node's neighbours
 are close: 86 % of trie nodes are an only child, one id above their
 parent.  :meth:`NodeState.to_bytes` therefore stores every label as its
 distance from the node's own ``n`` (which the key already carries) and
@@ -43,14 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.doc.stats import CorpusStats
 from repro.errors import CodecError, LabelingError
 from repro.labeling.clues import FollowCandidate, FollowSets
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
 from repro.storage.serialization import decode_uint, encode_uint
 
-DEFAULT_MAX = 1 << 256  # root scope [0, 2^256); labels are unbounded ints
+DEFAULT_MAX = 1 << 128  # root scope [0, 2^128); labels are unbounded ints
 
 _FLAG_PRIVATE = 0x01
 _FLAG_RESERVE = 0x02  # reserve_used > 0 follows
@@ -91,9 +92,14 @@ class Chain:
     next: int = 0  # next free id (valid once k > 0)
 
     def allocate(self, region_lo: int, region_width: int, lam: int) -> Optional[Scope]:
-        """Carve the next child scope; ``None`` on underflow (Eq. 5–6)."""
-        if lam < 2:
-            lam = 2
+        """Carve the next child scope; ``None`` on underflow.
+
+        Eq. 5–6 give the new child ``1/λ`` of what the chain has left.
+        λ is floored at ``k + 1``: child ``k ≥ 1`` of a ``λ = 2`` chain
+        gets ``width / (2k(k+1))``, so ``F`` children spend at most
+        ``2·log₂F + 1`` bits of the region, not ``F`` (DESIGN §6).
+        """
+        lam = max(lam, 2, self.k + 1)
         start = self.next if self.k else region_lo
         share = (region_lo + region_width - start) // lam
         if share < 1:
@@ -237,42 +243,22 @@ class ScopeAllocator:
 class LambdaAllocator(ScopeAllocator):
     """Clue-free allocation (Eq. 5–6): the ``k``-th child gets a λ share.
 
-    ``lam`` may be a constant or derived per parent label from
-    :class:`~repro.doc.stats.CorpusStats` (``expected_fanout``), matching
-    the paper's "rough estimation of the number of different elements
-    that follow a given element".  The λ used by a node is fixed at its
-    first child allocation (it parameterises the persisted chain).
+    ``lam`` is a constant; :meth:`Chain.allocate` floors it at ``k + 1``,
+    so the scope a chain hands out shrinks like ``1/k²`` however many
+    children arrive, instead of the paper's ``(λ-1)^{k-1}/λ^k``.
     """
 
-    def __init__(
-        self,
-        lam: int = 2,
-        *,
-        stats: Optional[CorpusStats] = None,
-        reserve_divisor: int = 16,
-    ) -> None:
+    def __init__(self, lam: int = 2, *, reserve_divisor: int = 16) -> None:
         super().__init__(reserve_divisor=reserve_divisor)
         if lam < 2:
             raise LabelingError(f"lambda must be >= 2, got {lam}")
         self.lam = lam
-        self.stats = stats
-
-    def lam_for(self, parent_item: Optional[Item]) -> int:
-        if self.stats is None or parent_item is None:
-            return self.lam
-        if parent_item.is_value:
-            label = parent_item.prefix[-1] if parent_item.prefix else ""
-        else:
-            label = str(parent_item.symbol)
-        return max(2, round(self.stats.expected_fanout(label, default=self.lam)))
 
     def place(
         self, parent_state: NodeState, parent_item: Optional[Item], child: Item
     ) -> Optional[Scope]:
         scope = parent_state.scope
-        return parent_state.plain.allocate(
-            scope.n + 1, self.usable_size(scope), self.lam_for(parent_item)
-        )
+        return parent_state.plain.allocate(scope.n + 1, self.usable_size(scope), self.lam)
 
 
 class UniformAllocator(ScopeAllocator):

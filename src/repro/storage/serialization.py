@@ -10,8 +10,9 @@ when ``a < b`` under the intended typed ordering.  This module provides:
 * heterogeneous tuples with per-item type tags.
 
 The integer codec supports arbitrarily large scope labels (the ViST root
-scope defaults to ``2**256``, ``repro.labeling.dynamic.DEFAULT_MAX``),
-which is why a fixed-width ``struct`` format is not enough.
+scope defaults to ``2**128``, ``repro.labeling.dynamic.DEFAULT_MAX``, and
+an index built at ``2**256`` keeps its wider labels), which is why a
+fixed-width ``struct`` format is not enough.
 
 Design notes
 ------------

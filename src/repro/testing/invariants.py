@@ -286,6 +286,8 @@ def check_vist_documents(index) -> InvariantReport:
                 )
             if state.private and expected > 1:
                 report.fail(f"private node {n} shared by {expected} traversals")
+            if not expected:
+                report.fail(f"node {n} ({symbol!r}): no document traverses it (leaked)")
     docid_entries = 0
     for key, value in index.docid_tree.items():
         docid_entries += 1

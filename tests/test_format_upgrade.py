@@ -26,12 +26,16 @@ from repro.index.store import (
     decode_node_key,
 )
 from repro.index.vist import VistIndex
-from repro.labeling.dynamic import NodeState
+from repro.labeling.dynamic import DEFAULT_MAX, NodeState
+from repro.query.xpath import parse_xpath
+from repro.sequence.transform import SequenceEncoder
 from repro.shard import ShardRouter
 from repro.shard.routing import shard_dir
 from repro.storage.docstore import FileDocStore
+from repro.storage.pager import FilePager
 from repro.storage.serialization import decode_uint, encode_uint
 from repro.testing.invariants import assert_invariants
+from repro.testing.reference import reference_matches
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -169,8 +173,9 @@ def test_salvage_upgrades_a_hand_built_old_layout(tmp_path, capsys, fresh_answer
     _build(dbdir)
     new_size = (dbdir / "docs.dat").stat().st_size
     _rewrite_in_old_layout(dbdir)
-    # the hand-built payloads really are the wide ones
-    assert (dbdir / "docs.dat").stat().st_size > 2 * new_size
+    # the hand-built payloads really are the wide ones: absolute 128-bit
+    # labels cost ~16 bytes each where the deltas cost a few
+    assert (dbdir / "docs.dat").stat().st_size > 1.5 * new_size
     with pytest.raises(IndexFormatError, match="salvage"):
         open_index(dbdir)
 
@@ -213,3 +218,52 @@ def test_every_shard_is_stamped_and_salvage_upgrades_all(tmp_path, capsys):
         assert {q: router.query(q, verify=True) for q in DBLP_QUERIES} == expected
         for shard in router.shards:
             assert_invariants(shard)
+
+
+# ---------------------------------------------------------------------------
+# (d) a DBDIR built at the old default width, 2**256
+
+
+def test_a_wide_index_keeps_working_and_salvage_narrows_it(tmp_path, capsys):
+    """The root entry persists each index's width, so a DBDIR built when
+    the default was ``2**256`` takes adds, removes and queries under
+    today's allocation rule; ``repro salvage`` rebuilds it at the new
+    default with identical answers and a smaller tree."""
+    dbdir = tmp_path / "db"
+    dbdir.mkdir()
+    records = _records()
+    wide = VistIndex(
+        SequenceEncoder(),
+        docstore=FileDocStore(dbdir / "docs.dat"),
+        pager=FilePager(dbdir / "vist.db"),
+        source_store=FileDocStore(dbdir / "sources.dat"),
+        max_label=1 << 256,
+    )
+    wide.add_batch(records[:80], durability="none")
+    _close(wide)
+
+    index = open_index(dbdir)
+    assert index._root_state.scope.end == (1 << 256) - 1
+    index.add_batch(records[80:100], durability="none")
+    for record in records[100:]:
+        index.add(record)
+    for doc_id in REMOVED:
+        index.remove(doc_id)
+    _close(index)
+    live = {i: r for i, r in enumerate(records) if i not in REMOVED}
+    hasher = SequenceEncoder().hasher
+    reference = {
+        q: [i for i, r in live.items() if reference_matches(r, parse_xpath(q), hasher)]
+        for q in DBLP_QUERIES
+    }
+    assert all(reference.values())
+    assert _answers(dbdir) == reference
+    wide_bytes = (dbdir / "vist.db").stat().st_size
+
+    assert main(["salvage", str(dbdir)]) == 0
+    capsys.readouterr()
+    assert (dbdir / "vist.db").stat().st_size < wide_bytes
+    index = open_index(dbdir)
+    assert index._root_state.scope.end == DEFAULT_MAX - 1
+    _close(index)
+    assert _answers(dbdir) == reference

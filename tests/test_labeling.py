@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.doc.schema import ChildSpec, Occurs, Schema
-from repro.doc.stats import CorpusStats
 from repro.errors import LabelingError
 from repro.labeling.clues import VALUE, FollowSets
 from repro.labeling.dynamic import (
@@ -66,14 +65,17 @@ class TestScope:
 
 class TestChain:
     def test_lambda_two_halving(self):
-        """Figure 8: with λ=2 the k-th child gets 1/2^k of the region."""
+        """Figure 8's λ=2 halves the region for the first two children;
+        from the third on the ``k + 1`` floor takes over, so child ``k``
+        gets ``width / (2k(k+1))`` instead of ``width / 2^(k+1)``."""
         chain = Chain()
-        first = chain.allocate(1, 1024, 2)
-        second = chain.allocate(1, 1024, 2)
-        third = chain.allocate(1, 1024, 2)
-        assert first == Scope(1, 511)  # [1, 513) => size 511
-        assert second == Scope(513, 255)
-        assert third == Scope(769, 127)
+        scopes = [chain.allocate(1, 1200, 2) for _ in range(4)]
+        assert scopes == [
+            Scope(1, 599),  # [1, 601): 1/2
+            Scope(601, 299),  # 1/4
+            Scope(901, 99),  # 1/12, where plain halving gave 1/8
+            Scope(1001, 49),  # 1/24, where plain halving gave 1/16
+        ]
 
     def test_disjoint_and_ordered(self):
         chain = Chain()
@@ -100,14 +102,14 @@ class TestChain:
     ):
         """``allocate`` derives the free width from ``next``; a reference
         chain that carries ``remaining`` as its own field (the cursor the
-        entry format used to persist) hands out the same scopes, whatever
-        λ each call brings."""
+        entry format used to persist) and floors λ at ``k + 1`` hands out
+        the same scopes, whatever λ each call brings."""
         chain = Chain()
         ref_k = ref_next = ref_remaining = 0
         for lam in lams:
             if ref_k == 0:
                 ref_next, ref_remaining = region_lo, region_width
-            share = ref_remaining // max(lam, 2)
+            share = ref_remaining // max(lam, 2, ref_k + 1)
             expected = None
             if share >= 1:
                 expected = Scope(ref_next, share - 1)
@@ -133,6 +135,27 @@ class TestChain:
             if scope is None:
                 break
             assert region.covers(scope)
+
+
+    @given(
+        size=st.integers(min_value=1 << 40, max_value=1 << 128),
+        fanout=st.integers(min_value=2, max_value=300),
+    )
+    def test_floored_share_is_width_over_2k_k_plus_1(self, size, fanout):
+        """With the default allocator's λ, child ``k ≥ 1`` of a chain over
+        ``W`` usable ids gets ``W / (2k(k+1))`` within rounding (each
+        floor division leaves at most one id behind), so ``F`` children
+        spend at most ``2·log₂F + 1`` bits of their parent's scope."""
+        alloc = LambdaAllocator()
+        state = NodeState(scope=Scope(0, size), parent_n=0)
+        width = alloc.usable_size(state.scope)
+        for k in range(fanout):
+            share = alloc.place(state, None, Item(f"c{k}", ())).size + 1
+            if k == 0:
+                assert share == width // 2
+            else:
+                assert abs(share * 2 * k * (k + 1) - width) < 2 * k * (k + 1)
+        assert width <= share * 2 * fanout * fanout  # the last, smallest child
 
 
 class TestNodeState:
@@ -225,12 +248,6 @@ class TestLambdaAllocator:
             LambdaAllocator(lam=1)
         with pytest.raises(LabelingError):
             LambdaAllocator(reserve_divisor=1)
-
-    def test_stats_driven_lambda(self):
-        stats = CorpusStats()
-        alloc = LambdaAllocator(lam=2, stats=stats)
-        assert alloc.lam_for(Item("anything", ())) == 2  # falls back to default
-        assert alloc.lam_for(None) == 2
 
     def test_underflow_in_tiny_scope(self):
         alloc = LambdaAllocator(lam=2)

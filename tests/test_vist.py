@@ -5,12 +5,13 @@ import pytest
 from repro.doc.model import XmlNode
 from repro.errors import IndexStateError, ScopeUnderflowError
 from repro.index.rist import RistIndex
-from repro.index.store import ROOT_KEY
+from repro.index.store import RESERVED_KEYS, ROOT_KEY
 from repro.index.vist import VistIndex
 from repro.labeling.dynamic import LambdaAllocator, NodeState
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import FilePager
+from repro.testing.invariants import assert_invariants
 from tests.conftest import build_figure3_record, build_purchase_schema, build_record
 
 
@@ -110,40 +111,6 @@ class TestDynamicInsertion:
         assert results([0, 1, 2, 3]) == results([3, 2, 1, 0]) == results([2, 0, 3, 1])
 
 
-class TestSelfTuningStats:
-    def test_stats_accumulate_from_sequences(self):
-        index = VistIndex(SequenceEncoder())
-        index.add(build_figure3_record())
-        assert index.stats is not None
-        assert index.stats.documents == 1
-        assert index.stats.expected_fanout("S") > 1.0
-        assert index.stats.distinct_values("L") >= 1
-
-    def test_stats_match_document_observation(self):
-        from repro.doc.model import XmlDocument
-        from repro.doc.stats import CorpusStats
-
-        doc = build_figure3_record()
-        by_doc = CorpusStats()
-        by_doc.observe(XmlDocument(doc))
-        by_seq = CorpusStats()
-        by_seq.observe_sequence(SequenceEncoder().encode_node(doc))
-        for label in ["P", "S", "B", "I"]:
-            assert by_seq.expected_fanout(label) == pytest.approx(
-                by_doc.expected_fanout(label)
-            )
-        assert by_seq.nodes == by_doc.nodes
-
-    def test_stats_drive_lambda_without_schema(self):
-        index = VistIndex(SequenceEncoder())  # no schema => stats-driven λ
-        assert index.allocator.stats is index.stats
-
-    def test_stats_can_be_disabled(self):
-        index = VistIndex(SequenceEncoder(), collect_stats=False)
-        index.add(build_figure3_record())
-        assert index.stats is None
-
-
 class TestDeletion:
     def test_remove_hides_document(self):
         index = make_index()
@@ -234,6 +201,28 @@ class TestScopeUnderflow:
         b = index.add(self.chain_doc(20))
         index.remove(a)
         assert index.query("/c0/c1") == [b]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_borrow_unmakes_the_nodes_it_abandons(self, batched):
+        """Nodes an insert created below its lender are traversed by no
+        document; none may stay on the tree, or it would outlive its
+        parent once the borrowing document is removed."""
+        index = VistIndex(
+            SequenceEncoder(),
+            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            max_label=1 << 24,
+        )
+        docs = [self.chain_doc(depth) for depth in (24, 20, 24, 22)]
+        if batched:
+            ids = index.add_batch(docs, batch_size=2, durability="none")
+        else:
+            ids = [index.add(doc) for doc in docs]
+        assert index.underflow_count >= 2
+        assert_invariants(index)  # every entry is traversed by a document
+        for doc_id in ids:
+            index.remove(doc_id)
+            assert_invariants(index)
+        assert all(key in RESERVED_KEYS for key, _ in index.tree.items())
 
     def test_total_exhaustion_raises(self):
         index = VistIndex(
