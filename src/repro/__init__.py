@@ -51,7 +51,7 @@ from repro.doc import (
 )
 from repro.errors import ReproError
 from repro.index import NaiveIndex, RistIndex, VistIndex, verify_document
-from repro.labeling import ClueAllocator, FollowSets, LambdaAllocator, Scope
+from repro.labeling import LambdaAllocator, Scope
 from repro.query import QueryNode, QueryTranslator, parse_xpath
 from repro.sequence import (
     Item,
@@ -98,8 +98,6 @@ __all__ = [
     "QueryTranslator",
     "Scope",
     "LambdaAllocator",
-    "ClueAllocator",
-    "FollowSets",
     "BPlusTree",
     "MemoryPager",
     "FilePager",

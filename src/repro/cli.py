@@ -155,7 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="index XML files into DBDIR")
     p_index.add_argument("dbdir", type=Path)
     p_index.add_argument("files", type=Path, nargs="+")
-    p_index.add_argument("--schema", type=Path, help="DTD fixing sibling order")
+    p_index.add_argument(
+        "--schema", type=Path, help="DTD whose order sorts siblings (all a schema changes)"
+    )
     p_index.add_argument(
         "--split",
         help="comma-separated record labels; split documents before indexing",
@@ -176,7 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ingest.add_argument("dbdir", type=Path)
     p_ingest.add_argument("files", type=Path, nargs="+")
-    p_ingest.add_argument("--schema", type=Path, help="DTD fixing sibling order")
+    p_ingest.add_argument(
+        "--schema", type=Path, help="DTD whose order sorts siblings (all a schema changes)"
+    )
     p_ingest.add_argument(
         "--split",
         help="comma-separated record labels: each instance becomes one "

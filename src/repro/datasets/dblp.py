@@ -57,7 +57,8 @@ _SCHOOLS = ["Stanford", "Wisconsin", "POSTECH", "Columbia", "Maryland"]
 
 
 def dblp_schema() -> Schema:
-    """Schema used for sibling order and for clue-based labelling."""
+    """Schema fixing sibling order; its statistics feed the A-λ clue
+    comparator."""
     schema = Schema("dblp")
     authors = ChildSpec("author", Occurs.PLUS, mean_repeats=2.0)
     common = [ChildSpec("key", is_attribute=True), authors, ChildSpec("title")]

@@ -58,7 +58,8 @@ _PAYMENTS = ["Cash", "Check", "Creditcard", "Money-order"]
 
 
 def xmark_schema() -> Schema:
-    """Schema for sibling order and clue-based labelling."""
+    """Schema fixing sibling order; its statistics feed the A-λ clue
+    comparator."""
     schema = Schema("site")
     schema.element(
         "site",

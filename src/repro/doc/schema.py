@@ -12,7 +12,10 @@ ViST needs a schema for two things (paper Section 2 and Section 3.4.1):
    under ``x`` — multiplicity information for ``x*`` children, and an
    estimate of the number of distinct values under each element/attribute.
    Those live on each :class:`ChildSpec` / :class:`ElementDecl` with
-   sensible defaults derived from the declared cardinality.
+   sensible defaults derived from the declared cardinality.  The index
+   itself allocates without them (:mod:`repro.labeling.dynamic`); the
+   dataset generators declare them and the A-λ ablation's clue allocator
+   reads them.
 
 Schemas can be built programmatically or parsed from the DTD subset the
 paper's Figure 1 uses (``<!ELEMENT a (b, c*, d?)>`` sequences and
@@ -159,7 +162,7 @@ class Schema:
                 return (pos, "")
         return (1 << 30, child)
 
-    # -- statistics used by clue-based labelling -----------------------------
+    # -- statistics read by clue-based labelling (the A-λ ablation) ----------
 
     def occurrence_prob(self, parent: str, child: str) -> float:
         """``p(child | parent)`` — paper Section 3.4.1."""

@@ -5,8 +5,9 @@ depth and sequence-length distributions from sample documents.  The
 synthetic data generator collects these on the fly, matching the paper's
 remark that "we collect statistics during data generation" (Section 4).
 The paper feeds such estimates to Eq. 5–6 as λ; this index does not:
-:meth:`repro.labeling.dynamic.Chain.allocate` floors λ at ``k + 1``,
-which needs no estimate (DESIGN §6).
+:meth:`repro.labeling.dynamic.Chain.allocate` gives child ``k`` a
+closed-form ``1/(k + 2)`` of what is left, which needs no estimate
+(DESIGN §6).
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ META_STORE_BOUNDS_KEY = encode_tuple(("", 0, "store-bounds"))
 # stamped when the tree is created.  There is one decoder: a tree with
 # another number, or none, is rebuilt by `repro salvage`, never read.
 META_FORMAT_KEY = encode_tuple(("", 0, "format"))
-ENTRY_FORMAT = 2
+ENTRY_FORMAT = 3
 # every combined-tree key that is not a trie node
 RESERVED_KEYS = frozenset(
     (ROOT_KEY, META_MAX_DEPTH_KEY, META_STORE_BOUNDS_KEY, META_FORMAT_KEY)

@@ -3,10 +3,10 @@
 The suffix tree is never materialised.  Insertion (Algorithm 4) walks the
 virtual trie through the combined B+Tree: for each sequence item it looks
 for an *immediate child* of the current node with that ``(symbol,
-prefix)``; if none exists, a fresh scope is carved from the parent by the
-configured :class:`~repro.labeling.dynamic.ScopeAllocator` (clue-based
-Eq. 3–4 or λ-based Eq. 5–6).  The document id lands in the DocId tree
-under the label of the last node.
+prefix)``; if none exists, a fresh scope is carved from the parent by
+:class:`~repro.labeling.dynamic.LambdaAllocator` (Eq. 5–6's λ rule in
+closed form; a schema only fixes sibling order).  The document id lands
+in the DocId tree under the label of the last node.
 
 **Scope underflow.**  When the allocator cannot carve another scope, the
 insert borrows a block of sequential ids from the reserve of the nearest
@@ -17,8 +17,8 @@ sequences, but they are still properly indexed for matching".
 
 **Deletion.**  The paper states ViST supports deletion but gives no
 algorithm; we reference-count each node with the number of sequences
-whose insertion passed through it and reclaim entries at zero.  Allocation
-cursors are never rolled back — labels, once assigned, stay fixed, as
+whose insertion passed through it and reclaim entries at zero.  Child
+counts are never rolled back — labels, once assigned, stay fixed, as
 Section 3.4 requires.
 """
 
@@ -47,10 +47,8 @@ from repro.index.store import (
     node_key,
     node_key_len,
 )
-from repro.labeling.clues import FollowSets
 from repro.labeling.dynamic import (
     DEFAULT_MAX,
-    ClueAllocator,
     LambdaAllocator,
     NodeState,
     ScopeAllocator,
@@ -99,18 +97,13 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # memory only, so reopening from disk always starts cold.
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
         self._matcher = SequenceMatcher(self)
-        if allocator is None:
-            if self.encoder.schema is not None:
-                allocator = ClueAllocator(FollowSets(self.encoder.schema))
-            else:
-                allocator = LambdaAllocator()
-        self.allocator = allocator
+        self.allocator = allocator if allocator is not None else LambdaAllocator()
         self.track_refs = track_refs
         self.underflow_count = 0  # borrow events, reported by the ablation bench
         # (parent_n, item) -> child n: a rebuildable in-memory accelerator
         # for Algorithm 4's immediate-child search.  The paper's own answer
         # is the arithmetic test "by Eq (4) and Eq (6)"; a lookaside cache
-        # achieves the same O(1) lookup for both allocation schemes without
+        # achieves the same O(1) lookup for any allocator without
         # touching the persistent structures (it is not part of the index
         # size and repopulates lazily after reopening from disk).
         self._child_cache: dict[tuple[int, Item], int] = {}
@@ -122,10 +115,10 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         self._docid_buffer: Optional[list[tuple[int, int]]] = None
         # batch write-dedup overlay for the combined tree: n -> (key,
         # live NodeState).  Hot parents (root, record-type nodes) have
-        # their cursors advanced by nearly every insert; writing them
+        # their child counts advanced by nearly every insert; writing them
         # through per document costs a B+Tree delete+insert each time.
         # During a chunk the latest state lives here, every in-chunk read
-        # goes through it (so cursor updates accumulate on one object),
+        # goes through it (so count updates accumulate on one object),
         # and _end_batch writes each node once, in key order.
         self._node_overlay: Optional[dict[int, tuple[bytes, NodeState]]] = None
         # (parent_n, item) -> n for nodes *created* during the chunk:
@@ -194,7 +187,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             key = node_key(item.symbol, item.prefix, 0)  # placeholder, fixed below
             if child is None:
                 scope = self.allocator.place(parent_state, parent_item, item)
-                # place() advanced the parent's allocation cursors: the
+                # place() advanced the parent's child count: the
                 # parent must be written back even without refcounting,
                 # or a later insertion would hand out the same scope twice
                 pending.setdefault(
@@ -311,7 +304,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             entry = pending.get(n)
             if entry is None and overlay is not None:
                 # an on-tree key can be stale during a chunk: the live
-                # state (advanced cursors) is the overlay's object
+                # state (advanced child count) is the overlay's object
                 entry = overlay.get(n)
             state = entry[1] if entry is not None else NodeState.from_bytes(n, value)
             if state.parent_n == scope.n and not state.private:
@@ -429,7 +422,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
 
         Reference counts unwind exactly like :meth:`_remove_locked`;
         without refcounting, the nodes this insert created (tracked in
-        ``_last_insert``) are deleted directly.  Allocation cursors are
+        ``_last_insert``) are deleted directly.  Child counts are
         deliberately *not* rolled back — labels, once assigned, stay
         fixed (Section 3.4), the same policy :meth:`remove` follows.
         The docstore id is un-assigned, so the next add reuses it."""

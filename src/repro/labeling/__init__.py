@@ -1,14 +1,11 @@
-"""Scope labelling: static (RIST) and dynamic (ViST) schemes plus clues."""
+"""Scope labelling: static (RIST) and dynamic (ViST) schemes."""
 
-from repro.labeling.clues import VALUE, FollowCandidate, FollowSets
 from repro.labeling.dynamic import (
     DEFAULT_MAX,
     Chain,
-    ClueAllocator,
     LambdaAllocator,
     NodeState,
     ScopeAllocator,
-    UniformAllocator,
 )
 from repro.labeling.scope import Scope
 
@@ -18,10 +15,5 @@ __all__ = [
     "NodeState",
     "ScopeAllocator",
     "LambdaAllocator",
-    "UniformAllocator",
-    "ClueAllocator",
-    "FollowSets",
-    "FollowCandidate",
-    "VALUE",
     "DEFAULT_MAX",
 ]

@@ -7,7 +7,9 @@ protocol; only the payload schemas differ.
 
 Worker requests are objects with an ``op`` and a caller-chosen ``id``
 echoed back in the response (responses may arrive out of order — the
-worker answers queries from a thread pool)::
+worker answers queries one at a time on its query thread, but every
+other op inline on the connection thread, so a ``ping`` or ``add`` reply
+can overtake a query's)::
 
     {"id": 7, "op": "query", "xpath": "//a[b]", "verify": false,
      "guard": {"deadline_ms": 100.0}}          # guard keys optional

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 from repro.doc.model import XmlNode
 from repro.query.ast import DSLASH_LABEL, STAR_LABEL, QueryNode
 
-__all__ = ["DocQueryGenerator"]
+__all__ = ["LABELS", "DocQueryGenerator"]
 
-_LABELS = ("a", "b", "c", "d")
+LABELS = ("a", "b", "c", "d")
 _VALUES = ("u", "v", "w", "7", "42")
 
 
@@ -33,7 +33,7 @@ class DocQueryGenerator:
         self,
         seed: int,
         *,
-        labels: Sequence[str] = _LABELS,
+        labels: Sequence[str] = LABELS,
         values: Sequence[str] = _VALUES,
         max_depth: int = 4,
         max_children: int = 3,

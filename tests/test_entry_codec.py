@@ -52,11 +52,8 @@ def node_states(draw) -> NodeState:
         reserve_used=draw(st.one_of(st.just(0), LABELS)),
         private=draw(st.booleans()),
     )
-    for name in ("plain", "value", "extra"):
-        if draw(st.booleans()):
-            k = draw(COUNTS.filter(bool))
-            distance = draw(st.integers(min_value=1, max_value=1 << 256))
-            setattr(state, name, Chain(k=k, next=n + distance))
+    if draw(st.booleans()):
+        state.chain = Chain(draw(COUNTS.filter(bool)))
     return state
 
 
@@ -71,7 +68,7 @@ class TestNodeStateCodec:
 
     def test_every_flag_combination_round_trips(self):
         n = (1 << 255) + 12345
-        for mask in range(32):
+        for mask in range(8):
             state = NodeState(
                 scope=Scope(n, 1 << 200),
                 parent_n=n - 1,
@@ -80,11 +77,7 @@ class TestNodeStateCodec:
                 reserve_used=77 if mask & 2 else 0,
             )
             if mask & 4:
-                state.plain = Chain(k=2, next=n + (1 << 198))
-            if mask & 8:
-                state.value = Chain(k=1, next=n + 9)
-            if mask & 16:
-                state.extra = Chain(k=500, next=n + (1 << 199))
+                state.chain = Chain(500)
             data = state.to_bytes()
             assert data[0] == mask
             assert NodeState.from_bytes(n, data) == state
@@ -97,12 +90,7 @@ class TestNodeStateCodec:
 
     @given(state=node_states())
     def test_within_the_priced_worst_case(self, state):
-        bound = max(
-            state.scope.n,
-            state.scope.size,
-            state.reserve_used,
-            *(c.next - state.scope.n for c in (state.plain, state.value, state.extra) if c.k),
-        )
+        bound = max(state.scope.n, state.scope.size, state.reserve_used)
         assert len(state.to_bytes()) <= NodeState.max_encoded_len(bound)
 
     @given(state=node_states(), cut=st.integers(min_value=0, max_value=400))
@@ -116,7 +104,7 @@ class TestNodeStateCodec:
         with pytest.raises(CodecError):
             NodeState.from_bytes(state.scope.n, state.to_bytes() + junk)
 
-    @pytest.mark.parametrize("bit", [0x20, 0x40, 0x80])
+    @pytest.mark.parametrize("bit", [0x08, 0x10, 0x20, 0x40, 0x80])
     def test_unknown_flag_bit_is_a_codec_error(self, bit):
         data = bytearray(NodeState(Scope(9, 4), parent_n=8).to_bytes())
         data[0] |= bit
@@ -134,15 +122,14 @@ class TestNodeStateCodec:
         size_delta_refs = encode_uint(4) + encode_uint(1) + encode_uint(0)
         with pytest.raises(CodecError, match="reserve"):
             NodeState.from_bytes(9, b"\x02" + size_delta_refs + encode_uint(0))
-        with pytest.raises(CodecError, match="idle plain chain"):
-            NodeState.from_bytes(
-                9, b"\x04" + size_delta_refs + encode_uint(0) + encode_uint(5)
-            )
+        with pytest.raises(CodecError, match="idle chain"):
+            NodeState.from_bytes(9, b"\x04" + size_delta_refs + encode_uint(0))
 
     def test_state_behind_its_own_label_cannot_be_written(self):
-        # a cursor at or below n contradicts Chain's contract; the encoder
-        # refuses it instead of writing a wrapped delta
-        state = NodeState(Scope(50, 10), parent_n=40, plain=Chain(k=1, next=7))
+        # a parent above its child contradicts the trie (every child is
+        # carved from inside its parent's scope); the encoder refuses the
+        # negative delta instead of writing a wrapped one
+        state = NodeState(Scope(50, 10), parent_n=60, chain=Chain(1))
         with pytest.raises(CodecError):
             state.to_bytes()
 
@@ -181,7 +168,7 @@ class TestPayloadLabels:
         is shared labels, then a sequential block above the lender."""
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=1 << 16,
         )
         ids = [index.add(_chain_doc(18, leaf=f"v{i}")) for i in range(6)]
@@ -229,13 +216,13 @@ class TestPayloadLabels:
 
 # sha-256 over every non-reserved combined-tree key and every DocId
 # (key, value), computed by _label_digest.  Re-pinned when Chain.allocate
-# floored λ at k + 1 and the root scope fell from 2**256 to 2**128: every
-# label moved on purpose.  3 974 and 4 036 trie nodes; the clue corpus's
-# 100 XMark records, which dblp_schema() does not describe, borrow 13 times
-# at 2**128, its 300 DBLP records never.
+# took its closed form (child k of [lo, lo+W) is [lo + k·W//(k+1),
+# lo + (k+1)·W//(k+2))) and a schema stopped selecting clue allocation:
+# every label moved on purpose.  3 974 and 4 036 trie nodes (the schema
+# orders siblings differently, so the tries differ), no borrow in either.
 PINNED = {
-    "lambda": "d54ac1f128b976dd060b4de42fbf38bdc96000aa9950c5d29e5373902f470902",
-    "clue": "7a574a93c908f13323dbd5278967942785d51e8bfc9970c28a888291dfbde5ba",
+    "lambda": "431eb6416b860a70dd7ea37028bd4a95916837a29ba98db6e6a6d4477b772284",
+    "schema": "0ce668491e35c1272c535c49e218cd7762c2a62a6288340161dad798c1506c17",
 }
 
 
@@ -266,9 +253,9 @@ def _label_digest(index: VistIndex) -> str:
     return digest.hexdigest()
 
 
-@pytest.fixture(scope="module", params=["lambda", "clue"])
+@pytest.fixture(scope="module", params=["lambda", "schema"])
 def pinned(request):
-    schema = dblp_schema() if request.param == "clue" else None
+    schema = dblp_schema() if request.param == "schema" else None
     return request.param, _pinned_index(schema)
 
 
@@ -281,23 +268,24 @@ def test_label_assignment_pin(pinned):
 
 
 def test_pinned_corpus_exercises_every_chain(pinned):
-    name, index = pinned
+    """Chains of one child (the 86 %), of a few, and a wide one."""
+    _, index = pinned
     states = [
         NodeState.from_bytes(decode_node_key(key)[2], value)
         for key, value in _node_entries(index)
     ]
-    if name == "lambda":
-        assert any(s.plain.k > 1 for s in states)
-    else:  # XMark records are unknown to dblp_schema(): the overflow chain
-        assert any(s.value.k > 1 for s in states)
-        assert any(s.extra.k > 0 for s in states) or index._root_state.extra.k > 0
+    counts = {state.chain.k for state in states}
+    assert {0, 1, 2} <= counts
+    assert max(counts) > 50
 
 
 def test_byte_census_gate(pinned):
-    """Counts, exact for the seed.  The readings at this commit are 36.4 /
-    4.37 (λ) and 24.7 / 6.14 (clue) against 63.8 / 6.91 and 54.8 / 12.07
-    with 2**256 labels and no λ floor, and 129.1 / 32.5 and 106.5 / 33.0
-    before the parent-relative codec; the bounds are the readings + 10 %."""
+    """Counts, exact for the seed.  The readings at this commit are 23.0 /
+    4.37 (λ) and 22.9 / 4.26 (schema'd λ), against 36.4 / 4.37 and a
+    clue-allocated 24.7 / 6.14 while chains stored their cursor, 63.8 /
+    6.91 and 54.8 / 12.07 with 2**256 labels and no λ floor, and 129.1 /
+    32.5 and 106.5 / 33.0 before the parent-relative codec; the bounds are
+    the readings + 10 %."""
     name, index = pinned
     entries = _node_entries(index)
     mean_value = sum(len(value) for _, value in entries) / len(entries)
@@ -307,7 +295,7 @@ def test_byte_census_gate(pinned):
         seq_len, offset = decode_uint(payload)
         label_bytes += len(payload) - offset - seq_len
         items += len(index._payload_to_sequence(payload))
-    max_value, max_label_bytes = {"lambda": (40.0, 4.8), "clue": (27.1, 6.75)}[name]
+    max_value, max_label_bytes = {"lambda": (25.3, 4.8), "schema": (25.2, 4.7)}[name]
     assert mean_value <= max_value
     assert label_bytes / items <= max_label_bytes
 
@@ -315,8 +303,9 @@ def test_byte_census_gate(pinned):
 def test_default_width_leaves_headroom_on_the_benchmark_mix():
     """1 600 DBLP + 500 XMark records (the benchmark's corpus shape) into a
     default index: no borrow, no private node, and the narrowest scope is
-    still ``2**64`` ids wide — ~2**72 at this commit, so a corpus much
-    larger than this one still fits under ``2**128``."""
+    still ``2**64`` ids wide — a 75-bit size at this commit (73 bits while
+    chains stored their cursor), so a corpus much larger than this one
+    still fits under ``2**128``."""
     index = VistIndex(SequenceEncoder())
     records = list(DblpGenerator(DblpConfig(seed=7)).records(1600))
     records += XmarkGenerator(
@@ -360,14 +349,16 @@ class TestKeySizeBudget:
         index = VistIndex(SequenceEncoder())
         end = index._root_state.scope.end
         length = self.longest_accepted_label(index)
-        # the nine-integer allowance this replaces would have refused it
-        old_allowance = 40 + 9 * len(encode_uint(end))
-        assert _root_key_len(index, length) + old_allowance > DEFAULT_PAGE_SIZE // 4
+        # format 2's allowance — six label-width integers (three of them
+        # chain cursors) and four counters — would have refused it
+        counter = len(encode_uint((1 << 64) - 1))
+        old_allowance = 1 + 6 * len(encode_uint(end)) + 4 * counter
+        assert _root_key_len(index, length) + old_allowance > self.cell_budget()
         doc_id = index.add(_doc_with_root_label(length))
         assert index.query("/" + "k" * length) == [doc_id]
         # ... and a cell under that key still fits when its label and its
         # state are the widest the codec can write: private, reserve used,
-        # three chains, every label-sized field as wide as the root allows
+        # a chain, every label-sized field as wide as the root allows
         key = node_key("k" * length, (), end)
         worst = NodeState(
             scope=Scope(end, end),
@@ -375,9 +366,7 @@ class TestKeySizeBudget:
             refs=(1 << 64) - 1,
             reserve_used=end,
             private=True,
-            plain=Chain(k=(1 << 64) - 1, next=end + end),
-            value=Chain(k=(1 << 64) - 1, next=end + end),
-            extra=Chain(k=(1 << 64) - 1, next=end + end),
+            chain=Chain((1 << 64) - 1),
         )
         assert len(worst.to_bytes()) == NodeState.max_encoded_len(end)
         index.tree.insert(key, worst.to_bytes())

@@ -125,19 +125,29 @@ def test_other_format_number_cannot_be_opened(tmp_path):
 # (b) an old-layout DBDIR, built by hand
 
 
+def _chain_next(index: VistIndex, state: NodeState) -> int:
+    """The cursor the old formats stored: the first id after the chain's
+    ``k`` children, ``lo + k·W//(k+1)``."""
+    k = state.chain.k
+    width = index.allocator.usable_size(state.scope)
+    return state.scope.n + 1 + k * width // (k + 1)
+
+
 def _old_state_bytes(index: VistIndex, state: NodeState) -> bytes:
     """The nine-integer ``NodeState`` the format stamp replaced:
     ``[flags][size][parent_n][refs][reserve_used]`` then ``(k, next,
-    remaining)`` for each of the plain / value / extra chains."""
+    remaining)`` for each of the plain / value / extra chains (the last
+    two idle here)."""
     scope = state.scope
     out = bytes([1 if state.private else 0])
     for field in (scope.size, state.parent_n, state.refs, state.reserve_used):
         out += encode_uint(field)
     region_end = scope.n + 1 + index.allocator.usable_size(scope)
-    for chain in (state.plain, state.value, state.extra):
-        remaining = region_end - chain.next if chain.k else 0
-        out += encode_uint(chain.k) + encode_uint(chain.next) + encode_uint(remaining)
-    return out
+    k = state.chain.k
+    cursor = _chain_next(index, state) if k else 0
+    remaining = region_end - cursor if k else 0
+    out += encode_uint(k) + encode_uint(cursor) + encode_uint(remaining)
+    return out + 6 * encode_uint(0)
 
 
 def _rewrite_in_old_layout(dbdir: Path) -> None:
@@ -190,6 +200,54 @@ def test_salvage_upgrades_a_hand_built_old_layout(tmp_path, capsys, fresh_answer
     index = open_index(dbdir)
     assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
     assert all(doc_id not in index.docstore for doc_id in REMOVED)
+    _close(index)
+
+
+def _format2_state_bytes(index: VistIndex, state: NodeState) -> bytes:
+    """What format 2 wrote: ``[flags][size][n − parent_n][refs]``, then
+    ``reserve_used`` behind flag 0x02 and the λ-chain's ``(k, next − n)``
+    behind flag 0x04 — the cursor format 3 derives from ``k``."""
+    n = state.scope.n
+    flags = 0x01 if state.private else 0
+    tail = b""
+    if state.reserve_used:
+        flags |= 0x02
+        tail += encode_uint(state.reserve_used)
+    if state.chain.k:
+        flags |= 0x04
+        tail += encode_uint(state.chain.k) + encode_uint(_chain_next(index, state) - n)
+    return (
+        bytes([flags])
+        + encode_uint(state.scope.size)
+        + encode_uint(n - state.parent_n)
+        + encode_uint(state.refs)
+        + tail
+    )
+
+
+def test_salvage_upgrades_a_format_2_dbdir(tmp_path, fresh_answers):
+    """A DBDIR whose entries still carry the stored cursor refuses to
+    open, naming ``salvage``; salvage rebuilds it at this format with the
+    same answers and a smaller ``vist.db``."""
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    index = open_index(dbdir)
+    for key, value in list(index.tree.items()):
+        if key in RESERVED_KEYS - {ROOT_KEY}:
+            continue
+        n = 0 if key == ROOT_KEY else decode_node_key(key)[2]
+        index.tree.put(key, _format2_state_bytes(index, NodeState.from_bytes(n, value)))
+    index.tree.put(META_FORMAT_KEY, encode_uint(2))
+    _close(index)
+    old_size = (dbdir / "vist.db").stat().st_size
+    with pytest.raises(IndexFormatError, match="format 2.*salvage"):
+        open_index(dbdir)
+
+    assert main(["salvage", str(dbdir)]) == 0
+    assert _answers(dbdir) == fresh_answers
+    assert (dbdir / "vist.db").stat().st_size < old_size
+    index = open_index(dbdir)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT) == encode_uint(3)
     _close(index)
 
 

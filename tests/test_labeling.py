@@ -1,34 +1,18 @@
-"""Tests for scopes, follow sets and the dynamic allocators."""
+"""Tests for scopes, the closed-form λ-chain and the dynamic allocator."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import LabelingError
-from repro.labeling.clues import VALUE, FollowSets
 from repro.labeling.dynamic import (
     DEFAULT_MAX,
     Chain,
-    ClueAllocator,
     LambdaAllocator,
     NodeState,
-    UniformAllocator,
 )
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
-
-
-def purchase_schema() -> Schema:
-    schema = Schema("P")
-    schema.element("P", [ChildSpec("S"), ChildSpec("B")])
-    schema.element("S", [ChildSpec("N"), ChildSpec("I", Occurs.MANY), ChildSpec("L")])
-    schema.element("B", [ChildSpec("L"), ChildSpec("N")])
-    schema.element("I", [ChildSpec("M"), ChildSpec("N"), ChildSpec("I", Occurs.MANY)])
-    schema.element("N", has_text=True, value_cardinality=100)
-    schema.element("L", has_text=True, value_cardinality=50)
-    schema.element("M", has_text=True, value_cardinality=20)
-    return schema
 
 
 class TestScope:
@@ -65,87 +49,126 @@ class TestScope:
 
 class TestChain:
     def test_lambda_two_halving(self):
-        """Figure 8's λ=2 halves the region for the first two children;
-        from the third on the ``k + 1`` floor takes over, so child ``k``
-        gets ``width / (2k(k+1))`` instead of ``width / 2^(k+1)``."""
+        """Figure 8's λ=2 halves the region for the first child; child
+        ``k`` then takes ``[lo + k·W//(k+1), lo + (k+1)·W//(k+2))``, about
+        ``W/((k+1)(k+2))`` where plain halving gave ``W/2^(k+1)``."""
         chain = Chain()
-        scopes = [chain.allocate(1, 1200, 2) for _ in range(4)]
+        scopes = [chain.allocate(1, 1200) for _ in range(4)]
         assert scopes == [
             Scope(1, 599),  # [1, 601): 1/2
-            Scope(601, 299),  # 1/4
-            Scope(901, 99),  # 1/12, where plain halving gave 1/8
-            Scope(1001, 49),  # 1/24, where plain halving gave 1/16
+            Scope(601, 199),  # [601, 801): 1/6
+            Scope(801, 99),  # [801, 901): 1/12, where plain halving gave 1/8
+            Scope(901, 59),  # [901, 961): 1/20, where plain halving gave 1/16
         ]
+        assert chain.k == 4
 
     def test_disjoint_and_ordered(self):
         chain = Chain()
-        scopes = [chain.allocate(0, 10_000, 3) for _ in range(10)]
+        scopes = [chain.allocate(0, 10_000) for _ in range(10)]
         for a, b in zip(scopes, scopes[1:]):
             assert a.end < b.n
 
     def test_underflow_returns_none(self):
         chain = Chain()
         for _ in range(50):
-            if chain.allocate(0, 64, 2) is None:
+            if chain.allocate(0, 64) is None:
                 break
         else:
             pytest.fail("chain never underflowed")
-        assert chain.allocate(0, 64, 2) is None
+        k = chain.k
+        assert chain.allocate(0, 64) is None
+        assert chain.k == k  # an underflow allocates nothing
 
     @given(
         region_lo=st.integers(min_value=0, max_value=1 << 256),
         region_width=st.integers(min_value=0, max_value=1 << 256),
-        lams=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=80),
+        count=st.integers(min_value=1, max_value=80),
     )
     def test_matches_reference_chain_with_explicit_remaining(
-        self, region_lo, region_width, lams
+        self, region_lo, region_width, count
     ):
-        """``allocate`` derives the free width from ``next``; a reference
-        chain that carries ``remaining`` as its own field (the cursor the
-        entry format used to persist) and floors λ at ``k + 1`` hands out
-        the same scopes, whatever λ each call brings."""
+        """A reference chain that carries ``next`` and ``remaining`` as
+        fields (the cursor format 2 persisted) and starts each child where
+        the last one ended hands out the scopes ``allocate`` derives from
+        ``k`` alone; each share is Eq. 6's ``remaining / λ`` with
+        ``λ = k + 2``, within the one id a floor division can drop."""
         chain = Chain()
-        ref_k = ref_next = ref_remaining = 0
-        for lam in lams:
-            if ref_k == 0:
-                ref_next, ref_remaining = region_lo, region_width
-            share = ref_remaining // max(lam, 2, ref_k + 1)
+        ref_k, ref_next = 0, region_lo
+        for _ in range(count):
+            ref_remaining = region_lo + region_width - ref_next
+            end = region_lo + (ref_k + 1) * region_width // (ref_k + 2)
             expected = None
-            if share >= 1:
-                expected = Scope(ref_next, share - 1)
-                ref_next += share
-                ref_remaining -= share
+            if end > ref_next:
+                expected = Scope(ref_next, end - ref_next - 1)
+                assert abs((end - ref_next) - ref_remaining // (ref_k + 2)) <= 1
+                ref_next = end
                 ref_k += 1
-            assert chain.allocate(region_lo, region_width, lam) == expected
+            assert chain.allocate(region_lo, region_width) == expected
             assert chain.k == ref_k
-            if ref_k:
-                assert chain.next == ref_next
-                assert chain.next + ref_remaining == region_lo + region_width
+
+    @given(
+        region_lo=st.integers(min_value=0, max_value=1 << 200),
+        region_width=st.integers(min_value=1, max_value=1 << 200),
+        count=st.integers(min_value=1, max_value=300),
+    )
+    def test_derived_children_tile_the_region(self, region_lo, region_width, count):
+        """For any ``W ≥ 1``: the children are disjoint and contiguous from
+        ``lo``, lie inside ``[lo, lo + W)``, and ``allocate`` returns
+        ``None`` exactly when child ``k``'s share would be empty — after
+        which the chain allocates nothing, ever."""
+        chain = Chain()
+        cursor = region_lo
+        for _ in range(count):
+            k = chain.k
+            share = region_lo + (k + 1) * region_width // (k + 2) - cursor
+            scope = chain.allocate(region_lo, region_width)
+            if scope is None:
+                assert share == 0 and chain.k == k
+                assert chain.allocate(region_lo, region_width) is None
+                break
+            assert share == scope.size + 1 >= 1
+            assert scope.n == cursor  # contiguous: starts where the last ended
+            assert scope.end < region_lo + region_width
+            assert chain.k == k + 1
+            cursor = scope.end + 1
+
+    @given(
+        region_lo=st.integers(min_value=0, max_value=1 << 128),
+        region_width=st.integers(min_value=1, max_value=1 << 128),
+        k=st.integers(min_value=0, max_value=1 << 70),
+    )
+    def test_any_k_is_contiguous_with_the_next(self, region_lo, region_width, k):
+        """Child ``k`` and child ``k + 1``, derived independently, meet."""
+        a = Chain(k).allocate(region_lo, region_width)
+        b = Chain(k + 1).allocate(region_lo, region_width)
+        for scope in (a, b):
+            if scope is not None:
+                assert region_lo <= scope.n and scope.end < region_lo + region_width
+        if a is not None and b is not None:
+            assert a.end + 1 == b.n
 
     @given(
         width=st.integers(min_value=2, max_value=1 << 200),
-        lam=st.integers(min_value=2, max_value=1000),
         count=st.integers(min_value=1, max_value=60),
     )
-    def test_property_children_nest_in_region(self, width, lam, count):
+    def test_property_children_nest_in_region(self, width, count):
         chain = Chain()
         region = Scope(100, width)
         for _ in range(count):
-            scope = chain.allocate(region.n + 1, width - 1, lam)
+            scope = chain.allocate(region.n + 1, width - 1)
             if scope is None:
                 break
             assert region.covers(scope)
-
 
     @given(
         size=st.integers(min_value=1 << 40, max_value=1 << 128),
         fanout=st.integers(min_value=2, max_value=300),
     )
-    def test_floored_share_is_width_over_2k_k_plus_1(self, size, fanout):
-        """With the default allocator's λ, child ``k ≥ 1`` of a chain over
-        ``W`` usable ids gets ``W / (2k(k+1))`` within rounding (each
-        floor division leaves at most one id behind), so ``F`` children
-        spend at most ``2·log₂F + 1`` bits of their parent's scope."""
+    def test_share_is_width_over_k_plus_1_k_plus_2(self, size, fanout):
+        """Child ``k`` of a chain over ``W`` usable ids gets
+        ``W / ((k+1)(k+2))`` within rounding (two floor divisions, each
+        off by less than one id), so ``F`` children spend about
+        ``2·log₂(F+1)`` bits of their parent's scope."""
         alloc = LambdaAllocator()
         state = NodeState(scope=Scope(0, size), parent_n=0)
         width = alloc.usable_size(state.scope)
@@ -154,14 +177,14 @@ class TestChain:
             if k == 0:
                 assert share == width // 2
             else:
-                assert abs(share * 2 * k * (k + 1) - width) < 2 * k * (k + 1)
-        assert width <= share * 2 * fanout * fanout  # the last, smallest child
+                assert abs(share * (k + 1) * (k + 2) - width) < (k + 1) * (k + 2)
+        assert width < (share + 1) * fanout * (fanout + 1)  # the last, smallest child
 
 
 class TestNodeState:
     def test_roundtrip(self):
         state = NodeState(scope=Scope(7, 1 << 128), parent_n=3, refs=5, private=True)
-        state.plain.allocate(8, 1000, 2)
+        state.chain.allocate(8, 1000)
         state.reserve_used = 17
         restored = NodeState.from_bytes(7, state.to_bytes())
         assert restored == state
@@ -173,69 +196,9 @@ class TestNodeState:
             NodeState.from_bytes(7, NodeState(Scope(1, 2), 0).to_bytes() + b"zz")
 
 
-class TestFollowSets:
-    def test_element_children_in_order(self):
-        fs = FollowSets(purchase_schema())
-        cands = fs.candidates(Item("S", ("P",)))
-        labels = [c.label for c in cands]
-        # children of S first (N, I, L), then B (sibling under P)
-        assert labels[:3] == ["N", "I", "L"]
-        assert "B" in labels
-
-    def test_value_first_for_text_elements(self):
-        fs = FollowSets(purchase_schema())
-        cands = fs.candidates(Item("N", ("P", "S")))
-        assert cands[0].label == VALUE
-        assert cands[0].prefix == ("P", "S", "N")
-
-    def test_repeatable_node_follows_itself(self):
-        fs = FollowSets(purchase_schema())
-        cands = fs.candidates(Item("M", ("P", "S", "I")))
-        # after I's M child: value of M, then N/I children of I... climbing,
-        # I itself repeats under S
-        repeats = [c for c in cands if c.label == "I" and c.prefix == ("P", "S")]
-        assert repeats
-
-    def test_value_item_climbs_from_owner(self):
-        fs = FollowSets(purchase_schema())
-        cands = fs.candidates(Item(12345, ("P", "S", "N")))
-        labels = [(c.label, c.prefix) for c in cands]
-        # After the value of (N, PS): I then L under S, then B under P.
-        assert ("I", ("P", "S")) in labels
-        assert ("L", ("P", "S")) in labels
-        assert ("B", ("P",)) in labels
-
-    def test_probabilities_chain_eq2(self):
-        schema = Schema("x")
-        schema.element("x", [ChildSpec("u", prob=0.8), ChildSpec("v", prob=0.5)])
-        fs = FollowSets(schema, value_prob=0.0)
-        cands = fs.candidates(Item("x", ()))
-        by_label = {c.label: c.probability for c in cands}
-        assert by_label["u"] == pytest.approx(0.8)
-        assert by_label["v"] == pytest.approx(0.2 * 0.5)
-
-    def test_probabilities_sum_below_one(self):
-        fs = FollowSets(purchase_schema())
-        cands = fs.candidates(Item("S", ("P",)))
-        assert sum(c.probability for c in cands) <= 1.0 + 1e-9
-
-    def test_root_candidates(self):
-        fs = FollowSets(purchase_schema())
-        (root,) = fs.root_candidates()
-        assert root.label == "P"
-        assert root.prefix == ()
-        assert root.probability == 1.0
-
-    def test_cache_returns_same_object(self):
-        fs = FollowSets(purchase_schema())
-        a = fs.candidates(Item("S", ("P",)))
-        b = fs.candidates(Item("S", ("P",)))
-        assert a is b
-
-
 class TestLambdaAllocator:
     def test_places_disjoint_children(self):
-        alloc = LambdaAllocator(lam=2)
+        alloc = LambdaAllocator()
         state = NodeState(scope=Scope(0, DEFAULT_MAX - 1), parent_n=0)
         a = alloc.place(state, None, Item("P", ()))
         b = alloc.place(state, None, Item("Q", ()))
@@ -245,17 +208,15 @@ class TestLambdaAllocator:
 
     def test_lambda_validation(self):
         with pytest.raises(LabelingError):
-            LambdaAllocator(lam=1)
-        with pytest.raises(LabelingError):
             LambdaAllocator(reserve_divisor=1)
 
     def test_underflow_in_tiny_scope(self):
-        alloc = LambdaAllocator(lam=2)
+        alloc = LambdaAllocator()
         state = NodeState(scope=Scope(0, 1), parent_n=0)
         assert alloc.place(state, None, Item("a", ())) is None
 
     def test_reserve_borrowing(self):
-        alloc = LambdaAllocator(lam=2, reserve_divisor=4)
+        alloc = LambdaAllocator(reserve_divisor=4)
         state = NodeState(scope=Scope(0, 1600), parent_n=0)
         reserve = alloc.reserve_size(state.scope)
         assert reserve == 400
@@ -266,118 +227,35 @@ class TestLambdaAllocator:
         assert alloc.borrow_block(state, reserve) is None  # exhausted
 
     def test_borrow_never_collides_with_usable(self):
-        alloc = LambdaAllocator(lam=2, reserve_divisor=4)
+        alloc = LambdaAllocator(reserve_divisor=4)
         state = NodeState(scope=Scope(0, 1600), parent_n=0)
         child = alloc.place(state, None, Item("a", ()))
         start = alloc.borrow_block(state, 5)
         assert child.end < start
 
 
-class TestClueAllocator:
-    def make(self):
-        fs = FollowSets(purchase_schema())
-        return ClueAllocator(fs), fs
-
-    def root_state(self):
-        return NodeState(scope=Scope(0, DEFAULT_MAX - 1), parent_n=0)
-
-    def test_deterministic_slots(self):
-        alloc, _ = self.make()
-        s1 = self.root_state()
-        s2 = self.root_state()
-        a = alloc.place(s1, Item("P", ()), Item("S", ("P",)))
-        b = alloc.place(s2, Item("P", ()), Item("S", ("P",)))
-        assert a == b  # clue slots do not depend on insertion order
-
-    def test_different_children_disjoint(self):
-        alloc, _ = self.make()
-        state = NodeState(scope=Scope(0, DEFAULT_MAX - 1), parent_n=0)
-        parent = Item("S", ("P",))
-        scopes = [
-            alloc.place(state, parent, Item("N", ("P", "S"))),
-            alloc.place(state, parent, Item("I", ("P", "S"))),
-            alloc.place(state, parent, Item("L", ("P", "S"))),
-        ]
-        assert all(s is not None for s in scopes)
-        for i, a in enumerate(scopes):
-            for b in scopes[i + 1 :]:
-                assert a.end < b.n or b.end < a.n
-
-    def test_values_get_distinct_scopes(self):
-        alloc, _ = self.make()
-        state = NodeState(scope=Scope(0, DEFAULT_MAX - 1), parent_n=0)
-        parent = Item("N", ("P", "S"))
-        a = alloc.place(state, parent, Item(111, ("P", "S", "N")))
-        b = alloc.place(state, parent, Item(222, ("P", "S", "N")))
-        assert a is not None and b is not None
-        assert a.end < b.n
-
-    def test_unpredicted_child_goes_to_overflow(self):
-        alloc, _ = self.make()
-        state = NodeState(scope=Scope(0, DEFAULT_MAX - 1), parent_n=0)
-        parent = Item("S", ("P",))
-        rogue = alloc.place(state, parent, Item("ZZZ", ("P", "S")))
-        assert rogue is not None
-        assert state.extra.k == 1
-        expected = alloc.place(state, parent, Item("N", ("P", "S")))
-        assert expected.end < rogue.n or rogue.end < expected.n
-
-    def test_root_item_placement(self):
-        alloc, _ = self.make()
-        state = self.root_state()
-        scope = alloc.place(state, None, Item("P", ()))
-        assert scope is not None
-        assert state.scope.covers(scope)
-
-    def test_config_validation(self):
-        fs = FollowSets(purchase_schema())
-        with pytest.raises(LabelingError):
-            ClueAllocator(fs, clue_fraction=1.5)
-        with pytest.raises(LabelingError):
-            ClueAllocator(fs, fallback_lam=1)
-
-
 class TestChainCursorInvariant:
-    """Every allocator keeps ``Chain``'s promise — ``next`` is valid once
-    ``k > 0`` — which is what lets the entry codec store ``next - n``."""
+    """The count is all a chain needs: after every ``place``, the cursor
+    derived from ``k`` — ``lo + k·W//(k+1)``, the first id past the
+    children — is inside the scope, every child starts there, and the
+    state round-trips through the codec."""
 
     PARENT = Item("S", ("P",))
-    CHILDREN = [
-        Item("N", ("P", "S")),  # clue slot
-        Item("ZZZ", ("P", "S")),  # unpredicted: overflow chain
-        Item("I", ("P", "S")),
-        Item("YYY", ("P", "S")),
-    ]
-    VALUE_PARENT = Item("N", ("P", "S"))
-    VALUES = [Item(h, ("P", "S", "N")) for h in (11, 22, 33)]
+    CHILDREN = [Item(label, ("P", "S")) for label in ("N", "ZZZ", "I", "YYY")]
 
-    @staticmethod
-    def assert_cursors(state):
-        for chain in (state.plain, state.value, state.extra):
-            if chain.k > 0:
-                assert state.scope.n < chain.next <= state.scope.end + 1
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: LambdaAllocator(lam=3),
-            lambda: UniformAllocator(expected_children=5),
-            lambda: ClueAllocator(FollowSets(purchase_schema())),
-        ],
-        ids=["lambda", "uniform", "clue"],
-    )
     @pytest.mark.parametrize("scope", [Scope(0, DEFAULT_MAX - 1), Scope(700, 90), Scope(5, 3)])
-    def test_next_is_inside_the_scope_after_every_place(self, make, scope):
-        alloc = make()
-        for parent, children in (
-            (self.PARENT, self.CHILDREN),
-            (self.VALUE_PARENT, self.VALUES),
-        ):
-            state = NodeState(scope=scope, parent_n=0)
-            for child in children * 3:
-                placed = alloc.place(state, parent, child)
-                self.assert_cursors(state)
-                if placed is not None:
-                    assert state.scope.covers(placed)
-                # what the codec relies on: the state always round-trips
-                assert NodeState.from_bytes(scope.n, state.to_bytes()) == state
+    def test_next_is_inside_the_scope_after_every_place(self, scope):
+        alloc = LambdaAllocator()
+        state = NodeState(scope=scope, parent_n=0)
+        lo, width = scope.n + 1, alloc.usable_size(scope)
+        for child in self.CHILDREN * 3:
+            cursor = lo + state.chain.k * width // (state.chain.k + 1)
+            placed = alloc.place(state, self.PARENT, child)
+            if placed is not None:
+                assert placed.n == cursor
+                assert state.scope.covers(placed)
+            k = state.chain.k
+            derived_next = lo + k * width // (k + 1)
+            if k > 0:
+                assert state.scope.n < derived_next <= state.scope.end + 1
+            assert NodeState.from_bytes(scope.n, state.to_bytes()) == state

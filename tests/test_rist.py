@@ -5,7 +5,6 @@ import pytest
 from repro.errors import IndexStateError
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
-from repro.labeling.dynamic import UniformAllocator
 from repro.sequence.transform import SequenceEncoder
 from tests.conftest import build_figure3_record, build_purchase_schema, build_record
 
@@ -96,35 +95,3 @@ class TestEquivalenceWithVist:
             vist.add(doc)
         for expr in self.QUERIES:
             assert rist.query(expr) == vist.query(expr), expr
-
-
-class TestUniformAllocator:
-    def test_equal_shares(self):
-        from repro.labeling.dynamic import NodeState
-        from repro.labeling.scope import Scope
-        from repro.sequence.encoding import Item
-
-        alloc = UniformAllocator(expected_children=4, reserve_divisor=16)
-        state = NodeState(scope=Scope(0, 1600), parent_n=0)
-        scopes = [alloc.place(state, None, Item(f"c{i}", ())) for i in range(4)]
-        assert all(s is not None for s in scopes)
-        widths = {s.size for s in scopes}
-        assert len(widths) == 1  # equal shares
-        # the fifth child underflows: the estimate was four
-        assert alloc.place(state, None, Item("c4", ())) is None
-
-    def test_validation(self):
-        from repro.errors import LabelingError
-
-        with pytest.raises(LabelingError):
-            UniformAllocator(expected_children=0)
-
-    def test_vist_with_uniform_allocator(self):
-        index = VistIndex(
-            SequenceEncoder(),
-            allocator=UniformAllocator(expected_children=32),
-        )
-        a = index.add(build_record("boston", "newyork", ["intel"]))
-        b = index.add(build_record("austin", "newyork", ["amd"]))
-        assert index.query("/P[S[L='boston']]") == [a]
-        assert index.query("/P/B[L='newyork']") == sorted([a, b])

@@ -170,7 +170,7 @@ class TestScopeUnderflow:
         # a tiny root scope forces underflow quickly
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=1 << 24,
         )
         doc_id = index.add(self.chain_doc(24))
@@ -182,7 +182,7 @@ class TestScopeUnderflow:
     def test_borrowed_nodes_not_shared(self):
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=1 << 24,
         )
         a = index.add(self.chain_doc(24))
@@ -194,7 +194,7 @@ class TestScopeUnderflow:
     def test_borrowed_docs_can_be_removed(self):
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=1 << 24,
         )
         a = index.add(self.chain_doc(24))
@@ -209,7 +209,7 @@ class TestScopeUnderflow:
         parent once the borrowing document is removed."""
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=1 << 24,
         )
         docs = [self.chain_doc(depth) for depth in (24, 20, 24, 22)]
@@ -227,7 +227,7 @@ class TestScopeUnderflow:
     def test_total_exhaustion_raises(self):
         index = VistIndex(
             SequenceEncoder(),
-            allocator=LambdaAllocator(lam=2, reserve_divisor=2),
+            allocator=LambdaAllocator(reserve_divisor=2),
             max_label=64,
         )
         with pytest.raises(ScopeUnderflowError):
