@@ -79,7 +79,7 @@ def test_per_document_add_baseline(benchmark, corpus_file, tmp_path):
         records.append(record)
         if len(records) >= BASELINE_CAP:
             break
-    index = open_index(tmp_path / "baseline", wal=True)
+    index = open_index(tmp_path / "baseline")
 
     def add_loop():
         index.add_batch(records, batch_size=1)
@@ -100,7 +100,7 @@ def test_streaming_bulk_ingest(benchmark, corpus_file, tmp_path):
     state = {}
 
     def ingest():
-        index = open_index(tmp_path / f"bulk{len(state)}", wal=True)
+        index = open_index(tmp_path / f"bulk{len(state)}")
         ids = index.add_batch(_records(corpus_file), batch_size=BATCH_SIZE)
         _close(index)
         state["ingested"] = len(ids)
@@ -119,7 +119,7 @@ def test_bulk_ingest_memory_flat(corpus_file, tmp_path):
     """Untimed tracemalloc pass: peak allocation is O(record + batch),
     not O(corpus) — the streaming claim, measured separately so the
     profiler never pollutes the throughput figures."""
-    index = open_index(tmp_path / "memory", wal=True)
+    index = open_index(tmp_path / "memory")
     tracemalloc.start()
     ids = index.add_batch(_records(corpus_file), batch_size=BATCH_SIZE)
     _, peak = tracemalloc.get_traced_memory()

@@ -1,15 +1,13 @@
 """Storage-substrate micro-benchmarks (not a paper experiment).
 
 Quantifies the substrate choices DESIGN.md makes on behalf of the paper:
-bottom-up bulk loading vs incremental insertion, and the cost of the
-WAL pager's durable commits vs the plain file pager.
+bottom-up bulk loading vs incremental insertion, and what a durable
+commit through the journaled file pager adds to a bulk load.
 """
-
-import pytest
 
 from repro.bench.harness import Report
 from repro.storage.bptree import BPlusTree
-from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
 
 N_ENTRIES = 20_000
@@ -52,15 +50,11 @@ def test_bulk_load(benchmark):
     assert len(tree) == N_ENTRIES
 
 
-@pytest.mark.parametrize("pager_kind", ["file", "wal"])
-def test_durable_build(benchmark, tmp_path, pager_kind):
+def test_durable_build(benchmark, tmp_path):
     data = entries()
 
     def build():
-        if pager_kind == "file":
-            pager = FilePager(tmp_path / f"{pager_kind}-{benchmark.name}.db")
-        else:
-            pager = WalPager(tmp_path / f"{pager_kind}-{benchmark.name}.db")
+        pager = WalPager(tmp_path / f"{benchmark.name}.db")
         tree = BPlusTree(pager)
         tree.bulk_load(data)
         tree.checkpoint()
@@ -70,4 +64,4 @@ def test_durable_build(benchmark, tmp_path, pager_kind):
         return pages
 
     pages = benchmark.pedantic(build, rounds=1, iterations=1)
-    REPORT.add(f"bulk+checkpoint ({pager_kind})", benchmark.stats.stats.median, pages)
+    REPORT.add("bulk+checkpoint (wal)", benchmark.stats.stats.median, pages)

@@ -16,9 +16,9 @@ from repro import (
     DblpConfig,
     DblpGenerator,
     FileDocStore,
-    FilePager,
     SequenceEncoder,
     VistIndex,
+    WalPager,
 )
 from repro.datasets.dblp import MAIER_KEY
 
@@ -30,7 +30,7 @@ def build(workdir: Path) -> None:
     index = VistIndex(
         SequenceEncoder(schema=generator.schema),
         docstore=FileDocStore(workdir / "docs.dat"),
-        pager=FilePager(workdir / "vist.db"),
+        pager=WalPager(workdir / "vist.db"),
     )
     for record in generator.records(N_RECORDS):
         index.add(record)
@@ -45,7 +45,7 @@ def search(workdir: Path) -> None:
     index = VistIndex(
         SequenceEncoder(schema=generator.schema),
         docstore=FileDocStore(workdir / "docs.dat"),
-        pager=FilePager(workdir / "vist.db"),
+        pager=WalPager(workdir / "vist.db"),
     )
     queries = [
         ("Q1 all inproceedings titles", "/inproceedings/title"),

@@ -62,7 +62,6 @@ from repro.sequence import (
 from repro.storage import (
     BPlusTree,
     FileDocStore,
-    FilePager,
     MemoryDocStore,
     MemoryPager,
     WalPager,
@@ -100,7 +99,6 @@ __all__ = [
     "LambdaAllocator",
     "BPlusTree",
     "MemoryPager",
-    "FilePager",
     "WalPager",
     "MemoryDocStore",
     "FileDocStore",

@@ -42,7 +42,6 @@ from repro.index.guard import QueryGuard
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager
 from repro.storage.wal import WalPager
 
 _SCHEMA_FILE = "schema.dtd"
@@ -403,25 +402,20 @@ def load_schema(dbdir: Path) -> Optional[Schema]:
 def open_index(
     dbdir: Path, schema_path: Optional[Path] = None, *, wal: bool = False
 ) -> VistIndex:
+    """Open (or create) the index in ``dbdir`` through the journaled pager.
+
+    Every DBDIR opens the same way, so every writer commits through the
+    redo journal and a leftover journal is replayed or discarded on open.
+    ``wal`` is accepted and ignored: it chose a pager when there were two,
+    and the benchmark harness still passes it."""
     dbdir = Path(dbdir)
     dbdir.mkdir(parents=True, exist_ok=True)
     if schema_path is not None:
         (dbdir / _SCHEMA_FILE).write_text(schema_path.read_text())
-    page_file = dbdir / "vist.db"
-    # `repro ingest` opens through the WAL so each batch commit is a
-    # crash-safe journal transaction.  A leftover journal means the last
-    # writer used the WAL and may have died mid-commit: reopening
-    # through WalPager replays a committed journal and discards a torn
-    # one, so WAL-built databases always recover, whichever command
-    # touches them next.
-    if wal or Path(str(page_file) + ".wal").exists():
-        pager = WalPager(str(page_file))
-    else:
-        pager = FilePager(page_file)
     return VistIndex(
         SequenceEncoder(schema=load_schema(dbdir)),
         docstore=FileDocStore(dbdir / "docs.dat"),
-        pager=pager,
+        pager=WalPager(dbdir / "vist.db"),
         source_store=FileDocStore(dbdir / "sources.dat"),
     )
 
@@ -434,55 +428,50 @@ def _close_index(index: VistIndex) -> None:
         index.source_store.close()
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.shard import is_sharded
+def _split_labels(args: argparse.Namespace) -> Optional[list[str]]:
+    if not args.split:
+        return None
+    return [label.strip() for label in args.split.split(",") if label.strip()]
 
-    split_labels = (
-        [label.strip() for label in args.split.split(",") if label.strip()]
-        if args.split
-        else None
-    )
+
+def _add_records(
+    args: argparse.Namespace, records, **batch
+) -> tuple[list[int], Optional[str]]:
+    """The one write path of ``index`` and ``ingest``: hand ``records`` to
+    ``add_batch`` of the index (or shard router) in ``args.dbdir``, which
+    commits each batch through the journal.  Returns the new ids and, for
+    a sharded directory, a description of where they went."""
+    from repro.shard import ShardRouter, is_sharded
+
     if args.shards is not None or is_sharded(args.dbdir):
-        return _index_sharded(args, split_labels)
+        with ShardRouter(args.dbdir, args.shards, schema_path=args.schema) as router:
+            ids = router.add_batch(records, **batch)
+            layout = f"{router.nshards} shard(s), routed {router.map.shard_counts()}"
+        return ids, layout
     index = open_index(args.dbdir, args.schema)
-    indexed = 0
     try:
+        ids = index.add_batch(records, **batch)
+    finally:
+        _close_index(index)
+    return ids, None
+
+
+def _cmd_index(args: argparse.Namespace) -> int:
+    """``repro index``: parse whole files, then ingest's batch write path."""
+    split_labels = _split_labels(args)
+
+    def records():
         for path in args.files:
             # bytes + prolog-declared encoding, not the locale default
             document = parse_document_bytes(path.read_bytes(), name=str(path))
             if split_labels:
-                for record in split_records(document.root, split_labels):
-                    index.add(record)
-                    indexed += 1
+                yield from split_records(document.root, split_labels)
             else:
-                index.add(document)
-                indexed += 1
-    finally:
-        _close_index(index)
-    print(f"indexed {indexed} record(s) into {args.dbdir}")
-    return 0
+                yield document
 
-
-def _index_sharded(args: argparse.Namespace, split_labels) -> int:
-    """``index --shards N``: hash-route records across N shard directories."""
-    from repro.shard import ShardRouter
-
-    indexed = 0
-    with ShardRouter(args.dbdir, args.shards, schema_path=args.schema) as router:
-        for path in args.files:
-            document = parse_document_bytes(path.read_bytes(), name=str(path))
-            if split_labels:
-                for record in split_records(document.root, split_labels):
-                    router.add(record)
-                    indexed += 1
-            else:
-                router.add(document)
-                indexed += 1
-        counts = router.map.shard_counts()
-    print(
-        f"indexed {indexed} record(s) into {args.dbdir} "
-        f"({router.nshards} shard(s), routed {counts})"
-    )
+    ids, layout = _add_records(args, records())
+    where = f" ({layout})" if layout else ""
+    print(f"indexed {len(ids)} record(s) into {args.dbdir}{where}")
     return 0
 
 
@@ -492,18 +481,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     Unlike ``repro index`` (which materialises each file), the files are
     parsed incrementally and each record subtree is indexed and released
     as its end tag closes, so peak memory stays flat in the corpus size.
-    The index is opened through the WAL; every ``--batch-size`` records
-    cost one journal commit and one fsync.
+    Every ``--batch-size`` records cost one journal commit and one fsync.
     """
     import time
 
-    from repro.shard import is_sharded
-
-    split_labels = (
-        [label.strip() for label in args.split.split(",") if label.strip()]
-        if args.split
-        else None
-    )
+    split_labels = _split_labels(args)
     keep_spine = not args.no_spine
     total_bytes = sum(path.stat().st_size for path in args.files)
 
@@ -514,32 +496,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             )
 
     start = time.perf_counter()
-    if args.shards is not None or is_sharded(args.dbdir):
-        from repro.shard import ShardRouter
-
-        with ShardRouter(
-            args.dbdir, args.shards, schema_path=args.schema, wal=True
-        ) as router:
-            ids = router.add_batch(
-                records(), batch_size=args.batch_size, durability=args.durability
-            )
-            layout = (
-                f"{router.nshards} shard(s), routed {router.map.shard_counts()}"
-            )
-    else:
-        index = open_index(args.dbdir, args.schema, wal=True)
-        try:
-            ids = index.add_batch(
-                records(), batch_size=args.batch_size, durability=args.durability
-            )
-        finally:
-            _close_index(index)
-        layout = "1 directory"
+    ids, layout = _add_records(
+        args, records(), batch_size=args.batch_size, durability=args.durability
+    )
     elapsed = time.perf_counter() - start
     docs_per_sec = len(ids) / elapsed if elapsed > 0 else float("inf")
     mb_per_sec = total_bytes / 1e6 / elapsed if elapsed > 0 else float("inf")
     print(
-        f"ingested {len(ids)} record(s) into {args.dbdir} ({layout}) in "
+        f"ingested {len(ids)} record(s) into {args.dbdir} "
+        f"({layout or '1 directory'}) in "
         f"{elapsed:.2f}s ({docs_per_sec:.0f} docs/s, {mb_per_sec:.1f} MB/s, "
         f"durability={args.durability}, batch={args.batch_size})"
     )

@@ -44,6 +44,10 @@ META_MAX_DEPTH_KEY = encode_tuple(("", 0, "max-depth"))
 # durable commit so reopening can truncate uncommitted trailing appends
 # (see VistIndex._record_store_bounds / _recover_store_bounds)
 META_STORE_BOUNDS_KEY = encode_tuple(("", 0, "store-bounds"))
+# ids removed since the previous commit, stamped in the commit that
+# detaches them; their docstore tombstones are written after it, and a
+# reopen re-applies any stamped id still live (VistIndex._apply_removals)
+META_REMOVED_KEY = encode_tuple(("", 0, "removed"))
 # layout of what a ViST tree holds (NodeState values, docstore payloads),
 # stamped when the tree is created.  There is one decoder: a tree with
 # another number, or none, is rebuilt by `repro salvage`, never read.
@@ -51,13 +55,20 @@ META_FORMAT_KEY = encode_tuple(("", 0, "format"))
 ENTRY_FORMAT = 3
 # every combined-tree key that is not a trie node
 RESERVED_KEYS = frozenset(
-    (ROOT_KEY, META_MAX_DEPTH_KEY, META_STORE_BOUNDS_KEY, META_FORMAT_KEY)
+    (
+        ROOT_KEY,
+        META_MAX_DEPTH_KEY,
+        META_STORE_BOUNDS_KEY,
+        META_REMOVED_KEY,
+        META_FORMAT_KEY,
+    )
 )
 
 __all__ = [
     "ROOT_KEY",
     "META_MAX_DEPTH_KEY",
     "META_STORE_BOUNDS_KEY",
+    "META_REMOVED_KEY",
     "META_FORMAT_KEY",
     "ENTRY_FORMAT",
     "RESERVED_KEYS",

@@ -39,6 +39,7 @@ from repro.index.postings import PostingCache
 from repro.index.store import (
     ENTRY_FORMAT,
     META_FORMAT_KEY,
+    META_REMOVED_KEY,
     META_STORE_BOUNDS_KEY,
     ROOT_KEY,
     CombinedTreeHost,
@@ -130,6 +131,15 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # tree yet, so _end_batch can insert them directly instead of
         # paying put()'s delete-then-insert
         self._overlay_created: Optional[set[int]] = None
+        # stores whose tombstones wait for the commit that detaches their
+        # documents, and the ids (encode_uint, concatenated) queued for it
+        self._tombstoned_stores = [
+            store
+            for store in (self.docstore, self.source_store)
+            if hasattr(store, "write_tombstones")
+        ]
+        self._removed = bytearray()
+        self._closed = False
         if self.tree.is_empty():
             self.tree.put(META_FORMAT_KEY, encode_uint(ENTRY_FORMAT))
         else:
@@ -145,6 +155,9 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # trailing records past the committed state; drop them now so the
         # index reopens exactly on its last durable commit boundary
         self.recovered_trailing_docs = self._recover_store_bounds()
+        # a crash between a commit and its tombstone writes leaves removed
+        # documents live in the stores; finish those removals now
+        self.recovered_removals = self._apply_removals()
         self._register_host_metrics()
         self.metrics.register("underflows", lambda: self.underflow_count)
 
@@ -397,6 +410,11 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             self._remove_locked(doc_id)
 
     def _remove_locked(self, doc_id: int) -> None:
+        stamp = encode_uint(doc_id)
+        if self._tombstoned_stores and len(self._removed) + len(stamp) > (
+            self._removal_budget()
+        ):
+            self.flush()  # commit the queue so the stamp fits one tree cell
         sequence, labels = self._parse_payload(self.docstore.get(doc_id))
         removed = self._detach_doc(labels[-1], doc_id)
         if removed == 0:
@@ -416,6 +434,8 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 self.tree.put(key, state.to_bytes())
         self.docstore.remove(doc_id)
         self._remove_source(doc_id)
+        if self._tombstoned_stores:
+            self._removed += stamp
 
     def _rollback_insert(self, doc_id: int) -> None:
         """Undo the most recent :meth:`add_sequence` (same write lock).
@@ -528,21 +548,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             for key, value in pairs:
                 self.docid_tree.insert(key, value, allow_exact_dup=True)
 
-    def _commit_batch(self) -> None:
-        """One durable commit per chunk: store bytes first, tree after.
-
-        The docstore/source files are flushed (with fsync) *before* the
-        pager commit so that, under the crash model, the store bounds
-        stamped inside :meth:`flush` always describe bytes that are
-        durable by the time the tree commit lands.  A crash anywhere in
-        between reopens on the previous commit; trailing complete store
-        records are truncated by :meth:`_recover_store_bounds`."""
-        for store in (self.docstore, self.source_store):
-            flush = getattr(store, "flush", None) if store is not None else None
-            if flush is not None:
-                flush(fsync=True)
-        self.flush()
-
     # -- DocId tree helpers, batch-buffer aware ------------------------
 
     def _attach_doc(self, n: int, doc_id: int) -> None:
@@ -620,17 +625,66 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     # maintenance / measurements
 
     def flush(self) -> None:
-        """Persist both B+Trees (and through them the pager).
+        """Commit: make everything since the last commit durable at once.
 
-        The committed byte lengths of the doc/source stores are stamped
-        into the combined tree first, so they ride the same pager commit
-        — that one atomic step is what makes batch recovery land exactly
-        on a commit boundary (docs/INTERNALS.md section 14)."""
+        :meth:`_stage_commit` hands the pager all a commit carries, then
+        one pager commit makes it durable; that one atomic step is what
+        makes recovery land exactly on a commit boundary
+        (docs/INTERNALS.md section 14).  Store tombstones are written
+        only once the commit is durable: a crash before it keeps the
+        removed documents live everywhere, a crash after it is finished
+        by :meth:`_apply_removals` on reopen."""
         with self.rwlock.write():
-            self._record_store_bounds()
-            self.tree.flush()
-            self.docid_tree.flush()
+            self._stage_commit()
             self._pager.sync()
+            for store in self._tombstoned_stores:
+                store.write_tombstones()
+            self._removed.clear()
+
+    def _stage_commit(self) -> None:
+        """Stage the next pager commit, in order: the doc/source stores'
+        appends made durable (fsync), their byte lengths and the ids
+        removed since the last commit stamped into the combined tree, and
+        both trees' dirty nodes written to the pager.  Under the crash
+        model the stamped bounds then always describe durable bytes, and
+        trailing records a crash leaves past them are truncated by
+        :meth:`_recover_store_bounds`."""
+        for store in (self.docstore, self.source_store):
+            flush = getattr(store, "flush", None) if store is not None else None
+            if flush is not None:
+                flush(fsync=True)
+        self._record_store_bounds()
+        if self._removed:
+            self.tree.put(META_REMOVED_KEY, bytes(self._removed))
+        self.tree.flush()
+        self.docid_tree.flush()
+
+    def _removal_budget(self) -> int:
+        """Bytes of encoded ids that fit beside META_REMOVED_KEY in one cell."""
+        return (
+            self._pager.page_size // 4 - _LEAF_CELL_OVERHEAD - len(META_REMOVED_KEY)
+        )
+
+    def _apply_removals(self) -> int:
+        """Re-apply the removals stamped by the last commit.
+
+        Returns how many stamped ids were still live in the doc store.
+        Ids are never reused, so an id already tombstoned is skipped and
+        the replay is idempotent."""
+        value = self.tree.get(META_REMOVED_KEY)
+        if not value or not self._tombstoned_stores:
+            return 0
+        applied = 0
+        offset = 0
+        while offset < len(value):
+            doc_id, offset = decode_uint(value, offset)
+            applied += doc_id in self.docstore
+            for store in self._tombstoned_stores:
+                if doc_id in store:
+                    store.remove(doc_id)
+        for store in self._tombstoned_stores:
+            store.write_tombstones()
+        return applied
 
     def _record_store_bounds(self) -> None:
         """Stamp current store byte lengths under META_STORE_BOUNDS_KEY.
@@ -684,10 +738,15 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         return dropped
 
     def close(self) -> None:
+        """Commit as :meth:`flush` does, then release the pager.  Idempotent."""
         with self.rwlock.write():
+            if self._closed:
+                return
+            self.flush()
             self.tree.close()
             self.docid_tree.close()
             self._pager.close()
+            self._closed = True
 
     def index_stats(self) -> dict[str, TreeStats]:
         """Per-tree size statistics (Figure 11(a))."""

@@ -4,9 +4,11 @@
 any of it: each page slot of the tree file is read raw and its CRC
 trailer recomputed, each docstore record's CRC is verified, and — when
 all checksums are clean — the structural invariant checkers
-(:mod:`repro.testing.invariants`) are run over the opened index.  Scrub
-never mutates the database (it deliberately bypasses the pager/docstore
-classes, whose *open* paths would migrate legacy files in place).
+(:mod:`repro.testing.invariants`) are run over the opened index.  The
+checksum walks are raw — they bypass the pager and docstore classes and
+change nothing; only the invariant pass opens the index, and opening a
+DBDIR finishes an interrupted commit (journal replay, truncated
+uncommitted appends, stamped tombstones) exactly as any command would.
 
 **Salvage** rebuilds the ViST index from the intact document store: the
 stored sequences are re-inserted through :class:`~repro.index.vist.VistIndex`
@@ -34,6 +36,7 @@ from repro.errors import CorruptionError, PageError, StorageError
 from repro.storage.bptree import reachable_page_ids
 from repro.storage.checksums import CHECKSUM_SIZE, page_checksum, verify_trailer
 from repro.storage.pager import peek_header, slot_size, unpack_header_page
+from repro.storage.wal import JOURNAL_SUFFIX, WalPager
 
 __all__ = [
     "FileScrubReport",
@@ -53,6 +56,7 @@ _DOC_MAGIC = b"ViSTDOC2"
 
 # Files a ViST database directory may contain (see repro.cli.open_index).
 TREE_FILE = "vist.db"
+TREE_JOURNAL = TREE_FILE + JOURNAL_SUFFIX
 DOC_FILE = "docs.dat"
 SOURCE_FILE = "sources.dat"
 
@@ -155,8 +159,7 @@ def scrub_page_file(path: str | os.PathLike) -> FileScrubReport:
 
     The walk is raw (no pager): a corrupt page is reported and the walk
     continues, so one report covers *all* damage, not just the first
-    page hit.  Legacy v1 files carry no trailers and are reported as a
-    note instead of being migrated.
+    page hit.
     """
     path = os.fspath(path)
     report = FileScrubReport(path=path, kind="pages")
@@ -167,15 +170,9 @@ def scrub_page_file(path: str | os.PathLike) -> FileScrubReport:
         report.fail(f"unreadable: {exc}")
         return report
     try:
-        page_size, version = peek_header(raw, path)
+        page_size = peek_header(raw, path)
     except PageError as exc:
         report.fail(str(exc))
-        return report
-    if version == 1:
-        report.notes.append(
-            "legacy v1 page file (no checksums); open it once with FilePager "
-            "to migrate, then re-scrub"
-        )
         return report
     slot = slot_size(page_size)
     npages, tail = divmod(len(raw), slot)
@@ -201,12 +198,13 @@ def scrub_page_file(path: str | os.PathLike) -> FileScrubReport:
 def scrub_page_reachability(path: str | os.PathLike) -> FileScrubReport:
     """Account for every allocated page slot: live, freelisted, or LEAKED.
 
-    A crash between :meth:`FilePager.free`'s slot write and its header
-    write leaves a page that is neither referenced by any B+Tree nor
-    reachable from the freelist head — permanently lost space that no
-    checksum walk can see (its CRC is fine).  This walk parses the header
-    raw, follows the freelist chain, walks every tree root in the slot
-    directory, and reports any slot in neither set.
+    A page that is neither referenced by any B+Tree nor reachable from
+    the freelist head is permanently lost space that no checksum walk
+    can see (its CRC is fine).  The journaled pager commits a free and
+    its header together, so no crash makes one; damage or a pager bug
+    could.  This walk parses the header raw, follows the freelist
+    chain, walks every tree root in the slot directory, and reports any
+    slot in neither set.
 
     Only meaningful after the checksum walk came back clean (it trusts
     page payloads); :func:`scrub_db` gates it accordingly.
@@ -220,16 +218,13 @@ def scrub_page_reachability(path: str | os.PathLike) -> FileScrubReport:
         report.fail(f"unreadable: {exc}")
         return report
     try:
-        page_size, version = peek_header(raw, path)
-        if version == 1:
-            report.notes.append("legacy v1 page file: reachability walk skipped")
-            return report
+        page_size = peek_header(raw, path)
         slot = slot_size(page_size)
 
         def payload(pid: int) -> bytes:
             return raw[pid * slot : pid * slot + page_size]
 
-        _, npages, freelist, meta, _ = unpack_header_page(payload(0), path)
+        _, npages, freelist, meta = unpack_header_page(payload(0), path)
         freed: set[int] = set()
         pid = freelist
         while pid != 0:
@@ -253,7 +248,7 @@ def scrub_page_reachability(path: str | os.PathLike) -> FileScrubReport:
     for pid in leaked:
         report.fail(
             f"page {pid}: LEAKED — neither referenced by any tree nor on "
-            f"the freelist (interrupted free()?); run `repro salvage` to reclaim"
+            f"the freelist; run `repro salvage` to reclaim"
         )
     if not report.errors:
         report.notes.append(
@@ -349,7 +344,7 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
         report.files.append(scrub_page_file(tree_path))
     else:
         report.notes.append(f"no {TREE_FILE} (nothing indexed yet?)")
-    wal_path = dbdir / (TREE_FILE + ".wal")
+    wal_path = dbdir / TREE_JOURNAL
     if wal_path.exists():
         report.notes.append(
             f"{wal_path.name} present: an interrupted commit will replay or "
@@ -415,10 +410,11 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     Preconditions: ``docs.dat`` must scrub clean (it is the source of
     truth).  The rebuild re-inserts every stored sequence through
     :class:`~repro.index.vist.VistIndex` into side files, preserving
-    document ids positionally (tombstoned ids get a placeholder
-    add+remove), asserts every structural invariant on the result, and
+    document ids positionally (tombstoned ids are burned as
+    placeholders), asserts every structural invariant on the result, and
     atomically promotes the side files.  A stale WAL journal of the old
-    index is removed — it describes pages that no longer exist.
+    index is removed — it describes pages that no longer exist — and so
+    is any journal an interrupted salvage left beside its side file.
 
     Raises :class:`~repro.errors.CorruptionError` when the docstore is
     damaged, and whatever :func:`repro.testing.invariants.assert_invariants`
@@ -429,7 +425,6 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     from repro.index.vist import VistIndex
     from repro.sequence.transform import SequenceEncoder
     from repro.storage.docstore import FileDocStore
-    from repro.storage.pager import FilePager
     from repro.testing.invariants import assert_invariants
 
     dbdir = Path(os.fspath(dbdir))
@@ -458,8 +453,8 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
         )
 
     # Account for leaked pages before the rebuild: the fresh index never
-    # inherits them, so salvage is also the reclamation path for slots an
-    # interrupted free() orphaned (see scrub_page_reachability).
+    # inherits them, so salvage is also the reclamation path for slots
+    # no tree and no freelist accounts for (see scrub_page_reachability).
     old_tree = dbdir / TREE_FILE
     if old_tree.exists():
         reach = scrub_page_reachability(old_tree)
@@ -472,7 +467,8 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
 
     tree_side = dbdir / (TREE_FILE + ".salvage")
     doc_side = dbdir / (DOC_FILE + ".salvage")
-    for side in (tree_side, doc_side):
+    side_journal = dbdir / (tree_side.name + JOURNAL_SUFFIX)
+    for side in (tree_side, doc_side, side_journal):
         if side.exists():
             side.unlink()  # leftovers of an interrupted salvage
 
@@ -480,7 +476,7 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     rebuilt = VistIndex(
         SequenceEncoder(schema=load_schema(dbdir)),
         docstore=FileDocStore(doc_side),
-        pager=FilePager(tree_side),
+        pager=WalPager(tree_side),
     )
     try:
         for doc_id in range(old_docs.id_bound):
@@ -493,9 +489,8 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
                 new_id = rebuilt.add_sequence(sequence)
                 report.documents += 1
             else:
-                # keep ids positional: burn the id with an empty record
-                new_id = rebuilt.docstore.add(b"")
-                rebuilt.docstore.remove(new_id)
+                # keep ids positional: burn the id
+                new_id = rebuilt.docstore.burn()
                 report.tombstones += 1
             if new_id != doc_id:
                 raise StorageError(
@@ -510,7 +505,7 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
 
     os.replace(tree_side, dbdir / TREE_FILE)
     os.replace(doc_side, doc_path)
-    wal_path = dbdir / (TREE_FILE + ".wal")
+    wal_path = dbdir / TREE_JOURNAL
     if wal_path.exists():
         wal_path.unlink()
         report.notes.append("removed stale WAL journal of the damaged index")

@@ -44,10 +44,10 @@ __all__ = ["ShardRouter", "reshard_db"]
 _SCHEMA_FILE = "schema.dtd"
 
 
-def _open_shard(path: Path, wal: bool = False):
+def _open_shard(path: Path):
     from repro.cli import open_index
 
-    return open_index(path, wal=wal)
+    return open_index(path)
 
 
 def _close_shard(index) -> None:
@@ -63,6 +63,8 @@ class ShardRouter:
     ``None``) when opening.  ``hash_fn`` overrides the stable routing
     hash — test-only, for forcing placement (it is *not* persisted, so a
     directory written with a custom hash must be reopened with it).
+    ``wal`` is accepted and ignored, as in :func:`repro.cli.open_index`:
+    every shard opens through the journaled pager.
     """
 
     def __init__(
@@ -75,7 +77,6 @@ class ShardRouter:
         wal: bool = False,
     ) -> None:
         self.dbdir = Path(dbdir)
-        self._wal = wal
         if is_sharded(self.dbdir):
             manifest = read_manifest(self.dbdir)
             if nshards is not None and nshards != manifest["nshards"]:
@@ -107,7 +108,7 @@ class ShardRouter:
             path.mkdir(parents=True, exist_ok=True)
             if schema_text is not None and not (path / _SCHEMA_FILE).exists():
                 (path / _SCHEMA_FILE).write_text(schema_text)
-            self.shards.append(_open_shard(path, self._wal))
+            self.shards.append(_open_shard(path))
         # a crash may have left the manifest behind the shard stores;
         # replay the routing rule forward until the map explains them
         recovered = self.map.recover(
@@ -250,8 +251,8 @@ class ShardRouter:
 
         Per-shard landed counts (docstore id-bound deltas) consume the
         plan in global order; every remaining planned id is written as a
-        positional tombstone (the :func:`reshard_db` idiom — an empty
-        record appended then removed, in both stores).  The map then
+        positional tombstone (the :func:`reshard_db` idiom — an id burned
+        in both stores).  The map then
         advances over the whole plan: any other layout would leave a
         later-global-id document explainable only by skipping an earlier
         one, which :meth:`ShardMap.recover` rightly refuses.
@@ -266,11 +267,9 @@ class ShardRouter:
                 landed[s] -= 1
             else:
                 shard = self.shards[s]
-                local = shard.docstore.add(b"")
-                shard.docstore.remove(local)
+                shard.docstore.burn()
                 if shard.source_store is not None:
-                    sid = shard.source_store.add(b"")
-                    shard.source_store.remove(sid)
+                    shard.source_store.burn()
                 burned.append(g)
             g2, s2, _ = self.map.append_next()
             assert (g2, s2) == (g, s)
@@ -427,9 +426,10 @@ def reshard_db(
                 ):
                     source = old_shard.source_store.get(old_local)
                 if target.source_store is not None:
-                    sid = target.source_store.add(source if source is not None else b"")
                     if source is None:
-                        target.source_store.remove(sid)
+                        sid = target.source_store.burn()
+                    else:
+                        sid = target.source_store.add(source)
                     if sid != expect_local:
                         raise IndexStateError(
                             f"reshard source-id drift: global {g} landed at "
@@ -438,11 +438,9 @@ def reshard_db(
                 report["documents"] += 1
             else:
                 # burn the id positionally in both stores
-                local = target.docstore.add(b"")
-                target.docstore.remove(local)
+                local = target.docstore.burn()
                 if target.source_store is not None:
-                    sid = target.source_store.add(b"")
-                    target.source_store.remove(sid)
+                    target.source_store.burn()
                 report["tombstones"] += 1
             if local != expect_local:
                 raise IndexStateError(

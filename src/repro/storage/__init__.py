@@ -7,7 +7,7 @@ scans, dynamic deletes) plus the byte-level codecs its keys need.
 
 from repro.storage.bptree import BPlusTree, TreeStats
 from repro.storage.docstore import DocStore, FileDocStore, MemoryDocStore
-from repro.storage.pager import DEFAULT_PAGE_SIZE, FilePager, MemoryPager, Pager
+from repro.storage.pager import DEFAULT_PAGE_SIZE, MemoryPager, Pager
 from repro.storage.wal import WalPager
 from repro.storage.serialization import (
     decode_bytes,
@@ -31,7 +31,6 @@ __all__ = [
     "MemoryDocStore",
     "Pager",
     "MemoryPager",
-    "FilePager",
     "WalPager",
     "DEFAULT_PAGE_SIZE",
     "encode_uint",

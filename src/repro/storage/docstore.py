@@ -22,8 +22,15 @@ the salvage path's source of truth, so it must be able to *prove* its
 records are intact.  Tombstoning a record rewrites its length word as
 the tombstone marker and its CRC word as the relocated payload length
 (``[0xFFFFFFFF][len]``), so any record — including an empty one — can be
-deleted in place.  Legacy v1 files (no magic, ``[len][payload]``
-records) are migrated to v2 on open via an atomic side-file rewrite.
+deleted in place.  Files of the pre-checksum v1 format (no magic,
+``[len][payload]`` records) are refused, not migrated.
+
+A tombstone is *queued* by :meth:`FileDocStore.remove` — the id is gone
+for every reader at once — and written in place by
+:meth:`FileDocStore.write_tombstones`.  :class:`~repro.index.vist.VistIndex`
+calls that only after the pager commit that detached the documents, so a
+crash can never leave a tombstone whose index entries survive
+(DESIGN.md §6, "One durability story").
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ _TOMBSTONE = 0xFFFFFFFF
 _DOC_MAGIC = b"ViSTDOC2"
 _RECORD_HEADER = 2 * _LEN_SIZE  # length word + crc (or relocated length)
 
-__all__ = ["DocStore", "MemoryDocStore", "FileDocStore", "migrate_v1_docstore"]
+__all__ = ["DocStore", "MemoryDocStore", "FileDocStore"]
 
 
 class DocStore:
@@ -58,6 +65,12 @@ class DocStore:
 
     def remove(self, doc_id: int) -> None:
         """Delete a document (its id is never reused)."""
+        raise NotImplementedError
+
+    def burn(self) -> int:
+        """Assign the next id to no document: a positional placeholder
+        that reads as deleted from the start.  No index ever held it, so
+        unlike a :meth:`remove` there is no commit for it to wait on."""
         raise NotImplementedError
 
     def __contains__(self, doc_id: int) -> bool:
@@ -116,6 +129,11 @@ class MemoryDocStore(DocStore):
             raise StorageError(f"unknown document id {doc_id}")
         del self._docs[doc_id]
 
+    def burn(self) -> int:
+        doc_id = self._next_id
+        self._next_id += 1
+        return doc_id
+
     def __contains__(self, doc_id: int) -> bool:
         return doc_id in self._docs
 
@@ -139,63 +157,18 @@ class MemoryDocStore(DocStore):
         self._next_id -= 1
 
 
-def migrate_v1_docstore(path: str) -> None:
-    """Rewrite a legacy v1 record file into the checksummed v2 format.
-
-    v1 live records are ``[len][payload]``; v1 tombstones are
-    ``[0xFFFFFFFF][relocated_len][dead bytes]``.  The rewrite preserves
-    ids positionally and goes through a side file + ``os.replace``.
-    """
-    tmp_path = path + ".v2migrate"
-    size = os.path.getsize(path)
-    with open(path, "rb") as src, open(tmp_path, "wb") as out:
-        out.write(_DOC_MAGIC)
-        pos = 0
-        while pos < size:
-            src.seek(pos)
-            header = src.read(_LEN_SIZE)
-            if len(header) != _LEN_SIZE:
-                raise StorageError(f"{path}: truncated record header at {pos}")
-            (length,) = struct.unpack(_LEN_FMT, header)
-            if length == _TOMBSTONE:
-                extra = src.read(_LEN_SIZE)
-                if len(extra) != _LEN_SIZE:
-                    raise StorageError(f"{path}: truncated tombstone at {pos}")
-                (real_len,) = struct.unpack(_LEN_FMT, extra)
-                # v2 tombstone: marker + relocated length + dead bytes
-                out.write(struct.pack(_LEN_FMT, _TOMBSTONE))
-                out.write(struct.pack(_LEN_FMT, real_len))
-                out.write(b"\x00" * real_len)
-                pos += 2 * _LEN_SIZE + real_len
-            else:
-                payload = src.read(length)
-                if len(payload) != length:
-                    raise StorageError(f"{path}: truncated payload at {pos}")
-                out.write(struct.pack(_LEN_FMT, length))
-                out.write(struct.pack(_LEN_FMT, page_checksum(payload)))
-                out.write(payload)
-                pos += _LEN_SIZE + length
-        out.flush()
-        os.fsync(out.fileno())
-    os.replace(tmp_path, path)
-
-
 class FileDocStore(DocStore):
     """Append-only record file with an in-memory offset table.
 
     Deleting rewrites the record's length word as a tombstone marker and
     its CRC word as the relocated payload length; the payload bytes stay
-    in the file (bounded waste; :meth:`compact` reclaims them).
+    in the file (bounded waste; :meth:`compact` reclaims them).  The
+    rewrite waits for :meth:`write_tombstones` or :meth:`close`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        if existing:
-            with open(self.path, "rb") as fh:
-                magic = fh.read(len(_DOC_MAGIC))
-            if magic != _DOC_MAGIC:
-                migrate_v1_docstore(self.path)
         self._file = open(self.path, "r+b" if existing else "w+b")
         # seek+read/seek+write on the shared handle are two-step critical
         # sections; verified queries load payloads from worker threads, so
@@ -204,6 +177,8 @@ class FileDocStore(DocStore):
         self._io_lock = threading.RLock()
         self._offsets: list[Optional[int]] = []
         self._live = 0
+        # record offsets removed in memory whose tombstones are not on disk
+        self._unwritten: list[int] = []
         self._closed = False
         if existing:
             self._rebuild_offsets()
@@ -214,8 +189,12 @@ class FileDocStore(DocStore):
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
         self._file.seek(0)
-        if self._file.read(len(_DOC_MAGIC)) != _DOC_MAGIC:
-            raise StorageError(f"{self.path}: bad docstore magic")
+        magic = self._file.read(len(_DOC_MAGIC))
+        if magic != _DOC_MAGIC:
+            raise StorageError(
+                f"{self.path}: bad docstore magic {magic!r}: not a v2 record "
+                "file (legacy v1 files, without checksums, are not read)"
+            )
         pos = len(_DOC_MAGIC)
         while pos < size:
             header = self._file.read(_RECORD_HEADER)
@@ -270,18 +249,36 @@ class FileDocStore(DocStore):
         return payload
 
     def remove(self, doc_id: int) -> None:
+        """Delete ``doc_id`` now; queue its on-disk tombstone."""
         self._ensure_open()
-        offset = self._offset(doc_id)
         with self._io_lock:
-            self._file.seek(offset)
-            (length,) = struct.unpack(_LEN_FMT, self._file.read(_LEN_SIZE))
-            if length == _TOMBSTONE:
-                raise StorageError(f"document {doc_id} already deleted")
-            self._file.seek(offset)
-            self._file.write(struct.pack(_LEN_FMT, _TOMBSTONE))
-            self._file.write(struct.pack(_LEN_FMT, length))
+            self._unwritten.append(self._offset(doc_id))
             self._offsets[doc_id] = None
             self._live -= 1
+
+    def burn(self) -> int:
+        self._ensure_open()
+        with self._io_lock:
+            self._file.seek(0, os.SEEK_END)
+            self._file.write(struct.pack("<2I", _TOMBSTONE, 0))
+            self._offsets.append(None)
+            return len(self._offsets) - 1
+
+    def write_tombstones(self) -> None:
+        """Write every queued tombstone in place.
+
+        Rewriting a record that is already a tombstone is a no-op, so a
+        removal replayed after a crash is harmless."""
+        self._ensure_open()
+        with self._io_lock:
+            for offset in self._unwritten:
+                self._file.seek(offset)
+                (length,) = struct.unpack(_LEN_FMT, self._file.read(_LEN_SIZE))
+                if length != _TOMBSTONE:
+                    self._file.seek(offset)
+                    self._file.write(struct.pack("<2I", _TOMBSTONE, length))
+            self._unwritten.clear()
+            self._file.flush()
 
     def __contains__(self, doc_id: int) -> bool:
         return 0 <= doc_id < len(self._offsets) and self._offsets[doc_id] is not None
@@ -386,12 +383,13 @@ class FileDocStore(DocStore):
         os.replace(tmp_path, self.path)
         self._file = open(self.path, "r+b")
         self._offsets = new_offsets
+        self._unwritten.clear()  # the rewrite carries every tombstone
         return old_size - new_size
 
     def close(self) -> None:
         if self._closed:
             return
-        self._file.flush()
+        self.write_tombstones()
         self._file.close()
         self._closed = True
 

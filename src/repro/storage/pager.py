@@ -2,21 +2,23 @@
 
 A :class:`Pager` hands out page ids, reads and writes fixed-size pages, and
 persists a small metadata blob (used by the B+Tree for its root pointer and
-entry count).  Two implementations are provided:
+entry count).  Two implementations exist:
 
 * :class:`MemoryPager` — pages live in a dict; fast, used for tests and for
   benchmark runs that do not need durability.
-* :class:`FilePager` — pages live in a single file.  Page 0 is a header
-  page holding the magic number, the page size, the free-list head and the
-  user metadata blob; data pages start at id 1.  Freed pages are chained
-  through their first 8 bytes and reused before the file grows.
+* :class:`~repro.storage.wal.WalPager` — the one file pager.  Pages live
+  in a single file and every mutation reaches it through a redo journal
+  at commit, so a crash never leaves a torn file.
 
 The pager deliberately knows nothing about B+Tree node layout; it deals in
 opaque ``bytes`` of exactly ``page_size``.
 
 On-disk format (v2)
 -------------------
-Since format v2 (magic ``ViSTPGR2``) every on-disk page slot is
+Page 0 is a header page holding the magic number (``ViSTPGR2``), the page
+size, the page count, the free-list head and the user metadata blob; data
+pages start at id 1.  Freed pages are chained through their first 8 bytes
+and reused before the file grows.  Every on-disk page slot is
 ``page_size + 4`` bytes: the logical page payload followed by a CRC
 trailer (:mod:`repro.storage.checksums`).  The trailer is stamped on
 every write and verified on every read; a mismatch raises
@@ -26,56 +28,35 @@ first touch instead of as a garbled B+Tree node (or a silently wrong
 answer).  The *logical* ``page_size`` visible to clients is unchanged —
 checksums are transparent to the B+Tree.
 
-Legacy v1 files (magic ``ViSTPGR1``, no trailers) are migrated in place
-on open: the file is rewritten slot-by-slot into a side file with fresh
-trailers and atomically swapped in (``os.replace``), so the upgrade is
-crash-safe and invisible to callers.
-
-Transient faults
-----------------
-Raw file reads retry with exponential backoff on
-:class:`~repro.errors.TransientIOError` / ``OSError`` (``io_attempts``
-tries), so a flaky-disk blip is distinguished from persistent damage: a
-fault that survives every attempt escapes as-is, one that clears mid-way
-is invisible.  Fault harnesses inject through the overridable
-:meth:`FilePager._read_at` / :meth:`FilePager._write_at` primitives.
+Files of the pre-checksum format (magic ``ViSTPGR1``) are refused with
+an error that names them; they are not migrated, since such a tree also
+predates the current entry format.  The layout helpers below are shared
+by the file pager, scrub and salvage.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
-import time
-from typing import Optional
 
-from repro.errors import CorruptPageError, PageError, TransientIOError
-from repro.storage.checksums import CHECKSUM_SIZE, pack_trailer, verify_trailer
+from repro.errors import PageError
+from repro.storage.checksums import CHECKSUM_SIZE
 
 DEFAULT_PAGE_SIZE = 4096
-PAGE_FORMAT_VERSION = 2
 
 _MAGIC_V1 = b"ViSTPGR1"
 _MAGIC_V2 = b"ViSTPGR2"
-_NIL = 0  # page id 0 is the header, so 0 doubles as the nil pointer
 _HEADER_FMT = "<8sIQQI"  # magic, page_size, npages, freelist head, meta length
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
-
-_DEFAULT_IO_ATTEMPTS = 3
-_RETRY_BASE_DELAY = 0.001  # seconds; doubles per attempt
 
 __all__ = [
     "Pager",
     "MemoryPager",
-    "FilePager",
     "DEFAULT_PAGE_SIZE",
-    "PAGE_FORMAT_VERSION",
     "pack_header_page",
     "unpack_header_page",
     "peek_header",
     "slot_size",
     "page_offset",
-    "migrate_v1_page_file",
 ]
 
 
@@ -85,14 +66,14 @@ def slot_size(page_size: int) -> int:
 
 
 def page_offset(page_id: int, page_size: int) -> int:
-    """Byte offset of page ``page_id``'s slot in a v2 page file."""
+    """Byte offset of page ``page_id``'s slot in a page file."""
     return page_id * slot_size(page_size)
 
 
 def pack_header_page(
     page_size: int, npages: int, freelist: int, meta: bytes
 ) -> bytes:
-    """Serialize a v2 header-page *payload* (shared by File- and WalPager).
+    """Serialize a header-page *payload*.
 
     Returns exactly ``page_size`` bytes; the caller appends the CRC
     trailer when writing the slot to disk.
@@ -107,13 +88,23 @@ def pack_header_page(
     return blob + b"\x00" * (page_size - len(blob))
 
 
-def unpack_header_page(raw: bytes, path: str) -> tuple[int, int, int, bytes, int]:
-    """Parse a header-page payload.
+def _check_magic(magic: bytes, path: str) -> None:
+    if magic == _MAGIC_V2:
+        return
+    if magic == _MAGIC_V1:
+        raise PageError(
+            f"{path}: legacy v1 page file (magic {_MAGIC_V1!r}, no checksums); "
+            "this build neither reads nor migrates it — its tree also predates "
+            "the current entry format"
+        )
+    raise PageError(f"{path}: bad magic {magic!r}, not a repro page file")
 
-    Returns ``(page_size, npages, freelist, meta, version)`` where
-    ``version`` is 1 for legacy trailer-less files and 2 for the current
-    checksummed format.  ``raw`` must hold at least the fixed header
-    fields; the meta blob is sliced out of whatever follows.
+
+def unpack_header_page(raw: bytes, path: str) -> tuple[int, int, int, bytes]:
+    """Parse a header-page payload into ``(page_size, npages, freelist, meta)``.
+
+    ``raw`` must hold at least the fixed header fields; the meta blob is
+    sliced out of whatever follows.
     """
     if len(raw) < _HEADER_SIZE:
         raise PageError(
@@ -121,12 +112,7 @@ def unpack_header_page(raw: bytes, path: str) -> tuple[int, int, int, bytes, int
             f"({len(raw)} < {_HEADER_SIZE} bytes)"
         )
     magic, page_size, npages, freelist, meta_len = struct.unpack_from(_HEADER_FMT, raw)
-    if magic == _MAGIC_V2:
-        version = 2
-    elif magic == _MAGIC_V1:
-        version = 1
-    else:
-        raise PageError(f"{path}: bad magic {magic!r}, not a repro page file")
+    _check_magic(magic, path)
     if _HEADER_SIZE + meta_len > page_size:
         raise PageError(
             f"{path}: corrupt header (meta length {meta_len} exceeds page "
@@ -137,15 +123,15 @@ def unpack_header_page(raw: bytes, path: str) -> tuple[int, int, int, bytes, int
             f"{path}: truncated header (need {_HEADER_SIZE + meta_len} bytes, "
             f"have {len(raw)})"
         )
-    return page_size, npages, freelist, raw[_HEADER_SIZE : _HEADER_SIZE + meta_len], version
+    return page_size, npages, freelist, raw[_HEADER_SIZE : _HEADER_SIZE + meta_len]
 
 
-def peek_header(raw: bytes, path: str) -> tuple[int, int]:
-    """Parse just ``(page_size, version)`` from the fixed header fields.
+def peek_header(raw: bytes, path: str) -> int:
+    """Parse just the page size from the fixed header fields.
 
     Unlike :func:`unpack_header_page` this needs only ``_HEADER_SIZE``
-    bytes — enough to decide the slot size and format before reading the
-    full header slot.
+    bytes — enough to decide the slot size before reading the full
+    header slot.
     """
     if len(raw) < _HEADER_SIZE:
         raise PageError(
@@ -153,43 +139,8 @@ def peek_header(raw: bytes, path: str) -> tuple[int, int]:
             f"({len(raw)} < {_HEADER_SIZE} bytes)"
         )
     magic, page_size = struct.unpack_from("<8sI", raw)
-    if magic == _MAGIC_V2:
-        return page_size, 2
-    if magic == _MAGIC_V1:
-        return page_size, 1
-    raise PageError(f"{path}: bad magic {magic!r}, not a repro page file")
-
-
-def migrate_v1_page_file(path: str) -> None:
-    """Rewrite a legacy v1 page file into the checksummed v2 format.
-
-    The rewrite goes to a side file which atomically replaces the
-    original, so a crash mid-migration leaves the v1 file intact.
-    """
-    tmp_path = path + ".v2migrate"
-    with open(path, "rb") as src:
-        head = src.read(_HEADER_SIZE)
-        page_size, version = peek_header(head, path)
-        if version != 1:
-            raise PageError(f"{path}: not a v1 page file (version {version})")
-        src.seek(0)
-        header_raw = src.read(page_size)
-        page_size, npages, freelist, meta, _ = unpack_header_page(header_raw, path)
-        with open(tmp_path, "wb") as out:
-            payload = pack_header_page(page_size, npages, freelist, meta)
-            out.write(payload + pack_trailer(payload))
-            for pid in range(1, npages + 1):
-                src.seek(pid * page_size)
-                data = src.read(page_size)
-                if len(data) != page_size:
-                    raise PageError(
-                        f"{path}: short read migrating page {pid} at offset "
-                        f"{pid * page_size} (wanted {page_size}, got {len(data)})"
-                    )
-                out.write(data + pack_trailer(data))
-            out.flush()
-            os.fsync(out.fileno())
-    os.replace(tmp_path, path)
+    _check_magic(magic, path)
+    return page_size
 
 
 class Pager:
@@ -322,232 +273,6 @@ class MemoryPager(Pager):
     def close(self) -> None:
         self._closed = True
         self._pages = {}  # closed reads must miss the hot path and raise
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise PageError("pager is closed")
-
-
-class FilePager(Pager):
-    """Single-file pager with a persistent free list and metadata blob.
-
-    The file layout is ``[header slot][data slot 1][data slot 2]...``
-    where each slot is ``page_size + 4`` bytes (payload + CRC trailer).
-    The user metadata blob is stored inside the header page after the
-    fixed header fields, so it is limited to ``page_size - 32`` bytes —
-    ample for a B+Tree root pointer and counters.
-
-    The free list is walked once on open so reads and writes of freed
-    pages are rejected (use-after-free detection), matching
-    :class:`MemoryPager` semantics.
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        *,
-        io_attempts: int = _DEFAULT_IO_ATTEMPTS,
-    ) -> None:
-        if page_size < 128:
-            raise PageError(f"page size {page_size} is too small (min 128)")
-        if io_attempts < 1:
-            raise PageError(f"io_attempts must be >= 1, got {io_attempts}")
-        self.path = os.fspath(path)
-        self.read_count = 0
-        self._io_attempts = io_attempts
-        # seek()+read() on one shared file handle is a two-step critical
-        # section: two threads interleaving them read the wrong offset.
-        # Cache misses from concurrent queries funnel down here, so the
-        # raw primitives serialise on this lock.
-        self._io_lock = threading.Lock()
-        existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        if existing and self._peek_version() == 1:
-            migrate_v1_page_file(self.path)
-        self._file = open(self.path, "r+b" if existing else "w+b")
-        self._closed = False
-        self._freed: set[int] = set()
-        if existing:
-            self._load_header()
-            self._walk_freelist()
-        else:
-            self.page_size = page_size
-            self._npages = 0
-            self._freelist = _NIL
-            self._meta = b""
-            self._write_header()
-
-    def _peek_version(self) -> int:
-        with open(self.path, "rb") as fh:
-            head = fh.read(_HEADER_SIZE)
-        return peek_header(head, self.path)[1]
-
-    def _load_header(self) -> None:
-        head = self._read_at(0, _HEADER_SIZE)
-        page_size = peek_header(head, self.path)[0]
-        self.page_size = page_size
-        raw = self._read_at(0, slot_size(page_size))
-        if len(raw) < slot_size(page_size):
-            raise PageError(
-                f"{self.path}: truncated header slot (wanted "
-                f"{slot_size(page_size)} bytes, got {len(raw)})"
-            )
-        payload, trailer = raw[:page_size], raw[page_size:]
-        ok, stored, computed = verify_trailer(payload, trailer)
-        if not ok:
-            raise CorruptPageError(self.path, 0, stored, computed, offset=0)
-        _, self._npages, self._freelist, self._meta, _ = unpack_header_page(
-            payload, self.path
-        )
-
-    def _walk_freelist(self) -> None:
-        """Materialise the free set from the on-disk freelist chain."""
-        pid = self._freelist
-        while pid != _NIL:
-            if pid < 1 or pid > self._npages or pid in self._freed:
-                raise PageError(
-                    f"{self.path}: corrupt freelist chain at page {pid} "
-                    f"(range 1..{self._npages}, {len(self._freed)} walked)"
-                )
-            self._freed.add(pid)
-            (pid,) = struct.unpack_from("<Q", self._read_slot(pid))
-        if len(self._freed) > self._npages:
-            raise PageError(f"{self.path}: freelist longer than the file")
-
-    def _write_header(self) -> None:
-        payload = pack_header_page(self.page_size, self._npages, self._freelist, self._meta)
-        self._write_at(0, payload + pack_trailer(payload))
-
-    def _offset(self, page_id: int) -> int:
-        if page_id < 1 or page_id > self._npages:
-            raise PageError(
-                f"{self.path}: page {page_id} out of range (1..{self._npages})"
-            )
-        return page_offset(page_id, self.page_size)
-
-    # -- raw I/O primitives (overridden by fault-injection harnesses) ----
-
-    def _read_at(self, offset: int, length: int) -> bytes:
-        with self._io_lock:
-            self._file.seek(offset)
-            return self._file.read(length)
-
-    def _write_at(self, offset: int, data: bytes) -> None:
-        with self._io_lock:
-            self._file.seek(offset)
-            self._file.write(data)
-
-    def _read_at_retrying(self, offset: int, length: int) -> bytes:
-        """``_read_at`` with exponential backoff over transient faults."""
-        last: Optional[BaseException] = None
-        for attempt in range(self._io_attempts):
-            try:
-                return self._read_at(offset, length)
-            except (TransientIOError, OSError) as exc:
-                last = exc
-                if attempt + 1 < self._io_attempts:
-                    time.sleep(_RETRY_BASE_DELAY * (2**attempt))
-        if isinstance(last, TransientIOError):
-            raise last  # persisted through every retry: genuinely down
-        raise PageError(
-            f"{self.path}: I/O error at offset {offset} after "
-            f"{self._io_attempts} attempt(s): {last}"
-        ) from last
-
-    def _read_slot(self, page_id: int) -> bytes:
-        """Read + checksum-verify one page slot; returns the payload."""
-        offset = self._offset(page_id)
-        raw = self._read_at_retrying(offset, slot_size(self.page_size))
-        if len(raw) != slot_size(self.page_size):
-            raise PageError(
-                f"{self.path}: short read on page {page_id} at offset {offset} "
-                f"(wanted {slot_size(self.page_size)} bytes, got {len(raw)})"
-            )
-        payload, trailer = raw[: self.page_size], raw[self.page_size :]
-        ok, stored, computed = verify_trailer(payload, trailer)
-        if not ok:
-            raise CorruptPageError(self.path, page_id, stored, computed, offset=offset)
-        return payload
-
-    def _write_slot(self, page_id: int, payload: bytes) -> None:
-        self._write_at(self._offset(page_id), payload + pack_trailer(payload))
-
-    # -- Pager interface -------------------------------------------------
-
-    def allocate(self) -> int:
-        self._ensure_open()
-        if self._freelist != _NIL:
-            pid = self._freelist
-            raw = self._read_slot(pid)
-            (self._freelist,) = struct.unpack_from("<Q", raw)
-            self._freed.discard(pid)
-            self._write_slot(pid, b"\x00" * self.page_size)
-            self._write_header()
-            return pid
-        self._npages += 1
-        pid = self._npages
-        self._write_slot(pid, b"\x00" * self.page_size)
-        self._write_header()
-        return pid
-
-    def _check_live(self, page_id: int) -> None:
-        self._offset(page_id)  # raises out-of-range with context
-        if page_id in self._freed:
-            raise PageError(f"{self.path}: page {page_id} is freed")
-
-    def read(self, page_id: int) -> bytes:
-        self._ensure_open()
-        self.read_count += 1
-        self._check_live(page_id)
-        return self._read_slot(page_id)
-
-    def write(self, page_id: int, data: bytes) -> None:
-        self._ensure_open()
-        self._check_live(page_id)
-        self._write_slot(page_id, self._check_data(data))
-
-    def free(self, page_id: int) -> None:
-        self._ensure_open()
-        self._check_live(page_id)
-        self._write_slot(
-            page_id,
-            struct.pack("<Q", self._freelist)
-            + b"\x00" * (self.page_size - 8),
-        )
-        self._freelist = page_id
-        self._freed.add(page_id)
-        self._write_header()
-
-    def get_metadata(self) -> bytes:
-        self._ensure_open()
-        return self._meta
-
-    def set_metadata(self, blob: bytes) -> None:
-        self._ensure_open()
-        if _HEADER_SIZE + len(blob) > self.page_size:
-            raise PageError(
-                f"{self.path}: metadata blob of {len(blob)} bytes exceeds "
-                f"header capacity ({self.page_size - _HEADER_SIZE} bytes)"
-            )
-        self._meta = bytes(blob)
-        self._write_header()
-
-    @property
-    def page_count(self) -> int:
-        return self._npages
-
-    def sync(self) -> None:
-        self._ensure_open()
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._write_header()
-        self._file.flush()
-        self._file.close()
-        self._closed = True
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -1,14 +1,16 @@
-"""Crash-safe page storage: a write-ahead-logged pager.
+"""Crash-safe page storage: the write-ahead-logged file pager.
 
-:class:`WalPager` gives the B+Tree atomic, durable commits — something
-the paper's Berkeley DB substrate provided and a plain
-:class:`~repro.storage.pager.FilePager` does not.  All mutations
+:class:`WalPager` is the one file pager: every DBDIR's ``vist.db`` opens
+through it, so every writer — ``repro ingest``, ``index``, ``remove``,
+salvage's rebuild and every shard worker — gets the atomic, durable
+commits the paper's Berkeley DB substrate provided.  All mutations
 (page writes, allocations, frees, metadata updates) accumulate in an
 in-memory overlay; :meth:`WalPager.commit` makes them durable with the
 classic redo protocol:
 
 1. every dirty page (including the rebuilt header page) is appended to a
-   journal file, sealed with a CRC32 and a commit marker, and fsynced;
+   journal file (the page file's path plus :data:`JOURNAL_SUFFIX`),
+   sealed with a CRC32 and a commit marker, and fsynced;
 2. the pages are applied to the main file and fsynced;
 3. the journal is deleted.
 
@@ -16,17 +18,21 @@ A crash before the marker lands leaves the main file untouched (the torn
 journal is discarded on the next open); a crash after it is repaired by
 replaying the journal.  ``sync()`` is an alias for ``commit()``, so a
 B+Tree ``checkpoint()`` over a ``WalPager`` is a durable transaction
-boundary.  The file layout is FilePager-compatible: a committed database
-can be reopened with either pager.
+boundary.  Apart from a new file's first header, nothing is written
+outside a commit, and a session that changed nothing commits nothing —
+closing a read-only session never touches the files.
 
-The main file uses the v2 checksummed slot layout (see
-:mod:`repro.storage.pager`): every page applied to it carries a CRC
+The main file uses the checksummed slot layout of
+:mod:`repro.storage.pager`: every page applied to it carries a CRC
 trailer, verified on read — :class:`~repro.errors.CorruptPageError`
-surfaces flipped bits at first touch.  Legacy v1 main files are migrated
-on open, *before* recovery; journals from the pre-checksum era (magic
-``ViSTWAL1``) are discarded as torn, which is safe because a v1 journal
-can only coexist with a v1 main file that still holds the consistent
-pre-commit state.
+surfaces flipped bits at first touch.  Raw reads retry with exponential
+backoff on :class:`~repro.errors.TransientIOError` / ``OSError``
+(:data:`READ_ATTEMPTS` tries), so a flaky-disk blip is distinguished
+from persistent damage: a fault that survives every attempt escapes
+as-is, one that clears mid-way is invisible.  Fault harnesses
+(:mod:`repro.testing.faults`) inject through the overridable
+:meth:`WalPager._read_raw` primitive and the five durability primitives
+of the commit.
 """
 
 from __future__ import annotations
@@ -34,15 +40,14 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import time
 import zlib
-from typing import Optional
 
-from repro.errors import CorruptPageError, PageError
+from repro.errors import CorruptPageError, PageError, TransientIOError
 from repro.storage.checksums import pack_trailer, verify_trailer
 from repro.storage.pager import (
     DEFAULT_PAGE_SIZE,
     Pager,
-    migrate_v1_page_file,
     pack_header_page,
     page_offset,
     peek_header,
@@ -53,39 +58,33 @@ from repro.storage.pager import (
 _WAL_MAGIC = b"ViSTWAL2"
 _WAL_HEADER_FMT = "<8sII"  # magic, page_size, page count
 _WAL_COMMIT = b"COMMITOK"
-_NIL = 0
+_NIL = 0  # page id 0 is the header, so 0 doubles as the nil pointer
 _HEADER_PEEK = 64  # enough bytes to cover the fixed pager-header fields
 
-__all__ = ["WalPager"]
+JOURNAL_SUFFIX = ".wal"
+READ_ATTEMPTS = 3
+_RETRY_BASE_DELAY = 0.001  # seconds; doubles per attempt
+
+__all__ = ["WalPager", "JOURNAL_SUFFIX", "READ_ATTEMPTS"]
 
 
 class WalPager(Pager):
-    """A durable pager: FilePager layout plus a redo journal."""
+    """The file pager: checksummed page slots plus a redo journal."""
 
     def __init__(
-        self,
-        path: str | os.PathLike,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        journal_path: Optional[str | os.PathLike] = None,
+        self, path: str | os.PathLike, page_size: int = DEFAULT_PAGE_SIZE
     ) -> None:
         if page_size < 128:
             raise PageError(f"page size {page_size} is too small (min 128)")
         self.path = os.fspath(path)
-        self.journal_path = (
-            os.fspath(journal_path) if journal_path is not None else self.path + ".wal"
-        )
+        self.journal_path = self.path + JOURNAL_SUFFIX
         self.read_count = 0
         # seek() then read()/write() on the one shared handle is a two-step
-        # critical section (as in FilePager): concurrent queries miss the
-        # node cache into read(), and an interleaved seek hands a reader
-        # another page's slot — with a valid CRC, so silently.
+        # critical section: concurrent queries miss the node cache into
+        # read(), and an interleaved seek hands a reader another page's
+        # slot — with a valid CRC, so silently.
         self._io_lock = threading.Lock()
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        if existing:
-            with open(self.path, "rb") as fh:
-                head = fh.read(_HEADER_PEEK)
-            if peek_header(head, self.path)[1] == 1:
-                migrate_v1_page_file(self.path)
         self._file = open(self.path, "r+b" if existing else "w+b")
         self._closed = False
         self._recover()
@@ -105,12 +104,9 @@ class WalPager(Pager):
         self._walk_freelist()
 
     def _load_durable_header(self) -> None:
-        self._file.seek(0)
-        head = self._file.read(_HEADER_PEEK)
-        page_size = peek_header(head, self.path)[0]
+        page_size = peek_header(self._read(0, _HEADER_PEEK), self.path)
         self.page_size = page_size
-        self._file.seek(0)
-        raw = self._file.read(slot_size(page_size))
+        raw = self._read(0, slot_size(page_size))
         if len(raw) < slot_size(page_size):
             raise PageError(
                 f"{self.path}: truncated header slot (wanted "
@@ -120,7 +116,7 @@ class WalPager(Pager):
         ok, stored, computed = verify_trailer(payload, trailer)
         if not ok:
             raise CorruptPageError(self.path, 0, stored, computed, offset=0)
-        _, self._npages, self._freelist, self._meta, _ = unpack_header_page(
+        _, self._npages, self._freelist, self._meta = unpack_header_page(
             payload, self.path
         )
 
@@ -171,9 +167,7 @@ class WalPager(Pager):
         if cached is not None:
             return cached
         offset = page_offset(page_id, self.page_size)
-        with self._io_lock:
-            self._file.seek(offset)
-            raw = self._file.read(slot_size(self.page_size))
+        raw = self._read(offset, slot_size(self.page_size))
         if len(raw) != slot_size(self.page_size):
             # allocated after the last commit but never written back: the
             # main file has no bytes for it yet
@@ -213,6 +207,8 @@ class WalPager(Pager):
 
     def set_metadata(self, blob: bytes) -> None:
         self._ensure_open()
+        # raises now, not at commit, when the blob outgrows the header page
+        pack_header_page(self.page_size, self._npages, self._freelist, blob)
         self._meta = bytes(blob)
         self._header_dirty = True
 
@@ -302,6 +298,31 @@ class WalPager(Pager):
 
     def _clear_journal(self) -> None:
         self._journal_unlink()
+
+    # -- reads ----------------------------------------------------------
+
+    def _read_raw(self, offset: int, length: int) -> bytes:
+        """The raw read primitive (fault harnesses override it)."""
+        with self._io_lock:
+            self._file.seek(offset)
+            return self._file.read(length)
+
+    def _read(self, offset: int, length: int) -> bytes:
+        """:meth:`_read_raw` with exponential backoff over transient faults."""
+        for attempt in range(READ_ATTEMPTS - 1):
+            try:
+                return self._read_raw(offset, length)
+            except (TransientIOError, OSError):
+                time.sleep(_RETRY_BASE_DELAY * (2**attempt))
+        try:
+            return self._read_raw(offset, length)
+        except TransientIOError:
+            raise  # persisted through every retry: genuinely down
+        except OSError as exc:
+            raise PageError(
+                f"{self.path}: I/O error at offset {offset} after "
+                f"{READ_ATTEMPTS} attempt(s): {exc}"
+            ) from exc
 
     # -- durability primitives ------------------------------------------
     # Every byte the redo protocol makes durable flows through these five

@@ -6,7 +6,7 @@ Three cooperating pillars (one module each):
   :mod:`repro.testing.oracle` — the **differential oracle**: seeded
   random documents and queries, an independent in-memory XPath reference
   evaluator over the original document trees, and a driver that pins
-  every index family and cache/pager configuration to the reference;
+  every index family and posting-cache configuration to the reference;
 * :mod:`repro.testing.faults` — **crash-consistency fault injection**:
   a :class:`~repro.storage.wal.WalPager` subclass that deterministically
   kills the process model at every write/fsync boundary of the redo

@@ -41,15 +41,13 @@ from typing import Callable, Optional
 
 from repro.errors import TransientIOError
 from repro.storage.checksums import pack_trailer
-from repro.storage.pager import DEFAULT_PAGE_SIZE, FilePager, page_offset, slot_size
-
-from repro.storage.wal import WalPager
+from repro.storage.pager import DEFAULT_PAGE_SIZE, page_offset, slot_size
+from repro.storage.wal import JOURNAL_SUFFIX, WalPager
 
 __all__ = [
     "SimulatedCrash",
     "CrashingWalPager",
-    "CrashingFreePager",
-    "FlakyFilePager",
+    "FlakyPager",
     "FaultOutcome",
     "FaultSweepReport",
     "sweep_commit_faults",
@@ -82,7 +80,6 @@ class CrashingWalPager(WalPager):
         self,
         path,
         page_size: int = DEFAULT_PAGE_SIZE,
-        journal_path=None,
         *,
         crash_at: Optional[int] = None,
         torn: bool = False,
@@ -91,7 +88,7 @@ class CrashingWalPager(WalPager):
         self.torn = torn
         self.op_log: list[OpKind] = []
         self._armed = False
-        super().__init__(path, page_size, journal_path)
+        super().__init__(path, page_size)
 
     def arm(self) -> None:
         self._armed = True
@@ -151,59 +148,19 @@ class CrashingWalPager(WalPager):
 
 
 # ---------------------------------------------------------------------------
-# interrupted free(): the page-leak window
-
-
-class CrashingFreePager(FilePager):
-    """A FilePager that dies between ``free()``'s slot write and header write.
-
-    ``free()`` first chains the page into the freelist by rewriting its
-    slot, then persists the new freelist head in the header.  After
-    :meth:`arm`, the next header write raises :class:`SimulatedCrash`
-    with the slot write already durable — exactly the crash window that
-    leaks a page: its slot holds a freelist next-pointer, but neither the
-    header's freelist head nor any tree references it.
-
-    Finish the simulated crash with :meth:`abandon` (fail-stop), never
-    ``close()`` — a clean close would rewrite the header and undo the
-    leak under test.
-    """
-
-    def __init__(self, path, page_size: int = DEFAULT_PAGE_SIZE, **kwargs) -> None:
-        self._armed = False
-        super().__init__(path, page_size, **kwargs)
-
-    def arm(self) -> None:
-        """Crash at the next header write (one-shot)."""
-        self._armed = True
-
-    def _write_header(self) -> None:
-        if self._armed:
-            self._armed = False
-            self._file.flush()
-            raise SimulatedCrash(0, ("header_write",), False)
-        super()._write_header()
-
-    def abandon(self) -> None:
-        """Fail-stop: release the handle without the close-time header write."""
-        self._file.flush()
-        self._file.close()
-        self._closed = True
-
-
-# ---------------------------------------------------------------------------
 # flaky-disk simulation (transient vs persistent read faults)
 
 
-class FlakyFilePager(FilePager):
-    """A FilePager whose raw reads fail transiently.
+class FlakyPager(WalPager):
+    """A WalPager whose raw reads fail transiently.
 
     ``fail_reads`` raw-read attempts raise
     :class:`~repro.errors.TransientIOError` before the disk "recovers";
     with ``persistent=True`` every attempt fails.  Exercises the pager's
     retry-with-backoff: a transient blip must be invisible to callers,
-    a persistent fault must escape as ``TransientIOError`` after the
-    configured attempts — never as a wrong answer.
+    a persistent fault must escape as ``TransientIOError`` after
+    :data:`~repro.storage.wal.READ_ATTEMPTS` attempts — never as a wrong
+    answer.
     """
 
     def __init__(
@@ -213,15 +170,14 @@ class FlakyFilePager(FilePager):
         *,
         fail_reads: int = 0,
         persistent: bool = False,
-        **kwargs,
     ) -> None:
         self._remaining_faults = 0  # disarmed during __init__'s own reads
         self._persistent = persistent
         self.fault_count = 0
-        super().__init__(path, page_size, **kwargs)
+        super().__init__(path, page_size)
         self._remaining_faults = fail_reads
 
-    def _read_at(self, offset: int, length: int) -> bytes:
+    def _read_raw(self, offset: int, length: int) -> bytes:
         if self._persistent and self._remaining_faults:
             self.fault_count += 1
             raise TransientIOError(
@@ -233,7 +189,7 @@ class FlakyFilePager(FilePager):
             raise TransientIOError(
                 f"{self.path}: injected transient read fault at offset {offset}"
             )
-        return super()._read_at(offset, length)
+        return super()._read_raw(offset, length)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +235,8 @@ def _page_state(pager: WalPager, pid: int):
         # drives future allocations) participates in state equality.
         # Mutations that shrink a B+Tree — bulk_load replacing the old
         # root, deletes merging nodes — legitimately leave freed pages.
-        pager._file.seek(page_offset(pid, pager.page_size))
-        return ("freed", pager._file.read(slot_size(pager.page_size)))
+        offset = page_offset(pid, pager.page_size)
+        return ("freed", pager._read_raw(offset, slot_size(pager.page_size)))
     return pager.read(pid)
 
 
@@ -326,7 +282,7 @@ def sweep_commit_faults(
     recovery produces anything but state A or state B.
     """
     path = os.fspath(path)
-    journal = path + ".wal"
+    journal = path + JOURNAL_SUFFIX
 
     pager = WalPager(path, page_size)
     setup(pager)

@@ -5,8 +5,8 @@ For each seed the oracle generates a corpus and a batch of queries
 query with the naive reference evaluator
 (:mod:`repro.testing.reference`), and then drives the whole index zoo:
 
-* **ViST in all 4 configurations** — posting cache on/off ×
-  FilePager/WalPager;
+* **ViST in both configurations** — posting cache on/off, each over
+  the one file pager (:class:`~repro.storage.wal.WalPager`);
 * **schema'd ViST** (``vist[schema]``) — a schema whose sibling order
   reverses the generator's labels, so every sequence, trie and label
   differs from the lexicographic configurations;
@@ -61,7 +61,6 @@ from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.query.ast import QueryNode
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.pager import FilePager
 from repro.storage.wal import WalPager
 from repro.testing.generator import LABELS, DocQueryGenerator
 from repro.testing.invariants import assert_invariants
@@ -80,22 +79,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VistConfig:
-    """One point of the cache × pager configuration square."""
+    """One ViST configuration: the posting cache on or off."""
 
     posting_cache: bool
-    pager: str  # "file" | "wal"
 
     @property
     def name(self) -> str:
-        return "vist[{}+{}]".format(
-            "cache" if self.posting_cache else "nocache", self.pager
-        )
+        return "vist[{}]".format("cache" if self.posting_cache else "nocache")
 
 
 VIST_CONFIGS: tuple[VistConfig, ...] = tuple(
-    VistConfig(posting_cache=cache, pager=pager)
-    for cache in (True, False)
-    for pager in ("file", "wal")
+    VistConfig(posting_cache=cache) for cache in (True, False)
 )
 
 
@@ -189,10 +183,9 @@ class DifferentialOracle:
         self, config: VistConfig, corpus: Sequence[XmlNode], workdir: str, tag: str = ""
     ) -> tuple[VistIndex, dict[int, int]]:
         db = os.path.join(workdir, f"{config.name}{tag}.db")
-        pager = WalPager(db) if config.pager == "wal" else FilePager(db)
         index = VistIndex(
             SequenceEncoder(),
-            pager=pager,
+            pager=WalPager(db),
             posting_cache_size=64 if config.posting_cache else 0,
         )
         ids = index.add_all(corpus)

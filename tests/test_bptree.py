@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, StorageError
 from repro.storage.bptree import _LEAF_HEADER, BPlusTree, leaf_cell_offsets
-from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
 
 
@@ -203,14 +203,14 @@ class TestDeletion:
 
 class TestPersistence:
     def test_flush_and_reopen(self, tmp_path):
-        pager = FilePager(tmp_path / "t.db", page_size=256)
+        pager = WalPager(tmp_path / "t.db", page_size=256)
         t = BPlusTree(pager)
         for i in range(200):
             t.insert(key(i), str(i).encode())
         t.close()
         pager.close()
 
-        pager2 = FilePager(tmp_path / "t.db")
+        pager2 = WalPager(tmp_path / "t.db")
         t2 = BPlusTree(pager2)
         assert len(t2) == 200
         for i in range(200):
@@ -218,7 +218,7 @@ class TestPersistence:
         pager2.close()
 
     def test_two_trees_one_pager(self, tmp_path):
-        pager = FilePager(tmp_path / "t.db", page_size=256)
+        pager = WalPager(tmp_path / "t.db", page_size=256)
         a = BPlusTree(pager, slot=0)
         b = BPlusTree(pager, slot=1)
         for i in range(100):
@@ -228,7 +228,7 @@ class TestPersistence:
         b.close()
         pager.close()
 
-        pager2 = FilePager(tmp_path / "t.db")
+        pager2 = WalPager(tmp_path / "t.db")
         a2 = BPlusTree(pager2, slot=0)
         b2 = BPlusTree(pager2, slot=1)
         assert a2.get(key(5)) == b"A"
@@ -516,7 +516,7 @@ class TestScanWindows:
 
     def test_reopened_lazy_leaves_equal_fresh_ones(self, tmp_path):
         path = tmp_path / "t.db"
-        pager = FilePager(path, page_size=256)
+        pager = WalPager(path, page_size=256)
         t = BPlusTree(pager)
         for i in range(0, 600, 3):
             t.insert(key(i), str(i).encode())
@@ -524,7 +524,7 @@ class TestScanWindows:
         fresh = list(t.scan_windows(bounds))
         t.close()
         pager.close()
-        pager = FilePager(path, page_size=256)
+        pager = WalPager(path, page_size=256)
         reopened = BPlusTree(pager)  # leaves decode lazily from page bytes
         assert list(reopened.scan_windows(bounds)) == fresh
         assert fresh == windows_by_range(reopened, bounds)

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.bptree import BPlusTree
-from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.pager import MemoryPager
+from repro.storage.wal import WalPager
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -28,7 +29,7 @@ def test_flush_reopen_between_batches(tmp_path_factory, batches):
     path = tmp_path_factory.mktemp("bpt") / "t.db"
     model: set[tuple[bytes, bytes]] = set()
     for batch in batches:
-        pager = FilePager(path, page_size=256)
+        pager = WalPager(path, page_size=256)
         tree = BPlusTree(pager)
         for is_insert, ki, vi in batch:
             k = f"k{ki:03d}".encode()
@@ -41,7 +42,7 @@ def test_flush_reopen_between_batches(tmp_path_factory, batches):
                 model.discard((k, v))
         tree.close()
         pager.close()
-    pager = FilePager(path)
+    pager = WalPager(path)
     tree = BPlusTree(pager)
     assert list(tree.items()) == sorted(model)
     assert len(tree) == len(model)
@@ -70,7 +71,7 @@ def test_page_size_sweep(page_size):
 def test_cache_dropped_mid_build_rereads_the_file(tmp_path):
     """Dropping every decoded node between inserts loses nothing: the
     tree re-reads what it flushed straight from the page file."""
-    pager = FilePager(tmp_path / "t.db", page_size=256)
+    pager = WalPager(tmp_path / "t.db", page_size=256)
     tree = BPlusTree(pager)
     for i in range(500):
         tree.insert(f"k{i:05d}".encode(), str(i).encode())
@@ -85,7 +86,7 @@ def test_cache_dropped_mid_build_rereads_the_file(tmp_path):
 
 def test_checkpoint_then_reader_sees_everything(tmp_path):
     """A second tree handle opened after checkpoint sees the full state."""
-    pager = FilePager(tmp_path / "t.db", page_size=256)
+    pager = WalPager(tmp_path / "t.db", page_size=256)
     writer = BPlusTree(pager, slot=0)
     for i in range(100):
         writer.insert(f"k{i:03d}".encode(), b"v")

@@ -56,6 +56,27 @@ class TestIndexCommand:
         assert "documents: 4" in capsys.readouterr().out
 
 
+    def test_index_commits_every_thousand_records(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro index`` shares ingest's batch write path: one commit per
+        1 000 records, not one journal of the whole tree at close."""
+        from repro.index.vist import VistIndex
+
+        path = tmp_path / "many.xml"
+        path.write_text("<r>" + "<p><q>v</q></p>" * 1001 + "</r>")
+        commits = []
+        flush = VistIndex.flush
+        monkeypatch.setattr(
+            VistIndex, "flush", lambda self: (commits.append(len(self)), flush(self))
+        )
+        db = str(tmp_path / "db")
+        assert main(["index", db, str(path), "--split", "p"]) == 0
+        assert "indexed 1001 record(s)" in capsys.readouterr().out
+        assert commits[:2] == [1000, 1001]
+        assert not (tmp_path / "db" / "vist.db.wal").exists()
+
+
 class TestQueryCommand:
     def test_query_roundtrip(self, tmp_path, xml_file, capsys):
         db = str(tmp_path / "db")

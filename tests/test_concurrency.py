@@ -8,21 +8,22 @@ Layers covered, bottom up:
   threads racing an inserting writer must never lose a committed key
   (the leaf-chain walk of ``_seek`` recovers a reader that reached a
   leaf a split has since divided);
-* the shared file handle of :class:`FilePager` / :class:`WalPager`
-  under concurrent ``read()`` (node-cache misses of concurrent queries
-  land there with nothing in between);
+* the shared file handle of :class:`WalPager` under concurrent
+  ``read()`` (node-cache misses of concurrent queries land there with
+  nothing in between);
 * shared caches under contention: :class:`PostingCache`, the metrics
   registry;
 * the multi-threaded differential-oracle hammer: K plain threads split M
-  seeded queries (``verify=True``) against one shared on-disk ViST index
-  while a writer thread interleaves inserts and removes of noise
-  documents; every verified result must equal the single-threaded
-  reference evaluator's answer and the index must pass ``repro check``'s
-  invariants afterwards — over a :class:`FilePager` and over a
+  seeded queries (``verify=True``) against one shared ViST index while a
+  writer thread interleaves inserts and removes of noise documents;
+  every verified result must equal the single-threaded reference
+  evaluator's answer and the index must pass ``repro check``'s
+  invariants afterwards — over the in-memory pager and over a
   :class:`WalPager`.
 
 The first hammer configuration of each pager runs in tier-1; the full
-sweep is marked ``slow`` and runs in the CI concurrency job.
+sweep (over :class:`WalPager`) is marked ``slow`` and runs in the CI
+concurrency job.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager
+from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import assert_invariants
@@ -232,20 +233,19 @@ def test_bptree_descent_race_get_and_range_vs_insert():
 # shared caches under contention
 
 
-@pytest.mark.parametrize("pager_cls", [FilePager, WalPager], ids=["file", "wal"])
-def test_pager_concurrent_reads_return_the_page_asked_for(tmp_path, pager_cls):
+def test_pager_concurrent_reads_return_the_page_asked_for(tmp_path):
     """seek()+read() on the one shared handle must not interleave: every
     slot carries a valid CRC for itself, so a reader handed another
     page's slot would not notice — and a B+Tree would decode the wrong
     node."""
     path = tmp_path / "pages.db"
-    pager = pager_cls(path, page_size=256)
+    pager = WalPager(path, page_size=256)
     pids = [pager.allocate() for _ in range(64)]
     for pid in pids:
         pager.write(pid, bytes([pid % 251]) * pager.page_size)
-    pager.close()  # WalPager: committed, so reads below go to the file
+    pager.close()  # committed, so reads below go to the file
 
-    pager = pager_cls(path)
+    pager = WalPager(path)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -321,7 +321,9 @@ def _noise_doc(i: int) -> XmlNode:
     return root
 
 
-def _run_hammer(tmp_path, pager_cls, *, seed, docs, threads, submissions, writer_ops):
+def _run_hammer(
+    tmp_path, make_pager, *, seed, docs, threads, submissions, writer_ops
+):
     """K threads share M verified queries (thread k takes positions
     k, k+K, ...) vs the reference, writer interleaved."""
     generator = DocQueryGenerator(seed)
@@ -336,7 +338,7 @@ def _run_hammer(tmp_path, pager_cls, *, seed, docs, threads, submissions, writer
     index = VistIndex(
         SequenceEncoder(),
         docstore=FileDocStore(tmp_path / "docs.dat"),
-        pager=pager_cls(tmp_path / "vist.db"),
+        pager=make_pager(tmp_path / "vist.db"),
     )
     try:
         ids = index.add_all(corpus)
@@ -422,8 +424,9 @@ _FIRST_CONFIG = dict(seed=11, docs=10, threads=4, submissions=36, writer_ops=30)
 
 
 def test_oracle_hammer_first_config(tmp_path):
-    """Tier-1 hammer: 4 threads, 36 verified queries, interleaved writer."""
-    _run_hammer(tmp_path, FilePager, **_FIRST_CONFIG)
+    """Tier-1 hammer: 4 threads, 36 verified queries, interleaved writer,
+    over the in-memory pager — the trees and caches alone, no file."""
+    _run_hammer(tmp_path, lambda path: MemoryPager(), **_FIRST_CONFIG)
 
 
 def test_oracle_hammer_first_config_wal(tmp_path):
@@ -434,13 +437,12 @@ def test_oracle_hammer_first_config_wal(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("pager_cls", [FilePager, WalPager], ids=["file", "wal"])
 @pytest.mark.parametrize("seed", [23, 37, 59])
-def test_oracle_hammer_full_sweep(tmp_path, pager_cls, seed):
+def test_oracle_hammer_full_sweep(tmp_path, seed):
     """CI sweep: more seeds, more submissions, longer writer interleaving."""
     _run_hammer(
         tmp_path,
-        pager_cls,
+        WalPager,
         seed=seed,
         docs=14,
         threads=4,

@@ -45,6 +45,16 @@ class TestDocStoreContract:
         with pytest.raises(StorageError):
             store.remove(a)
 
+    def test_burn_assigns_an_id_that_reads_as_deleted(self, store):
+        a = store.add(b"aaaa")
+        burned = store.burn()
+        b = store.add(b"bbbb")
+        assert (a, burned, b) == (0, 1, 2)
+        assert burned not in store and len(store) == 2
+        assert store.id_bound == 3
+        with pytest.raises(StorageError):
+            store.get(burned)
+
     def test_ids_iterates_live_only(self, store):
         ids = [store.add(f"doc{i:02d}".encode()) for i in range(5)]
         store.remove(ids[1])
@@ -62,14 +72,16 @@ class TestFileDocStore:
         s = FileDocStore(path)
         ids = [s.add(f"document number {i}".encode()) for i in range(4)]
         s.remove(ids[2])
+        assert s.burn() == 4
         s.close()
 
         r = FileDocStore(path)
         assert len(r) == 3
+        assert 4 not in r and r.id_bound == 5
         assert r.get(ids[0]) == b"document number 0"
         assert ids[2] not in r
         # New ids continue after the highest ever assigned.
-        assert r.add(b"new doc") == 4
+        assert r.add(b"new doc") == 5
         r.close()
 
     def test_closed_store_rejects_ops(self, tmp_path):
@@ -84,3 +96,30 @@ class TestFileDocStore:
         doc_id = s.add(blob)
         assert s.get(doc_id) == blob
         s.close()
+
+    def test_a_removal_reaches_the_file_at_write_tombstones(self, tmp_path):
+        """remove() is immediate for readers; the on-disk tombstone waits
+        for write_tombstones() (an index calls it after its commit)."""
+        path = tmp_path / "docs.dat"
+        s = FileDocStore(path)
+        ids = [s.add(f"payload {i}".encode()) for i in range(3)]
+        s.flush()
+        before = path.read_bytes()
+        s.remove(ids[1])
+        assert ids[1] not in s and len(s) == 2
+        with pytest.raises(StorageError, match="was deleted"):
+            s.remove(ids[1])
+        assert path.read_bytes() == before
+        s.write_tombstones()
+        assert path.read_bytes() != before
+        s.write_tombstones()  # nothing queued: a no-op
+        s.close()
+        r = FileDocStore(path)
+        assert list(r.ids()) == [ids[0], ids[2]]
+        r.close()
+
+    def test_rejects_a_v1_record_file_by_name(self, tmp_path):
+        path = tmp_path / "docs.dat"
+        path.write_bytes(b"\x03\x00\x00\x00abc")  # v1: [len][payload], no magic
+        with pytest.raises(StorageError, match="legacy v1"):
+            FileDocStore(path)

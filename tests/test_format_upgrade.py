@@ -32,7 +32,7 @@ from repro.sequence.transform import SequenceEncoder
 from repro.shard import ShardRouter
 from repro.shard.routing import shard_dir
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager
+from repro.storage.wal import WalPager
 from repro.storage.serialization import decode_uint, encode_uint
 from repro.testing.invariants import assert_invariants
 from repro.testing.reference import reference_matches
@@ -293,7 +293,7 @@ def test_a_wide_index_keeps_working_and_salvage_narrows_it(tmp_path, capsys):
     wide = VistIndex(
         SequenceEncoder(),
         docstore=FileDocStore(dbdir / "docs.dat"),
-        pager=FilePager(dbdir / "vist.db"),
+        pager=WalPager(dbdir / "vist.db"),
         source_store=FileDocStore(dbdir / "sources.dat"),
         max_label=1 << 256,
     )

@@ -5,7 +5,7 @@ wall-clock deadline, a matcher-step budget, a page-read budget, or a
 cooperative cancel — on every index type that threads it through.  The
 degraded-mode contract is exercised directly (a corrupt page mid-match
 flips health to read-suspect and the answer still comes back correct,
-via the docstore).  :class:`~repro.testing.faults.FlakyFilePager` proves
+via the docstore).  :class:`~repro.testing.faults.FlakyPager` proves
 transient read faults are retried invisibly while persistent ones
 escape loudly, and the node-cache test pins the rule that a page
 failing its checksum is never cached.
@@ -33,8 +33,9 @@ from repro.obs import QueryTrace
 from repro.query.xpath import parse_xpath
 from repro.storage.bptree import BPlusTree
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager, page_offset
-from repro.testing.faults import FlakyFilePager
+from repro.storage.pager import page_offset
+from repro.storage.wal import READ_ATTEMPTS, WalPager
+from repro.testing.faults import FlakyPager
 
 
 def _small_index(cls=VistIndex, **kwargs):
@@ -215,7 +216,7 @@ def test_pathological_wildcard_fails_fast():
 def test_page_read_budget_on_disk_index(tmp_path):
     index = _small_index(
         VistIndex,
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     assert index.query("/site//item[location='US']") == list(range(6))
@@ -225,7 +226,7 @@ def test_page_read_budget_on_disk_index(tmp_path):
     # reopen cold: the in-memory tree caches are empty, so matching must
     # actually read pages and the budget has something to count
     reopened = VistIndex(
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     try:
@@ -239,13 +240,12 @@ def test_page_read_budget_on_disk_index(tmp_path):
         reopened.docstore.close()
 
 
-@pytest.mark.parametrize("wal", [False, True], ids=["file", "wal"])
-def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path, wal):
+def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path):
     """Physical reads are what is budgeted: the same query that a cold
     index cannot answer under ``max_page_reads=0`` passes once warm."""
     from repro.cli import _close_index, open_index
 
-    index = open_index(tmp_path / "db", wal=wal)
+    index = open_index(tmp_path / "db")
     for i in range(6):
         index.add(
             parse_document(
@@ -253,7 +253,7 @@ def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path, wal):
             )
         )
     _close_index(index)
-    index = open_index(tmp_path / "db", wal=wal)
+    index = open_index(tmp_path / "db")
     try:
         query = "/site//item[location='US']"
         with pytest.raises(QueryBudgetExceededError) as exc:
@@ -388,7 +388,7 @@ def _corrupt_page(path, page_id, page_size):
 def test_corruption_mid_query_degrades_and_stays_correct(tmp_path):
     index = _small_index(
         VistIndex,
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     expected = index.query("/site//item[location='US']", verify=True)
@@ -405,7 +405,7 @@ def test_corruption_mid_query_degrades_and_stays_correct(tmp_path):
         _corrupt_page(tmp_path / f"p{page_id}-v.db", page_id, 4096)
         try:
             reopened = VistIndex(
-                pager=FilePager(tmp_path / f"p{page_id}-v.db"),
+                pager=WalPager(tmp_path / f"p{page_id}-v.db"),
                 docstore=FileDocStore(tmp_path / f"p{page_id}-d.dat"),
             )
         except CorruptPageError:
@@ -433,7 +433,7 @@ def test_query_nodes_degrades_like_query(tmp_path):
     missing position."""
     index = _small_index(
         VistIndex,
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     xpath = "/site//item[location='US']"
@@ -451,7 +451,7 @@ def test_query_nodes_degrades_like_query(tmp_path):
         _corrupt_page(tmp_path / f"n{page_id}-v.db", page_id, 4096)
         try:
             reopened = VistIndex(
-                pager=FilePager(tmp_path / f"n{page_id}-v.db"),
+                pager=WalPager(tmp_path / f"n{page_id}-v.db"),
                 docstore=FileDocStore(tmp_path / f"n{page_id}-d.dat"),
             )
         except CorruptPageError:
@@ -472,7 +472,7 @@ def test_query_nodes_degrades_like_query(tmp_path):
 def test_degraded_fallback_can_be_disabled(tmp_path):
     index = _small_index(
         VistIndex,
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     index.flush()
@@ -481,7 +481,7 @@ def test_degraded_fallback_can_be_disabled(tmp_path):
     npages = (tmp_path / "v.db").stat().st_size // page_offset(1, 4096)
     _corrupt_page(tmp_path / "v.db", npages - 1, 4096)
     reopened = VistIndex(
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     reopened.degraded_fallback = False
@@ -522,7 +522,7 @@ def test_health_counts_events_dropped_past_the_cap():
 
 class TestFlakyReads:
     def _make_file(self, tmp_path):
-        pager = FilePager(tmp_path / "flaky.db")
+        pager = WalPager(tmp_path / "flaky.db")
         pid = pager.allocate()
         pager.write(pid, b"z" * pager.page_size)
         pager.sync()
@@ -531,7 +531,7 @@ class TestFlakyReads:
 
     def test_transient_faults_are_retried_invisibly(self, tmp_path):
         pid = self._make_file(tmp_path)
-        pager = FlakyFilePager(tmp_path / "flaky.db", fail_reads=2)
+        pager = FlakyPager(tmp_path / "flaky.db", fail_reads=2)
         try:
             assert pager.read(pid) == b"z" * pager.page_size
             assert pager.fault_count == 2
@@ -540,11 +540,11 @@ class TestFlakyReads:
 
     def test_persistent_fault_escapes_after_retries(self, tmp_path):
         pid = self._make_file(tmp_path)
-        pager = FlakyFilePager(tmp_path / "flaky.db", fail_reads=1, persistent=True)
+        pager = FlakyPager(tmp_path / "flaky.db", fail_reads=1, persistent=True)
         try:
             with pytest.raises(TransientIOError):
                 pager.read(pid)
-            assert pager.fault_count == 3  # io_attempts exhausted
+            assert pager.fault_count == READ_ATTEMPTS == 3
         finally:
             pager.close()
 
@@ -555,7 +555,7 @@ class TestFlakyReads:
 
 def test_node_cache_never_holds_a_corrupt_page(tmp_path):
     path = tmp_path / "t.db"
-    pager = FilePager(path)
+    pager = WalPager(path)
     tree = BPlusTree(pager)
     for i in range(600):
         tree.insert(f"k{i:05d}".encode(), b"q" * 8)
@@ -565,7 +565,7 @@ def test_node_cache_never_holds_a_corrupt_page(tmp_path):
     pager.close()
 
     _corrupt_page(path, pid, 4096)
-    pager = FilePager(path)
+    pager = WalPager(path)
     tree = BPlusTree(pager)
     with pytest.raises(CorruptPageError):
         tree.get(b"k00300")

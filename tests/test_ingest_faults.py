@@ -1,6 +1,6 @@
-"""Crash/fault coverage of the bulk-ingest and atomic-insert paths.
+"""Crash/fault coverage of the write paths: ingest, insert, remove, flush.
 
-Three layers of failure are proven here:
+Four layers of failure are proven here:
 
 * **source-store failure** mid-``add``: the sequence insert is rolled
   back before the exception escapes (no orphan sequence, contiguous doc
@@ -9,6 +9,12 @@ Three layers of failure are proven here:
   (``sweep_commit_faults``): recovery always lands on a batch boundary,
   trailing docstore records past the committed tree state are truncated
   at reopen;
+* **process crash** at any durability primitive of a DBDIR flush after
+  adds and removes, after removes alone, and after a shard worker's
+  ``add`` ops: every crash point leaves a directory ``scrub`` passes
+  whose answers are the pre- or the post-commit ones — removal
+  tombstones reach the stores only after the commit that detaches the
+  documents;
 * **partial sharded chunk**: the router burns positional tombstones for
   planned ids that never landed, so ``ShardMap.recover`` can always
   explain the directory on the next open.
@@ -20,6 +26,7 @@ from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.errors import IndexStateError, StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
+from repro.repair import DOC_FILE, SOURCE_FILE, TREE_FILE, scrub_db
 from repro.sequence.transform import SequenceEncoder
 from repro.shard.router import ShardRouter
 from repro.storage.docstore import FileDocStore, MemoryDocStore
@@ -215,13 +222,9 @@ class TestBatchCommitSweep:
         )
 
     def _stage(self, index):
-        """Everything _commit_batch does except the pager commit itself
-        (the sweep harness owns the commit under test)."""
-        index.docstore.flush(fsync=True)
-        index.source_store.flush(fsync=True)
-        index._record_store_bounds()
-        index.tree.flush()
-        index.docid_tree.flush()
+        """Everything a commit does except the pager commit itself (the
+        sweep harness owns the commit under test)."""
+        index._stage_commit()
         index.docstore.close()
         index.source_store.close()
 
@@ -274,10 +277,187 @@ class TestBatchCommitSweep:
         assert report.entries >= 2
 
 
+def _die(index):
+    """Fail-stop right after staging a commit: the process never returns
+    from it, so tombstones queued for after the commit never reach the
+    stores.  (Their appends were fsynced by the staging.)"""
+    for store in (index.docstore, index.source_store):
+        store._file.close()
+
+
+class TestJournaledFlushSweeps:
+    """Every DBDIR opens through the journal.  Crash one flush at every
+    WAL primitive: the recovered directory must scrub clean and answer
+    exactly as before or exactly as after the commit."""
+
+    def _sweep(self, tmp_path, base, change):
+        dbdir = tmp_path / "db"
+        dbdir.mkdir()
+        docs, sources = dbdir / DOC_FILE, dbdir / SOURCE_FILE
+        snapshot = {}
+        answers = {}
+
+        def open_on(pager):
+            # repro.cli.open_index's layout, over the harness's pager
+            return VistIndex(
+                SequenceEncoder(schema=None),
+                docstore=FileDocStore(docs),
+                pager=pager,
+                source_store=FileDocStore(sources),
+            )
+
+        def setup(pager):
+            index = open_on(pager)
+            index.add_batch(base)
+            answers["pre"] = (len(index), _answers(index))
+            index.docstore.close()
+            index.source_store.close()
+            snapshot.update((path, path.read_bytes()) for path in (docs, sources))
+
+        def mutate(pager):
+            # the sweep restores the page file between faults; the stores
+            # are ours to restore
+            for path, data in snapshot.items():
+                path.write_bytes(data)
+            index = open_on(pager)
+            change(index)
+            answers["post"] = (len(index), _answers(index))
+            index._stage_commit()
+            _die(index)
+
+        def check(recovered_pager, phase):
+            report = scrub_db(dbdir, invariants=True)
+            assert report.ok, f"{phase}: {report.summary()}"
+            index = open_on(recovered_pager)
+            try:
+                assert (len(index), _answers(index)) == answers[phase]
+            finally:
+                index.docstore.close()
+                index.source_store.close()
+
+        report = sweep_commit_faults(dbdir / TREE_FILE, setup, mutate, check=check)
+        assert {outcome.recovered_to for outcome in report.outcomes} == {"pre", "post"}
+        return report
+
+    @pytest.mark.slow
+    def test_adds_and_removes(self, tmp_path):
+        """A 300-record DBLP directory, then 40 adds and 14 removes."""
+        fresh = _records(40, seed=41)
+        victims = list(range(5, 300, 21))[:14]
+
+        def change(index):
+            for record in fresh:
+                index.add(record)
+            for doc_id in victims:
+                index.remove(doc_id)
+
+        self._sweep(tmp_path, _records(300, seed=40), change)
+
+    def test_removes_alone(self, tmp_path):
+        """Tombstones written before the commit would tear every pre-commit
+        crash point: the tree still holds documents the stores deleted."""
+
+        def change(index):
+            for doc_id in (5, 17, 33):
+                index.remove(doc_id)
+
+        self._sweep(tmp_path, _records(60, seed=42), change)
+
+    def test_worker_adds_then_flush(self, tmp_path):
+        """A shard worker's write sequence: ``add`` ops, then ``flush``."""
+        fresh = _records(12, seed=44)
+
+        def change(index):
+            for record in fresh:
+                index.add(record)
+
+        self._sweep(tmp_path, _records(40, seed=43), change)
+
+
+class TestRemovalRecovery:
+    def test_crash_after_commit_replays_stamped_tombstones(self, tmp_path):
+        """The commit landed, the tombstone writes did not: reopening
+        finishes the removals, and a second reopen finds nothing to do."""
+        from repro.cli import _close_index, open_index
+
+        dbdir = tmp_path / "db"
+        index = open_index(dbdir)
+        index.add_batch(_records(20, seed=45))
+        _close_index(index)
+
+        index = open_index(dbdir)
+        for doc_id in (2, 11):
+            index.remove(doc_id)
+        answers = _answers(index)
+        index._stage_commit()
+        index._pager.commit()
+        _die(index)
+        index._pager.abandon()
+
+        reopened = open_index(dbdir)
+        try:
+            assert reopened.recovered_removals == 2
+            assert 2 not in reopened.docstore and 11 not in reopened.source_store
+            assert len(reopened) == 18
+            assert _answers(reopened) == answers
+            assert_invariants(reopened)
+            with pytest.raises(StorageError, match="document 2 was deleted"):
+                reopened.remove(2)
+        finally:
+            _close_index(reopened)
+        again = open_index(dbdir)
+        try:
+            assert again.recovered_removals == 0
+            assert len(again) == 18
+        finally:
+            _close_index(again)
+        assert scrub_db(dbdir).ok
+
+
+    def test_a_long_removal_run_commits_before_its_stamp_outgrows_a_cell(
+        self, tmp_path
+    ):
+        """The removed ids of one commit live in one tree cell; a run that
+        would overflow it commits the queue first and goes on."""
+        index = VistIndex(
+            SequenceEncoder(schema=None),
+            docstore=FileDocStore(tmp_path / "docs.dat"),
+            pager=WalPager(tmp_path / "vist.db", page_size=1024),
+            source_store=FileDocStore(tmp_path / "sources.dat"),
+        )
+        ids = index.add_batch(_records(160, seed=46))
+        survivors = ids[150:]
+        commits = []
+        commit = index._pager.commit
+        index._pager.commit = lambda: (commits.append(len(index)), commit())
+        for doc_id in ids[:150]:
+            index.remove(doc_id)
+        assert commits  # committed early, mid-run
+        assert len(index._removed) <= index._removal_budget()
+        index.close()
+        index.docstore.close()
+        index.source_store.close()
+
+        reopened = VistIndex(
+            SequenceEncoder(schema=None),
+            docstore=FileDocStore(tmp_path / "docs.dat"),
+            pager=WalPager(tmp_path / "vist.db"),
+            source_store=FileDocStore(tmp_path / "sources.dat"),
+        )
+        try:
+            assert list(reopened.docstore.ids()) == survivors
+            assert reopened.recovered_removals == 0
+            assert_invariants(reopened)
+        finally:
+            reopened.close()
+            reopened.docstore.close()
+            reopened.source_store.close()
+
+
 class TestShardedChunkRepair:
     def test_partial_chunk_burns_tombstones_and_recovers(self, tmp_path):
         records = _records(20, seed=31)
-        router = ShardRouter(tmp_path / "db", 2, wal=True)
+        router = ShardRouter(tmp_path / "db", 2)
         router.add_batch(records[:8], batch_size=8)
         assert router.map.next_doc_id == 8
 
@@ -306,7 +486,7 @@ class TestShardedChunkRepair:
 
         # the directory must reopen without IndexStateError — the exact
         # failure ShardMap.recover raises on unexplainable layouts
-        reopened = ShardRouter(tmp_path / "db", wal=True)
+        reopened = ShardRouter(tmp_path / "db")
         try:
             assert reopened.map.next_doc_id == 20
             assert set(reopened.doc_ids()) == survivors | set(new_ids)
@@ -318,7 +498,7 @@ class TestShardedChunkRepair:
 
     def test_clean_batches_need_no_repair(self, tmp_path):
         records = _records(12, seed=33)
-        router = ShardRouter(tmp_path / "db", 3, wal=True)
+        router = ShardRouter(tmp_path / "db", 3)
         ids = router.add_batch(records, batch_size=5)
         assert ids == list(range(12))
         answers = router.query("//book")

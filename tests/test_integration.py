@@ -17,7 +17,7 @@ from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.wal import WalPager
 
 LABELS = ["a", "b", "c"]
 VALUES = ["x", "y"]
@@ -94,7 +94,7 @@ class TestPersistenceCycles:
         index = VistIndex(
             SequenceEncoder(),
             docstore=FileDocStore(tmp_path / "docs.dat"),
-            pager=FilePager(tmp_path / "vist.db"),
+            pager=WalPager(tmp_path / "vist.db"),
         )
         for doc in docs[:10]:
             index.add(doc)
@@ -108,7 +108,7 @@ class TestPersistenceCycles:
             index = VistIndex(
                 SequenceEncoder(),
                 docstore=FileDocStore(tmp_path / "docs.dat"),
-                pager=FilePager(tmp_path / "vist.db"),
+                pager=WalPager(tmp_path / "vist.db"),
             )
             for expr in QUERIES:
                 assert index.query(expr) == expected[expr], (round_no, expr)
@@ -126,7 +126,7 @@ class TestPersistenceCycles:
         mem = VistIndex(SequenceEncoder())
         on_file = VistIndex(
             SequenceEncoder(),
-            pager=FilePager(tmp_path / "v.db", page_size=1024),
+            pager=WalPager(tmp_path / "v.db", page_size=1024),
             max_label=1 << 64,
         )
         for doc in docs:
@@ -140,7 +140,7 @@ class TestPersistenceCycles:
         index = VistIndex(
             encoder,
             docstore=FileDocStore(tmp_path / "docs.dat"),
-            pager=FilePager(tmp_path / "vist.db"),
+            pager=WalPager(tmp_path / "vist.db"),
         )
         doc = XmlNode("r")
         doc.element("a", text="y")
@@ -155,7 +155,7 @@ class TestPersistenceCycles:
         index = VistIndex(
             encoder,
             docstore=FileDocStore(tmp_path / "docs.dat"),
-            pager=FilePager(tmp_path / "vist.db"),
+            pager=WalPager(tmp_path / "vist.db"),
         )
         index.remove(gone_id)
         assert index.query("/r/a[text='y']") == []
@@ -167,7 +167,7 @@ class TestPersistenceCycles:
         index = VistIndex(
             encoder,
             docstore=FileDocStore(tmp_path / "docs.dat"),
-            pager=FilePager(tmp_path / "vist.db"),
+            pager=WalPager(tmp_path / "vist.db"),
         )
         assert index.query("/r/a[text='y']") == []
         assert index.query("/r/b") == [keep_id]
@@ -176,7 +176,7 @@ class TestPersistenceCycles:
 class TestFailureInjection:
     def test_corrupt_page_file_detected(self, tmp_path):
         path = tmp_path / "vist.db"
-        pager = FilePager(path)
+        pager = WalPager(path)
         index = VistIndex(SequenceEncoder(), pager=pager)
         index.add(XmlNode("r", text="v"))
         index.flush()
@@ -186,7 +186,7 @@ class TestFailureInjection:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(PageError):
-            FilePager(path)
+            WalPager(path)
 
     def test_truncated_docstore_detected(self, tmp_path):
         path = tmp_path / "docs.dat"

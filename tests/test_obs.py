@@ -308,10 +308,11 @@ def test_vist_metrics_cover_storage_and_caches():
 
 def test_degraded_query_is_counted(tmp_path):
     from repro.storage.docstore import FileDocStore
-    from repro.storage.pager import FilePager, page_offset
+    from repro.storage.pager import page_offset
+    from repro.storage.wal import WalPager
 
     index = VistIndex(
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     for i in range(4):
@@ -327,7 +328,7 @@ def test_degraded_query_is_counted(tmp_path):
         fh.seek(offset)
         fh.write(bytes([byte[0] ^ 0xFF]))
     reopened = VistIndex(
-        pager=FilePager(tmp_path / "v.db"),
+        pager=WalPager(tmp_path / "v.db"),
         docstore=FileDocStore(tmp_path / "d.dat"),
     )
     try:

@@ -96,7 +96,7 @@ class TestOracleRuns:
         assert report.ok, [d.to_dict() for d in report.divergences]
         # queries per seed + the post-deletion re-check
         assert report.pairs == 3 * (2 + 1)
-        assert len(VIST_CONFIGS) == 4  # posting cache on/off x file/wal pager
+        assert len(VIST_CONFIGS) == 2  # posting cache on/off
         # naive, rist, the two join baselines and the schema'd ViST
         assert report.families == len(VIST_CONFIGS) + 5
 
@@ -115,7 +115,7 @@ class TestOracleRuns:
             divergences=[
                 Divergence(
                     seed=17,
-                    family="vist[cache+wal]",
+                    family="vist[cache]",
                     kind="exact",
                     xpath="/r/a",
                     expected=[0],

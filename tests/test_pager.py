@@ -1,18 +1,16 @@
-"""Tests for the page storage layer (memory, file and WAL pagers)."""
+"""Tests for the page storage layer (the memory and the file pager)."""
 
 import pytest
 
 from repro.errors import PageError
-from repro.storage.pager import FilePager, MemoryPager
+from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
 
 
-@pytest.fixture(params=["memory", "file", "wal"])
+@pytest.fixture(params=["memory", "wal"])
 def pager(request, tmp_path):
     if request.param == "memory":
         p = MemoryPager(page_size=256)
-    elif request.param == "file":
-        p = FilePager(tmp_path / "pages.db", page_size=256)
     else:
         p = WalPager(tmp_path / "pages.db", page_size=256)
     yield p
@@ -96,15 +94,17 @@ class TestMemoryPager:
 
 
 class TestFilePager:
+    """The one file pager, :class:`WalPager`, across close and reopen."""
+
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "p.db"
-        p = FilePager(path, page_size=256)
+        p = WalPager(path, page_size=256)
         pid = p.allocate()
         p.write(pid, b"persisted")
         p.set_metadata(b"meta!")
         p.close()
 
-        q = FilePager(path)
+        q = WalPager(path)
         assert q.page_size == 256
         assert q.read(pid)[:9] == b"persisted"
         assert q.get_metadata() == b"meta!"
@@ -112,13 +112,13 @@ class TestFilePager:
 
     def test_freelist_persists(self, tmp_path):
         path = tmp_path / "p.db"
-        p = FilePager(path, page_size=256)
+        p = WalPager(path, page_size=256)
         a = p.allocate()
         p.allocate()
         p.free(a)
         p.close()
 
-        q = FilePager(path)
+        q = WalPager(path)
         assert q.allocate() == a
         q.close()
 
@@ -126,10 +126,20 @@ class TestFilePager:
         path = tmp_path / "junk.db"
         path.write_bytes(b"not a page file, definitely" * 20)
         with pytest.raises(PageError):
-            FilePager(path)
+            WalPager(path)
 
     def test_metadata_too_large(self, tmp_path):
-        p = FilePager(tmp_path / "p.db", page_size=256)
+        p = WalPager(tmp_path / "p.db", page_size=256)
         with pytest.raises(PageError):
             p.set_metadata(b"x" * 300)
         p.close()
+
+    def test_rejects_a_v1_page_file_by_name(self, tmp_path):
+        path = tmp_path / "old.db"
+        p = WalPager(path, page_size=256)
+        p.close()
+        raw = bytearray(path.read_bytes())
+        raw[:8] = b"ViSTPGR1"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PageError, match="legacy v1 page file"):
+            WalPager(path)

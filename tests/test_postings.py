@@ -19,7 +19,7 @@ from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager
+from repro.storage.wal import WalPager
 from tests.conftest import build_figure3_record, build_purchase_schema, build_record
 
 
@@ -255,7 +255,7 @@ class TestVistCoherence:
                 assert cached.query(q) == uncached.query(q), q
 
     def test_reopen_starts_cold_and_correct(self, tmp_path):
-        pager = FilePager(tmp_path / "vist.db")
+        pager = WalPager(tmp_path / "vist.db")
         index = make_index(
             pager=pager, docstore=FileDocStore(tmp_path / "docs.dat")
         )
@@ -268,7 +268,7 @@ class TestVistCoherence:
         index.docstore.close()
 
         reopened = make_index(
-            pager=FilePager(tmp_path / "vist.db"),
+            pager=WalPager(tmp_path / "vist.db"),
             docstore=FileDocStore(tmp_path / "docs.dat"),
         )
         assert len(reopened.postings) == 0  # cache never persists
@@ -288,11 +288,11 @@ class TestVistCoherence:
             assert index.query(q) == uncached.query(q), q
 
     def test_cache_stats_shape(self, tmp_path):
-        index = make_index(pager=FilePager(tmp_path / "vist.db"))
+        index = make_index(pager=WalPager(tmp_path / "vist.db"))
         index.add(build_figure3_record())
         index.flush()
         index.close()
-        pager = FilePager(tmp_path / "vist.db")
+        pager = WalPager(tmp_path / "vist.db")
         index = make_index(pager=pager)
         before, reads = index.cache_stats(), pager.read_count
         assert index.query("/P/S/N")  # cold: every node comes off the pager

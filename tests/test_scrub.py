@@ -13,7 +13,7 @@ the full detect / answer / salvage cycle.  The first few seeds run in
 tier-1; the rest carry the ``slow`` marker (the CI corruption job runs
 all 100 with ``-m slow``).
 
-The pager error-parity test rides along: Memory/File/Wal pagers must
+The pager error-parity test rides along: the memory and file pagers must
 fail identically (same exception type, same key phrase) for the three
 misuse classes, so storage-layer callers can be pager-agnostic.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,16 @@ from repro.cli import open_index
 from repro.doc.parser import parse_document
 from repro.errors import CorruptionError, PageError
 from repro.repair import salvage_db, scrub_db, scrub_page_file, scrub_record_file
-from repro.storage.pager import DEFAULT_PAGE_SIZE, FilePager, MemoryPager
+from repro.storage.checksums import pack_trailer
+from repro.storage.pager import (
+    DEFAULT_PAGE_SIZE,
+    MemoryPager,
+    pack_header_page,
+    page_offset,
+    peek_header,
+    slot_size,
+    unpack_header_page,
+)
 from repro.storage.wal import WalPager
 from repro.testing.invariants import assert_invariants
 
@@ -226,20 +236,19 @@ def test_scrub_reports_truncated_page_file(pristine, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# pager error parity (Memory / File / Wal)
+# pager error parity (Memory / Wal)
 
 
 def _pager_factories(tmp_path):
     return {
         "memory": lambda: MemoryPager(),
-        "file": lambda: FilePager(tmp_path / "parity_file.db"),
         "wal": lambda: WalPager(tmp_path / "parity_wal.db"),
     }
 
 
-@pytest.mark.parametrize("kind", ["memory", "file", "wal"])
+@pytest.mark.parametrize("kind", ["memory", "wal"])
 def test_pager_error_parity(tmp_path, kind):
-    """The three pagers reject misuse with the same type and phrasing.
+    """Both pagers reject misuse with the same type and phrasing.
 
     Out-of-range ids, freed pages and closed pagers must look identical
     to callers regardless of the backing store — the degraded-mode and
@@ -269,21 +278,18 @@ def test_pager_error_parity(tmp_path, kind):
         pager.read(live)
 
 
-@pytest.mark.parametrize("kind", ["file", "wal"])
-def test_freed_pages_rejected_after_reopen(tmp_path, kind):
-    """File-backed pagers remember freed pages across close/reopen."""
-    factory = _pager_factories(tmp_path)[kind]
-    pager = factory()
+def test_freed_pages_rejected_after_reopen(tmp_path):
+    """The file pager remembers freed pages across close/reopen."""
+    path = tmp_path / "freed.db"
+    pager = WalPager(path)
     keep = pager.allocate()
     pager.write(keep, b"k" * pager.page_size)
     gone = pager.allocate()
     pager.free(gone)
-    if kind == "wal":
-        pager.commit()
-    pager.sync()
+    pager.commit()
     pager.close()
 
-    pager = factory()
+    pager = WalPager(path)
     try:
         assert pager.read(keep) == b"k" * pager.page_size
         with pytest.raises(PageError, match=f"page {gone} is freed"):
@@ -293,27 +299,44 @@ def test_freed_pages_rejected_after_reopen(tmp_path, kind):
 
 
 # ---------------------------------------------------------------------------
-# storage accounting: interrupted free() leaks a page
+# storage accounting: a leaked page
+
+
+def _append_orphan_slot(tree_path: Path) -> int:
+    """Raw slot surgery: append a freelist-chained slot and count it in
+    the header's page total, without linking it into the freelist.
+
+    The slot carries a chain pointer and a valid checksum, but neither
+    the freelist head nor any tree refers to it.  Returns its page id."""
+    raw = tree_path.read_bytes()
+    page_size = peek_header(raw, str(tree_path))
+    _, npages, head, meta = unpack_header_page(raw[:page_size], str(tree_path))
+    orphan = npages + 1
+    assert len(raw) == page_offset(orphan, page_size)
+    chained = struct.pack("<Q", head) + b"\x00" * (page_size - 8)
+    header = pack_header_page(page_size, orphan, head, meta)
+    tree_path.write_bytes(
+        header
+        + pack_trailer(header)
+        + raw[slot_size(page_size) :]
+        + chained
+        + pack_trailer(chained)
+    )
+    return orphan
 
 
 def test_interrupted_free_leaks_page_scrub_finds_salvage_reclaims(pristine, tmp_path):
-    """A crash between ``free()``'s slot write and header write orphans a
-    page: every checksum still verifies, yet the slot is neither live nor
-    on the freelist.  ``scrub`` must call it out and ``salvage`` must
-    rebuild without it."""
+    """A chained slot that no header points to is an orphaned page: every
+    checksum still verifies, yet the slot is neither live nor on the
+    freelist.  The journaled pager commits a free with its header, so
+    the leak is made by slot surgery here; ``scrub`` must call it out
+    and ``salvage`` must rebuild without it."""
     from repro.repair import scrub_page_reachability
-    from repro.testing.faults import CrashingFreePager, SimulatedCrash
 
     pristine_dir, expected = pristine
     dbdir = _copy_db(pristine_dir, tmp_path)
     tree_path = dbdir / "vist.db"
-
-    pager = CrashingFreePager(tree_path)
-    victim = pager.allocate()  # fresh page: no tree references it
-    pager.arm()
-    with pytest.raises(SimulatedCrash):
-        pager.free(victim)
-    pager.abandon()  # fail-stop; close() would rewrite the header
+    victim = _append_orphan_slot(tree_path)
 
     # checksums are clean — a CRC walk alone cannot see the leak
     assert scrub_page_file(tree_path).ok
@@ -332,6 +355,35 @@ def test_interrupted_free_leaks_page_scrub_finds_salvage_reclaims(pristine, tmp_
     assert any("reclaimed 1 leaked page" in note for note in salvage_report.notes)
     after = scrub_db(dbdir)
     assert after.ok
+    index = open_index(dbdir)
+    try:
+        for xpath, want in expected.items():
+            assert index.query(xpath, verify=True) == want
+    finally:
+        _close(index)
+
+
+def test_salvage_discards_an_interrupted_salvages_journal(pristine, tmp_path):
+    """A committed journal left beside a half-built side file would replay
+    its stale pages into the next salvage's fresh side file."""
+    from repro.testing.faults import CrashingWalPager, SimulatedCrash
+
+    pristine_dir, expected = pristine
+    dbdir = _copy_db(pristine_dir, tmp_path)
+    side = dbdir / "vist.db.salvage"
+    pager = CrashingWalPager(side)
+    pid = pager.allocate()
+    pager.write(pid, b"stale" * 100)
+    pager.crash_at = 6  # 2 entries: 5 journal writes, the fsync, then apply
+    pager.arm()
+    with pytest.raises(SimulatedCrash):
+        pager.commit()
+    pager.abandon()
+    assert (dbdir / "vist.db.salvage.wal").exists()
+
+    assert salvage_db(dbdir).replaced
+    assert not (dbdir / "vist.db.salvage.wal").exists()
+    assert scrub_db(dbdir).ok
     index = open_index(dbdir)
     try:
         for xpath, want in expected.items():

@@ -10,7 +10,7 @@ from repro.index.vist import VistIndex
 from repro.labeling.dynamic import LambdaAllocator, NodeState
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
-from repro.storage.pager import FilePager
+from repro.storage.wal import WalPager
 from repro.testing.invariants import assert_invariants
 from tests.conftest import build_figure3_record, build_purchase_schema, build_record
 
@@ -250,7 +250,7 @@ class TestPersistence:
         index = VistIndex(
             encoder,
             docstore=FileDocStore(docs_path),
-            pager=FilePager(pager_path),
+            pager=WalPager(pager_path),
         )
         a = index.add(build_record("boston", "newyork", ["intel"]))
         index.flush()
@@ -260,7 +260,7 @@ class TestPersistence:
         reopened = VistIndex(
             encoder,
             docstore=FileDocStore(docs_path),
-            pager=FilePager(pager_path),
+            pager=WalPager(pager_path),
         )
         assert reopened.query("/P[S[L='boston']]") == [a]
         # dynamic insertion continues across sessions

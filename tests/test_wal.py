@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import PageError
 from repro.storage.bptree import BPlusTree
-from repro.storage.pager import FilePager
 from repro.storage.wal import WalPager
 
 
@@ -33,15 +32,6 @@ class TestBasicPagerBehaviour:
         assert again.read(pid)[:7] == b"durable"
         assert again.get_metadata() == b"m1"
         again.close()
-
-    def test_file_layout_is_filepager_compatible(self, tmp_path):
-        pager = WalPager(tmp_path / "w.db", page_size=256)
-        pid = pager.allocate()
-        pager.write(pid, b"shared layout")
-        pager.close()
-        plain = FilePager(tmp_path / "w.db")
-        assert plain.read(pid)[:13] == b"shared layout"
-        plain.close()
 
     def test_rollback_discards_changes(self, tmp_path):
         pager = WalPager(tmp_path / "w.db", page_size=256)
