@@ -60,7 +60,7 @@ class ApexIndex(XmlIndexBase):
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
         doc_id = self.docstore.add(self._sequence_to_payload(sequence))
         for symbol, prefix, occ in sequence_occurrences(sequence, doc_id):
             payload = encode_tuple(occ)

@@ -58,7 +58,7 @@ class XissIndex(XmlIndexBase):
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
         doc_id = self.docstore.add(self._sequence_to_payload(sequence))
         for symbol, _prefix, occ in sequence_occurrences(sequence, doc_id):
             self.occurrences.insert(

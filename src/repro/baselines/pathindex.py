@@ -56,7 +56,7 @@ class PathIndex(XmlIndexBase):
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
         doc_id = self.docstore.add(self._sequence_to_payload(sequence))
         for symbol, prefix, occ in sequence_occurrences(sequence, doc_id):
             # element path = prefix + own label; value path = prefix + hash

@@ -11,9 +11,10 @@ optional tree-embedding verification pass.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.doc.model import XmlDocument, XmlNode
 from repro.errors import CorruptionError, IndexStateError, TranslationError
@@ -123,63 +124,17 @@ class XmlIndexBase:
     # -- ingestion ---------------------------------------------------------
 
     def add(self, document: Union[XmlDocument, XmlNode]) -> int:
-        """Index one document (or record subtree); returns its doc id."""
-        if isinstance(document, XmlNode):
-            root = document
-        else:
-            root = document.root
-        with self.rwlock.write():
-            return self._add_one_locked(root)
+        """Index one document (or record subtree); returns its doc id.
 
-    def _add_one_locked(self, root: XmlNode) -> int:
-        """One atomic document insert; the caller holds the write lock.
-
-        The sequence insert and the source append succeed or fail
-        together: a source-store failure rolls the sequence insert back
-        before the exception escapes, so no doc id is ever published
-        with a sequence but no source text (an orphan only scrub would
-        notice and salvage could never restore).
-        """
-        doc_id = self.add_sequence(self.encoder.encode_node(root))
-        if self.source_store is not None:
-            try:
-                source_id = self.source_store.add(root.to_xml().encode("utf-8"))
-            except BaseException:
-                self._rollback_insert(doc_id)
-                raise
-            if source_id != doc_id:
-                self._rollback_insert(doc_id)
-                raise IndexStateError(
-                    f"source store id {source_id} diverged from doc id {doc_id}; "
-                    "the stores must be used by exactly one index"
-                )
-        return doc_id
-
-    def _rollback_insert(self, doc_id: int) -> None:
-        """Undo the sequence insert of ``doc_id`` — necessarily the most
-        recent add, still under the same write lock.
-
-        The base implementation covers the trie-backed in-memory indexes
-        (detach the doc id from its trie node, un-assign the docstore
-        id); structure-specific indexes override it.
-        """
-        trie = getattr(self, "trie", None)
-        if trie is not None:
-            node = trie.root
-            for item in self._payload_to_sequence(self.docstore.get(doc_id)):
-                node = node.children[item]
-            node.doc_ids.remove(doc_id)
-        self.docstore.pop_last(doc_id)
+        A chunk of one through :meth:`add_batch`, with no commit: the
+        caller owns the eventual :meth:`flush`."""
+        return self.add_batch([document], durability="none")[0]
 
     def add_all(self, documents: Iterable[Union[XmlDocument, XmlNode]]) -> list[int]:
         """Index many documents; returns their doc ids.
 
-        Routed through :meth:`add_batch`: one write-lock section per
-        chunk instead of per document, with doc-id assignment identical
-        to a loop of :meth:`add` calls.  Durability stays what it always
-        was for ``add_all`` — the caller owns the eventual
-        :meth:`flush`; opt into per-chunk commits with
-        ``add_batch(..., durability="batch")``.
+        :meth:`add_batch` without its per-chunk commits: the caller owns
+        the eventual :meth:`flush`, as for :meth:`add`.
         """
         return self.add_batch(documents, durability="none")
 
@@ -195,8 +150,10 @@ class XmlIndexBase:
         ``documents`` may be any iterable — a streaming record source
         included — and is consumed lazily, ``batch_size`` documents at a
         time, so peak memory stays flat in the corpus size.  Each chunk
-        takes the write lock once and inserts its documents through the
-        same per-document atomic path as :meth:`add`.
+        takes the write lock once and inserts its documents one at a
+        time, each atomically: a document that fails is undone before
+        the error escapes, and the documents before it in the chunk
+        land.  Doc ids and index entries do not depend on the chunk size.
 
         ``durability="batch"`` (the default) makes each chunk durable in
         one commit: on a WAL-backed index a crash loses at most the open
@@ -213,45 +170,83 @@ class XmlIndexBase:
             raise IndexStateError(f"batch_size must be >= 1, got {batch_size}")
         doc_ids: list[int] = []
         it = iter(documents)
-        while True:
-            chunk = list(islice(it, batch_size))
-            if not chunk:
-                return doc_ids
+        while chunk := list(islice(it, batch_size)):
             with self.rwlock.write():
-                self._begin_batch()
-                try:
+                with self._chunk():
                     for document in chunk:
-                        if isinstance(document, XmlNode):
-                            root = document
-                        else:
-                            root = document.root
-                        doc_ids.append(self._add_one_locked(root))
-                finally:
-                    self._end_batch()
+                        if not isinstance(document, XmlNode):
+                            document = document.root
+                        doc_ids.append(self._add_one_locked(document))
                 if durability == "batch":
-                    self._commit_batch()
-
-    # batch hooks: a chunk of add_batch runs between _begin_batch and
-    # _end_batch (the latter on the error path too), then _commit_batch
-    # when the durability mode asks for one.  VistIndex uses them to
-    # buffer DocId-tree insertions and to fence the commit.
-
-    def _begin_batch(self) -> None:
-        """Hook: a batch chunk is starting (write lock held)."""
-
-    def _end_batch(self) -> None:
-        """Hook: the batch chunk ended — also called when it failed."""
-
-    def _commit_batch(self) -> None:
-        """Make the finished chunk durable.  Defaults to :meth:`flush`
-        when the index has one; in-memory indexes have nothing to do."""
-        flush = getattr(self, "flush", None)
-        if flush is not None:
-            flush()
+                    self.flush()
+        return doc_ids
 
     def add_sequence(self, sequence: StructureEncodedSequence) -> int:
-        """Index an already-encoded sequence; returns its doc id."""
+        """Index an already-encoded sequence (salvage and reshard replay
+        stored ones); returns its doc id.  A chunk of one with no
+        commit, like :meth:`add`, and no source text."""
+        with self.rwlock.write(), self._chunk():
+            return self._add_sequence_locked(sequence)
+
+    @contextmanager
+    def _chunk(self) -> Iterator[None]:
+        """The one place a chunk is opened and applied (write lock held):
+        its inserts stage, then :meth:`_end_batch` applies them — on the
+        error path too, so the documents inserted before a failure land."""
+        try:
+            yield
+        finally:
+            self._end_batch()
+
+    def _end_batch(self) -> None:
+        """Hook: apply what the chunk staged (write lock held)."""
+
+    def _add_one_locked(self, root: XmlNode) -> int:
+        """One atomic document insert inside an open chunk.
+
+        The sequence insert and the source append succeed or fail
+        together: a source-store failure rolls the sequence insert back
+        before the exception escapes, so no doc id is ever published
+        with a sequence but no source text (an orphan only scrub would
+        notice and salvage could never restore).
+        """
+        doc_id = self._add_sequence_locked(self.encoder.encode_node(root))
+        if self.source_store is not None:
+            try:
+                source_id = self.source_store.add(root.to_xml().encode("utf-8"))
+                if source_id != doc_id:
+                    raise IndexStateError(
+                        f"source store id {source_id} diverged from doc id {doc_id}; "
+                        "the stores must be used by exactly one index"
+                    )
+            except BaseException:
+                self._rollback_insert(doc_id)
+                raise
+        return doc_id
+
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
+        """Insert one sequence inside an open chunk; returns its doc id."""
         raise NotImplementedError
+
+    def _rollback_insert(self, doc_id: int) -> None:
+        """Undo the sequence insert of ``doc_id`` — necessarily the most
+        recent one, still inside the same chunk.
+
+        The base implementation covers the trie-backed in-memory indexes
+        (detach the doc id from its trie node, un-assign the docstore
+        id); structure-specific indexes override it.
+        """
+        trie = getattr(self, "trie", None)
+        if trie is not None:
+            node = trie.root
+            for item in self._payload_to_sequence(self.docstore.get(doc_id)):
+                node = node.children[item]
+            node.doc_ids.remove(doc_id)
+        self.docstore.pop_last(doc_id)
+
+    def flush(self) -> None:
+        """Make everything added or removed so far durable.  In-memory
+        indexes have nothing to commit."""
 
     def remove(self, doc_id: int) -> None:
         """Remove a document.  Indexes without dynamic deletion raise."""

@@ -43,11 +43,10 @@ class NaiveIndex(XmlIndexBase):
         self.trie = SequenceTrie()
         self.metrics.register("trie.nodes", lambda: self.trie.node_count)
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
-        with self.rwlock.write():
-            doc_id = self.docstore.add(self._sequence_to_payload(sequence))
-            self.trie.insert(sequence, doc_id)
-            return doc_id
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
+        doc_id = self.docstore.add(self._sequence_to_payload(sequence))
+        self.trie.insert(sequence, doc_id)
+        return doc_id
 
     def match_sequence(self, query_sequence: QuerySequence, guard=None, trace=None) -> set[int]:
         results: set[int] = set()

@@ -67,16 +67,15 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
 
     # -- ingestion ---------------------------------------------------------
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
-        with self.rwlock.write():
-            if self.trie is None or self._root_scope is not None:
-                raise IndexStateError(
-                    "RIST labels are static: no additions after finalize()/query(); "
-                    "rebuild the index or use VistIndex for dynamic data"
-                )
-            doc_id = self.docstore.add(self._sequence_to_payload(sequence))
-            self.trie.insert(sequence, doc_id)
-            return doc_id
+    def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
+        if self.trie is None or self._root_scope is not None:
+            raise IndexStateError(
+                "RIST labels are static: no additions after finalize()/query(); "
+                "rebuild the index or use VistIndex for dynamic data"
+            )
+        doc_id = self.docstore.add(self._sequence_to_payload(sequence))
+        self.trie.insert(sequence, doc_id)
+        return doc_id
 
     def finalize(self) -> None:
         """Label the trie and bulk-load the B+Trees (steps 2 and 3).

@@ -329,11 +329,3 @@ class CombinedTreeHost:
         }
         out["buffer_pool"] = self._node_cache_stats()
         return out
-
-    # -- DocId tree helpers --------------------------------------------------
-
-    def _attach_doc(self, n: int, doc_id: int) -> None:
-        self.docid_tree.insert(label_key(n), encode_uint(doc_id))
-
-    def _detach_doc(self, n: int, doc_id: int) -> int:
-        return self.docid_tree.delete(label_key(n), encode_uint(doc_id))

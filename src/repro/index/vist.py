@@ -108,29 +108,23 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # touching the persistent structures (it is not part of the index
         # size and repopulates lazily after reopening from disk).
         self._child_cache: dict[tuple[int, Item], int] = {}
-        # (doc_id, sequence, labels, created) of the most recent insert,
-        # kept so a failed source append can roll it back atomically
+        # what the insert in flight (or the one just finished) staged —
+        # its DocId pair once it has an id, the states it ref-bumped, the
+        # nodes it created — so _rollback_insert can undo it whole
         self._last_insert: Optional[tuple] = None
-        # inside an add_batch chunk, DocId attachments buffer here and
-        # land in one sorted pass at _end_batch; None outside batches
-        self._docid_buffer: Optional[list[tuple[int, int]]] = None
-        # batch write-dedup overlay for the combined tree: n -> (key,
-        # live NodeState).  Hot parents (root, record-type nodes) have
-        # their child counts advanced by nearly every insert; writing them
-        # through per document costs a B+Tree delete+insert each time.
-        # During a chunk the latest state lives here, every in-chunk read
-        # goes through it (so count updates accumulate on one object),
-        # and _end_batch writes each node once, in key order.
-        self._node_overlay: Optional[dict[int, tuple[bytes, NodeState]]] = None
-        # (parent_n, item) -> n for nodes *created* during the chunk:
-        # the unevictable companion of _child_cache.  Overlay nodes are
-        # invisible to tree.range until _end_batch, so the fallback scan
-        # of _find_child must have a map it can trust for them.
-        self._overlay_children: Optional[dict[tuple[int, Item], int]] = None
-        # labels created during the chunk: their keys are not on the
-        # tree yet, so _end_batch can insert them directly instead of
-        # paying put()'s delete-then-insert
-        self._overlay_created: Optional[set[int]] = None
+        # Every insert runs inside a chunk (XmlIndexBase._chunk) and
+        # stages here; _end_batch applies and empties all three.  The
+        # node-state overlay maps n -> (key, live NodeState): hot parents
+        # (root, record-type nodes) have their child counts advanced by
+        # nearly every insert, so in-chunk reads go through it (count
+        # updates accumulate on one object) and each node is written
+        # once per chunk, in key order.  The created set holds the labels
+        # new this chunk: not on the tree yet, so _end_batch inserts them
+        # without put()'s delete pass.  The DocId buffer holds the
+        # chunk's (n, doc_id) pairs.
+        self._node_overlay: dict[int, tuple[bytes, NodeState]] = {}
+        self._overlay_created: set[int] = set()
+        self._docid_buffer: list[tuple[int, int]] = []
         # stores whose tombstones wait for the commit that detaches their
         # documents, and the ids (encode_uint, concatenated) queued for it
         self._tombstoned_stores = [
@@ -176,76 +170,67 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     # ------------------------------------------------------------------
     # ingestion (Algorithm 4)
 
-    def add_sequence(self, sequence: StructureEncodedSequence) -> int:
-        with self.rwlock.write():  # one insert at a time, excluded from reads
-            return self._add_sequence_locked(sequence)
-
     def _add_sequence_locked(self, sequence: StructureEncodedSequence) -> int:
         if len(sequence) == 0:
             raise IndexStateError("cannot index an empty sequence")
         self._validate_key_sizes(sequence)
-        pending: dict[int, tuple[bytes, NodeState]] = {}
-        pending[0] = (ROOT_KEY, self._root_state)
+        overlay = self._node_overlay
         path_items: list[Optional[Item]] = [None]
         path_states: list[NodeState] = [self._root_state]
         path_keys: list[bytes] = [ROOT_KEY]
-        # nodes this insert creates, as (key, item, parent_n) — exactly
-        # what _rollback_insert must delete when refcounting is off
-        created: list[tuple[bytes, Item, int]] = []
-        labels: Optional[list[int]] = None
-        for i, item in enumerate(sequence):
-            parent_state = path_states[-1]
-            parent_item = path_items[-1]
-            child = self._find_child(item, parent_state, pending)
-            key = node_key(item.symbol, item.prefix, 0)  # placeholder, fixed below
-            if child is None:
-                scope = self.allocator.place(parent_state, parent_item, item)
-                # place() advanced the parent's child count: the
-                # parent must be written back even without refcounting,
-                # or a later insertion would hand out the same scope twice
-                pending.setdefault(
-                    parent_state.scope.n, (path_keys[-1], parent_state)
-                )
-                if scope is None:
-                    labels = self._insert_borrowed(
-                        i, sequence, path_items, path_states, path_keys,
-                        pending, created,
+        # nodes this insert creates, as (n, item, parent_n); with
+        # refcounting, the states it bumped are path_states[1:]
+        created: list[tuple[int, Item, int]] = []
+        self._last_insert = (None, path_states, created)
+        try:
+            labels: Optional[list[int]] = None
+            for i, item in enumerate(sequence):
+                parent_state = path_states[-1]
+                child = self._find_child(item, parent_state)
+                if child is None:
+                    scope = self.allocator.place(parent_state, path_items[-1], item)
+                    # place() advanced the parent's child count: stage the
+                    # parent even without refcounting, or a later insertion
+                    # would hand out the same scope twice
+                    overlay.setdefault(
+                        parent_state.scope.n, (path_keys[-1], parent_state)
                     )
-                    break
-                child = NodeState(scope, parent_n=parent_state.scope.n)
-                key = node_key(item.symbol, item.prefix, scope.n)
-                pending[scope.n] = (key, child)
-                self._child_cache[parent_state.scope.n, item] = scope.n
-                if self._overlay_children is not None:
-                    self._overlay_children[parent_state.scope.n, item] = scope.n
+                    if scope is None:
+                        labels = self._insert_borrowed(
+                            i, sequence, path_items, path_states, path_keys, created
+                        )
+                        break
+                    child = NodeState(scope, parent_n=parent_state.scope.n)
+                    key = node_key(item.symbol, item.prefix, scope.n)
+                    overlay[scope.n] = (key, child)
                     self._overlay_created.add(scope.n)
-                created.append((key, item, parent_state.scope.n))
-            else:
-                key = node_key(item.symbol, item.prefix, child.scope.n)
-            if self.track_refs:
-                child.refs += 1
-                pending.setdefault(child.scope.n, (key, child))
-            path_items.append(item)
-            path_states.append(child)
-            path_keys.append(key)
-        if labels is None:
-            labels = [state.scope.n for state in path_states[1:]]
-        if self._node_overlay is not None:
-            self._node_overlay.update(pending)
-        else:
-            for key, state in pending.values():
-                self.tree.put(key, state.to_bytes())
-        if self.postings is not None:
-            # Conservative coherence: every item of the sequence may have
-            # introduced a new node into its D-Ancestor key group (scopes
-            # of pre-existing nodes never change, so updates to them keep
-            # cached groups valid).
-            for item in sequence:
-                self.postings.invalidate_entry(item.symbol, item.prefix)
-        doc_id = self.docstore.add(self._make_payload(sequence, labels))
-        self._attach_doc(labels[-1], doc_id)
-        self._bump_max_prefix_len(max(item.depth for item in sequence))
-        self._last_insert = (doc_id, sequence, labels, created)
+                    self._child_cache[parent_state.scope.n, item] = scope.n
+                    created.append((scope.n, item, parent_state.scope.n))
+                else:
+                    key = node_key(item.symbol, item.prefix, child.scope.n)
+                path_items.append(item)
+                path_states.append(child)
+                path_keys.append(key)
+                if self.track_refs:
+                    child.refs += 1
+                    overlay.setdefault(child.scope.n, (key, child))
+            if labels is None:
+                labels = [state.scope.n for state in path_states[1:]]
+            if self.postings is not None:
+                # Conservative coherence: every item of the sequence may have
+                # introduced a new node into its D-Ancestor key group (scopes
+                # of pre-existing nodes never change, so updates to them keep
+                # cached groups valid).
+                for item in sequence:
+                    self.postings.invalidate_entry(item.symbol, item.prefix)
+            doc_id = self.docstore.add(self._make_payload(sequence, labels))
+            pair = (labels[-1], doc_id)
+            self._docid_buffer.append(pair)
+            self._last_insert = (pair, path_states, created)
+            self._bump_max_prefix_len(max(item.depth for item in sequence))
+        except BaseException:
+            self._rollback_insert()
+            raise
         return doc_id
 
     def _validate_key_sizes(self, sequence: StructureEncodedSequence) -> None:
@@ -265,12 +250,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                     f"page size (budget {budget} bytes/cell) or a smaller max_label"
                 )
 
-    def _find_child(
-        self,
-        item: Item,
-        parent: NodeState,
-        pending: dict[int, tuple[bytes, NodeState]],
-    ) -> Optional[NodeState]:
+    def _find_child(self, item: Item, parent: NodeState) -> Optional[NodeState]:
         """Algorithm 4's "search in e for an immediate child scope of s".
 
         Scans the S-Ancestor range of ``(symbol, prefix)`` inside the
@@ -279,46 +259,29 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         """
         scope = parent.scope
         overlay = self._node_overlay
-        cached_n = None
-        if self._overlay_children is not None:
-            # authoritative for nodes created this chunk (and rollback
-            # removes its entries, so it is never stale mid-chunk)
-            cached_n = self._overlay_children.get((scope.n, item))
-        if cached_n is None:
-            cached_n = self._child_cache.get((scope.n, item))
+        cached_n = self._child_cache.get((scope.n, item))
         if cached_n is not None:
-            entry = pending.get(cached_n)
+            entry = overlay.get(cached_n)
             if entry is not None:
-                return entry[1]
-            state = None
-            if overlay is not None:
-                oentry = overlay.get(cached_n)
-                if oentry is not None:
-                    state = oentry[1]
-            if state is None:
+                state: Optional[NodeState] = entry[1]
+            else:
                 value = self.tree.get(node_key(item.symbol, item.prefix, cached_n))
-                if value is not None:
-                    state = NodeState.from_bytes(cached_n, value)
+                state = None if value is None else NodeState.from_bytes(cached_n, value)
             if state is not None and state.parent_n == scope.n and not state.private:
                 return state
             # stale (node was reclaimed)
             self._child_cache.pop((scope.n, item), None)
-            if self._overlay_children is not None:
-                self._overlay_children.pop((scope.n, item), None)
-        if self._overlay_created is not None and scope.n in self._overlay_created:
+        if scope.n in self._overlay_created:
             # the parent itself was created this chunk, so it cannot have
-            # on-tree children; the in-chunk ones were all resolvable
-            # through _overlay_children above — skip the range scan
+            # on-tree children, and the child cache maps every in-chunk one
             return None
         lo = node_key(item.symbol, item.prefix, scope.n + 1)
         hi = node_key(item.symbol, item.prefix, scope.end)
         for key, value in self.tree.range(lo, hi, include_hi=True):
             n = decode_node_key(key)[2]
-            entry = pending.get(n)
-            if entry is None and overlay is not None:
-                # an on-tree key can be stale during a chunk: the live
-                # state (advanced child count) is the overlay's object
-                entry = overlay.get(n)
+            # an on-tree value can be stale during a chunk: the live state
+            # (advanced child count) is the overlay's object
+            entry = overlay.get(n)
             state = entry[1] if entry is not None else NodeState.from_bytes(n, value)
             if state.parent_n == scope.n and not state.private:
                 self._child_cache[scope.n, item] = state.scope.n
@@ -332,8 +295,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         path_items: list[Optional[Item]],
         path_states: list[NodeState],
         path_keys: list[bytes],
-        pending: dict[int, tuple[bytes, NodeState]],
-        created: list[tuple[bytes, Item, int]],
+        created: list[tuple[int, Item, int]],
     ) -> list[int]:
         """Scope underflow repair (Section 3.4.1).
 
@@ -356,29 +318,31 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 f"no ancestor reserve can cover {remaining} remaining items"
             )
         self.underflow_count += 1
-        # the lender's reserve watermark moved: write it back
+        # the lender's reserve watermark moved: stage it
         lender = path_states[lender_idx]
-        pending.setdefault(lender.scope.n, (path_keys[lender_idx], lender))
+        overlay = self._node_overlay
+        overlay.setdefault(lender.scope.n, (path_keys[lender_idx], lender))
         need = remaining + (i - lender_idx)
-        # the bumped refs of abandoned shared nodes no longer apply
+        # the path below the lender is abandoned: its bumped refs no
+        # longer apply, and the nodes this insert created on it (a suffix
+        # of ``created``) are traversed by no document — unmake them, or
+        # they would stay on the tree unreferenced and outlive their
+        # parents on removal
+        abandoned = path_states[lender_idx + 1 :]
+        del path_states[lender_idx + 1 :]
         if self.track_refs:
-            for state in path_states[lender_idx + 1 :]:
+            for state in abandoned:
                 state.refs -= 1
-        # abandoned nodes this insert created (a suffix of ``created``) are
-        # traversed by no document: unmake them, or they would stay on the
-        # tree unreferenced and outlive their parents on removal
-        abandoned = {state.scope.n for state in path_states[lender_idx + 1 :]}
-        while created and (n := decode_node_key(created[-1][0])[2]) in abandoned:
-            _, item, parent_n = created.pop()
-            del pending[n]
+        abandoned_ns = {state.scope.n for state in abandoned}
+        while created and created[-1][0] in abandoned_ns:
+            n, item, parent_n = created.pop()
+            del overlay[n]
+            self._overlay_created.discard(n)
             self._child_cache.pop((parent_n, item), None)
-            if self._overlay_children is not None:
-                self._overlay_children.pop((parent_n, item), None)
-                self._overlay_created.discard(n)
         borrowed_items = [path_items[k] for k in range(lender_idx + 1, i + 1)]
         borrowed_items.extend(sequence[j] for j in range(i, len(sequence)))
-        prev_n = path_states[lender_idx].scope.n
-        labels = [state.scope.n for state in path_states[1 : lender_idx + 1]]
+        prev_n = lender.scope.n
+        labels = [state.scope.n for state in path_states[1:]]
         for offset, item in enumerate(borrowed_items):
             assert item is not None
             n = start + offset
@@ -388,11 +352,9 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 refs=1 if self.track_refs else 0,
                 private=True,
             )
-            key = node_key(item.symbol, item.prefix, n)
-            pending[n] = (key, state)
-            if self._overlay_created is not None:
-                self._overlay_created.add(n)
-            created.append((key, item, prev_n))
+            overlay[n] = (node_key(item.symbol, item.prefix, n), state)
+            self._overlay_created.add(n)
+            created.append((n, item, prev_n))
             labels.append(n)
             prev_n = n
         return labels
@@ -416,8 +378,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         ):
             self.flush()  # commit the queue so the stamp fits one tree cell
         sequence, labels = self._parse_payload(self.docstore.get(doc_id))
-        removed = self._detach_doc(labels[-1], doc_id)
-        if removed == 0:
+        if not self.docid_tree.delete(label_key(labels[-1]), encode_uint(doc_id)):
             raise IndexStateError(f"document {doc_id} has no DocId entry")
         for item, n in zip(sequence, labels):
             key = node_key(item.symbol, item.prefix, n)
@@ -437,85 +398,41 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         if self._tombstoned_stores:
             self._removed += stamp
 
-    def _rollback_insert(self, doc_id: int) -> None:
-        """Undo the most recent :meth:`add_sequence` (same write lock).
+    def _rollback_insert(self, doc_id: Optional[int] = None) -> None:
+        """Undo the insert in flight — or, given its ``doc_id``, the one
+        that just returned — inside the same chunk.
 
-        Reference counts unwind exactly like :meth:`_remove_locked`;
-        without refcounting, the nodes this insert created (tracked in
-        ``_last_insert``) are deleted directly.  Child counts are
-        deliberately *not* rolled back — labels, once assigned, stay
-        fixed (Section 3.4), the same policy :meth:`remove` follows.
-        The docstore id is un-assigned, so the next add reuses it."""
-        last = self._last_insert
-        if last is None or last[0] != doc_id:
+        The one undo of every failed insert (scope underflow, docstore
+        or source append): the nodes it created leave the overlay, the
+        created set and the child cache; the refs it bumped drop back;
+        its DocId pair leaves the buffer and its docstore id is
+        un-assigned, if it got that far, so the next add reuses the id.
+        Child counts are deliberately *not* rolled back — labels, once
+        assigned, stay fixed (Section 3.4), the same policy
+        :meth:`remove` follows."""
+        last, self._last_insert = self._last_insert, None
+        if last is None:
+            raise IndexStateError("no insert in this chunk to roll back")
+        pair, path_states, created = last
+        if doc_id is not None and (pair is None or pair[1] != doc_id):
             raise IndexStateError(
                 f"cannot roll back doc {doc_id}: it is not the latest insert"
             )
-        self._last_insert = None
-        _, sequence, labels, created = last
-        removed = self._detach_doc(labels[-1], doc_id)
-        if removed == 0:
-            raise IndexStateError(f"document {doc_id} has no DocId entry")
-        overlay = self._node_overlay
+        for n, item, parent_n in created:
+            self._node_overlay.pop(n, None)
+            self._overlay_created.discard(n)
+            self._child_cache.pop((parent_n, item), None)
         if self.track_refs:
-            for item, n in zip(sequence, labels):
-                key = node_key(item.symbol, item.prefix, n)
-                state = None
-                if overlay is not None:
-                    entry = overlay.get(n)
-                    if entry is not None:
-                        state = entry[1]
-                if state is None:
-                    value = self.tree.get(key)
-                    if value is None:
-                        raise IndexStateError(
-                            f"missing index entry for doc {doc_id} at {n}"
-                        )
-                    state = NodeState.from_bytes(n, value)
+            for state in path_states[1:]:
                 state.refs -= 1
-                if state.refs <= 0:
-                    # refs hit zero only for nodes this insert created:
-                    # mid-chunk they live in the overlay, never on tree
-                    if overlay is not None:
-                        overlay.pop(n, None)
-                    if self._overlay_created is not None:
-                        self._overlay_created.discard(n)
-                    self.tree.delete(key)
-                    self._child_cache.pop((state.parent_n, item), None)
-                    if self._overlay_children is not None:
-                        self._overlay_children.pop((state.parent_n, item), None)
-                    self._invalidate_postings(item.symbol, item.prefix)
-                elif overlay is not None:
-                    overlay[n] = (key, state)
-                else:
-                    self.tree.put(key, state.to_bytes())
-        else:
-            for key, item, parent_n in created:
-                if overlay is not None:
-                    n = decode_node_key(key)[2]
-                    overlay.pop(n, None)
-                    if self._overlay_created is not None:
-                        self._overlay_created.discard(n)
-                self.tree.delete(key)
-                self._child_cache.pop((parent_n, item), None)
-                if self._overlay_children is not None:
-                    self._overlay_children.pop((parent_n, item), None)
-                self._invalidate_postings(item.symbol, item.prefix)
-        self.docstore.pop_last(doc_id)
-
-    # ------------------------------------------------------------------
-    # bulk-ingest hooks (XmlIndexBase.add_batch)
-
-    def _begin_batch(self) -> None:
-        self._docid_buffer = []
-        self._node_overlay = {}
-        self._overlay_children = {}
-        self._overlay_created = set()
+        if pair is not None:
+            self._docid_buffer.remove(pair)
+            self.docstore.pop_last(pair[1])
 
     def _end_batch(self) -> None:
-        """Drain the chunk's node-state and DocId buffers.
+        """Apply the chunk: its node states, then its DocId pairs.
 
-        Node states land first, in key order, one put per node — a hot
+        Node states land first, in key order, one write per node — a hot
         parent touched by every document of the chunk costs one B+Tree
         delete+insert instead of hundreds.  Then the ``(n, doc_id)``
         pairs: sorting the integer pairs yields the encoded pairs in
@@ -523,21 +440,17 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         an empty DocId tree takes the packed
         :meth:`~repro.storage.bptree.BPlusTree.bulk_load` path and a
         non-empty one gets ordered inserts — far fewer node splits than
-        the per-document random-order descents."""
-        overlay = self._node_overlay
-        created = self._overlay_created or ()
-        self._node_overlay = None
-        self._overlay_children = None
-        self._overlay_created = None
-        if overlay:
-            for n, (key, state) in sorted(overlay.items(), key=lambda e: e[1][0]):
-                if n in created:
-                    # never on the tree yet: skip put()'s delete pass
-                    self.tree.insert(key, state.to_bytes())
-                else:
-                    self.tree.put(key, state.to_bytes())
-        buffer = self._docid_buffer
-        self._docid_buffer = None
+        random-order descents."""
+        self._last_insert = None
+        overlay, self._node_overlay = self._node_overlay, {}
+        created, self._overlay_created = self._overlay_created, set()
+        buffer, self._docid_buffer = self._docid_buffer, []
+        for n, (key, state) in sorted(overlay.items(), key=lambda e: e[1][0]):
+            if n in created:
+                # never on the tree yet: skip put()'s delete pass
+                self.tree.insert(key, state.to_bytes())
+            else:
+                self.tree.put(key, state.to_bytes())
         if not buffer:
             return
         buffer.sort()
@@ -547,23 +460,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         else:
             for key, value in pairs:
                 self.docid_tree.insert(key, value, allow_exact_dup=True)
-
-    # -- DocId tree helpers, batch-buffer aware ------------------------
-
-    def _attach_doc(self, n: int, doc_id: int) -> None:
-        if self._docid_buffer is not None:
-            self._docid_buffer.append((n, doc_id))
-            return
-        super()._attach_doc(n, doc_id)
-
-    def _detach_doc(self, n: int, doc_id: int) -> int:
-        if self._docid_buffer is not None:
-            try:
-                self._docid_buffer.remove((n, doc_id))
-                return 1
-            except ValueError:
-                pass  # attached before this chunk: fall through to the tree
-        return super()._detach_doc(n, doc_id)
 
     # ------------------------------------------------------------------
     # matching

@@ -145,23 +145,10 @@ class ShardRouter:
     # -- ingestion -------------------------------------------------------
 
     def add(self, document: Union[XmlDocument, XmlNode]) -> int:
-        """Route one document to its shard; returns its *global* id."""
-        from repro.shard.routing import shard_of
-
+        """Route one document to its shard; returns its *global* id.
+        A chunk of one, with no commit."""
         self._ensure_open()
-        g = self.map.next_doc_id  # peek: only commit the id if the add lands
-        s = shard_of(g, self.nshards, self.map.hash_fn)
-        expect_local = len(self.map.globals_of(s))
-        local = self.shards[s].add(document)
-        if local != expect_local:
-            raise IndexStateError(
-                f"shard {s} assigned local id {local} to global {g} "
-                f"(expected {expect_local}); the shard was mutated outside "
-                "the router"
-            )
-        g2, s2, l2 = self.map.append_next()
-        assert (g2, s2, l2) == (g, s, expect_local)
-        return g
+        return self._add_chunk([document], "none")[0]
 
     def add_all(self, documents: Iterable[Union[XmlDocument, XmlNode]]) -> list[int]:
         return self.add_batch(documents, durability="none")
@@ -188,7 +175,9 @@ class ShardRouter:
         burned as positional tombstones and the map advanced over the
         whole plan — the only layout :class:`ShardMap.recover` can
         explain.  The raised error names the burned ids; the documents
-        they stood for must be re-submitted (under fresh ids).
+        they stood for must be re-submitted (under fresh ids).  A chunk
+        that fails before any shard landed a document consumes no id: its
+        error propagates unchanged.
         """
         from itertools import islice
 
@@ -232,6 +221,8 @@ class ShardRouter:
                         "the shard was mutated outside the router"
                     )
         except BaseException as exc:
+            if all(self.shards[s].docstore.id_bound == pre_bound[s] for s in groups):
+                raise  # nothing landed: the map and the stores still agree
             burned = self._repair_partial_chunk(plan, pre_bound, durability)
             raise IndexStateError(
                 f"bulk chunk failed after partially landing; {len(burned)} "

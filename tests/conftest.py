@@ -4,10 +4,29 @@ import pytest
 
 from repro.doc.model import XmlNode
 from repro.doc.schema import ChildSpec, Occurs, Schema
+from repro.errors import StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
+from repro.storage.docstore import MemoryDocStore
+
+
+class ExplodingStore(MemoryDocStore):
+    """MemoryDocStore whose add raises once, when ``fail_at`` adds have
+    succeeded."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.adds = 0
+
+    def add(self, payload):
+        if self.adds == self.fail_at:
+            self.fail_at = None
+            raise StorageError("simulated store failure")
+        self.adds += 1
+        return super().add(payload)
 
 
 def build_purchase_schema() -> Schema:

@@ -2,11 +2,14 @@
 
 The differential oracle here is the whole contract: a corpus ingested
 through ``add_batch`` (any batch size, any durability mode) must be
-indistinguishable — same doc ids, same query answers — from the same
-corpus fed through a loop of per-document ``add`` calls.
+indistinguishable — same doc ids, same query answers, the same entries
+in both B+Trees — from the same corpus fed through a loop of
+per-document ``add`` calls, even when one store append fails on the way.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main, open_index
 from repro.datasets.dblp import (
@@ -17,10 +20,12 @@ from repro.datasets.dblp import (
 )
 from repro.datasets.xmark import XmarkGenerator
 from repro.doc import iter_stream_records
-from repro.errors import IndexStateError
+from repro.errors import IndexStateError, StorageError
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import MemoryDocStore
+from repro.testing.invariants import check_index
+from tests.conftest import ExplodingStore
 
 QUERIES = [
     "//book",
@@ -47,16 +52,25 @@ def _answers(index):
     return {q: sorted(index.query(q)) for q in QUERIES}
 
 
+def _entries(index):
+    return list(index.tree.items()), list(index.docid_tree.items())
+
+
 class TestBatchEquivalence:
     def test_add_batch_matches_per_document_add(self):
-        records = _records()
+        # chunk size never changes an entry of either tree
+        records = _records(300)
         a = _memory_index()
         ids_a = [a.add(r) for r in records]
+        s = _memory_index()
+        assert [s.add_sequence(s.encoder.encode_node(r)) for r in records] == ids_a
+        assert _entries(s) == _entries(a)
         for batch_size in (1, 7, 1000):
             b = _memory_index()
             ids_b = b.add_batch(records, batch_size=batch_size)
             assert ids_b == ids_a
             assert _answers(b) == _answers(a)
+            assert _entries(b) == _entries(a)
 
     def test_add_all_routes_through_batch(self):
         records = _records(30)
@@ -95,6 +109,89 @@ class TestBatchEquivalence:
             index.add_batch([], durability="eventually")
         with pytest.raises(IndexStateError):
             index.add_batch([], batch_size=0)
+
+
+@st.composite
+def _split_feeds(draw, count):
+    """A corpus split into consecutive runs, each fed through per-document
+    ``add`` calls or one ``add_batch`` call with a drawn chunk size, plus
+    one store append that fails."""
+    runs, start = [], 0
+    while start < count:
+        end = draw(st.integers(start + 1, count))
+        batch_size = draw(st.one_of(st.none(), st.integers(1, 12)))
+        runs.append((start, end, batch_size))
+        start = end
+    failing = draw(st.sampled_from(["docstore", "source"]))
+    return runs, failing, draw(st.integers(0, count - 1))
+
+
+def _feed_with_one_failure(records, runs, failing, fail_at, track_refs):
+    """Feed ``runs`` of ``records``; the document whose append fails is
+    dropped and the rest of its run re-fed.  Returns the index and the
+    position of the dropped document."""
+    stores = {"docstore": MemoryDocStore(), "source": MemoryDocStore()}
+    stores[failing] = ExplodingStore(fail_at)
+    index = VistIndex(
+        SequenceEncoder(schema=None),
+        docstore=stores["docstore"],
+        source_store=stores["source"],
+        track_refs=track_refs,
+    )
+    dropped = None
+    for start, end, batch_size in runs:
+        pending = list(range(start, end))
+        while pending:
+            landed = len(index)
+            try:
+                if batch_size is None:
+                    index.add(records[pending[0]])
+                else:
+                    index.add_batch([records[i] for i in pending], batch_size=batch_size)
+            except StorageError:
+                # the documents before the failing one landed
+                failed = len(index) - landed
+                dropped = pending[failed]
+                pending = pending[failed + 1 :]
+            else:
+                pending = pending[1:] if batch_size is None else []
+    return index, dropped
+
+
+class TestChunkingProperty:
+    """Any split of a corpus into ``add`` calls and ``add_batch`` chunks,
+    with one failed store append, leaves the entries that feeding the
+    same documents one at a time, with the same failure, leaves — and the
+    answers of an index fed only the documents that landed."""
+
+    def _check(self, records, feeds, track_refs):
+        runs, failing, fail_at = feeds
+        index, dropped = _feed_with_one_failure(
+            records, runs, failing, fail_at, track_refs
+        )
+        one_by_one, dropped_ref = _feed_with_one_failure(
+            records, [(0, len(records), None)], failing, fail_at, track_refs
+        )
+        assert dropped == dropped_ref == fail_at
+        assert len(index) == len(records) - 1
+        for report in check_index(index):
+            assert report.ok, report.summary()
+        assert _entries(index) == _entries(one_by_one)
+        survivors = records[:dropped] + records[dropped + 1 :]
+        oracle = _memory_index()
+        oracle.add_all(survivors)
+        assert _answers(index) == _answers(oracle)
+
+    @settings(max_examples=15, deadline=None)
+    @given(feeds=_split_feeds(24), track_refs=st.booleans())
+    def test_any_split_with_one_failure(self, feeds, track_refs):
+        self._check(_records(24, seed=6), feeds, track_refs)
+
+    @pytest.mark.slow
+    @settings(max_examples=60, deadline=None)
+    @given(feeds=_split_feeds(150), track_refs=st.booleans())
+    def test_any_split_with_one_failure_full(self, feeds, track_refs):
+        self._check(_records(150, seed=6), feeds, track_refs)
 
 
 class TestStreamingOracle:

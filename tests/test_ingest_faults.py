@@ -2,9 +2,11 @@
 
 Four layers of failure are proven here:
 
-* **source-store failure** mid-``add``: the sequence insert is rolled
-  back before the exception escapes (no orphan sequence, contiguous doc
-  ids, clean invariants) — the atomicity bugfix regression;
+* **a failed insert** — a docstore or source-store append that raises,
+  through ``add`` or mid-chunk through ``add_batch``, or a scope
+  underflow mid-chunk: one undo takes the insert back before the
+  exception escapes (no orphan sequence, no leaked node or reference,
+  contiguous doc ids, clean invariants);
 * **process crash** at any durability primitive of a batch commit
   (``sweep_commit_faults``): recovery always lands on a batch boundary,
   trailing docstore records past the committed tree state are truncated
@@ -17,13 +19,14 @@ Four layers of failure are proven here:
   documents;
 * **partial sharded chunk**: the router burns positional tombstones for
   planned ids that never landed, so ``ShardMap.recover`` can always
-  explain the directory on the next open.
+  explain the directory on the next open; a chunk no shard landed any
+  of burns nothing.
 """
 
 import pytest
 
 from repro.datasets.dblp import DblpConfig, DblpGenerator
-from repro.errors import IndexStateError, StorageError
+from repro.errors import IndexStateError, ScopeUnderflowError, StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
 from repro.repair import DOC_FILE, SOURCE_FILE, TREE_FILE, scrub_db
@@ -34,6 +37,7 @@ from repro.storage.wal import WalPager
 from repro.testing.faults import sweep_commit_faults
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import assert_invariants, check_index
+from tests.conftest import ExplodingStore
 
 QUERIES = ["//book", "//article", "//author", "//phdthesis/year"]
 
@@ -42,57 +46,76 @@ def _records(count, seed=4):
     return list(DblpGenerator(DblpConfig(seed=seed)).records(count))
 
 
-class ExplodingStore(MemoryDocStore):
-    """MemoryDocStore that raises on the Nth successful add."""
-
-    def __init__(self, fail_at):
-        super().__init__()
-        self.fail_at = fail_at
-        self.adds = 0
-
-    def add(self, payload):
-        if self.adds == self.fail_at:
-            raise StorageError("simulated source-store failure")
-        self.adds += 1
-        return super().add(payload)
-
-
 def _answers(index):
     return {q: sorted(index.query(q)) for q in QUERIES}
 
 
+def _assert_clean(index):
+    for report in check_index(index):
+        assert report.ok, report.summary()
+
+
 class TestSourceFailureRollback:
+    @pytest.mark.parametrize("path", ["add", "add_batch"])
+    @pytest.mark.parametrize("failing", ["source", "docstore"])
     @pytest.mark.parametrize("track_refs", [True, False])
-    def test_vist_add_rolls_back_sequence(self, track_refs):
-        records = _records(8)
-        source = ExplodingStore(fail_at=4)
+    def test_failed_insert_is_undone(self, track_refs, failing, path):
+        # the 7th document's append fails after its nodes were staged —
+        # an article, so it bumped nodes two earlier articles share: one
+        # undo must take back everything it did, whichever store failed
+        # and whether it came alone or mid-chunk
+        records = _records(10)
+        stores = {"docstore": MemoryDocStore(), "source": MemoryDocStore()}
+        stores[failing] = ExplodingStore(fail_at=6)
         index = VistIndex(
             SequenceEncoder(schema=None),
-            docstore=MemoryDocStore(),
-            source_store=source,
+            docstore=stores["docstore"],
+            source_store=stores["source"],
             track_refs=track_refs,
         )
-        for record in records[:4]:
-            index.add(record)
         with pytest.raises(StorageError):
-            index.add(records[4])
-        # the failed insert left nothing behind: count, stores, invariants
-        assert len(index) == 4
-        assert len(index.docstore) == len(index.source_store) == 4
-        for report in check_index(index):
-            assert report.ok, report.summary()
+            if path == "add":
+                for record in records[:7]:
+                    index.add(record)
+            else:
+                index.add_batch(records[:9], batch_size=9)
+        # the six documents before it landed; it left nothing behind
+        assert len(index) == 6
+        assert len(index.docstore) == len(index.source_store) == 6
+        _assert_clean(index)
         # ids keep being assigned contiguously after the failure
-        source.fail_at = None
-        assert index.add(records[4]) == 4
-        assert index.add(records[5]) == 5
+        assert index.add_batch(records[7:]) == [6, 7, 8]
+        _assert_clean(index)
         oracle = VistIndex(
             SequenceEncoder(schema=None),
             docstore=MemoryDocStore(),
             source_store=MemoryDocStore(),
             track_refs=track_refs,
         )
-        oracle.add_all(records[:6])
+        oracle.add_all(records[:6] + records[7:])
         assert _answers(index) == _answers(oracle)
+
+    def test_underflow_mid_chunk_is_undone(self):
+        # a small label space underflows past every ancestor's reserve;
+        # the chunks that hit it are skipped, the documents before the
+        # failing one land, and the index must stay scrub-clean (refs
+        # equal to the traversals that reference each node)
+        records = _records(400)
+        index = VistIndex(
+            SequenceEncoder(schema=None),
+            docstore=MemoryDocStore(),
+            source_store=MemoryDocStore(),
+            max_label=1 << 14,
+        )
+        skipped = 0
+        for start in range(0, len(records), 50):
+            try:
+                index.add_batch(records[start : start + 50], batch_size=50)
+            except ScopeUnderflowError:
+                skipped += 1
+        assert skipped
+        assert index.docstore.id_bound == len(index)
+        _assert_clean(index)
 
     def test_vist_rollback_preserves_shared_nodes(self):
         # structurally-overlapping documents: the rollback must only
@@ -493,6 +516,41 @@ class TestShardedChunkRepair:
             assert reopened.query("//author") == answers
             for shard in reopened.shards:
                 assert_invariants(shard)
+        finally:
+            reopened.close()
+
+    def test_chunk_refused_before_any_shard_landed_burns_nothing(self, tmp_path):
+        records = _records(20, seed=31)
+        router = ShardRouter(tmp_path / "db", 2)
+        router.add_batch(records[:8], batch_size=8)
+
+        # id 8 routes to shard 0, so its group goes first: refusing it
+        # fails the chunk before any document landed anywhere
+        victim = router.shards[0]
+        original = victim.add_batch
+
+        def boom(*args, **kwargs):
+            raise StorageError("simulated shard failure")
+
+        victim.add_batch = boom
+        with pytest.raises(StorageError):
+            router.add_batch(records[8:16], batch_size=8)
+        with pytest.raises(StorageError):
+            router.add(records[8])
+        victim.add_batch = original
+
+        # no id was consumed: the map and the stores still agree
+        assert router.map.next_doc_id == 8
+        assert [shard.docstore.id_bound for shard in router.shards] == [
+            len(router.map.globals_of(s)) for s in range(2)
+        ]
+        assert router.add_batch(records[8:16], batch_size=8) == list(range(8, 16))
+        assert router.add(records[16]) == 16
+        router.close()
+        reopened = ShardRouter(tmp_path / "db")
+        try:
+            assert reopened.map.next_doc_id == 17
+            assert list(reopened.doc_ids()) == list(range(17))
         finally:
             reopened.close()
 
