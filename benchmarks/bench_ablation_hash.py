@@ -40,7 +40,7 @@ def corpus():
     # ground truth from a full-width-hash index (verified mode): hash
     # collisions are invisible to *bucketed* verification because only
     # hashes are stored, so truth needs the collision-free configuration
-    exact = VistIndex(SequenceEncoder(schema=gen.schema), track_refs=False)
+    exact = VistIndex(SequenceEncoder(schema=gen.schema))
     for record in records:
         exact.add(record)
     truth = set(exact.query(QUERY, verify=True))
@@ -51,7 +51,7 @@ def corpus():
 def test_ablation_hash_buckets(benchmark, corpus, buckets):
     records, schema, truth = corpus
     encoder = SequenceEncoder(schema=schema, hasher=ValueHasher(buckets=buckets))
-    index = VistIndex(encoder, track_refs=False)
+    index = VistIndex(encoder)
     for record in records:
         index.add(record)
 

@@ -307,12 +307,7 @@ def test_ablation_labeling(benchmark, corpus_name, bits):
     def run():
         counts = {}
         for name, allocator in _allocators(schema).items():
-            index = VistIndex(
-                encoder,
-                allocator=allocator,
-                max_label=1 << bits,
-                track_refs=False,
-            )
+            index = VistIndex(encoder, allocator=allocator, max_label=1 << bits)
             for doc in docs:
                 index.add(doc)
             counts[name] = index.underflow_count

@@ -39,7 +39,7 @@ def corpus():
 
 def test_vist_incremental_insert(benchmark, corpus):
     records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema, track_refs=True)
+    index = build_index("vist", records[:BASE_SIZE], schema)
     batch = records[BASE_SIZE : BASE_SIZE + BATCH_SIZE]
 
     def insert_batch():
@@ -64,7 +64,7 @@ def test_rist_full_rebuild(benchmark, corpus):
 
 def test_vist_deletion(benchmark, corpus):
     records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema, track_refs=True)
+    index = build_index("vist", records[:BASE_SIZE], schema)
     victims = list(range(BATCH_SIZE))
 
     def delete_batch():
@@ -80,7 +80,7 @@ def test_vist_deletion(benchmark, corpus):
 def test_query_under_churn(benchmark, corpus):
     """Interleave inserts, deletes and queries; results stay consistent."""
     records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema, track_refs=True)
+    index = build_index("vist", records[:BASE_SIZE], schema)
     churn = records[BASE_SIZE : BASE_SIZE + BATCH_SIZE]
     expr = "//author[text='David']"
 

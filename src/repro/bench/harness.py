@@ -49,15 +49,10 @@ _FACTORIES = {
 def build_index(kind: str, documents: Iterable, schema=None, **kwargs):
     """Build an index of the given kind over ``documents``.
 
-    ``kind`` is one of :data:`INDEX_KINDS`.  ViST/RIST default to
-    refcount-free ingestion here (benchmarks measure the paper's
-    configuration; deletion benchmarks opt back in).
+    ``kind`` is one of :data:`INDEX_KINDS`.
     """
     encoder = SequenceEncoder(schema=schema)
-    factory = _FACTORIES[kind]
-    if kind == "vist":
-        kwargs.setdefault("track_refs", False)
-    index = factory(encoder, **kwargs)
+    index = _FACTORIES[kind](encoder, **kwargs)
     for doc in documents:
         index.add(doc)
     if kind == "rist":

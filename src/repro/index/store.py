@@ -52,7 +52,7 @@ META_REMOVED_KEY = encode_tuple(("", 0, "removed"))
 # stamped when the tree is created.  There is one decoder: a tree with
 # another number, or none, is rebuilt by `repro salvage`, never read.
 META_FORMAT_KEY = encode_tuple(("", 0, "format"))
-ENTRY_FORMAT = 3
+ENTRY_FORMAT = 4
 # every combined-tree key that is not a trie node
 RESERVED_KEYS = frozenset(
     (
@@ -76,6 +76,7 @@ __all__ = [
     "node_key",
     "node_key_len",
     "decode_node_key",
+    "decode_removed",
     "CombinedTreeHost",
 ]
 
@@ -146,6 +147,14 @@ def decode_node_key(key: bytes) -> tuple[Symbol, Prefix, int]:
     symbol = parts[0]
     plen = parts[1]
     return symbol, tuple(parts[2 : 2 + plen]), parts[2 + plen]
+
+
+def decode_removed(stamp: bytes) -> Iterator[int]:
+    """The doc ids a :data:`META_REMOVED_KEY` value holds."""
+    offset = 0
+    while offset < len(stamp):
+        doc_id, offset = decode_uint(stamp, offset)
+        yield doc_id
 
 
 def _group_key_tail(

@@ -16,10 +16,11 @@ The nodes between that ancestor and the underflow point are re-created as
 sequences, but they are still properly indexed for matching".
 
 **Deletion.**  The paper states ViST supports deletion but gives no
-algorithm; we reference-count each node with the number of sequences
-whose insertion passed through it and reclaim entries at zero.  Child
-counts are never rolled back — labels, once assigned, stay fixed, as
-Section 3.4 requires.
+algorithm.  A node is live while its scope ``[n, end]`` holds a DocId
+key — a document's DocId key is its last label, and scopes nest — so
+:meth:`VistIndex.remove` reclaims bottom-up until a node still holds
+one.  Child counts are never rolled back — labels, once assigned, stay
+fixed, as Section 3.4 requires.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.index.store import (
     ROOT_KEY,
     CombinedTreeHost,
     decode_node_key,
+    decode_removed,
     label_key,
     node_key,
     node_key_len,
@@ -83,7 +85,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         *,
         source_store: Optional[DocStore] = None,
         max_label: int = DEFAULT_MAX,
-        track_refs: bool = True,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
     ) -> None:
@@ -99,7 +100,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
         self._matcher = SequenceMatcher(self)
         self.allocator = allocator if allocator is not None else LambdaAllocator()
-        self.track_refs = track_refs
         self.underflow_count = 0  # borrow events, reported by the ablation bench
         # (parent_n, item) -> child n: a rebuildable in-memory accelerator
         # for Algorithm 4's immediate-child search.  The paper's own answer
@@ -109,8 +109,8 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # size and repopulates lazily after reopening from disk).
         self._child_cache: dict[tuple[int, Item], int] = {}
         # what the insert in flight (or the one just finished) staged —
-        # its DocId pair once it has an id, the states it ref-bumped, the
-        # nodes it created — so _rollback_insert can undo it whole
+        # its DocId pair once it has an id, the nodes it created — so
+        # _rollback_insert can undo it whole
         self._last_insert: Optional[tuple] = None
         # Every insert runs inside a chunk (XmlIndexBase._chunk) and
         # stages here; _end_batch applies and empties all three.  The
@@ -178,10 +178,9 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         path_items: list[Optional[Item]] = [None]
         path_states: list[NodeState] = [self._root_state]
         path_keys: list[bytes] = [ROOT_KEY]
-        # nodes this insert creates, as (n, item, parent_n); with
-        # refcounting, the states it bumped are path_states[1:]
+        # nodes this insert creates, as (n, item, parent_n)
         created: list[tuple[int, Item, int]] = []
-        self._last_insert = (None, path_states, created)
+        self._last_insert = (None, created)
         try:
             labels: Optional[list[int]] = None
             for i, item in enumerate(sequence):
@@ -190,8 +189,8 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 if child is None:
                     scope = self.allocator.place(parent_state, path_items[-1], item)
                     # place() advanced the parent's child count: stage the
-                    # parent even without refcounting, or a later insertion
-                    # would hand out the same scope twice
+                    # parent, or a later insertion would hand out the same
+                    # scope twice
                     overlay.setdefault(
                         parent_state.scope.n, (path_keys[-1], parent_state)
                     )
@@ -211,9 +210,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 path_items.append(item)
                 path_states.append(child)
                 path_keys.append(key)
-                if self.track_refs:
-                    child.refs += 1
-                    overlay.setdefault(child.scope.n, (key, child))
             if labels is None:
                 labels = [state.scope.n for state in path_states[1:]]
             if self.postings is not None:
@@ -226,7 +222,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             doc_id = self.docstore.add(self._make_payload(sequence, labels))
             pair = (labels[-1], doc_id)
             self._docid_buffer.append(pair)
-            self._last_insert = (pair, path_states, created)
+            self._last_insert = (pair, created)
             self._bump_max_prefix_len(max(item.depth for item in sequence))
         except BaseException:
             self._rollback_insert()
@@ -323,17 +319,11 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         overlay = self._node_overlay
         overlay.setdefault(lender.scope.n, (path_keys[lender_idx], lender))
         need = remaining + (i - lender_idx)
-        # the path below the lender is abandoned: its bumped refs no
-        # longer apply, and the nodes this insert created on it (a suffix
-        # of ``created``) are traversed by no document — unmake them, or
-        # they would stay on the tree unreferenced and outlive their
-        # parents on removal
-        abandoned = path_states[lender_idx + 1 :]
-        del path_states[lender_idx + 1 :]
-        if self.track_refs:
-            for state in abandoned:
-                state.refs -= 1
-        abandoned_ns = {state.scope.n for state in abandoned}
+        # the path below the lender is abandoned: the nodes this insert
+        # created on it (a suffix of ``created``) are traversed by no
+        # document — unmake them, or they would stay on the tree with no
+        # DocId key in their scope
+        abandoned_ns = {state.scope.n for state in path_states[lender_idx + 1 :]}
         while created and created[-1][0] in abandoned_ns:
             n, item, parent_n = created.pop()
             del overlay[n]
@@ -342,15 +332,12 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         borrowed_items = [path_items[k] for k in range(lender_idx + 1, i + 1)]
         borrowed_items.extend(sequence[j] for j in range(i, len(sequence)))
         prev_n = lender.scope.n
-        labels = [state.scope.n for state in path_states[1:]]
+        labels = [state.scope.n for state in path_states[1 : lender_idx + 1]]
         for offset, item in enumerate(borrowed_items):
             assert item is not None
             n = start + offset
             state = NodeState(
-                Scope(n, need - offset - 1),
-                parent_n=prev_n,
-                refs=1 if self.track_refs else 0,
-                private=True,
+                Scope(n, need - offset - 1), parent_n=prev_n, private=True
             )
             overlay[n] = (node_key(item.symbol, item.prefix, n), state)
             self._overlay_created.add(n)
@@ -363,11 +350,9 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     # deletion
 
     def remove(self, doc_id: int) -> None:
-        """Delete a document and reclaim unreferenced virtual nodes."""
-        if not self.track_refs:
-            raise IndexStateError(
-                "deletion requires track_refs=True (reference counting)"
-            )
+        """Delete a document: its DocId pair, then its path bottom-up up to
+        the first node whose scope still holds a DocId key (every ancestor
+        covers that key, so it is live too)."""
         with self.rwlock.write():
             self._remove_locked(doc_id)
 
@@ -380,19 +365,18 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         sequence, labels = self._parse_payload(self.docstore.get(doc_id))
         if not self.docid_tree.delete(label_key(labels[-1]), encode_uint(doc_id)):
             raise IndexStateError(f"document {doc_id} has no DocId entry")
-        for item, n in zip(sequence, labels):
+        for item, n in zip(reversed(sequence.items), reversed(labels)):
             key = node_key(item.symbol, item.prefix, n)
             value = self.tree.get(key)
             if value is None:
                 raise IndexStateError(f"missing index entry for doc {doc_id} at {n}")
             state = NodeState.from_bytes(n, value)
-            state.refs -= 1
-            if state.refs <= 0:
-                self.tree.delete(key)
-                self._child_cache.pop((state.parent_n, item), None)
-                self._invalidate_postings(item.symbol, item.prefix)
-            else:
-                self.tree.put(key, state.to_bytes())
+            hi = label_key(state.scope.end)
+            if next(self.docid_tree.range(label_key(n), hi, include_hi=True), None):
+                break
+            self.tree.delete(key)
+            self._child_cache.pop((state.parent_n, item), None)
+            self._invalidate_postings(item.symbol, item.prefix)
         self.docstore.remove(doc_id)
         self._remove_source(doc_id)
         if self._tombstoned_stores:
@@ -404,16 +388,16 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
 
         The one undo of every failed insert (scope underflow, docstore
         or source append): the nodes it created leave the overlay, the
-        created set and the child cache; the refs it bumped drop back;
-        its DocId pair leaves the buffer and its docstore id is
-        un-assigned, if it got that far, so the next add reuses the id.
+        created set and the child cache; its DocId pair leaves the buffer
+        and its docstore id is un-assigned, if it got that far, so the
+        next add reuses the id.
         Child counts are deliberately *not* rolled back — labels, once
         assigned, stay fixed (Section 3.4), the same policy
         :meth:`remove` follows."""
         last, self._last_insert = self._last_insert, None
         if last is None:
             raise IndexStateError("no insert in this chunk to roll back")
-        pair, path_states, created = last
+        pair, created = last
         if doc_id is not None and (pair is None or pair[1] != doc_id):
             raise IndexStateError(
                 f"cannot roll back doc {doc_id}: it is not the latest insert"
@@ -422,9 +406,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             self._node_overlay.pop(n, None)
             self._overlay_created.discard(n)
             self._child_cache.pop((parent_n, item), None)
-        if self.track_refs:
-            for state in path_states[1:]:
-                state.refs -= 1
         if pair is not None:
             self._docid_buffer.remove(pair)
             self.docstore.pop_last(pair[1])
@@ -571,9 +552,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         if not value or not self._tombstoned_stores:
             return 0
         applied = 0
-        offset = 0
-        while offset < len(value):
-            doc_id, offset = decode_uint(value, offset)
+        for doc_id in decode_removed(value):
             applied += doc_id in self.docstore
             for store in self._tombstoned_stores:
                 if doc_id in store:

@@ -24,8 +24,8 @@ sequence — the paper's repair, implemented in
 
 :class:`NodeState` is the bookkeeping stored in each S-Ancestor B+Tree
 entry: the scope, the parent id (used for the immediate-child test of
-Algorithm 4), the chain's child count, the reserve watermark and a
-reference count for deletion.
+Algorithm 4), the chain's child count and the reserve watermark — not
+liveness, which the DocId tree holds (:meth:`~repro.index.vist.VistIndex.remove`).
 
 **Entry codec.**  Labels are 128-bit integers, but a node's neighbours
 are close: 86 % of trie nodes are an only child, one id above their
@@ -33,7 +33,7 @@ parent.  :meth:`NodeState.to_bytes` therefore stores every label as its
 distance from the node's own ``n`` (which the key already carries) and
 omits what is idle::
 
-    [flags][size][n − parent_n][refs]
+    [flags][size][n − parent_n]
     [reserve_used]          only with _FLAG_RESERVE
     [k]                     only with _FLAG_CHAIN
 
@@ -57,7 +57,7 @@ _FLAG_PRIVATE = 0x01
 _FLAG_RESERVE = 0x02  # reserve_used > 0 follows
 _FLAG_CHAIN = 0x04  # chain.k > 0 follows
 _KNOWN_FLAGS = _FLAG_PRIVATE | _FLAG_RESERVE | _FLAG_CHAIN
-# refs and the chain's k count documents and children, not labels
+# the chain's k counts children, not labels
 _COUNTER_BOUND = (1 << 64) - 1
 
 __all__ = [
@@ -100,14 +100,12 @@ class NodeState:
 
     ``chain`` counts the children carved off this node's usable range;
     ``reserve_used`` tracks ids lent to underflowing descendants;
-    ``refs`` counts sequences whose insertion passed through this node
-    (for deletion).  ``private`` marks borrow-labelled nodes that must
-    never be shared with later insertions (paper Section 3.4.1).
+    ``private`` marks borrow-labelled nodes that must never be shared
+    with later insertions (paper Section 3.4.1).
     """
 
     scope: Scope
     parent_n: int
-    refs: int = 0
     reserve_used: int = 0
     private: bool = False
     chain: Chain = field(default_factory=Chain)
@@ -125,7 +123,6 @@ class NodeState:
             bytes([flags])
             + encode_uint(self.scope.size)
             + encode_uint(self.scope.n - self.parent_n)
-            + encode_uint(self.refs)
             + tail
         )
 
@@ -140,7 +137,6 @@ class NodeState:
         parent_delta, offset = decode_uint(data, offset)
         if parent_delta > n:
             raise CodecError(f"parent delta {parent_delta} exceeds the label {n}")
-        refs, offset = decode_uint(data, offset)
         reserve_used = k = 0
         if flags & _FLAG_RESERVE:
             reserve_used, offset = decode_uint(data, offset)
@@ -155,7 +151,6 @@ class NodeState:
         return cls(
             scope=Scope(n, size),
             parent_n=n - parent_delta,
-            refs=refs,
             reserve_used=reserve_used,
             private=bool(flags & _FLAG_PRIVATE),
             chain=Chain(k),
@@ -165,11 +160,10 @@ class NodeState:
     def max_encoded_len(label_bound: int) -> int:
         """Longest :meth:`to_bytes` of any state under a root whose labels
         stay within ``label_bound``: private, reserve used, a chain — three
-        label-width integers (size, parent delta, reserve) and two
-        counters (refs, ``k``)."""
+        label-width integers (size, parent delta, reserve) and one
+        counter (``k``)."""
         label = len(encode_uint(label_bound))
-        counter = len(encode_uint(_COUNTER_BOUND))
-        return 1 + 3 * label + 2 * counter
+        return 1 + 3 * label + len(encode_uint(_COUNTER_BOUND))
 
 
 class ScopeAllocator:

@@ -17,11 +17,14 @@ included), the rebuilt index must pass every invariant checker, and only
 then do the side files atomically replace the damaged originals.  The
 docstore is the source of truth — its records carry their own checksums —
 so salvage refuses to run when the docstore itself is damaged.
-``sources.dat`` (original XML text) is untouched: ids are preserved, so
-it stays aligned.  Because only the sequence half of each stored payload
-is read and the old tree is never opened through the index, salvage is
-also the upgrade path for a directory whose entry format this build does
-not read (:class:`~repro.errors.IndexFormatError`).
+``sources.dat`` (original XML text) keeps its records: ids are preserved,
+so it stays aligned.  The one exception is a removal whose commit landed
+but whose tombstones a crash cut off: the old tree's removal stamp names
+those ids, and salvage removes them from both stores.  Because only the
+sequence half of each stored payload is read and the old tree is never
+opened through the index, salvage is also the upgrade path for a
+directory whose entry format this build does not read
+(:class:`~repro.errors.IndexFormatError`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import CorruptionError, PageError, StorageError
-from repro.storage.bptree import reachable_page_ids
+from repro.index.store import META_REMOVED_KEY, decode_removed
+from repro.storage.bptree import BPlusTree, reachable_page_ids
 from repro.storage.checksums import CHECKSUM_SIZE, page_checksum, verify_trailer
 from repro.storage.pager import peek_header, slot_size, unpack_header_page
 from repro.storage.wal import JOURNAL_SUFFIX, WalPager
@@ -410,11 +414,12 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     Preconditions: ``docs.dat`` must scrub clean (it is the source of
     truth).  The rebuild re-inserts every stored sequence through
     :class:`~repro.index.vist.VistIndex` into side files, preserving
-    document ids positionally (tombstoned ids are burned as
-    placeholders), asserts every structural invariant on the result, and
-    atomically promotes the side files.  A stale WAL journal of the old
-    index is removed — it describes pages that no longer exist — and so
-    is any journal an interrupted salvage left beside its side file.
+    document ids positionally (tombstoned ids, and the ids the old tree
+    stamped as removed, are burned as placeholders), asserts every
+    structural invariant on the result, and atomically promotes the side
+    files.  A stale WAL journal of the old index is removed — it
+    describes pages that no longer exist — and so is any journal an
+    interrupted salvage left beside its side file.
 
     Raises :class:`~repro.errors.CorruptionError` when the docstore is
     damaged, and whatever :func:`repro.testing.invariants.assert_invariants`
@@ -456,7 +461,9 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     # inherits them, so salvage is also the reclamation path for slots
     # no tree and no freelist accounts for (see scrub_page_reachability).
     old_tree = dbdir / TREE_FILE
+    removed: set[int] = set()
     if old_tree.exists():
+        removed = _removal_stamp(old_tree, report)
         reach = scrub_page_reachability(old_tree)
         leaked = sum(1 for err in reach.errors if "LEAKED" in err)
         if leaked:
@@ -472,6 +479,10 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
         if side.exists():
             side.unlink()  # leftovers of an interrupted salvage
 
+    if removed and (dbdir / SOURCE_FILE).exists():
+        with FileDocStore(dbdir / SOURCE_FILE) as sources:
+            for doc_id in removed & set(sources.ids()):
+                sources.remove(doc_id)
     old_docs = FileDocStore(doc_path)
     rebuilt = VistIndex(
         SequenceEncoder(schema=load_schema(dbdir)),
@@ -480,7 +491,7 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     )
     try:
         for doc_id in range(old_docs.id_bound):
-            if doc_id in old_docs:
+            if doc_id in old_docs and doc_id not in removed:
                 # only the sequence half of a payload is read — its bytes
                 # are the same in every entry format, which is what makes
                 # salvage the upgrade path; the re-insert assigns fresh
@@ -511,3 +522,18 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
         report.notes.append("removed stale WAL journal of the damaged index")
     report.replaced = True
     return report
+
+
+def _removal_stamp(tree_path: Path, report: SalvageReport) -> set[int]:
+    """The ids the old tree's last commit stamped as removed: a crash may
+    have cut their tombstones off.  Read through a bare B+Tree, since
+    :class:`~repro.index.vist.VistIndex` refuses an old entry format."""
+    try:
+        pager = WalPager(tree_path)
+        try:
+            return set(decode_removed(BPlusTree(pager).get(META_REMOVED_KEY) or b""))
+        finally:
+            pager.abandon()  # read only: commit nothing
+    except (StorageError, OSError) as exc:
+        report.notes.append(f"old removal stamp unreadable, not applied: {exc}")
+        return set()

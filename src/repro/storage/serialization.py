@@ -63,7 +63,7 @@ __all__ = [
 
 
 # encode_uint is the innermost call of every key and node-state write —
-# millions of calls per bulk ingest — and small magnitudes (flags, refs,
+# millions of calls per bulk ingest — and small magnitudes (flags, deltas,
 # chain lengths, shallow labels) dominate, so those come from a table.
 _UINT_CACHE_LIMIT = 1 << 14
 _UINT_CACHE = [

@@ -24,9 +24,9 @@ contracts the rest of the codebase silently relies on:
     memory equal to that entry.
 
 **ViST documents** (:func:`check_vist_documents`)
-    per-node reference counts equal the number of insert-path traversals
-    recorded in the document payloads; every document's DocId entry
-    exists under its last path label and vice versa.
+    each node's scope holds a DocId key iff a payload traverses it (the
+    rule ``remove`` reclaims by), no node is leaked, no private node is
+    shared; each document has one DocId entry, under its last label.
 
 **Posting cache** (:func:`check_posting_coherence`)
     every resident posting group byte-equals a fresh scan of its
@@ -35,6 +35,7 @@ contracts the rest of the codebase silently relies on:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -247,8 +248,8 @@ def check_vist_scopes(index) -> InvariantReport:
 
 
 def check_vist_documents(index) -> InvariantReport:
-    """Refcount and DocId-tree coherence against the stored payloads."""
-    from repro.storage.serialization import decode_tuple, decode_uint, encode_tuple
+    """Node liveness and DocId-tree coherence against the stored payloads."""
+    from repro.storage.serialization import decode_tuple, decode_uint
 
     report = InvariantReport(name="vist:documents")
     nodes = _vist_nodes(index)
@@ -276,40 +277,35 @@ def check_vist_documents(index) -> InvariantReport:
                     f"payload says ({item.symbol!r}, {item.prefix!r})"
                 )
         tail_labels[doc_id] = labels[-1]
-    if index.track_refs:
-        for n, (state, symbol, _prefix) in nodes.items():
-            expected = traversals.get(n, 0)
-            if state.refs != expected:
-                report.fail(
-                    f"node {n} ({symbol!r}): refs={state.refs}, but "
-                    f"{expected} payload traversal(s) reference it"
-                )
-            if state.private and expected > 1:
-                report.fail(f"private node {n} shared by {expected} traversals")
-            if not expected:
-                report.fail(f"node {n} ({symbol!r}): no document traverses it (leaked)")
-    docid_entries = 0
+    docid_labels: list[int] = []  # ascending, as the tree holds them
+    attached: set[int] = set()
     for key, value in index.docid_tree.items():
-        docid_entries += 1
         n = decode_tuple(key)[0]
+        docid_labels.append(n)
         doc_id = decode_uint(value)[0]
-        if tail_labels.get(doc_id) != n:
+        if tail_labels.get(doc_id) != n or doc_id in attached:
             report.fail(
-                f"DocId entry ({n}, doc {doc_id}) does not match the document's "
-                f"tail label {tail_labels.get(doc_id)}"
+                f"DocId entry ({n}, doc {doc_id}) is not the document's one "
+                f"entry under its tail label {tail_labels.get(doc_id)}"
             )
-    if docid_entries != len(tail_labels):
+        attached.add(doc_id)
+    for doc_id in tail_labels.keys() - attached:
         report.fail(
-            f"DocId tree has {docid_entries} entr(ies) for "
-            f"{len(tail_labels)} document(s)"
+            f"doc {doc_id} missing from DocId tree under label {tail_labels[doc_id]}"
         )
-    for doc_id, n in tail_labels.items():
-        found = any(
-            decode_uint(v)[0] == doc_id
-            for v in index.docid_tree.values(encode_tuple((n,)))
-        )
-        if not found:
-            report.fail(f"doc {doc_id} missing from DocId tree under label {n}")
+    for n, (state, symbol, _prefix) in nodes.items():
+        expected = traversals.get(n, 0)
+        i = bisect_left(docid_labels, n)
+        holds_key = i < len(docid_labels) and docid_labels[i] <= state.scope.end
+        if state.private and expected > 1:
+            report.fail(f"private node {n} shared by {expected} traversals")
+        if not expected:
+            report.fail(f"node {n} ({symbol!r}): no document traverses it (leaked)")
+        if holds_key != bool(expected):
+            report.fail(
+                f"node {n} ({symbol!r}): {expected} payload traversal(s), but its "
+                f"scope holds {'a' if holds_key else 'no'} DocId key"
+            )
     return report
 
 

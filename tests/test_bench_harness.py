@@ -24,15 +24,6 @@ class TestBuildIndex:
         assert index.query("/p/s[text='boston']") == [0]
         assert index.query("/p") == [0, 1]
 
-    def test_vist_defaults_to_no_refcounts(self):
-        index = build_index("vist", tiny_corpus())
-        assert index.track_refs is False
-
-    def test_vist_refcounts_can_be_enabled(self):
-        index = build_index("vist", tiny_corpus(), track_refs=True)
-        index.remove(0)
-        assert index.query("/p") == [1]
-
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
             build_index("btree-of-doom", tiny_corpus())

@@ -133,14 +133,36 @@ def _chain_next(index: VistIndex, state: NodeState) -> int:
     return state.scope.n + 1 + k * width // (k + 1)
 
 
-def _old_state_bytes(index: VistIndex, state: NodeState) -> bytes:
+def _traversals(index: VistIndex) -> dict[int, int]:
+    """The reference count formats 1-3 stored in every entry: how many
+    live documents' insert paths pass through each node."""
+    counts: dict[int, int] = {}
+    for doc_id in index.docstore.ids():
+        for n in index._parse_payload(index.docstore.get(doc_id))[1]:
+            counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def _rewrite_entries(index: VistIndex, state_bytes) -> None:
+    """Re-encode every node entry, root included, with
+    ``state_bytes(index, state, refs)``."""
+    refs = _traversals(index)
+    for key, value in list(index.tree.items()):
+        if key in RESERVED_KEYS - {ROOT_KEY}:
+            continue
+        n = 0 if key == ROOT_KEY else decode_node_key(key)[2]
+        state = NodeState.from_bytes(n, value)
+        index.tree.put(key, state_bytes(index, state, refs.get(n, 0)))
+
+
+def _old_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes:
     """The nine-integer ``NodeState`` the format stamp replaced:
     ``[flags][size][parent_n][refs][reserve_used]`` then ``(k, next,
     remaining)`` for each of the plain / value / extra chains (the last
     two idle here)."""
     scope = state.scope
     out = bytes([1 if state.private else 0])
-    for field in (scope.size, state.parent_n, state.refs, state.reserve_used):
+    for field in (scope.size, state.parent_n, refs, state.reserve_used):
         out += encode_uint(field)
     region_end = scope.n + 1 + index.allocator.usable_size(scope)
     k = state.chain.k
@@ -155,12 +177,7 @@ def _rewrite_in_old_layout(dbdir: Path) -> None:
     format stamp, absolute cursors in every tree value, and docstore
     payloads as ``[len][sequence bytes][absolute labels]``."""
     index = open_index(dbdir)
-    for key, value in list(index.tree.items()):
-        if key in RESERVED_KEYS - {ROOT_KEY}:
-            continue
-        n = 0 if key == ROOT_KEY else decode_node_key(key)[2]
-        state = NodeState.from_bytes(n, value)
-        index.tree.put(key, _old_state_bytes(index, state))
+    _rewrite_entries(index, _old_state_bytes)
     index.tree.delete(META_FORMAT_KEY)
     old_docs = FileDocStore(dbdir / "docs.dat.old")
     for doc_id in range(index.docstore.id_bound):
@@ -203,7 +220,7 @@ def test_salvage_upgrades_a_hand_built_old_layout(tmp_path, capsys, fresh_answer
     _close(index)
 
 
-def _format2_state_bytes(index: VistIndex, state: NodeState) -> bytes:
+def _format2_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes:
     """What format 2 wrote: ``[flags][size][n − parent_n][refs]``, then
     ``reserve_used`` behind flag 0x02 and the λ-chain's ``(k, next − n)``
     behind flag 0x04 — the cursor format 3 derives from ``k``."""
@@ -220,9 +237,26 @@ def _format2_state_bytes(index: VistIndex, state: NodeState) -> bytes:
         bytes([flags])
         + encode_uint(state.scope.size)
         + encode_uint(n - state.parent_n)
-        + encode_uint(state.refs)
+        + encode_uint(refs)
         + tail
     )
+
+
+def _format3_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes:
+    """What format 3 wrote: this build's value with ``[refs]`` after the
+    parent delta, ``[flags][size][n − parent_n][refs]`` and the same
+    flagged tail."""
+    data = state.to_bytes()
+    _size, offset = decode_uint(data, 1)
+    _delta, offset = decode_uint(data, offset)
+    return data[:offset] + encode_uint(refs) + data[offset:]
+
+
+def _rewrite_in_format(dbdir: Path, fmt: int, state_bytes) -> None:
+    index = open_index(dbdir)
+    _rewrite_entries(index, state_bytes)
+    index.tree.put(META_FORMAT_KEY, encode_uint(fmt))
+    _close(index)
 
 
 def test_salvage_upgrades_a_format_2_dbdir(tmp_path, fresh_answers):
@@ -231,14 +265,7 @@ def test_salvage_upgrades_a_format_2_dbdir(tmp_path, fresh_answers):
     same answers and a smaller ``vist.db``."""
     dbdir = tmp_path / "db"
     _build(dbdir)
-    index = open_index(dbdir)
-    for key, value in list(index.tree.items()):
-        if key in RESERVED_KEYS - {ROOT_KEY}:
-            continue
-        n = 0 if key == ROOT_KEY else decode_node_key(key)[2]
-        index.tree.put(key, _format2_state_bytes(index, NodeState.from_bytes(n, value)))
-    index.tree.put(META_FORMAT_KEY, encode_uint(2))
-    _close(index)
+    _rewrite_in_format(dbdir, 2, _format2_state_bytes)
     old_size = (dbdir / "vist.db").stat().st_size
     with pytest.raises(IndexFormatError, match="format 2.*salvage"):
         open_index(dbdir)
@@ -247,7 +274,25 @@ def test_salvage_upgrades_a_format_2_dbdir(tmp_path, fresh_answers):
     assert _answers(dbdir) == fresh_answers
     assert (dbdir / "vist.db").stat().st_size < old_size
     index = open_index(dbdir)
-    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT) == encode_uint(3)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+    _close(index)
+
+
+def test_salvage_upgrades_a_format_3_dbdir(tmp_path, fresh_answers):
+    """A DBDIR whose entries still carry a reference count refuses to
+    open, naming ``salvage``; salvage rebuilds it at this format with the
+    same answers."""
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    _rewrite_in_format(dbdir, 3, _format3_state_bytes)
+    with pytest.raises(IndexFormatError, match="format 3.*salvage"):
+        open_index(dbdir)
+
+    assert main(["salvage", str(dbdir)]) == 0
+    assert _answers(dbdir) == fresh_answers
+    index = open_index(dbdir)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+    assert all(doc_id not in index.docstore for doc_id in REMOVED)
     _close(index)
 
 

@@ -126,7 +126,7 @@ def _split_feeds(draw, count):
     return runs, failing, draw(st.integers(0, count - 1))
 
 
-def _feed_with_one_failure(records, runs, failing, fail_at, track_refs):
+def _feed_with_one_failure(records, runs, failing, fail_at):
     """Feed ``runs`` of ``records``; the document whose append fails is
     dropped and the rest of its run re-fed.  Returns the index and the
     position of the dropped document."""
@@ -136,7 +136,6 @@ def _feed_with_one_failure(records, runs, failing, fail_at, track_refs):
         SequenceEncoder(schema=None),
         docstore=stores["docstore"],
         source_store=stores["source"],
-        track_refs=track_refs,
     )
     dropped = None
     for start, end, batch_size in runs:
@@ -164,13 +163,11 @@ class TestChunkingProperty:
     same documents one at a time, with the same failure, leaves — and the
     answers of an index fed only the documents that landed."""
 
-    def _check(self, records, feeds, track_refs):
+    def _check(self, records, feeds):
         runs, failing, fail_at = feeds
-        index, dropped = _feed_with_one_failure(
-            records, runs, failing, fail_at, track_refs
-        )
+        index, dropped = _feed_with_one_failure(records, runs, failing, fail_at)
         one_by_one, dropped_ref = _feed_with_one_failure(
-            records, [(0, len(records), None)], failing, fail_at, track_refs
+            records, [(0, len(records), None)], failing, fail_at
         )
         assert dropped == dropped_ref == fail_at
         assert len(index) == len(records) - 1
@@ -183,15 +180,15 @@ class TestChunkingProperty:
         assert _answers(index) == _answers(oracle)
 
     @settings(max_examples=15, deadline=None)
-    @given(feeds=_split_feeds(24), track_refs=st.booleans())
-    def test_any_split_with_one_failure(self, feeds, track_refs):
-        self._check(_records(24, seed=6), feeds, track_refs)
+    @given(feeds=_split_feeds(24))
+    def test_any_split_with_one_failure(self, feeds):
+        self._check(_records(24, seed=6), feeds)
 
     @pytest.mark.slow
     @settings(max_examples=60, deadline=None)
-    @given(feeds=_split_feeds(150), track_refs=st.booleans())
-    def test_any_split_with_one_failure_full(self, feeds, track_refs):
-        self._check(_records(150, seed=6), feeds, track_refs)
+    @given(feeds=_split_feeds(150))
+    def test_any_split_with_one_failure_full(self, feeds):
+        self._check(_records(150, seed=6), feeds)
 
 
 class TestStreamingOracle:

@@ -5,8 +5,8 @@ Four layers of failure are proven here:
 * **a failed insert** — a docstore or source-store append that raises,
   through ``add`` or mid-chunk through ``add_batch``, or a scope
   underflow mid-chunk: one undo takes the insert back before the
-  exception escapes (no orphan sequence, no leaked node or reference,
-  contiguous doc ids, clean invariants);
+  exception escapes (no orphan sequence, no leaked node, contiguous doc
+  ids, clean invariants);
 * **process crash** at any durability primitive of a batch commit
   (``sweep_commit_faults``): recovery always lands on a batch boundary,
   trailing docstore records past the committed tree state are truncated
@@ -29,7 +29,7 @@ from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.errors import IndexStateError, ScopeUnderflowError, StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
-from repro.repair import DOC_FILE, SOURCE_FILE, TREE_FILE, scrub_db
+from repro.repair import DOC_FILE, SOURCE_FILE, TREE_FILE, salvage_db, scrub_db
 from repro.sequence.transform import SequenceEncoder
 from repro.shard.router import ShardRouter
 from repro.storage.docstore import FileDocStore, MemoryDocStore
@@ -58,12 +58,14 @@ def _assert_clean(index):
 class TestSourceFailureRollback:
     @pytest.mark.parametrize("path", ["add", "add_batch"])
     @pytest.mark.parametrize("failing", ["source", "docstore"])
-    @pytest.mark.parametrize("track_refs", [True, False])
-    def test_failed_insert_is_undone(self, track_refs, failing, path):
+    @pytest.mark.parametrize("remove_after", [True, False])
+    def test_failed_insert_is_undone(self, remove_after, failing, path):
         # the 7th document's append fails after its nodes were staged —
-        # an article, so it bumped nodes two earlier articles share: one
+        # an article, so it walked nodes two earlier articles share: one
         # undo must take back everything it did, whichever store failed
-        # and whether it came alone or mid-chunk
+        # and whether it came alone or mid-chunk; with remove_after, the
+        # documents it shared nodes with are then removed, which must
+        # unmake those nodes exactly as if it had never been tried
         records = _records(10)
         stores = {"docstore": MemoryDocStore(), "source": MemoryDocStore()}
         stores[failing] = ExplodingStore(fail_at=6)
@@ -71,7 +73,6 @@ class TestSourceFailureRollback:
             SequenceEncoder(schema=None),
             docstore=stores["docstore"],
             source_store=stores["source"],
-            track_refs=track_refs,
         )
         with pytest.raises(StorageError):
             if path == "add":
@@ -90,16 +91,21 @@ class TestSourceFailureRollback:
             SequenceEncoder(schema=None),
             docstore=MemoryDocStore(),
             source_store=MemoryDocStore(),
-            track_refs=track_refs,
         )
         oracle.add_all(records[:6] + records[7:])
+        if remove_after:
+            for doc_id in range(6):
+                index.remove(doc_id)
+                oracle.remove(doc_id)
+            assert len(index) == 3
+            _assert_clean(index)
         assert _answers(index) == _answers(oracle)
 
     def test_underflow_mid_chunk_is_undone(self):
         # a small label space underflows past every ancestor's reserve;
         # the chunks that hit it are skipped, the documents before the
-        # failing one land, and the index must stay scrub-clean (refs
-        # equal to the traversals that reference each node)
+        # failing one land, and the index must stay scrub-clean (a node's
+        # scope holds a DocId key exactly when a document traverses it)
         records = _records(400)
         index = VistIndex(
             SequenceEncoder(schema=None),
@@ -119,7 +125,7 @@ class TestSourceFailureRollback:
 
     def test_vist_rollback_preserves_shared_nodes(self):
         # structurally-overlapping documents: the rollback must only
-        # unwind this insert's refcounts, never a neighbour's nodes
+        # unmake this insert's nodes, never a neighbour's
         documents = DocQueryGenerator(13).corpus(8, 10)
         source = ExplodingStore(fail_at=5)
         index = VistIndex(
@@ -397,6 +403,27 @@ class TestJournaledFlushSweeps:
         self._sweep(tmp_path, _records(40, seed=43), change)
 
 
+def _crash_after_removal_commit(dbdir):
+    """A 20-record DBDIR whose removal of ids 2 and 11 committed but
+    whose tombstone writes a crash cut off; returns the answers the
+    removals left."""
+    from repro.cli import _close_index, open_index
+
+    index = open_index(dbdir)
+    index.add_batch(_records(20, seed=45))
+    _close_index(index)
+
+    index = open_index(dbdir)
+    for doc_id in (2, 11):
+        index.remove(doc_id)
+    answers = _answers(index)
+    index._stage_commit()
+    index._pager.commit()
+    _die(index)
+    index._pager.abandon()
+    return answers
+
+
 class TestRemovalRecovery:
     def test_crash_after_commit_replays_stamped_tombstones(self, tmp_path):
         """The commit landed, the tombstone writes did not: reopening
@@ -404,19 +431,7 @@ class TestRemovalRecovery:
         from repro.cli import _close_index, open_index
 
         dbdir = tmp_path / "db"
-        index = open_index(dbdir)
-        index.add_batch(_records(20, seed=45))
-        _close_index(index)
-
-        index = open_index(dbdir)
-        for doc_id in (2, 11):
-            index.remove(doc_id)
-        answers = _answers(index)
-        index._stage_commit()
-        index._pager.commit()
-        _die(index)
-        index._pager.abandon()
-
+        answers = _crash_after_removal_commit(dbdir)
         reopened = open_index(dbdir)
         try:
             assert reopened.recovered_removals == 2
@@ -434,6 +449,26 @@ class TestRemovalRecovery:
             assert len(again) == 18
         finally:
             _close_index(again)
+        assert scrub_db(dbdir).ok
+
+    def test_salvage_before_reopen_keeps_the_stamped_removals(self, tmp_path):
+        """The same crash, then ``salvage`` before anything reopens the
+        directory: the rebuild reads the old tree's removal stamp, so
+        neither document comes back in either store."""
+        from repro.cli import _close_index, open_index
+
+        dbdir = tmp_path / "db"
+        answers = _crash_after_removal_commit(dbdir)
+        salvage_db(dbdir)
+        for name in (DOC_FILE, SOURCE_FILE):
+            with FileDocStore(dbdir / name) as store:
+                assert 2 not in store and 11 not in store, name
+        reopened = open_index(dbdir)
+        try:
+            assert len(reopened) == 18
+            assert _answers(reopened) == answers
+        finally:
+            _close_index(reopened)
         assert scrub_db(dbdir).ok
 
 

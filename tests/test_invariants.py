@@ -9,7 +9,7 @@ checks nothing).
 import pytest
 
 from repro.doc.model import XmlNode
-from repro.index.store import RESERVED_KEYS, decode_node_key
+from repro.index.store import RESERVED_KEYS, decode_node_key, label_key, node_key
 from repro.index.vist import VistIndex
 from repro.labeling.dynamic import NodeState
 from repro.sequence.transform import SequenceEncoder
@@ -156,15 +156,37 @@ class TestVistCorruption:
         report = check_vist_scopes(index)
         assert any("missing parent" in v for v in report.violations)
 
-    def test_refcount_drift_detected(self):
+    def test_dead_node_detected(self):
+        """A node planted in free space of a live parent's scope, with no
+        DocId key under it, is dead — ``remove`` would reclaim it — and a
+        traversed node whose scope lost its DocId key is reported too."""
         index = build_index()
-
-        def bump(state: NodeState) -> None:
-            state.refs += 1
-
-        _tamper_node(index, bump)
+        for key, value in index.tree.items():
+            if key in RESERVED_KEYS:
+                continue
+            symbol, prefix, n = decode_node_key(key)
+            # place() on a fresh decode carves the parent's next free
+            # child scope without touching the stored state
+            scope = index.allocator.place(NodeState.from_bytes(n, value), None, None)
+            if scope is not None:
+                break
+        dead = NodeState(scope, parent_n=n)
+        index.tree.insert(node_key(symbol, prefix, scope.n), dead.to_bytes())
+        assert check_vist_scopes(index).ok  # well-formed, only dead
         report = check_vist_documents(index)
-        assert any("refs=" in v for v in report.violations)
+        assert any(
+            v.startswith(f"node {scope.n} ") and "no document traverses" in v
+            for v in report.violations
+        )
+
+        index = build_index()
+        _sequence, labels = index._parse_payload(index.docstore.get(0))
+        index.docid_tree.delete(label_key(labels[-1]))
+        report = check_vist_documents(index)
+        assert any(
+            v.startswith(f"node {labels[-1]} ") and "holds no DocId key" in v
+            for v in report.violations
+        )
 
     def test_stale_posting_cache_detected(self):
         index = build_index()

@@ -183,7 +183,7 @@ class TestChain:
 
 class TestNodeState:
     def test_roundtrip(self):
-        state = NodeState(scope=Scope(7, 1 << 128), parent_n=3, refs=5, private=True)
+        state = NodeState(scope=Scope(7, 1 << 128), parent_n=3, private=True)
         state.chain.allocate(8, 1000)
         state.reserve_used = 17
         restored = NodeState.from_bytes(7, state.to_bytes())

@@ -7,7 +7,7 @@ from repro.errors import IndexStateError, ScopeUnderflowError
 from repro.index.rist import RistIndex
 from repro.index.store import RESERVED_KEYS, ROOT_KEY
 from repro.index.vist import VistIndex
-from repro.labeling.dynamic import LambdaAllocator, NodeState
+from repro.labeling.dynamic import LambdaAllocator
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
 from repro.storage.wal import WalPager
@@ -35,23 +35,34 @@ class TestDynamicInsertion:
         with pytest.raises(IndexStateError):
             index.add(build_record("boston", "austin", ["amd"]))
 
-    def test_shared_nodes_have_refcounts(self):
-        index = make_index()
-        index.add(build_record("boston", "newyork", ["intel"]))
-        index.add(build_record("boston", "newyork", ["amd"]))
-        root_state = NodeState.from_bytes(0, index.tree.get(ROOT_KEY))
-        assert root_state.refs == 0  # root is not refcounted
-        # the (P, ()) node is shared by both documents
+    def test_shared_node_survives_removing_either(self):
+        """The (P, ()) node is shared by both documents: removing either
+        keeps it for the other, removing both reclaims it."""
         from repro.index.store import decode_node_key
 
-        p_entries = [
-            (decode_node_key(k), v)
-            for k, v in index.tree.items()
-            if k != ROOT_KEY and decode_node_key(k)[0] == "P"
-        ]
-        assert len(p_entries) == 1
-        (_, _, n), value = p_entries[0]
-        assert NodeState.from_bytes(n, value).refs == 2
+        def p_nodes(index):
+            return [
+                key
+                for key, _ in index.tree.items()
+                if key not in RESERVED_KEYS and decode_node_key(key)[0] == "P"
+            ]
+
+        for first in (0, 1):
+            index = make_index()
+            ids = [
+                index.add(build_record("boston", "newyork", ["intel"])),
+                index.add(build_record("boston", "newyork", ["amd"])),
+            ]
+            shared = p_nodes(index)
+            assert len(shared) == 1
+            survivor = ids[1 - first]
+            index.remove(ids[first])
+            assert p_nodes(index) == shared
+            assert index.query("/P[S[L='boston']]") == [survivor]
+            assert_invariants(index)
+            index.remove(survivor)
+            assert p_nodes(index) == []
+            assert_invariants(index)
 
     def test_empty_sequence_rejected(self):
         from repro.sequence.encoding import StructureEncodedSequence
@@ -61,12 +72,13 @@ class TestDynamicInsertion:
             index.add_sequence(StructureEncodedSequence([]))
 
     def test_labels_unique_without_refcounting(self):
-        """Regression: with track_refs=False, parents whose allocation
-        cursors advance must still be written back, or later insertions
-        reuse the same scopes and labels collide across nodes."""
+        """Regression: parents whose child counts advance must be written
+        back even though no document count is stored on them, or later
+        insertions reuse the same scopes and labels collide across
+        nodes."""
         from repro.index.store import ROOT_KEY, decode_node_key
 
-        index = make_index(track_refs=False)
+        index = make_index()
         for loc in ["boston", "austin", "dallas", "miami"]:
             index.add(build_record(loc, "newyork", ["intel", "amd"]))
             index.add(build_figure3_record())
@@ -81,7 +93,7 @@ class TestDynamicInsertion:
         from repro.index.naive import NaiveIndex
         from repro.sequence.transform import SequenceEncoder as SE
 
-        vist = make_index(track_refs=False)
+        vist = make_index()
         naive = NaiveIndex(SE(schema=build_purchase_schema()))
         for loc in ["boston", "austin", "boston", "dallas"]:
             record = build_record(loc, "newyork", ["intel"])
@@ -145,16 +157,75 @@ class TestDeletion:
         c = index.add(build_record("boston", "newyork", ["intel"]))
         assert index.query("/P[S[L='boston']]") == [c]
 
-    def test_remove_requires_refcounts(self):
-        index = make_index(track_refs=False)
-        a = index.add(build_record("boston", "newyork", ["intel"]))
-        with pytest.raises(IndexStateError):
-            index.remove(a)
-
     def test_remove_unknown_doc(self):
         index = make_index()
         with pytest.raises(Exception):
             index.remove(12345)
+
+
+class TestWritePattern:
+    """What an add and a remove write to the combined tree.  Liveness is
+    not stored, so an add puts only the parent whose child count moved
+    (and a lender), and a remove only deletes."""
+
+    def test_adds_put_one_parent_and_removes_only_delete(self):
+        from collections import Counter
+
+        from repro.datasets.dblp import DblpConfig, DblpGenerator
+        from repro.index.store import node_key
+
+        records = list(DblpGenerator(DblpConfig(seed=36)).records(2000))
+        index = VistIndex(SequenceEncoder(schema=None))
+        index.add_batch(records[:1600], durability="none")
+        tree = index.tree
+        puts, inserts, deletes = [], [], []
+        nested = [0]  # put() deletes and inserts: log the put only
+
+        def counting(log, method):
+            def wrapper(key, *args, **kwargs):
+                if key not in RESERVED_KEYS and not nested[0]:
+                    log.append(key)
+                nested[0] += 1
+                try:
+                    return method(key, *args, **kwargs)
+                finally:
+                    nested[0] -= 1
+
+            return wrapper
+
+        tree.put = counting(puts, tree.put)
+        tree.insert = counting(inserts, tree.insert)
+        tree.delete = counting(deletes, tree.delete)
+        added = []
+        for record in records[1600:]:
+            puts.clear()
+            borrows = index.underflow_count
+            added.append(index.add(record))
+            assert len(puts) <= 1 + index.underflow_count - borrows
+        assert not deletes
+
+        paths = {
+            doc_id: index._parse_payload(index.docstore.get(doc_id))
+            for doc_id in index.docstore.ids()
+        }
+        traversals = Counter(n for _seq, labels in paths.values() for n in labels)
+        removed = 0
+        for doc_id in added[::4] + list(range(0, 1600, 16)):
+            puts.clear()
+            deletes.clear()
+            sequence, labels = paths.pop(doc_id)
+            traversals.subtract(labels)
+            index.remove(doc_id)
+            assert not puts
+            dead = {
+                node_key(item.symbol, item.prefix, n)
+                for item, n in zip(sequence, labels)
+                if not traversals[n]
+            }
+            assert sorted(deletes) == sorted(dead)
+            removed += len(dead)
+        assert removed  # the removals did reclaim nodes
+        assert_invariants(index)
 
 
 class TestScopeUnderflow:
