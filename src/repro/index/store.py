@@ -48,11 +48,11 @@ META_STORE_BOUNDS_KEY = encode_tuple(("", 0, "store-bounds"))
 # detaches them; their docstore tombstones are written after it, and a
 # reopen re-applies any stamped id still live (VistIndex._apply_removals)
 META_REMOVED_KEY = encode_tuple(("", 0, "removed"))
-# layout of what a ViST tree holds (NodeState values, docstore payloads),
-# stamped when the tree is created.  There is one decoder: a tree with
+# layout of what a ViST tree holds (NodeState values, docstore payloads,
+# front-coded leaf pages since format 5), stamped when the tree is created.  There is one decoder: a tree with
 # another number, or none, is rebuilt by `repro salvage`, never read.
 META_FORMAT_KEY = encode_tuple(("", 0, "format"))
-ENTRY_FORMAT = 4
+ENTRY_FORMAT = 5
 # every combined-tree key that is not a trie node
 RESERVED_KEYS = frozenset(
     (

@@ -60,7 +60,7 @@ from repro.labeling.scope import Scope
 from repro.query.ast import QuerySequence
 from repro.sequence.encoding import Item, StructureEncodedSequence
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.bptree import _LEAF_CELL_OVERHEAD, BPlusTree, TreeStats
+from repro.storage.bptree import BPlusTree, TreeStats
 from repro.storage.docstore import DocStore
 from repro.storage.pager import MemoryPager, Pager
 from repro.storage.serialization import (
@@ -233,7 +233,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         """Reject sequences whose keys cannot fit a B+Tree cell *before*
         touching any persistent state, so a failed add never leaves a
         partially inserted document behind."""
-        budget = self._pager.page_size // 4 - _LEAF_CELL_OVERHEAD
+        budget = self.tree.max_entry_bytes
         # every label-sized field of a non-root entry is at most the root's
         # scope end; the codec prices the worst state it can write
         value_allowance = NodeState.max_encoded_len(self._root_state.scope.end)
@@ -538,9 +538,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
 
     def _removal_budget(self) -> int:
         """Bytes of encoded ids that fit beside META_REMOVED_KEY in one cell."""
-        return (
-            self._pager.page_size // 4 - _LEAF_CELL_OVERHEAD - len(META_REMOVED_KEY)
-        )
+        return self.tree.max_entry_bytes - len(META_REMOVED_KEY)
 
     def _apply_removals(self) -> int:
         """Re-apply the removals stamped by the last commit.

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.errors import CorruptionError, PageError, StorageError
+from repro.errors import CorruptionError, IndexFormatError, PageError, StorageError
 from repro.index.store import META_REMOVED_KEY, decode_removed
 from repro.storage.bptree import BPlusTree, reachable_page_ids
 from repro.storage.checksums import CHECKSUM_SIZE, page_checksum, verify_trailer
@@ -241,7 +241,7 @@ def scrub_page_reachability(path: str | os.PathLike) -> FileScrubReport:
             freed.add(pid)
             (pid,) = struct.unpack_from("<Q", payload(pid))
         live = reachable_page_ids(meta, payload)
-    except PageError as exc:
+    except (PageError, IndexFormatError) as exc:
         report.fail(str(exc))
         return report
     report.checked = npages
@@ -527,7 +527,9 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
 def _removal_stamp(tree_path: Path, report: SalvageReport) -> set[int]:
     """The ids the old tree's last commit stamped as removed: a crash may
     have cut their tombstones off.  Read through a bare B+Tree, since
-    :class:`~repro.index.vist.VistIndex` refuses an old entry format."""
+    :class:`~repro.index.vist.VistIndex` refuses an old entry format; a
+    tree whose leaves predate front-coding cannot be read at all, and the
+    stamp is then noted as unreadable."""
     try:
         pager = WalPager(tree_path)
         try:

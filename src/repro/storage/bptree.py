@@ -11,11 +11,22 @@ Layout
 Every node occupies one page of the underlying
 :class:`~repro.storage.pager.Pager`:
 
-* leaf page:     ``[0x01][n:u16][next:u64]`` then ``n`` cells of
-  ``(klen:u16, vlen:u16, key, value)``;
+* leaf page:     ``[0x03][n:u16][next:u64]`` then ``n`` *front-coded*
+  cells: three LEB128 varints ``(shared, suffix_len, value_len)``, the
+  key bytes after the ``shared`` it has in common with the key to its
+  left, the value.  A page's first cell has ``shared = 0``, so every
+  page decodes on its own.  Kind ``0x01``, the ``(klen:u16, vlen:u16)``
+  leaf of entry formats 1–4, raises
+  :class:`~repro.errors.IndexFormatError` naming ``repro salvage``;
 * internal page: ``[0x02][n:u16][child0:u64]`` then ``n`` cells of
   ``(klen:u16, vlen:u16, key, value, child:u64)`` — separators are full
   pairs so duplicate keys route deterministically.
+
+A decoded leaf keeps each ``shared`` length beside its entry, so byte
+accounting stays exact and cheap: an insert compares the new key with
+its two neighbours, a delete compares none (``lcp(a, c) = min(lcp(a,
+b), lcp(b, c))``), a split slices the lengths.  Splits, borrows, merges
+and :meth:`BPlusTree.bulk_load` all pack by front-coded size.
 
 Several logical trees can share one pager: each tree occupies a *slot* in
 the pager's metadata blob holding its root page id and entry count.
@@ -34,14 +45,11 @@ by the owning index's readers–writer lock
 (:class:`repro.exec.locks.RWLock`), the same operating envelope the
 paper's experiments use.  Dirty nodes are written back on
 :meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
-:meth:`BPlusTree.checkpoint`.  A leaf "decode" is just a one-pass
-cell-offset table over the page buffer
-(:func:`leaf_cell_offsets`) — keys and values are sliced
-out on access, so a point lookup touches O(log n) cells of a page instead
-of materialising all of them; scans and mutation paths materialise the
-entry list once and keep it.  Concurrent *readers* share the cache
-without a lock: two of them missing the same page both decode it and one
-copy wins the dict slot, and the leaf-chain walk in
+:meth:`BPlusTree.checkpoint`.  A leaf decode is one pass that rebuilds
+every entry (a front-coded key cannot be sliced out of the page alone).
+Concurrent *readers* share the cache without a lock: two of them
+missing the same page both decode it and one copy wins the dict slot,
+and the leaf-chain walk in
 :meth:`BPlusTree._seek` recovers a reader that landed on a leaf a split
 has since divided.
 """
@@ -49,21 +57,27 @@ has since divided.
 from __future__ import annotations
 
 import struct
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.errors import DuplicateEntryError, KeyTooLargeError, PageError, StorageError
+from repro.errors import (
+    DuplicateEntryError,
+    IndexFormatError,
+    KeyTooLargeError,
+    PageError,
+    StorageError,
+)
 from repro.obs.metrics import MetricSet
 from repro.storage.pager import MemoryPager, Pager
 
-_LEAF = 0x01
+_LEAF = 0x03
+_OLD_LEAF = 0x01  # the uncompressed leaf of entry formats 1-4
 _INTERNAL = 0x02
 _LEAF_HEADER = 1 + 2 + 8
 _INTERNAL_HEADER = 1 + 2 + 8
-_LEAF_CELL_OVERHEAD = 4
 _INTERNAL_CELL_OVERHEAD = 12
+_BULK_FILL = 0.9  # share of each page bulk_load fills
 _SLOT_FMT = "<QQ"  # root pid, entry count
 _SLOT_SIZE = struct.calcsize(_SLOT_FMT)
 _META_FMT = "<H"  # number of slots
@@ -79,33 +93,51 @@ __all__ = [
 ]
 
 
-_CELL_HDR = struct.Struct("<HH")
+def _varint(value: int) -> bytes:
+    """LEB128: seven bits a byte, low group first, high bit = more."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
 
 
-def leaf_cell_offsets(raw: bytes, count: int, header: int) -> tuple[array, int]:
-    """Offset table for a B+Tree leaf: one pass, no per-cell slicing.
+def _read_varint(raw: bytes, off: int) -> tuple[int, int]:
+    value = shift = 0
+    while True:
+        byte = raw[off]
+        off += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, off
+        shift += 7
 
-    Returns ``(offsets, end)`` where ``offsets`` is a flat
-    ``array('I')`` of ``(key_offset, key_len, value_len)`` triples into
-    ``raw`` and ``end`` is the offset one past the last cell — which is
-    exactly the page's used-bytes figure, so the caller gets it for
-    free.  Cells are materialised lazily by slicing ``raw`` at access
-    time; the buffer itself (already CRC-verified by the pager) is the
-    only copy of the data.
-    """
-    offsets = array("I", bytes(12 * count))
-    off = header
-    unpack = _CELL_HDR.unpack_from
-    pos = 0
-    for _ in range(count):
-        klen, vlen = unpack(raw, off)
-        off += 4
-        offsets[pos] = off
-        offsets[pos + 1] = klen
-        offsets[pos + 2] = vlen
-        pos += 3
-        off += klen + vlen
-    return offsets, off
+
+def _cell_size(shared: int, klen: int, vlen: int) -> int:
+    """Bytes of one front-coded leaf cell."""
+    suffix = klen - shared
+    if shared < 0x80 and suffix < 0x80 and vlen < 0x80:
+        return 3 + suffix + vlen
+    return len(_varint(shared) + _varint(suffix) + _varint(vlen)) + suffix + vlen
+
+
+_from_bytes = int.from_bytes
+
+
+def _lcp(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of two byte strings."""
+    m = min(len(a), len(b))
+    diff = _from_bytes(a[:m], "big") ^ _from_bytes(b[:m], "big")
+    return m - (diff.bit_length() + 7) // 8
+
+
+def _old_leaf_error(pid: int) -> IndexFormatError:
+    return IndexFormatError(
+        f"page {pid} is an uncompressed leaf of entry format 4 or older; this "
+        "build reads only front-coded leaves; run `repro salvage DBDIR` to "
+        "rebuild the index from the document store"
+    )
 
 
 def decode_slot_directory(meta: bytes) -> list[tuple[int, int]]:
@@ -155,6 +187,8 @@ def reachable_page_ids(meta: bytes, read_page) -> set[int]:
             kind = data[0]
             if kind == _LEAF:
                 continue
+            if kind == _OLD_LEAF:
+                raise _old_leaf_error(pid)
             if kind != _INTERNAL:
                 raise PageError(f"page {pid} has unknown node type {kind:#x}")
             (n,) = struct.unpack_from("<H", data, 1)
@@ -193,115 +227,66 @@ class _Node:
 
 
 class _Leaf(_Node):
-    """A leaf node, eager or *lazy*.
+    """A leaf: its sorted entries and, beside each, the number of key
+    bytes it shares with the entry to its left (``0`` for the first) —
+    the bytes its cell leaves out.  ``_used`` is the exact encoded size;
+    :meth:`insert` and :meth:`pop` keep both exact."""
 
-    Lazy leaves (decoded from a page) carry the raw page buffer plus a flat
-    cell-offset table instead of a materialised entry list; the read-path
-    accessors (:meth:`count`, :meth:`key_at`, :meth:`pair_at`,
-    :meth:`bisect_entries`) slice cells out of the buffer on demand.
-    Reading :attr:`entries` materialises the full list once and caches it
-    (``_raw``/``_offsets`` are deliberately *not* cleared then: a reader
-    racing the materialisation keeps valid offsets).  Assigning
-    ``entries`` — the structural-rewrite paths — drops the raw view, so
-    a mutated leaf can never serve stale page bytes.
-    """
-
-    __slots__ = ("_entries", "next", "_used", "_raw", "_offsets")
+    __slots__ = ("entries", "shared", "next", "_used")
 
     def __init__(
-        self,
-        pid: int,
-        entries: Optional[list[Pair]],
-        next_pid: int,
-        *,
-        raw: Optional[bytes] = None,
-        offsets=None,
-        used: Optional[int] = None,
+        self, pid: int, entries: list[Pair], next_pid: int, shared: list[int], used: int
     ) -> None:
         self.pid = pid
-        self._entries = entries
+        self.entries = entries
         self.next = next_pid
-        # cached used_bytes: insert/delete maintain it by delta (the hot
-        # paths), structural rewrites reset it to None for a lazy recount
-        self._used: Optional[int] = used
-        self._raw = raw
-        self._offsets = offsets
-
-    @property
-    def entries(self) -> list[Pair]:
-        entries = self._entries
-        if entries is None:
-            raw, offs = self._raw, self._offsets
-            entries = [
-                (
-                    raw[offs[j] : offs[j] + offs[j + 1]],
-                    raw[offs[j] + offs[j + 1] : offs[j] + offs[j + 1] + offs[j + 2]],
-                )
-                for j in range(0, len(offs), 3)
-            ]
-            self._entries = entries
-        return entries
-
-    @entries.setter
-    def entries(self, entries: list[Pair]) -> None:
-        self._entries = entries
-        self._raw = None
-        self._offsets = None
-
-    @property
-    def count(self) -> int:
-        entries = self._entries
-        if entries is not None:
-            return len(entries)
-        return len(self._offsets) // 3
-
-    def key_at(self, i: int) -> bytes:
-        entries = self._entries
-        if entries is not None:
-            return entries[i][0]
-        offs = self._offsets
-        j = 3 * i
-        base = offs[j]
-        return self._raw[base : base + offs[j + 1]]
-
-    def pair_at(self, i: int) -> Pair:
-        entries = self._entries
-        if entries is not None:
-            return entries[i]
-        offs = self._offsets
-        j = 3 * i
-        base = offs[j]
-        ksplit = base + offs[j + 1]
-        return self._raw[base:ksplit], self._raw[ksplit : ksplit + offs[j + 2]]
-
-    def bisect_entries(self, bound: Pair) -> int:
-        """``bisect_left(self.entries, bound)`` without materialising."""
-        entries = self._entries
-        if entries is not None:
-            return bisect_left(entries, bound)
-        raw, offs = self._raw, self._offsets
-        bkey, bval = bound
-        lo, hi = 0, len(offs) // 3
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            j = 3 * mid
-            base = offs[j]
-            ksplit = base + offs[j + 1]
-            key = raw[base:ksplit]
-            if key < bkey or (
-                key == bkey and raw[ksplit : ksplit + offs[j + 2]] < bval
-            ):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        self.shared = shared
+        self._used = used
 
     def used_bytes(self) -> int:
-        if self._used is None:
-            self._used = _LEAF_HEADER + sum(
-                _LEAF_CELL_OVERHEAD + len(k) + len(v) for k, v in self.entries
-            )
         return self._used
+
+    def cell_size(self, i: int) -> int:
+        key, value = self.entries[i]
+        return _cell_size(self.shared[i], len(key), len(value))
+
+    def insert(self, idx: int, pair: Pair) -> None:
+        """Insert ``pair`` at ``idx``: a common-prefix comparison with the
+        left neighbour, and one with the right unless that one follows."""
+        entries, shared = self.entries, self.shared
+        key = pair[0]
+        s = _lcp(entries[idx - 1][0], key) if idx else 0
+        delta = _cell_size(s, len(key), len(pair[1]))
+        if idx < len(entries):
+            rkey, rvalue = entries[idx]
+            old = shared[idx]
+            # lcp(left, right) = min(s, lcp(key, right)) = old: when s is
+            # longer, the right neighbour keeps sharing exactly ``old``
+            r = old if s > old else _lcp(key, rkey)
+            if r != old:
+                delta += _cell_size(r, len(rkey), len(rvalue))
+                delta -= _cell_size(old, len(rkey), len(rvalue))
+                shared[idx] = r
+        entries.insert(idx, pair)
+        shared.insert(idx, s)
+        self._used += delta
+
+    def pop(self, idx: int) -> Pair:
+        """Remove and return the entry at ``idx``.  No comparison: the
+        right neighbour now shares ``min`` of the two lengths around it."""
+        entries, shared = self.entries, self.shared
+        pair = entries.pop(idx)
+        s = shared.pop(idx)
+        delta = _cell_size(s, len(pair[0]), len(pair[1]))
+        if idx < len(entries):
+            rkey, rvalue = entries[idx]
+            r = min(s, shared[idx]) if idx else 0
+            delta += _cell_size(shared[idx], len(rkey), len(rvalue)) - _cell_size(
+                r, len(rkey), len(rvalue)
+            )
+            shared[idx] = r
+        self._used -= delta
+        return pair
 
 
 class _Internal(_Node):
@@ -321,6 +306,61 @@ class _Internal(_Node):
         return self._used
 
 
+def _decode_leaf(pid: int, raw: bytes, n: int) -> _Leaf:
+    """One pass over a front-coded leaf page: the entries, each cell's
+    ``shared`` length, and the exact used-bytes figure (the end offset)."""
+    entries: list[Pair] = []
+    shared: list[int] = []
+    prev = b""
+    off = _LEAF_HEADER
+    try:
+        for _ in range(n):
+            s, slen, vlen = raw[off], raw[off + 1], raw[off + 2]
+            if (s | slen | vlen) < 0x80:  # three one-byte varints
+                off += 3
+            else:
+                s, off = _read_varint(raw, off)
+                slen, off = _read_varint(raw, off)
+                vlen, off = _read_varint(raw, off)
+            if s > len(prev):
+                raise PageError(
+                    f"page {pid}: cell {len(entries)} shares {s} bytes with a "
+                    f"{len(prev)}-byte left key"
+                )
+            mid = off + slen
+            end = mid + vlen
+            # CPython hands back ``prev`` itself for a whole-key slice plus
+            # an empty suffix: a run of duplicate keys shares one object
+            key = prev[:s] + raw[off:mid]
+            entries.append((key, raw[mid:end]))
+            shared.append(s)
+            prev = key
+            off = end
+    except IndexError:  # a cell header past the end of the page
+        pass
+    else:
+        if off <= len(raw):
+            (next_pid,) = struct.unpack_from("<Q", raw, 3)
+            return _Leaf(pid, entries, next_pid, shared, off)
+    raise PageError(f"page {pid}: leaf cells run past the {len(raw)}-byte page")
+
+
+def _encode_leaf(leaf: _Leaf) -> bytes:
+    """The page bytes of ``leaf``: each key after its ``shared`` bytes."""
+    parts = [struct.pack("<BHQ", _LEAF, len(leaf.entries), leaf.next)]
+    append = parts.append
+    for (key, value), s in zip(leaf.entries, leaf.shared):
+        suffix = key[s:] if s else key
+        slen, vlen = len(suffix), len(value)
+        if s < 0x80 and slen < 0x80 and vlen < 0x80:
+            append(bytes((s, slen, vlen)))
+        else:
+            append(_varint(s) + _varint(slen) + _varint(vlen))
+        append(suffix)
+        append(value)
+    return b"".join(parts)
+
+
 class BPlusTree:
     """B+Tree over a pager slot.  See the module docstring for semantics."""
 
@@ -328,7 +368,9 @@ class BPlusTree:
         self._pager = pager if pager is not None else MemoryPager()
         self._slot = slot
         self._capacity = self._pager.page_size
-        self._max_cell = max(16, self._capacity // 4)
+        # the key-plus-value bytes one cell may hold (KeyTooLargeError
+        # enforces it); a quarter page keeps every split and merge legal
+        self.max_entry_bytes = max(16, self._capacity // 4) - 4
         self._min_fill = self._capacity // 4
         self._cache: dict[int, _Node] = {}
         self._dirty: set[int] = set()
@@ -342,7 +384,7 @@ class BPlusTree:
         self.seeks = 0
         root_pid, count = self._load_slot()
         if root_pid == 0:
-            root = self._new_leaf()
+            root = self._new_leaf([], 0, [], _LEAF_HEADER)
             root_pid = root.pid
             count = 0
         self._root_pid = root_pid
@@ -378,9 +420,11 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # node lifecycle
 
-    def _new_leaf(self, entries: Optional[list[Pair]] = None, next_pid: int = 0) -> _Leaf:
+    def _new_leaf(
+        self, entries: list[Pair], next_pid: int, shared: list[int], used: int
+    ) -> _Leaf:
         pid = self._pager.allocate()
-        node = _Leaf(pid, entries if entries is not None else [], next_pid)
+        node = _Leaf(pid, entries, next_pid, shared, used)
         self._cache[pid] = node
         self._dirty.add(pid)
         return node
@@ -417,12 +461,7 @@ class BPlusTree:
         kind = raw[0]
         (n,) = struct.unpack_from("<H", raw, 1)
         if kind == _LEAF:
-            (next_pid,) = struct.unpack_from("<Q", raw, 3)
-            # zero-copy decode: offset table only, cells sliced from the
-            # page buffer on access (the end offset is exactly the page's
-            # used-bytes figure, cached for free)
-            offsets, end = leaf_cell_offsets(raw, n, _LEAF_HEADER)
-            return _Leaf(pid, None, next_pid, raw=raw, offsets=offsets, used=end)
+            return _decode_leaf(pid, raw, n)
         if kind == _INTERNAL:
             (child0,) = struct.unpack_from("<Q", raw, 3)
             off = _INTERNAL_HEADER
@@ -440,16 +479,14 @@ class BPlusTree:
                 seps.append((key, value))
                 children.append(child)
             return _Internal(pid, seps, children)
+        if kind == _OLD_LEAF:
+            raise _old_leaf_error(pid)
         raise PageError(f"page {pid} has unknown node type {kind:#x}")
 
     def _encode(self, node: _Node) -> bytes:
         out = bytearray()
         if isinstance(node, _Leaf):
-            out += struct.pack("<BHQ", _LEAF, len(node.entries), node.next)
-            for key, value in node.entries:
-                out += struct.pack("<HH", len(key), len(value))
-                out += key
-                out += value
+            out += _encode_leaf(node)
         else:
             assert isinstance(node, _Internal)
             out += struct.pack("<BHQ", _INTERNAL, len(node.seps), node.children[0])
@@ -467,44 +504,41 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # public API
 
-    def bulk_load(
-        self, pairs: Iterator[Pair] | list[Pair], *, fill_fraction: float = 0.9
-    ) -> int:
+    def bulk_load(self, pairs: Iterator[Pair] | list[Pair]) -> int:
         """Bottom-up build of an **empty** tree from pre-sorted entries.
 
         ``pairs`` must be sorted ascending by ``(key, value)`` with no
-        exact duplicates; each page is filled to ``fill_fraction`` of its
-        byte capacity.  Orders of magnitude faster than repeated
-        :meth:`insert` for batch construction (RIST's finalize and any
-        offline rebuild).  Returns the number of entries loaded.
+        exact duplicates; each page is filled to 90 % of its byte
+        capacity, counted front-coded.  Orders of magnitude faster than
+        repeated :meth:`insert` for batch construction (RIST's finalize
+        and any offline rebuild).  Returns the number of entries loaded.
         """
         self._ensure_open()
         if self._count or not isinstance(self._node(self._root_pid), _Leaf):
             raise StorageError("bulk_load requires an empty tree")
-        if not 0.1 <= fill_fraction <= 1.0:
-            raise StorageError("fill_fraction must be in [0.1, 1.0]")
-        budget = int(self._capacity * fill_fraction)
+        budget = int(self._capacity * _BULK_FILL)
         old_root = self._node(self._root_pid)
 
         # -- build the leaf level ----------------------------------------
         leaves: list[tuple[Pair, int]] = []  # (first pair, pid)
         current: list[Pair] = []
+        shared: list[int] = []
         used = _LEAF_HEADER
         count = 0
         previous: Optional[Pair] = None
 
         def close_leaf() -> None:
-            nonlocal current, used
+            nonlocal current, shared, used
             if not current:
                 return
-            leaf = self._new_leaf(list(current), 0)
+            leaf = self._new_leaf(current, 0, shared, used)
             if leaves:
                 prev_leaf = self._node(leaves[-1][1])
                 assert isinstance(prev_leaf, _Leaf)
                 prev_leaf.next = leaf.pid
                 self._touch(prev_leaf)
             leaves.append((current[0], leaf.pid))
-            current = []
+            current, shared = [], []
             used = _LEAF_HEADER
 
         for pair in pairs:
@@ -513,15 +547,16 @@ class BPlusTree:
                 raise StorageError(
                     "bulk_load input must be strictly ascending by (key, value)"
                 )
+            self._check_entry_size(pair)
+            key, value = pair
+            s = _lcp(previous[0], key) if current else 0
             previous = pair
-            cell = _LEAF_CELL_OVERHEAD + len(pair[0]) + len(pair[1])
-            if cell > self._max_cell:
-                raise KeyTooLargeError(
-                    f"entry of {cell} bytes exceeds the per-cell limit {self._max_cell}"
-                )
+            cell = _cell_size(s, len(key), len(value))
             if used + cell > budget and current:
                 close_leaf()
+                s, cell = 0, _cell_size(0, len(key), len(value))
             current.append(pair)
+            shared.append(s)
             used += cell
             count += 1
         close_leaf()
@@ -565,18 +600,22 @@ class BPlusTree:
         set (in which case a second physical copy is stored).
         """
         self._ensure_open()
-        cell = _LEAF_CELL_OVERHEAD + len(key) + len(value)
-        if cell > self._max_cell:
-            raise KeyTooLargeError(
-                f"entry of {cell} bytes exceeds the per-cell limit {self._max_cell}"
-            )
         pair = (bytes(key), bytes(value))
+        self._check_entry_size(pair)
         split = self._insert_rec(self._root_pid, pair, allow_exact_dup)
         if split is not None:
             sep, right_pid = split
             new_root = self._new_internal([sep], [self._root_pid, right_pid])
             self._root_pid = new_root.pid
         self._count += 1
+
+    def _check_entry_size(self, pair: Pair) -> None:
+        size = len(pair[0]) + len(pair[1])
+        if size > self.max_entry_bytes:
+            raise KeyTooLargeError(
+                f"entry of {size} bytes exceeds the per-cell limit "
+                f"{self.max_entry_bytes}"
+            )
 
     def put(self, key: bytes, value: bytes) -> None:
         """Unique-key upsert: remove every entry under ``key``, insert one."""
@@ -589,7 +628,7 @@ class BPlusTree:
         key = bytes(key)
         leaf, idx = self._seek(key, True)
         if leaf is not None:
-            ekey, value = leaf.pair_at(idx)
+            ekey, value = leaf.entries[idx]
             if ekey == key:
                 return value
         return None
@@ -609,7 +648,7 @@ class BPlusTree:
         self._ensure_open()
         key = bytes(key)
         leaf, idx = self._seek(key, True)
-        return leaf is not None and leaf.key_at(idx) == key
+        return leaf is not None and leaf.entries[idx][0] == key
 
     def range(
         self,
@@ -701,9 +740,9 @@ class BPlusTree:
         # key can be large — DocId trees store one entry per document).
         while True:
             leaf, idx = self._seek(key, True)
-            if leaf is None or leaf.key_at(idx) != key:
+            if leaf is None or leaf.entries[idx][0] != key:
                 return removed
-            if not self._delete_pair(leaf.pair_at(idx)):  # pragma: no cover
+            if not self._delete_pair(leaf.entries[idx]):  # pragma: no cover
                 return removed
             removed += 1
 
@@ -720,7 +759,7 @@ class BPlusTree:
             node = self._node(node.children[-1])
         assert isinstance(node, _Leaf)
         # The rightmost leaf can be empty only when the tree is empty.
-        return node.pair_at(node.count - 1) if node.count else None
+        return node.entries[-1] if node.entries else None
 
     def __len__(self) -> int:
         return self._count
@@ -804,11 +843,9 @@ class BPlusTree:
                 and node.entries[idx] == pair
             ):
                 raise DuplicateEntryError(f"entry already present: {pair!r}")
-            node.entries.insert(idx, pair)
-            if node._used is not None:
-                node._used += _LEAF_CELL_OVERHEAD + len(pair[0]) + len(pair[1])
+            node.insert(idx, pair)
             self._touch(node)
-            if node.used_bytes() > self._capacity:
+            if node._used > self._capacity:
                 return self._split_leaf(node)
             return None
         assert isinstance(node, _Internal)
@@ -826,7 +863,7 @@ class BPlusTree:
             return self._split_internal(node)
         return None
 
-    def _split_point(self, sizes: list[int], header: int) -> int:
+    def _split_point(self, sizes: list[int]) -> int:
         """Index splitting cells into two runs of roughly equal bytes."""
         total = sum(sizes)
         acc = 0
@@ -837,19 +874,27 @@ class BPlusTree:
         return max(1, len(sizes) - 1)
 
     def _split_leaf(self, node: _Leaf) -> tuple[Pair, int]:
-        sizes = [_LEAF_CELL_OVERHEAD + len(k) + len(v) for k, v in node.entries]
-        cut = self._split_point(sizes, _LEAF_HEADER)
-        right_entries = node.entries[cut:]
-        node.entries = node.entries[:cut]
-        node._used = None
-        right = self._new_leaf(right_entries, node.next)
+        entries, shared = node.entries, node.shared
+        sizes = [
+            _cell_size(s, len(k), len(v)) for (k, v), s in zip(entries, shared)
+        ]
+        cut = self._split_point(sizes)
+        right_shared = shared[cut:]
+        right_shared[0] = 0
+        key, value = entries[cut]
+        right_used = (
+            _LEAF_HEADER + sum(sizes[cut + 1 :]) + _cell_size(0, len(key), len(value))
+        )
+        right = self._new_leaf(entries[cut:], node.next, right_shared, right_used)
+        node.entries, node.shared = entries[:cut], shared[:cut]
+        node._used = _LEAF_HEADER + sum(sizes[:cut])
         node.next = right.pid
         self._touch(node)
         return right.entries[0], right.pid
 
     def _split_internal(self, node: _Internal) -> tuple[Pair, int]:
         sizes = [_INTERNAL_CELL_OVERHEAD + len(k) + len(v) for k, v in node.seps]
-        cut = self._split_point(sizes, _INTERNAL_HEADER)
+        cut = self._split_point(sizes)
         # The separator at `cut` moves up; children split around it.
         up = node.seps[cut]
         right = self._new_internal(node.seps[cut + 1 :], node.children[cut + 1 :])
@@ -879,15 +924,15 @@ class BPlusTree:
         while isinstance(node, _Internal):
             node = self._node(node.children[bisect_right(node.seps, bound)])
         assert isinstance(node, _Leaf)
-        idx = node.bisect_entries(bound)
+        idx = bisect_left(node.entries, bound)
         # The walk along the leaf chain is also what recovers a reader
         # that raced a split: the entries a split moved are in the leaves
         # to the right of the one the descent reached.
         leaf: Optional[_Leaf] = node
         while leaf is not None:
-            count = leaf.count
-            while idx < count:
-                ekey = leaf.key_at(idx)
+            entries = leaf.entries
+            while idx < len(entries):
+                ekey = entries[idx][0]
                 if inclusive:
                     if ekey >= key:
                         return leaf, idx
@@ -918,9 +963,7 @@ class BPlusTree:
             idx = bisect_left(node.entries, pair)
             if idx >= len(node.entries) or node.entries[idx] != pair:
                 return False
-            del node.entries[idx]
-            if node._used is not None:
-                node._used -= _LEAF_CELL_OVERHEAD + len(pair[0]) + len(pair[1])
+            node.pop(idx)
             self._touch(node)
             return True
         assert isinstance(node, _Internal)
@@ -961,6 +1004,14 @@ class BPlusTree:
         if right is not None and self._merge(parent, idx, child, right):
             return
 
+    def _sep_fits(self, parent: _Internal, sep_idx: int, pair: Pair) -> bool:
+        """Whether ``pair`` may replace ``parent.seps[sep_idx]`` without
+        overflowing the parent's page.  A borrow refuses a step that
+        fails it: the child stays sparse, which :meth:`_fix_child` allows."""
+        old = parent.seps[sep_idx]
+        grow = len(pair[0]) + len(pair[1]) - len(old[0]) - len(old[1])
+        return parent.used_bytes() + grow <= self._capacity
+
     def _borrow_from_left(
         self, parent: _Internal, idx: int, left: _Node, child: _Node
     ) -> bool:
@@ -970,16 +1021,16 @@ class BPlusTree:
                 left.entries
                 and left.used_bytes() > self._min_fill
                 and child.used_bytes() < self._min_fill
+                and self._sep_fits(parent, idx - 1, left.entries[-1])
             ):
-                entry = left.entries[-1]
-                cost = _LEAF_CELL_OVERHEAD + len(entry[0]) + len(entry[1])
-                if left.used_bytes() - cost < self._min_fill:
+                key, value = left.entries[-1]
+                if left.used_bytes() - left.cell_size(-1) < self._min_fill:
                     break
+                # an upper bound: the cell it pushes right can only shrink
+                cost = _cell_size(0, len(key), len(value))
                 if child.used_bytes() + cost > self._capacity:
                     break
-                child.entries.insert(0, left.entries.pop())
-                left._used = None
-                child._used = None
+                child.insert(0, left.pop(len(left.entries) - 1))
                 moved = True
             if moved:
                 parent.seps[idx - 1] = child.entries[0]
@@ -989,6 +1040,7 @@ class BPlusTree:
                 len(left.children) > 2
                 and left.used_bytes() > self._min_fill
                 and child.used_bytes() < self._min_fill
+                and self._sep_fits(parent, idx - 1, left.seps[-1])
             ):
                 sep = parent.seps[idx - 1]
                 cost = _INTERNAL_CELL_OVERHEAD + len(sep[0]) + len(sep[1])
@@ -1013,19 +1065,23 @@ class BPlusTree:
         moved = False
         if isinstance(right, _Leaf) and isinstance(child, _Leaf):
             while (
-                right.entries
+                len(right.entries) > 1
                 and right.used_bytes() > self._min_fill
                 and child.used_bytes() < self._min_fill
+                and self._sep_fits(parent, idx, right.entries[1])
             ):
-                entry = right.entries[0]
-                cost = _LEAF_CELL_OVERHEAD + len(entry[0]) + len(entry[1])
-                if right.used_bytes() - cost < self._min_fill:
+                key, value = right.entries[0]
+                # the entry leaves, and the cell after it grows back to a
+                # whole key
+                nkey, nvalue = right.entries[1]
+                freed = right.cell_size(0) + right.cell_size(1)
+                freed -= _cell_size(0, len(nkey), len(nvalue))
+                if right.used_bytes() - freed < self._min_fill:
                     break
+                cost = _cell_size(0, len(key), len(value))  # an upper bound
                 if child.used_bytes() + cost > self._capacity:
                     break
-                child.entries.append(right.entries.pop(0))
-                right._used = None
-                child._used = None
+                child.insert(len(child.entries), right.pop(0))
                 moved = True
             if moved:
                 parent.seps[idx] = right.entries[0]
@@ -1035,6 +1091,7 @@ class BPlusTree:
                 len(right.children) > 2
                 and right.used_bytes() > self._min_fill
                 and child.used_bytes() < self._min_fill
+                and self._sep_fits(parent, idx, right.seps[0])
             ):
                 sep = parent.seps[idx]
                 cost = _INTERNAL_CELL_OVERHEAD + len(sep[0]) + len(sep[1])
@@ -1056,12 +1113,13 @@ class BPlusTree:
     def _merge(self, parent: _Internal, sep_idx: int, left: _Node, right: _Node) -> bool:
         """Merge ``right`` into ``left`` (children ``sep_idx``/``sep_idx+1``)."""
         if isinstance(left, _Leaf) and isinstance(right, _Leaf):
+            # an upper bound: the first cell of ``right`` can only shrink
             combined = left.used_bytes() + right.used_bytes() - _LEAF_HEADER
             if combined > self._capacity:
                 return False
-            left.entries.extend(right.entries)
+            for pair in right.entries:
+                left.insert(len(left.entries), pair)
             left.next = right.next
-            left._used = None
         elif isinstance(left, _Internal) and isinstance(right, _Internal):
             sep = parent.seps[sep_idx]
             combined = (

@@ -10,7 +10,9 @@ contracts the rest of the codebase silently relies on:
     seps[i]``); uniform leaf depth; the leaf ``next``-chain visits the
     leaves in key order and terminates; no page referenced twice;
     ``len(tree)`` equals the walked entry count; every node fits its
-    page.  Deletion may legitimately leave *sparse* nodes (the borrow /
+    page; each leaf's front-coding lengths are exact (0 for the first
+    cell, the common prefix with the left key after it) and its
+    accounted size is the size it encodes to.  Deletion may legitimately leave *sparse* nodes (the borrow /
     merge repair can be impossible with variable-size cells), so
     under-filled nodes are counted, not flagged.
 
@@ -42,7 +44,15 @@ from typing import Optional
 from repro.index.postings import PostingGroup
 from repro.index.store import RESERVED_KEYS, decode_node_key
 from repro.labeling.dynamic import NodeState
-from repro.storage.bptree import BPlusTree, _Internal, _Leaf, _Node, Pair
+from repro.storage.bptree import (
+    BPlusTree,
+    Pair,
+    _encode_leaf,
+    _Internal,
+    _lcp,
+    _Leaf,
+    _Node,
+)
 
 __all__ = [
     "InvariantReport",
@@ -112,6 +122,7 @@ def check_bptree(tree: BPlusTree, name: str = "tree") -> InvariantReport:
         if isinstance(node, _Leaf):
             leaf_depths.add(depth)
             leaves_in_order.append(node)
+            check_front_coding(node)
             previous: Optional[Pair] = None
             for pair in node.entries:
                 report.checked += 1
@@ -149,6 +160,24 @@ def check_bptree(tree: BPlusTree, name: str = "tree") -> InvariantReport:
             child_lo = node.seps[i - 1] if i > 0 else lo
             child_hi = node.seps[i] if i < len(node.seps) else hi
             visit(tree._node(child_pid), depth + 1, child_lo, child_hi)
+
+    def check_front_coding(leaf: _Leaf) -> None:
+        shared = leaf.shared
+        if shared and shared[0] != 0:
+            report.fail(f"leaf {leaf.pid}: first cell shares {shared[0]} bytes, not 0")
+        for i in range(1, len(shared)):
+            common = _lcp(leaf.entries[i - 1][0], leaf.entries[i][0])
+            if shared[i] != common:
+                report.fail(
+                    f"leaf {leaf.pid}: cell {i} shares {shared[i]} bytes with its "
+                    f"left key, which has {common} in common"
+                )
+        encoded = len(_encode_leaf(leaf))
+        if leaf.used_bytes() != encoded:
+            report.fail(
+                f"leaf {leaf.pid}: accounts {leaf.used_bytes()} bytes but "
+                f"encodes to {encoded}"
+            )
 
     visit(root, 0, None, None)
     if len(leaf_depths) > 1:

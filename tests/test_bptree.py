@@ -1,16 +1,26 @@
 """Unit + property tests for the B+Tree (the Berkeley DB substitute)."""
 
+import os
 import random
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DuplicateEntryError, KeyTooLargeError, StorageError
-from repro.storage.bptree import _LEAF_HEADER, BPlusTree, leaf_cell_offsets
+from repro.errors import (
+    DuplicateEntryError,
+    IndexFormatError,
+    KeyTooLargeError,
+    PageError,
+    StorageError,
+)
+from repro.storage.bptree import BPlusTree
 from repro.storage.pager import MemoryPager
 from repro.storage.wal import WalPager
+from repro.testing.invariants import check_bptree
 
 
 def make_tree(page_size=256):
@@ -375,25 +385,30 @@ class TestFirstHitSeek:
 # model-based property tests against a sorted reference
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    ops=st.lists(
+def model_ops(max_pad: int):
+    """Operations for :func:`apply_model_ops`: the key is ``key-NNNN``
+    padded with up to ``max_pad`` bytes, so neighbours share prefixes of
+    every length."""
+    return st.lists(
         st.tuples(
-            st.sampled_from(["insert", "delete_pair", "delete_key"]),
+            st.sampled_from(["insert", "delete_pair", "delete_key", "flush"]),
             st.integers(min_value=0, max_value=30),
             st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=max_pad),
         ),
         max_size=200,
     )
-)
-def test_model_based_ops(ops):
-    """Random insert/delete sequences must match a sorted-list reference."""
-    tree = BPlusTree(MemoryPager(page_size=128))
+
+
+def apply_model_ops(tree: BPlusTree, ops) -> list[tuple[bytes, bytes]]:
+    """Run ``ops`` on ``tree`` and on a list; they must agree throughout."""
     model: list[tuple[bytes, bytes]] = []
-    for op, ki, vi in ops:
-        k = f"key-{ki:04d}".encode()
+    for op, ki, vi, pad in ops:
+        k = f"key-{ki:04d}".encode() + b"x" * pad
         v = f"val-{vi}".encode()
-        if op == "insert":
+        if op == "flush":
+            tree.flush()
+        elif op == "insert":
             if (k, v) in model:
                 with pytest.raises(DuplicateEntryError):
                     tree.insert(k, v)
@@ -411,6 +426,68 @@ def test_model_based_ops(ops):
             model = [(mk, mv) for mk, mv in model if mk != k]
     assert len(tree) == len(model)
     assert list(tree.items()) == sorted(model)
+    return model
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=model_ops(max_pad=14))
+def test_model_based_ops(ops):
+    """Random insert/delete/flush sequences must match a sorted-list
+    reference, and the tree must end flushed and structurally clean."""
+    tree = BPlusTree(MemoryPager(page_size=128))
+    apply_model_ops(tree, ops)
+    tree.flush()
+    report = check_bptree(tree)
+    assert report.ok, report.summary()
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(ops=model_ops(max_pad=46))
+def test_model_based_ops_across_reopen(ops):
+    """The same model on 256-byte journaled pages, compared again after
+    the front-coded pages are read back by a fresh pager."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.db"
+        pager = WalPager(path, page_size=256)
+        tree = BPlusTree(pager)
+        model = apply_model_ops(tree, ops)
+        tree.close()
+        pager.close()
+        pager = WalPager(path, page_size=256)
+        try:
+            reopened = BPlusTree(pager)
+            assert list(reopened.items()) == sorted(model)
+            report = check_bptree(reopened)
+            assert report.ok, report.summary()
+        finally:
+            pager.close()
+
+
+def test_delete_rebalance_never_overflows_the_parent():
+    """A borrow rewrites the parent's separator; one longer than the old
+    must not overflow the parent's page (before the guard, this seed's
+    flush raised "node N serialized to 4 1xx bytes")."""
+    rng = random.Random(2)
+    tree = BPlusTree(MemoryPager(page_size=4096))
+    live = []
+    for i in range(1800):
+        if not live or rng.random() < 0.55:
+            stem = b"%05d" % rng.randrange(100000)
+            k = stem + b"x" * rng.choice([0, 0, 0, 10, 40, 200, 600])
+            tree.insert(k, b"%d" % i)
+            live.append((k, b"%d" % i))
+        else:
+            k, v = live.pop(rng.randrange(len(live)))
+            assert tree.delete(k, v) == 1
+        if i % 100 == 99:
+            tree.flush()
+    tree.flush()
+    assert list(tree.items()) == sorted(live)
+    report = check_bptree(tree)
+    assert report.ok, report.summary()
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -525,7 +602,7 @@ class TestScanWindows:
         t.close()
         pager.close()
         pager = WalPager(path, page_size=256)
-        reopened = BPlusTree(pager)  # leaves decode lazily from page bytes
+        reopened = BPlusTree(pager)  # leaves decode from the front-coded pages
         assert list(reopened.scan_windows(bounds)) == fresh
         assert fresh == windows_by_range(reopened, bounds)
         pager.close()
@@ -546,45 +623,80 @@ def test_scan_windows_matches_range(keys, cuts):
     assert list(tree.scan_windows(bounds)) == windows_by_range(tree, bounds)
 
 
-class TestLeafCellOffsets:
-    """The zero-copy leaf decode: one offset table, cells sliced on access."""
+def _shared_lengths(keys):
+    return [len(os.path.commonprefix([a, b])) for a, b in zip([b""] + keys, keys)]
+
+
+# stems that neighbouring keys share: none, one byte, and past the
+# one-byte varint (>= 128 bytes)
+_STEMS = st.sampled_from([b"", b"a", b"ab" * 70, b"ab" * 70 + b"c"])
+
+
+class TestFrontCodedLeaf:
+    """A leaf page stores each key after the bytes it shares with its
+    left neighbour; the decoded leaf keeps those lengths beside it."""
 
     @staticmethod
-    def _leaf_page(cells):
-        out = bytearray(struct.pack("<BHQ", 0x01, len(cells), 0))
-        for k, v in cells:
-            out += struct.pack("<HH", len(k), len(v)) + k + v
-        return bytes(out)
-
-    def test_offsets_reconstruct_cells(self):
-        cells = [(b"alpha", b"1"), (b"beta", b""), (b"", b"value-2")]
-        raw = self._leaf_page(cells)
-        offsets, end = leaf_cell_offsets(raw, len(cells), _LEAF_HEADER)
-        assert end == len(raw)
-        got = []
-        for j in range(0, len(offsets), 3):
-            base, klen, vlen = offsets[j], offsets[j + 1], offsets[j + 2]
-            got.append((raw[base : base + klen], raw[base + klen : base + klen + vlen]))
-        assert got == cells
-
-    def test_empty_page(self):
-        raw = self._leaf_page([])
-        offsets, end = leaf_cell_offsets(raw, 0, _LEAF_HEADER)
-        assert len(offsets) == 0
-        assert end == _LEAF_HEADER
+    def tree() -> BPlusTree:
+        return BPlusTree(MemoryPager(page_size=4096))
 
     @given(
-        st.lists(
+        pairs=st.lists(
             st.tuples(
-                st.binary(max_size=16),
-                st.binary(max_size=16),
+                st.builds(bytes.__add__, _STEMS, st.binary(max_size=6)),
+                st.binary(max_size=40),
             ),
             max_size=12,
-        )
+            unique=True,
+        ),
+        biggest=st.booleans(),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_end_equals_used_bytes(self, cells):
-        raw = self._leaf_page(cells)
-        offsets, end = leaf_cell_offsets(raw, len(cells), _LEAF_HEADER)
-        assert end == len(raw)
-        assert len(offsets) == 3 * len(cells)
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, pairs, biggest):
+        tree = self.tree()
+        if biggest:  # one maximum-size cell, two-byte varints throughout
+            pairs.append((b"\xff" * 600, b"v" * (tree.max_entry_bytes - 600)))
+        for key, value in pairs:  # in drawn order: inserts between neighbours
+            tree.insert(key, value)
+        leaf = tree._node(tree._root_pid)  # one page holds them all
+        pairs = sorted(pairs)
+        assert leaf.entries == pairs
+        assert leaf.shared == _shared_lengths([k for k, _ in pairs])
+        raw = tree._encode(leaf)
+        assert leaf.used_bytes() == len(raw)
+        decoded = tree._decode(leaf.pid, raw + bytes(4096 - len(raw)))
+        assert decoded.entries == pairs
+        assert decoded.shared == leaf.shared
+        assert decoded.used_bytes() == leaf.used_bytes()
+
+    def test_maximum_entry_is_the_insert_limit(self):
+        tree = self.tree()
+        tree.insert(b"k" * 300, b"v" * (tree.max_entry_bytes - 300))
+        with pytest.raises(KeyTooLargeError):
+            tree.insert(b"k" * 301, b"v" * (tree.max_entry_bytes - 300))
+
+    @staticmethod
+    def page(*cells: bytes, count=None) -> bytes:
+        n = len(cells) if count is None else count
+        return struct.pack("<BHQ", 0x03, n, 0) + b"".join(cells)
+
+    def test_first_cell_must_share_nothing(self):
+        raw = self.page(bytes((2, 1, 0)) + b"k")
+        with pytest.raises(PageError, match="page 9: cell 0 shares 2 bytes"):
+            self.tree()._decode(9, raw)
+
+    def test_shared_longer_than_the_left_key(self):
+        raw = self.page(bytes((0, 1, 0)) + b"a", bytes((3, 1, 0)) + b"b")
+        with pytest.raises(PageError, match="page 9: cell 1 shares 3 bytes with a 1-byte"):
+            self.tree()._decode(9, raw)
+
+    def test_cells_past_the_page(self):
+        with pytest.raises(PageError, match="page 9: leaf cells run past"):
+            self.tree()._decode(9, self.page(bytes((0, 200, 0)) + b"k" * 10))
+        with pytest.raises(PageError, match="page 9: leaf cells run past"):
+            self.tree()._decode(9, self.page(bytes((0, 1, 0)) + b"k", count=2))
+
+    def test_an_uncompressed_leaf_names_salvage(self):
+        raw = struct.pack("<BHQ", 0x01, 1, 0) + struct.pack("<HH", 1, 0) + b"k"
+        with pytest.raises(IndexFormatError, match="page 9 .*format 4.*salvage"):
+            self.tree()._decode(9, raw)

@@ -98,11 +98,6 @@ class TestBulkLoad:
         tree.bulk_load([(b"k", b"v1"), (b"k", b"v2"), (b"k", b"v3")])
         assert list(tree.values(b"k")) == [b"v1", b"v2", b"v3"]
 
-    def test_fill_fraction_validation(self):
-        tree = make_tree()
-        with pytest.raises(StorageError):
-            tree.bulk_load(pairs(5), fill_fraction=0.01)
-
     def test_accepts_generator_input(self):
         tree = make_tree()
         tree.bulk_load(iter(pairs(100)))

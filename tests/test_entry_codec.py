@@ -33,8 +33,8 @@ from repro.index.vist import VistIndex
 from repro.labeling.dynamic import Chain, LambdaAllocator, NodeState
 from repro.labeling.scope import Scope
 from repro.sequence.transform import SequenceEncoder
-from repro.storage.bptree import _LEAF_CELL_OVERHEAD
-from repro.storage.pager import DEFAULT_PAGE_SIZE
+from repro.storage.bptree import BPlusTree
+from repro.storage.pager import DEFAULT_PAGE_SIZE, MemoryPager
 from repro.storage.serialization import decode_uint, encode_uint
 from repro.testing.invariants import assert_invariants
 
@@ -334,7 +334,7 @@ def _root_key_len(index: VistIndex, length: int) -> int:
 
 class TestKeySizeBudget:
     def cell_budget(self) -> int:
-        return DEFAULT_PAGE_SIZE // 4 - _LEAF_CELL_OVERHEAD
+        return BPlusTree(MemoryPager(DEFAULT_PAGE_SIZE)).max_entry_bytes
 
     def longest_accepted_label(self, index: VistIndex) -> int:
         allowance = NodeState.max_encoded_len(index._root_state.scope.end)

@@ -10,6 +10,7 @@ here, byte by byte; nothing in ``src/`` can read it.
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,90 @@ def test_salvage_upgrades_a_format_3_dbdir(tmp_path, fresh_answers):
         open_index(dbdir)
 
     assert main(["salvage", str(dbdir)]) == 0
+    assert _answers(dbdir) == fresh_answers
+    index = open_index(dbdir)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+    assert all(doc_id not in index.docstore for doc_id in REMOVED)
+    _close(index)
+
+
+def _old_leaf_page(pairs, next_pid: int) -> bytes:
+    """A leaf as formats 1-4 wrote it: kind 0x01, then whole cells of
+    ``(klen:u16, vlen:u16, key, value)``."""
+    out = struct.pack("<BHQ", 0x01, len(pairs), next_pid)
+    for key, value in pairs:
+        out += struct.pack("<HH", len(key), len(value)) + key + value
+    return out
+
+
+def _internal_page(first_child: int, cells) -> bytes:
+    out = struct.pack("<BHQ", 0x02, len(cells), first_child)
+    for (key, value), child in cells:
+        out += struct.pack("<HH", len(key), len(value)) + key + value
+        out += struct.pack("<Q", child)
+    return out
+
+
+def _write_old_tree(pager: WalPager, pairs) -> int:
+    """Write sorted ``pairs`` as half-full format-4 pages; the root pid."""
+    groups: list[list] = [[]]
+    used = 0
+    for pair in pairs:
+        cell = 4 + len(pair[0]) + len(pair[1])
+        if used + cell > pager.page_size // 2 and groups[-1]:
+            groups.append([])
+            used = 0
+        groups[-1].append(pair)
+        used += cell
+    pids = [pager.allocate() for _ in groups]
+    for i, (pid, group) in enumerate(zip(pids, groups)):
+        pager.write(pid, _old_leaf_page(group, pids[i + 1] if i + 1 < len(pids) else 0))
+    level = [(group[0] if group else None, pid) for group, pid in zip(groups, pids)]
+    while len(level) > 1:
+        parents = []
+        for start in range(0, len(level), 8):
+            chunk = level[start : start + 8]
+            pid = pager.allocate()
+            pager.write(pid, _internal_page(chunk[0][1], chunk[1:]))
+            parents.append((chunk[0][0], pid))
+        level = parents
+    return level[0][1]
+
+
+def _rewrite_as_format_4(dbdir: Path) -> None:
+    """Turn a DBDIR of this build into what format 4 wrote: the same
+    entries, stamped 4, on uncompressed leaf pages."""
+    index = open_index(dbdir)
+    index.tree.put(META_FORMAT_KEY, encode_uint(4))
+    trees = [list(index.tree.items()), list(index.docid_tree.items())]
+    page_size = index._pager.page_size
+    _close(index)
+    pager = WalPager(dbdir / "vist.db.old", page_size=page_size)
+    meta = struct.pack("<H", len(trees))
+    for pairs in trees:
+        meta += struct.pack("<QQ", _write_old_tree(pager, pairs), len(pairs))
+    pager.set_metadata(meta)
+    pager.close()
+    (dbdir / "vist.db.old").replace(dbdir / "vist.db")
+
+
+def test_salvage_upgrades_a_format_4_dbdir(tmp_path, capsys, fresh_answers):
+    """A DBDIR of uncompressed leaves is refused on open and by scrub,
+    both naming ``salvage``; salvage cannot read the old removal stamp
+    (it says so) and rebuilds the index with the same answers."""
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    _rewrite_as_format_4(dbdir)
+    with pytest.raises(IndexFormatError, match="format 4.*salvage"):
+        open_index(dbdir)
+    assert main(["scrub", str(dbdir)]) != 0
+    out = capsys.readouterr().out
+    assert "salvage" in out and "unknown node type" not in out
+
+    assert main(["salvage", str(dbdir)]) == 0
+    out = capsys.readouterr().out
+    assert f"rebuilt {120 - len(REMOVED)} document(s)" in out
+    assert "old removal stamp unreadable, not applied" in out
     assert _answers(dbdir) == fresh_answers
     index = open_index(dbdir)
     assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)

@@ -131,6 +131,23 @@ class TestBPlusTreeCorruption:
         report = check_bptree(tree)
         assert any("separator bound" in v for v in report.violations)
 
+    def test_front_coding_drift_detected(self):
+        """The accounting the page layout relies on: a drift would
+        otherwise surface only as a failed commit."""
+        tree = self.make_tree()
+        leaf = first_leaf(tree)
+        leaf._used += 1
+        report = check_bptree(tree)
+        assert any("accounts" in v and "encodes to" in v for v in report.violations)
+
+        tree = self.make_tree()
+        leaf = first_leaf(tree)
+        leaf.shared[0] = 1
+        leaf.shared[2] -= 1
+        report = check_bptree(tree)
+        assert any("first cell shares 1 bytes" in v for v in report.violations)
+        assert any("cell 2 shares" in v for v in report.violations)
+
 
 def _tamper_node(index: VistIndex, mutate) -> None:
     """Decode one non-root combined-tree entry, mutate it, write it back."""
