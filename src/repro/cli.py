@@ -1,12 +1,22 @@
-"""Command-line interface: build and query ViST indexes on disk.
+"""Command-line interface: argparse, and one body per command.
 
 Usage::
 
     python -m repro index  DBDIR file1.xml file2.xml ...
                            [--schema schema.dtd] [--split item,person]
+                           [--shards N]
     python -m repro query  DBDIR "/site//item[location='US']" [--verify]
-                           [--schema schema.dtd] [--show]
+                           [--show] [--workers N]
     python -m repro stats  DBDIR
+
+(``python -m repro --help`` lists the other commands.)  Every command
+opens its DBDIR through :func:`repro.dbdir.open_db`, which returns the
+same handle for a flat and a sharded directory, so each body is written
+once.  The options that read one index (``query --explain`` without
+``--workers``, ``--profile`` and ``--engine``) are refused on more than
+one shard.  ``--workers N`` runs queries over N read-only worker
+processes (:class:`~repro.shard.executor.ShardedExecutor`), one per
+shard.
 
 ``index`` creates (or extends) a persistent index under ``DBDIR``.
 ``--split`` applies the paper's substructure splitting before indexing,
@@ -19,13 +29,14 @@ automatically.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import Future
 from pathlib import Path
 from typing import Optional
 
+from repro.dbdir import HEALTH_FILE, load_schema, open_db, open_index, shard_dirs
 from repro.doc.parser import parse_document_bytes
-from repro.doc.schema import Schema
 from repro.doc.split import split_records
 from repro.doc.stream import iter_stream_records
 from repro.errors import (
@@ -40,12 +51,9 @@ from repro.errors import (
 )
 from repro.index.guard import QueryGuard
 from repro.index.vist import VistIndex
-from repro.sequence.transform import SequenceEncoder
-from repro.storage.docstore import FileDocStore
-from repro.storage.wal import WalPager
 
-_SCHEMA_FILE = "schema.dtd"
-
+# open_index and load_schema are re-exported: scripts and the benchmark
+# harness import them from here
 __all__ = ["main", "open_index", "load_schema"]
 
 # Exit codes (also in the --help epilog). 2 doubles as the "damage or
@@ -272,9 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="batch mode over a *sharded* DBDIR: run the query --repeat "
-        "times scatter-gather across the N per-shard worker processes "
-        "and report the throughput (N must match the shard count)",
+        help="batch mode: run the query --repeat times scatter-gather "
+        "across N worker processes, one per shard, and report the "
+        "throughput (N must match the shard count; 1 for a flat DBDIR)",
     )
     p_query.add_argument(
         "--partial",
@@ -304,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="sharded DBDIR only: serve scatter-gather over N per-shard "
-        "worker processes (N must match the shard count)",
+        help="serve scatter-gather over N worker processes, one per "
+        "shard (N must match the shard count; 1 for a flat DBDIR); a "
+        "sharded DBDIR is served this way without the flag too",
     )
     p_serve.add_argument(
         "--port",
@@ -323,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--partial",
         action="store_true",
-        help="sharded DBDIR only: answer from the live shards (responses "
+        help="worker-process serving only: answer from the live shards (responses "
         "annotated with the missing shard set) when a worker is down, "
         "instead of erroring the affected queries",
     )
@@ -350,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="sharded DBDIR only: collect stats through N live worker "
-        "processes (includes the supervision block: shard states, "
+        help="collect stats through N live worker processes, one per "
+        "shard (includes the supervision block: shard states, "
         "restart/unavailable counters)",
     )
     p_stats.set_defaults(handler=_cmd_stats)
@@ -391,43 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_schema(dbdir: Path) -> Optional[Schema]:
-    """The schema stored inside ``dbdir``, if indexing recorded one."""
-    stored_schema = Path(dbdir) / _SCHEMA_FILE
-    if stored_schema.exists():
-        return Schema.from_dtd(stored_schema.read_text())
-    return None
-
-
-def open_index(
-    dbdir: Path, schema_path: Optional[Path] = None, *, wal: bool = False
-) -> VistIndex:
-    """Open (or create) the index in ``dbdir`` through the journaled pager.
-
-    Every DBDIR opens the same way, so every writer commits through the
-    redo journal and a leftover journal is replayed or discarded on open.
-    ``wal`` is accepted and ignored: it chose a pager when there were two,
-    and the benchmark harness still passes it."""
-    dbdir = Path(dbdir)
-    dbdir.mkdir(parents=True, exist_ok=True)
-    if schema_path is not None:
-        (dbdir / _SCHEMA_FILE).write_text(schema_path.read_text())
-    return VistIndex(
-        SequenceEncoder(schema=load_schema(dbdir)),
-        docstore=FileDocStore(dbdir / "docs.dat"),
-        pager=WalPager(dbdir / "vist.db"),
-        source_store=FileDocStore(dbdir / "sources.dat"),
-    )
-
-
-def _close_index(index: VistIndex) -> None:
-    index.flush()
-    index.close()
-    index.docstore.close()
-    if index.source_store is not None:
-        index.source_store.close()
-
-
 def _split_labels(args: argparse.Namespace) -> Optional[list[str]]:
     if not args.split:
         return None
@@ -436,24 +408,18 @@ def _split_labels(args: argparse.Namespace) -> Optional[list[str]]:
 
 def _add_records(
     args: argparse.Namespace, records, **batch
-) -> tuple[list[int], Optional[str]]:
+) -> tuple[list[int], str]:
     """The one write path of ``index`` and ``ingest``: hand ``records`` to
-    ``add_batch`` of the index (or shard router) in ``args.dbdir``, which
-    commits each batch through the journal.  Returns the new ids and, for
-    a sharded directory, a description of where they went."""
-    from repro.shard import ShardRouter, is_sharded
-
-    if args.shards is not None or is_sharded(args.dbdir):
-        with ShardRouter(args.dbdir, args.shards, schema_path=args.schema) as router:
-            ids = router.add_batch(records, **batch)
-            layout = f"{router.nshards} shard(s), routed {router.map.shard_counts()}"
-        return ids, layout
-    index = open_index(args.dbdir, args.schema)
-    try:
-        ids = index.add_batch(records, **batch)
-    finally:
-        _close_index(index)
-    return ids, None
+    ``add_batch`` of the DBDIR's handle, which commits each batch through
+    the journal.  Returns the new ids and a description of where they
+    went."""
+    with open_db(args.dbdir, args.shards, args.schema) as db:
+        ids = db.add_batch(records, **batch)
+        if db.flat:
+            layout = "1 directory"
+        else:
+            layout = f"{db.nshards} shard(s), routed {db.map.shard_counts()}"
+    return ids, layout
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -470,8 +436,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 yield document
 
     ids, layout = _add_records(args, records())
-    where = f" ({layout})" if layout else ""
-    print(f"indexed {len(ids)} record(s) into {args.dbdir}{where}")
+    print(f"indexed {len(ids)} record(s) into {args.dbdir} ({layout})")
     return 0
 
 
@@ -503,8 +468,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     docs_per_sec = len(ids) / elapsed if elapsed > 0 else float("inf")
     mb_per_sec = total_bytes / 1e6 / elapsed if elapsed > 0 else float("inf")
     print(
-        f"ingested {len(ids)} record(s) into {args.dbdir} "
-        f"({layout or '1 directory'}) in "
+        f"ingested {len(ids)} record(s) into {args.dbdir} ({layout}) in "
         f"{elapsed:.2f}s ({docs_per_sec:.0f} docs/s, {mb_per_sec:.1f} MB/s, "
         f"durability={args.durability}, batch={args.batch_size})"
     )
@@ -512,57 +476,70 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.shard import is_sharded
-
-    if is_sharded(args.dbdir):
-        return _query_sharded(args)
+    """``query``: one in-process answer through the DBDIR's handle, or
+    ``--workers N``, the batch mode over N worker processes."""
     if args.workers is not None:
-        raise ReproError(
-            f"{args.dbdir} is not sharded; --workers needs a database built "
-            "with `repro index --shards N`"
-        )
+        if args.profile or args.engine != "vist":
+            raise ReproError(
+                "--profile and --engine read one index in-process; drop --workers"
+            )
+        return _run_sharded_query(args)
     if args.partial:
         raise ReproError(
-            "--partial applies to sharded scatter-gather; "
-            "use it with --workers on a sharded database"
+            "--partial needs the worker-process path; "
+            "add --workers N (N = shard count)"
         )
-    guard = None
-    if args.deadline_ms is not None or args.max_steps is not None or args.max_page_reads is not None:
-        guard = QueryGuard(
-            deadline_ms=args.deadline_ms,
-            max_steps=args.max_steps,
-            max_page_reads=args.max_page_reads,
-        )
-    trace = None
-    if args.explain:
-        from repro.obs import QueryTrace
+    with open_db(args.dbdir) as db:
+        for used, flag, hint in (
+            (args.explain, "--explain", " (add --workers N for per-shard spans)"),
+            (args.profile, "--profile", ""),
+            (args.engine != "vist", "--engine", ""),
+        ):
+            if used and db.nshards > 1:
+                raise ReproError(
+                    f"{flag} reads one index; {args.dbdir} has "
+                    f"{db.nshards} shards{hint}"
+                )
+        spec = _guard_spec(args)
+        trace = None
+        if args.explain:
+            from repro.obs import QueryTrace
 
-        trace = QueryTrace()
-    index = open_index(args.dbdir)
-    try:
-        engine, idmap = _resolve_engine(index, args.engine)
-        result =engine.query(args.xpath, verify=args.verify, guard=guard, trace=trace)
-        if idmap is not None:
-            result = {idmap[doc_id] for doc_id in result}
+            trace = QueryTrace()
+        if trace is None and args.engine == "vist":
+            result = db.query(
+                args.xpath,
+                verify=args.verify,
+                guard_factory=lambda: QueryGuard.from_spec(spec),
+            )
+        else:  # one index, traced or through another engine
+            engine, idmap = _resolve_engine(db.shards[0], args.engine)
+            result = engine.query(
+                args.xpath,
+                verify=args.verify,
+                guard=QueryGuard.from_spec(spec),
+                trace=trace,
+            )
+            if idmap is not None:
+                result = {idmap[doc_id] for doc_id in result}
         mode = "verified" if args.verify else "raw"
         if args.engine != "vist":
             mode += f", {args.engine}"
-        if not index.health.ok:
-            # the answer came from the docstore, not the damaged index;
-            # persist the observation so `repro stats` can surface it
-            _write_health(args.dbdir, index)
-            print(index.health.summary(), file=sys.stderr)
+        if not db.flat:
+            mode += f", {db.nshards} shards"
+        if _record_health(db):
             mode += ", degraded"
         print(f"{len(result)} match(es) ({mode}): {result}")
         if args.show:
             for doc_id in result:
-                sequence = index.load_sequence(doc_id)
+                sequence = db.load_sequence(doc_id)
                 print(f"  doc {doc_id}: {sequence.preorder_string()}")
         if args.show_xml:
             for doc_id in result:
                 print(f"-- doc {doc_id} --")
-                print(index.get_document(doc_id).to_xml())
+                print(db.get_document(doc_id).to_xml())
         if args.profile:
+            index = db.shards[0]
             stats = index.match_stats
             print(
                 f"match effort: {stats.range_queries} range queries, "
@@ -573,83 +550,20 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if trace is not None:
             print(engine.explain(args.xpath))
             print(trace.render())
-    finally:
-        _close_index(index)
     return 0
 
 
-def _guard_factory(args: argparse.Namespace):
-    """Per-query guard builder for the serving paths, or ``None``.
-
-    A guard tracks one query at a time, and unsharded TCP serving runs
-    one query per connection thread at once, so every request gets a
-    fresh one rather than the single instance ``repro query`` uses.
-    """
-    deadline_ms = args.deadline_ms
-    max_steps = args.max_steps
-    max_page_reads = getattr(args, "max_page_reads", None)
-    if deadline_ms is None and max_steps is None and max_page_reads is None:
-        return None
-    return lambda: QueryGuard(
-        deadline_ms=deadline_ms,
-        max_steps=max_steps,
-        max_page_reads=max_page_reads,
-    )
-
-
 def _guard_spec(args: argparse.Namespace) -> Optional[dict]:
-    """The wire form of the guard budgets for per-shard workers, or None."""
+    """The query budgets the options set, or None: sent to the workers
+    as is, and built in-process into a fresh guard for every query and
+    shard (:meth:`QueryGuard.from_spec`), since a guard tracks one query
+    at a time."""
     spec = {
         "deadline_ms": args.deadline_ms,
         "max_steps": args.max_steps,
         "max_page_reads": getattr(args, "max_page_reads", None),
     }
     return spec if any(v is not None for v in spec.values()) else None
-
-
-def _query_sharded(args: argparse.Namespace) -> int:
-    """``query`` against a sharded DBDIR.
-
-    The single-shot path answers in-process through the embedded
-    :class:`ShardRouter` (no worker processes to spawn for one query);
-    ``--workers N`` is the batch mode, scatter-gathering over N per-shard
-    worker processes.
-    """
-    for flag, name in (
-        (args.explain and args.workers is None, "--explain"),
-        (args.profile, "--profile"),
-        (args.engine != "vist", "--engine"),
-    ):
-        if flag:
-            raise ReproError(
-                f"{name} is not supported on sharded databases"
-                + (" (except --explain with --workers)" if name == "--explain" else "")
-            )
-    if args.partial and args.workers is None:
-        raise ReproError(
-            "--partial needs the worker-process path; "
-            "add --workers N (N = shard count)"
-        )
-    if args.workers is not None:
-        return _run_sharded_query(args)
-    from repro.shard import ShardRouter
-
-    with ShardRouter(args.dbdir) as router:
-        result = router.query(
-            args.xpath, verify=args.verify, guard_factory=_guard_factory(args)
-        )
-        mode = "verified" if args.verify else "raw"
-        print(f"{len(result)} match(es) ({mode}, {router.nshards} shards): "
-              f"{set(result)}")
-        if args.show:
-            for doc_id in result:
-                sequence = router.load_sequence(doc_id)
-                print(f"  doc {doc_id}: {sequence.preorder_string()}")
-        if args.show_xml:
-            for doc_id in result:
-                print(f"-- doc {doc_id} --")
-                print(router.get_document(doc_id).to_xml())
-    return 0
 
 
 def _render_shard_spans(outcome) -> str:
@@ -724,27 +638,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Query-serving loop: stdin lines by default, TCP frames with --port.
 
     Two backends, one loop, both driven through one ``submit(xpath,
-    position=, verify=) -> Future``: on a sharded database
-    :meth:`ShardedExecutor.submit` scatter-gathers over one worker
-    process per shard (``--workers``); otherwise :func:`_answer_inline`
-    answers on the thread that read the request.  Either way outcomes
-    are emitted in submission order, and EOF or Ctrl-C mid-stream drains
-    whatever is already in flight before exiting cleanly (code 0).
+    position=, verify=) -> Future``: over more than one shard (or with
+    ``--workers``) :meth:`ShardedExecutor.submit` scatter-gathers over
+    one worker process per shard, and the front end opens no shard
+    itself; over one index :func:`_answer_inline` answers on the thread
+    that read the request.  Either way outcomes are emitted in
+    submission order, and EOF or Ctrl-C mid-stream drains whatever is
+    already in flight before exiting cleanly (code 0).
     """
-    from repro.shard import is_sharded
-
-    sharded = is_sharded(args.dbdir)
-    if args.workers is not None and not sharded:
-        raise ReproError(
-            f"{args.dbdir} is not sharded; --workers needs a database "
-            "built with `repro index --shards N`"
-        )
-    if not sharded and args.partial:
-        raise ReproError(
-            "--partial applies to sharded scatter-gather serving; "
-            f"{args.dbdir} is not sharded"
-        )
-    if sharded:
+    if args.workers is not None or len(shard_dirs(args.dbdir)) > 1:
         from repro.shard import ShardedExecutor
 
         with ShardedExecutor(
@@ -755,11 +657,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             partial=args.partial,
         ) as executor:
             return _serve_loop(args, executor.submit)
-    index = open_index(args.dbdir)
-    try:
-        return _serve_loop(args, _answer_inline(index, args))
-    finally:
-        _close_index(index)
+    if args.partial:
+        raise ReproError(
+            "--partial applies to worker-process serving; "
+            "add --workers N (N = shard count)"
+        )
+    with open_db(args.dbdir) as db:
+        return _serve_loop(args, _answer_inline(db, args))
 
 
 def _finished(outcome) -> Future:
@@ -768,9 +672,9 @@ def _finished(outcome) -> Future:
     return future
 
 
-def _answer_inline(index: VistIndex, args: argparse.Namespace):
-    """``submit`` for unsharded serving: the query runs on the caller's
-    thread and the returned future is already finished.
+def _answer_inline(db, args: argparse.Namespace):
+    """``submit`` for serving one index in-process: the query runs on the
+    caller's thread and the returned future is already finished.
 
     Same signature as :meth:`ShardedExecutor.submit`.  Exceptions are
     captured into the outcome, as the sharded path captures them, so a
@@ -778,15 +682,15 @@ def _answer_inline(index: VistIndex, args: argparse.Namespace):
     """
     from repro.shard.executor import QueryOutcome
 
-    guard_factory = _guard_factory(args)
+    spec = _guard_spec(args)
 
     def submit(xpath: str, position: int = 0, *, verify: Optional[bool] = None):
         outcome = QueryOutcome(position=position, query=xpath)
         try:
-            outcome.result = index.query(
+            outcome.result = db.query(
                 xpath,
                 verify=args.verify if verify is None else verify,
-                guard=guard_factory() if guard_factory is not None else None,
+                guard_factory=lambda: QueryGuard.from_spec(spec),
             )
         except Exception as exc:  # noqa: BLE001 - captured per outcome
             outcome.error = exc
@@ -982,53 +886,42 @@ def _resolve_engine(index: VistIndex, kind: str):
     return engine, idmap
 
 
-def _print_cache_stats(index: VistIndex) -> None:
+def _print_cache_stats(index: VistIndex, label: str = "") -> None:
     """Render :meth:`CombinedTreeHost.cache_stats` as CLI lines."""
     caches = index.cache_stats()
     postings = caches.get("postings")
     if postings is not None:
         print(
-            f"posting cache: {postings['hits']} hits / {postings['misses']} misses "
-            f"({postings['hit_rate']:.1%}), {postings['groups']} group(s) resident, "
+            f"{label}posting cache: {postings['hits']} hits / "
+            f"{postings['misses']} misses ({postings['hit_rate']:.1%}), "
+            f"{postings['groups']} group(s) resident, "
             f"{postings['invalidations']} invalidation(s)"
         )
     else:
-        print("posting cache: disabled")
+        print(f"{label}posting cache: disabled")
     nodes = caches["buffer_pool"]
     print(
-        f"node cache: {nodes['hits']} hits / {nodes['misses']} misses "
+        f"{label}node cache: {nodes['hits']} hits / {nodes['misses']} misses "
         f"({nodes['hit_rate']:.1%}), {nodes['writebacks']} writeback(s)"
     )
 
 
-def _cmd_nodes(args: argparse.Namespace) -> int:
-    from repro.shard import ShardRouter, is_sharded
+def _shard_label(db, k: int) -> str:
+    """The prefix of shard ``k``'s lines: none for a flat DBDIR."""
+    return "" if db.flat else f"shard {k}: "
 
-    if is_sharded(args.dbdir):
-        with ShardRouter(args.dbdir) as router:
-            result = router.query_nodes(args.xpath)
-            total = sum(len(v) for v in result.values())
-            print(f"{total} node(s) in {len(result)} document(s)")
-            for doc_id, positions in sorted(result.items()):
-                sequence = router.load_sequence(doc_id)
-                rendered = ", ".join(
-                    f"{p}:{sequence[p].symbol}" for p in positions
-                )
-                print(f"  doc {doc_id}: {rendered}")
-        return 0
-    index = open_index(args.dbdir)
-    try:
-        result = index.query_nodes(args.xpath)
+
+def _cmd_nodes(args: argparse.Namespace) -> int:
+    with open_db(args.dbdir) as db:
+        result = db.query_nodes(args.xpath)
         total = sum(len(v) for v in result.values())
         print(f"{total} node(s) in {len(result)} document(s)")
         for doc_id, positions in sorted(result.items()):
-            sequence = index.load_sequence(doc_id)
+            sequence = db.load_sequence(doc_id)
             rendered = ", ".join(
                 f"{p}:{sequence[p].symbol}" for p in positions
             )
             print(f"  doc {doc_id}: {rendered}")
-    finally:
-        _close_index(index)
     return 0
 
 
@@ -1050,68 +943,42 @@ def _remove_each(remove, doc_ids: list[int]) -> int:
 
 
 def _cmd_remove(args: argparse.Namespace) -> int:
-    from repro.shard import ShardRouter, is_sharded
-
-    if is_sharded(args.dbdir):
-        with ShardRouter(args.dbdir) as router:
-            return _remove_each(router.remove, args.doc_ids)
-    index = open_index(args.dbdir)
-    try:
-        return _remove_each(index.remove, args.doc_ids)
-    finally:
-        _close_index(index)
+    with open_db(args.dbdir) as db:
+        return _remove_each(db.remove, args.doc_ids)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Run every invariant checker against the on-disk index.
+    """Run every invariant checker against each index of the DBDIR.
 
     Exit code 0 when all invariants hold, 2 when any is violated —
     ``repro check DBDIR`` is safe to wire into cron/CI against a
     production index directory (the index is only read).  On a sharded
     database every shard is checked; one bad shard fails the run.
     """
-    from repro.shard import ShardRouter, is_sharded
     from repro.testing.invariants import check_index
 
-    if is_sharded(args.dbdir):
-        failed_shards = 0
-        with ShardRouter(args.dbdir) as router:
-            for k, shard in enumerate(router.shards):
-                reports = check_index(shard)
-                for report in reports:
-                    print(f"shard {k}: {report.summary()}")
-                bad = [report for report in reports if not report.ok]
-                if bad:
-                    failed_shards += 1
-                    print(f"shard {k}: {len(bad)} checker(s) found violations")
-        if failed_shards:
+    failed_shards = 0
+    with open_db(args.dbdir) as db:
+        for k, index in enumerate(db.shards):
+            label = _shard_label(db, k)
+            reports = check_index(index)
+            for report in reports:
+                print(label + report.summary())
+            bad = [report for report in reports if not report.ok]
+            if bad:
+                failed_shards += 1
+                print(f"{label}{len(bad)} checker(s) found violations")
+    if failed_shards:
+        if not db.flat:
             print(f"{failed_shards} shard(s) have violations")
-            return EXIT_VIOLATIONS
-        print(f"all invariants hold across {router.nshards} shard(s)")
-        return 0
-    index = open_index(args.dbdir)
-    try:
-        reports = check_index(index)
-        for report in reports:
-            print(report.summary())
-        failed = [report for report in reports if not report.ok]
-        if failed:
-            print(f"{len(failed)} checker(s) found violations")
-            return EXIT_VIOLATIONS
-        print("all invariants hold")
-        return 0
-    finally:
-        _close_index(index)
+        return EXIT_VIOLATIONS
+    print("all invariants hold" + ("" if db.flat else f" across {db.nshards} shard(s)"))
+    return 0
 
 
 def _cmd_reshard(args: argparse.Namespace) -> int:
-    from repro.shard import is_sharded, reshard_db
+    from repro.shard import reshard_db
 
-    if not is_sharded(args.dbdir):
-        raise ReproError(
-            f"{args.dbdir} is not sharded; build one with "
-            "`repro index --shards N` first"
-        )
     report = reshard_db(args.dbdir, args.nshards)
     print(
         f"resharded {args.dbdir}: {report['old_nshards']} -> "
@@ -1122,39 +989,42 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.shard import is_sharded
+    """``stats``: documents, each shard's health, then its trees and caches.
 
+    Health comes first: it reads only this process's observations and
+    the ``health.json`` sidecars, so a damaged DBDIR still shows its
+    report before the tree walk fails on the damage (exit code 3)."""
     if args.workers is not None:
-        if not is_sharded(args.dbdir):
-            raise ReproError(
-                f"{args.dbdir} is not sharded; --workers needs a database "
-                "built with `repro index --shards N`"
-            )
         return _stats_workers(args)
-    if is_sharded(args.dbdir):
-        return _stats_sharded(args)
-    index = open_index(args.dbdir)
-    try:
+    with open_db(args.dbdir) as db:
+        paths = db.shard_dirs()
         if args.json:
-            import json
-
-            snapshot = index.metrics.snapshot()
-            snapshot["documents"] = len(index)
-            sidecar = Path(args.dbdir) / _HEALTH_FILE
-            if sidecar.exists():
-                snapshot["health_sidecar"] = json.loads(sidecar.read_text())
+            snapshot = db.metrics.snapshot()
+            snapshot["documents"] = len(db)
+            for k, path in enumerate(paths):
+                sidecar = _read_health(path)
+                if sidecar is not None:
+                    shard = snapshot if db.flat else snapshot["shard"][str(k)]
+                    shard["health_sidecar"] = sidecar
             print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
             return 0
-        print(f"documents: {len(index)}")
-        for name, stats in index.index_stats().items():
+        print(f"documents: {len(db)}")
+        if not db.flat:
             print(
-                f"{name}: {stats.entries} entries, {stats.total_pages} pages "
-                f"({stats.total_bytes / 1024:.0f} KiB), height {stats.height}"
+                f"routing: {db.nshards} shard(s), next_doc_id "
+                f"{db.map.next_doc_id}, routed {db.map.shard_counts()}"
             )
-        _print_cache_stats(index)
-        _print_health(args.dbdir, index)
-    finally:
-        _close_index(index)
+        for k, (path, index) in enumerate(zip(paths, db.shards)):
+            _print_health(_shard_label(db, k), path, index)
+        for k, index in enumerate(db.shards):
+            label = _shard_label(db, k)
+            for name, stats in index.index_stats().items():
+                print(
+                    f"{label}{name}: {stats.entries} entries, "
+                    f"{stats.total_pages} pages "
+                    f"({stats.total_bytes / 1024:.0f} KiB), height {stats.height}"
+                )
+            _print_cache_stats(index, label)
     return 0
 
 
@@ -1165,8 +1035,6 @@ def _stats_workers(args: argparse.Namespace) -> int:
     per-shard states (healthy/restarting/down) and the restart /
     unavailable / retry counters of the fault-tolerance layer.
     """
-    import json
-
     from repro.shard import ShardedExecutor
 
     with ShardedExecutor(args.dbdir, workers=args.workers) as executor:
@@ -1189,66 +1057,45 @@ def _stats_workers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_sharded(args: argparse.Namespace) -> int:
-    """``stats`` on a sharded DBDIR: per-shard registries under shard.K.*."""
-    from repro.shard import ShardRouter
-
-    with ShardRouter(args.dbdir) as router:
-        if args.json:
-            import json
-
-            snapshot = router.metrics.snapshot()
-            snapshot["documents"] = len(router)
-            print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
-            return 0
-        routing = router.metrics.snapshot()["routing"]
-        print(f"documents: {len(router)} across {router.nshards} shard(s)")
-        print(
-            f"routing: next_doc_id {routing['next_doc_id']}, "
-            f"routed {routing['routed']}, live {routing['live']}"
-        )
-        for k, shard in enumerate(router.shards):
-            for name, stats in shard.index_stats().items():
-                print(
-                    f"shard {k} {name}: {stats.entries} entries, "
-                    f"{stats.total_pages} pages "
-                    f"({stats.total_bytes / 1024:.0f} KiB), "
-                    f"height {stats.height}"
-                )
-    return 0
+def _read_health(path: Path) -> Optional[dict]:
+    """What earlier degraded queries recorded in ``path``, if anything."""
+    sidecar = path / HEALTH_FILE
+    return json.loads(sidecar.read_text()) if sidecar.exists() else None
 
 
-_HEALTH_FILE = "health.json"
+def _record_health(db) -> bool:
+    """After a query: each index whose health is no longer ok gets its
+    summary on stderr and its ``health.json`` written for ``repro stats``.
+    Returns whether any was degraded (the answer then came from the
+    docstore, not from the damaged tree)."""
+    degraded = False
+    for k, (path, index) in enumerate(zip(db.shard_dirs(), db.shards)):
+        if not index.health.ok:
+            (path / HEALTH_FILE).write_text(
+                json.dumps(index.health.report(), indent=2) + "\n"
+            )
+            print(_shard_label(db, k) + index.health.summary(), file=sys.stderr)
+            degraded = True
+    return degraded
 
 
-def _write_health(dbdir: Path, index: VistIndex) -> None:
-    import json
-
-    (Path(dbdir) / _HEALTH_FILE).write_text(
-        json.dumps(index.health.report(), indent=2) + "\n"
-    )
-
-
-def _print_health(dbdir: Path, index: VistIndex) -> None:
+def _print_health(label: str, path: Path, index: VistIndex) -> None:
     """Health of this process *and* what past degraded queries recorded."""
-    import json
-
     if not index.health.ok:
-        print(index.health.summary())
+        print(label + index.health.summary())
         return
-    sidecar = Path(dbdir) / _HEALTH_FILE
-    if sidecar.exists():
-        report = json.loads(sidecar.read_text())
-        print(
-            f"health: {report.get('status', 'unknown')} (recorded by an earlier "
-            f"run; {len(report.get('events', []))} corruption event(s), "
-            f"{report.get('degraded_queries', 0)} degraded query/queries)"
-        )
-        for event in report.get("events", []):
-            print(f"  {event.get('kind')}: {event.get('detail')}")
-        print("  run `repro scrub` to assess and `repro salvage` to rebuild")
-    else:
-        print("health: ok")
+    report = _read_health(path)
+    if report is None:
+        print(f"{label}health: ok")
+        return
+    print(
+        f"{label}health: {report.get('status', 'unknown')} (recorded by an "
+        f"earlier run; {len(report.get('events', []))} corruption event(s), "
+        f"{report.get('degraded_queries', 0)} degraded query/queries)"
+    )
+    for event in report.get("events", []):
+        print(f"  {event.get('kind')}: {event.get('detail')}")
+    print("  run `repro scrub` to assess and `repro salvage` to rebuild")
 
 
 def _cmd_scrub(args: argparse.Namespace) -> int:
@@ -1262,9 +1109,5 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 def _cmd_salvage(args: argparse.Namespace) -> int:
     from repro.repair import salvage_db
 
-    report = salvage_db(args.dbdir)
-    print(report.summary())
-    sidecar = Path(args.dbdir) / _HEALTH_FILE
-    if sidecar.exists():
-        sidecar.unlink()  # the rebuilt index starts with a clean bill
+    print(salvage_db(args.dbdir).summary())
     return 0

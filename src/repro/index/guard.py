@@ -68,6 +68,19 @@ class QueryGuard:
         self._page_counter: Optional[Callable[[], int]] = None
         self._pages0 = 0
 
+    @classmethod
+    def from_spec(cls, spec: Optional[dict]) -> Optional["QueryGuard"]:
+        """A fresh guard with the budgets a ``{"deadline_ms", "max_steps",
+        "max_page_reads"}`` dict sets (the form the shard workers receive
+        on the wire), or ``None`` when it sets none."""
+        budgets = {
+            name: (spec or {}).get(name)
+            for name in ("deadline_ms", "max_steps", "max_page_reads")
+        }
+        if all(value is None for value in budgets.values()):
+            return None
+        return cls(**budgets)
+
     def start(self, page_counter: Optional[Callable[[], int]] = None) -> "QueryGuard":
         """Begin one query: reset all per-query state and start timing.
 

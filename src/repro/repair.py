@@ -25,6 +25,10 @@ sequence half of each stored payload is read and the old tree is never
 opened through the index, salvage is also the upgrade path for a
 directory whose entry format this build does not read
 (:class:`~repro.errors.IndexFormatError`).
+
+Both work on each index directory of :func:`repro.dbdir.shard_dirs`:
+the DBDIR itself when it is flat, every shard when it is sharded.  A
+salvaged directory's health sidecar is cleared with its old index.
 """
 
 from __future__ import annotations
@@ -33,12 +37,24 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
+from repro.dbdir import (
+    DOC_FILE,
+    HEALTH_FILE,
+    SOURCE_FILE,
+    TREE_FILE,
+    TREE_JOURNAL,
+    load_schema,
+    open_index,
+    shard_dirs,
+)
 from repro.errors import CorruptionError, IndexFormatError, PageError, StorageError
 from repro.index.store import META_REMOVED_KEY, decode_removed
+from repro.index.vist import VistIndex
+from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree, reachable_page_ids
 from repro.storage.checksums import CHECKSUM_SIZE, page_checksum, verify_trailer
+from repro.storage.docstore import FileDocStore
 from repro.storage.pager import peek_header, slot_size, unpack_header_page
 from repro.storage.wal import JOURNAL_SUFFIX, WalPager
 
@@ -57,12 +73,6 @@ _LEN_FMT = "<I"
 _LEN_SIZE = struct.calcsize(_LEN_FMT)
 _TOMBSTONE = 0xFFFFFFFF
 _DOC_MAGIC = b"ViSTDOC2"
-
-# Files a ViST database directory may contain (see repro.cli.open_index).
-TREE_FILE = "vist.db"
-TREE_JOURNAL = TREE_FILE + JOURNAL_SUFFIX
-DOC_FILE = "docs.dat"
-SOURCE_FILE = "sources.dat"
 
 
 @dataclass
@@ -146,16 +156,6 @@ class SalvageReport:
 
 # ---------------------------------------------------------------------------
 # scrub
-
-
-def _sharded_layout(dbdir: Path) -> Optional[list[Path]]:
-    """The shard directories of a sharded database, or None for plain ones."""
-    from repro.shard.routing import is_sharded, read_manifest, shard_dir
-
-    if not is_sharded(dbdir):
-        return None
-    manifest = read_manifest(dbdir)
-    return [shard_dir(dbdir, k) for k in range(manifest["nshards"])]
 
 
 def scrub_page_file(path: str | os.PathLike) -> FileScrubReport:
@@ -326,8 +326,8 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
     pages would drown the real signal (and the open itself may fail).
     """
     dbdir = Path(os.fspath(dbdir))
-    sharded = _sharded_layout(dbdir)
-    if sharded is not None:
+    sharded = shard_dirs(dbdir)
+    if sharded != [dbdir]:
         # sharded database: every shard is a complete directory; scrub
         # each and aggregate so one report covers all the damage
         report = ScrubReport(dbdir=str(dbdir))
@@ -373,7 +373,6 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
 
 
 def _check_invariants(dbdir: Path) -> list[str]:
-    from repro.cli import open_index
     from repro.testing.invariants import check_index
 
     try:
@@ -426,15 +425,11 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     raises when the rebuilt index is not clean (the originals are left
     untouched in both cases).
     """
-    from repro.cli import load_schema
-    from repro.index.vist import VistIndex
-    from repro.sequence.transform import SequenceEncoder
-    from repro.storage.docstore import FileDocStore
     from repro.testing.invariants import assert_invariants
 
     dbdir = Path(os.fspath(dbdir))
-    sharded = _sharded_layout(dbdir)
-    if sharded is not None:
+    sharded = shard_dirs(dbdir)
+    if sharded != [dbdir]:
         report = SalvageReport(dbdir=str(dbdir))
         report.notes.append(f"sharded database: {len(sharded)} shard(s) salvaged")
         replaced_all = True
@@ -520,6 +515,8 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     if wal_path.exists():
         wal_path.unlink()
         report.notes.append("removed stale WAL journal of the damaged index")
+    # the rebuilt index starts with a clean bill of health
+    (dbdir / HEALTH_FILE).unlink(missing_ok=True)
     report.replaced = True
     return report
 

@@ -11,16 +11,18 @@ qps).
 
 Layers:
 
-* :mod:`repro.shard.routing` — the stable DocId hash, the manifest, and
-  the derivable global↔local id map (:class:`ShardMap`);
-* :mod:`repro.shard.router` — :class:`ShardRouter`, the embedded
-  (in-process) view of a sharded directory: add/remove routing,
-  sequential scatter queries, and ``reshard``;
+* :mod:`repro.shard.routing` — the stable DocId hash and the derivable
+  global↔local id map (:class:`ShardMap`); the manifest and every other
+  DBDIR file name live in :mod:`repro.dbdir`;
+* :mod:`repro.shard.router` — :class:`ShardRouter`, the in-process
+  handle on a DBDIR, flat or sharded (:func:`repro.dbdir.open_db`):
+  add/remove routing — the one write path — sequential scatter
+  queries, and ``reshard``;
 * :mod:`repro.shard.protocol` — length-prefixed JSON frames;
 * :mod:`repro.shard.worker` — the per-shard worker process
   (``python -m repro.shard.worker``): one open index, one query thread,
-  heartbeats and writes inline on the connection thread;
-* :mod:`repro.shard.executor` — :class:`ShardedExecutor`, the
+  heartbeats inline on the connection thread; it only reads;
+* :mod:`repro.shard.executor` — :class:`ShardedExecutor`, the read-only
   scatter-gather client that fans queries out over sockets and merges
   ordered :class:`~repro.shard.executor.QueryOutcome` results;
 * :mod:`repro.shard.supervisor` — worker supervision: the
@@ -29,7 +31,8 @@ Layers:
   per-RPC retries and deadlines (docs/INTERNALS.md section 13).
 """
 
-from repro.shard.routing import MANIFEST_FILE, ShardMap, is_sharded, shard_of
+from repro.dbdir import MANIFEST_FILE, is_sharded
+from repro.shard.routing import ShardMap, shard_of
 from repro.shard.router import ShardRouter, reshard_db
 
 __all__ = [

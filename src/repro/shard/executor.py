@@ -33,14 +33,12 @@ an exact union, because membership is a per-document decision.
   missing shard poisons that outcome with a
   :class:`~repro.errors.ShardQueryError` whose causes are typed.
 
-Writes route: :meth:`add` assigns the next global id, computes its shard
-by the stable hash, and ships the document to exactly that worker (the
-worker asserts the expected local id *before* mutating, so router/worker
-layout drift is loud and side-effect free).  Writes are not idempotent,
-so they never retry: a write against a restarting or down shard fails
-fast with :class:`~repro.errors.ShardUnavailableError`.  The manifest is
-re-written on :meth:`close`; a crash in between is absorbed by
-:meth:`ShardMap.recover` on the next open.
+The executor only reads.  Writes to a DBDIR have one path,
+:class:`~repro.shard.router.ShardRouter`, and the executor never writes
+the manifest: a manifest that lags the shard stores is recovered in
+memory here (:meth:`ShardMap.recover` against each worker's
+``id_bound``) and on disk by the router's next open.  A flat DBDIR is
+served as one shard: its one worker opens the directory itself.
 """
 
 from __future__ import annotations
@@ -57,10 +55,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.dbdir import is_sharded, read_manifest, shard_dirs
 from repro.errors import ShardError, ShardQueryError, ShardUnavailableError
 from repro.obs import MetricsRegistry
 from repro.shard.protocol import recv_frame, rehydrate_error, send_frame
-from repro.shard.routing import ShardMap, read_manifest, shard_dir, write_manifest
+from repro.shard.routing import ShardMap
 from repro.shard.supervisor import (
     DOWN,
     HEALTHY,
@@ -396,10 +395,10 @@ class _ShardClient:
 
 
 class ShardedExecutor:
-    """Scatter-gather query execution over a sharded database directory.
+    """Scatter-gather query execution over the shards of a DBDIR.
 
-    ``workers`` must equal the manifest's shard count when given (one
-    process per shard; change the count with ``repro reshard``).
+    ``workers`` must equal the shard count when given (one process per
+    shard, one for a flat DBDIR; change the count with ``repro reshard``).
     ``guard_spec`` is a dict of per-query guard budgets (``deadline_ms``,
     ``max_steps``, ``max_page_reads``) applied worker-side with a fresh
     guard per query; its ``deadline_ms`` also derives the per-RPC
@@ -428,7 +427,7 @@ class ShardedExecutor:
     wire without the production path paying anything for it.
 
     The executor is a context manager; :meth:`close` shuts every worker
-    down and persists the manifest.
+    down.
     """
 
     def __init__(
@@ -452,11 +451,11 @@ class ShardedExecutor:
         socket_wrapper: Optional[Callable] = None,
     ) -> None:
         self.dbdir = Path(dbdir)
-        manifest = read_manifest(self.dbdir)
-        nshards = manifest["nshards"]
+        dirs = shard_dirs(self.dbdir)
+        nshards = len(dirs)
         if workers is not None and workers != nshards:
             raise ShardError(
-                f"{self.dbdir} is sharded {nshards} ways; --workers "
+                f"{self.dbdir} has {nshards} shard(s); --workers "
                 f"{workers} does not match (run `repro reshard` first)"
             )
         self.nshards = nshards
@@ -470,9 +469,10 @@ class ShardedExecutor:
         self.supervise = supervise
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.metrics = MetricsRegistry()
-        self.map = ShardMap(nshards, manifest["next_doc_id"])
-        self._write_lock = threading.Lock()  # serialises add/remove routing
-        self._manifest_dirty = False
+        next_doc_id = (
+            read_manifest(self.dbdir)["next_doc_id"] if is_sharded(self.dbdir) else 0
+        )
+        self.map = ShardMap(nshards, next_doc_id)
         self._closed = False
         self.clients: list[_ShardClient] = []
         self._supervisor = ShardSupervisor(
@@ -482,10 +482,10 @@ class ShardedExecutor:
             heartbeat_fn=self._heartbeat if supervise else None,
         )
         try:
-            for k in range(nshards):
+            for k, path in enumerate(dirs):
                 client = _ShardClient(
                     k,
-                    shard_dir(self.dbdir, k),
+                    path,
                     worker_module=worker_module,
                     extra_env=worker_env,
                     socket_wrapper=socket_wrapper,
@@ -511,8 +511,7 @@ class ShardedExecutor:
                         "cannot reconcile the manifest"
                     )
                 bounds.append(bound)
-            if self.map.recover(bounds):
-                self._manifest_dirty = True
+            self.map.recover(bounds)
         except BaseException:
             self.close()
             raise
@@ -727,12 +726,7 @@ class ShardedExecutor:
                 merged: list[int] = []
                 for s, locals_ in results.items():
                     globals_of = self.map.globals_of(s)
-                    # add() tells the worker before the map: a local id
-                    # past the map is a document whose add() has not
-                    # returned yet, so this query need not see it
-                    merged.extend(
-                        globals_of[local] for local in locals_ if local < len(globals_of)
-                    )
+                    merged.extend(globals_of[local] for local in locals_)
                 outcome.result = sorted(merged)
                 if missing:
                     outcome.missing_shards = sorted(missing)
@@ -792,51 +786,6 @@ class ShardedExecutor:
         """Run a batch; outcomes come back in submission order."""
         futures = [self.submit(query, i) for i, query in enumerate(queries)]
         return [future.result() for future in futures]
-
-    # -- routed writes ---------------------------------------------------
-
-    def _write_call(self, shard: int, payload: dict) -> dict:
-        """One non-idempotent call: fail fast, never retry, never hang."""
-        client = self.clients[shard]
-        future = self._call(
-            client, payload, retryable=False, timeout_s=self.rpc_timeout_s
-        )
-        timeout = (self.rpc_timeout_s or _SPAWN_TIMEOUT) + 5.0
-        try:
-            response = future.result(timeout)
-        except TimeoutError as exc:  # pragma: no cover - deadline fires first
-            raise ShardUnavailableError(shard, "write rpc stalled") from exc
-        if not response.get("ok"):
-            raise rehydrate_error(response)
-        return response
-
-    def add(self, document) -> int:
-        """Route one document (XML text, node, or document) to its shard."""
-        from repro.doc.model import XmlDocument, XmlNode
-
-        if isinstance(document, XmlDocument):
-            xml = document.root.to_xml()
-        elif isinstance(document, XmlNode):
-            xml = document.to_xml()
-        else:
-            xml = str(document)
-        with self._write_lock:
-            g = self.map.next_doc_id
-            from repro.shard.routing import shard_of
-
-            s = shard_of(g, self.nshards, self.map.hash_fn)
-            expect_local = len(self.map.globals_of(s))
-            self._write_call(
-                s, {"op": "add", "xml": xml, "expect_local": expect_local}
-            )
-            self.map.append_next()
-            self._manifest_dirty = True
-            return g
-
-    def remove(self, doc_id: int) -> None:
-        with self._write_lock:
-            s, local = self.map.route(doc_id)
-            self._write_call(s, {"op": "remove", "local_id": local})
 
     # -- observability ---------------------------------------------------
 
@@ -902,8 +851,6 @@ class ShardedExecutor:
                 client.close()
             except Exception:
                 pass
-        if self._manifest_dirty:
-            write_manifest(self.dbdir, self.nshards, self.map.next_doc_id)
 
     def __enter__(self) -> "ShardedExecutor":
         return self

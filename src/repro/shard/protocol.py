@@ -8,18 +8,16 @@ protocol; only the payload schemas differ.
 Worker requests are objects with an ``op`` and a caller-chosen ``id``
 echoed back in the response (responses may arrive out of order — the
 worker answers queries one at a time on its query thread, but every
-other op inline on the connection thread, so a ``ping`` or ``add`` reply
-can overtake a query's)::
+other op inline on the connection thread, so a ``ping`` reply can
+overtake a query's).  Workers only read, so there are four ops::
 
     {"id": 7, "op": "query", "xpath": "//a[b]", "verify": false,
      "guard": {"deadline_ms": 100.0}}          # guard keys optional
-    {"id": 8, "op": "add", "xml": "<a/>", "expect_local": 3}
-    {"id": 9, "op": "remove", "local_id": 3}
     {"id": 0, "op": "ping"} | {"op": "stats"} | {"op": "shutdown"}
 
 Responses: ``{"id": n, "ok": true, ...}`` with op-specific payload
-(``result`` for queries — *local* doc ids — ``local_id`` for adds,
-``snapshot`` for stats), or ``{"id": n, "ok": false, "error": "...",
+(``result`` for queries — *local* doc ids — ``snapshot`` and
+``id_bound`` for stats), or ``{"id": n, "ok": false, "error": "...",
 "error_type": "QueryTimeoutError"}``.  ``error_type`` is the exception
 class name; clients rehydrate it against :mod:`repro.errors` so guard
 deadlines keep their CLI exit codes across the process boundary.

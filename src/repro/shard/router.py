@@ -1,22 +1,20 @@
-"""ShardRouter: the embedded (in-process) view of a sharded directory.
+"""ShardRouter: the in-process handle on a DBDIR, flat or sharded.
 
-A sharded database directory holds a manifest plus one *complete* index
-directory per shard::
+:func:`repro.dbdir.open_db` returns one of these for either layout of
+:mod:`repro.dbdir`.  A sharded DBDIR is a manifest plus one complete
+index directory per shard; a flat DBDIR is a router over one index — its
+one shard is the directory itself, every local id is its global id, and
+no manifest is written.  Each shard opens through
+:func:`repro.dbdir.open_index`: its own pager, WAL, docstore and source
+store.
 
-    DBDIR/
-      shards.json          # {"version": 1, "nshards": N, "next_doc_id": M}
-      schema.dtd           # optional, copied into every shard
-      shard-0/  vist.db  vist.db.wal  docs.dat  sources.dat  schema.dtd
-      shard-1/  ...
-
-Each shard is opened exactly like a single-directory database
-(:func:`repro.cli.open_index`): its own pager, WAL, docstore and
-source store.  The router owns add/remove routing (global
-id → stable hash → shard, see :mod:`repro.shard.routing`), answers
-queries by a *sequential* scatter over the open shards (the
-process-parallel path is :class:`~repro.shard.executor.ShardedExecutor`),
-and implements ``repro reshard`` — rebuilding the directory under a new
-shard count while preserving every global id and every answer.
+The router owns add/remove routing (global id → stable hash → shard,
+see :mod:`repro.shard.routing`) — the one write path of a DBDIR —
+answers queries by a *sequential* scatter over the open shards (the
+process-parallel, read-only path is
+:class:`~repro.shard.executor.ShardedExecutor`), and implements
+``repro reshard``: rebuilding a sharded directory under a new shard
+count while preserving every global id and every answer.
 """
 
 from __future__ import annotations
@@ -26,45 +24,37 @@ import shutil
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.doc.model import XmlDocument, XmlNode
-from repro.errors import IndexStateError
-from repro.obs.metrics import MetricsRegistry
-from repro.shard.routing import (
+from repro.dbdir import (
     MANIFEST_FILE,
-    HashFn,
-    ShardMap,
+    SCHEMA_FILE,
+    close_index,
+    is_flat,
     is_sharded,
+    open_index,
     read_manifest,
     shard_dir,
     write_manifest,
 )
+from repro.doc.model import XmlDocument, XmlNode
+from repro.errors import IndexStateError
+from repro.obs.metrics import MetricsRegistry
+from repro.shard.routing import HashFn, ShardMap
 
 __all__ = ["ShardRouter", "reshard_db"]
 
-_SCHEMA_FILE = "schema.dtd"
-
-
-def _open_shard(path: Path):
-    from repro.cli import open_index
-
-    return open_index(path)
-
-
-def _close_shard(index) -> None:
-    from repro.cli import _close_index
-
-    _close_index(index)
-
 
 class ShardRouter:
-    """Open (or create) a sharded database directory in-process.
+    """Open (or create) a DBDIR in-process, in either layout.
 
-    ``nshards`` is required when creating, must match the manifest (or be
-    ``None``) when opening.  ``hash_fn`` overrides the stable routing
-    hash — test-only, for forcing placement (it is *not* persisted, so a
-    directory written with a custom hash must be reopened with it).
-    ``wal`` is accepted and ignored, as in :func:`repro.cli.open_index`:
-    every shard opens through the journaled pager.
+    An existing DBDIR keeps its layout.  On a sharded one ``nshards``
+    must match the manifest (or be ``None``); on a flat one it must be
+    ``None``: a flat DBDIR is not sharded in place.  A new DBDIR is
+    sharded ``nshards`` ways when it is given and flat when it is not.
+    ``hash_fn`` overrides the stable routing hash — test-only, for
+    forcing placement (it is *not* persisted, so a directory written
+    with a custom hash must be reopened with it).  ``wal`` is accepted
+    and ignored, as in :func:`repro.dbdir.open_index`: every shard opens
+    through the journaled pager.
     """
 
     def __init__(
@@ -77,51 +67,63 @@ class ShardRouter:
         wal: bool = False,
     ) -> None:
         self.dbdir = Path(dbdir)
-        if is_sharded(self.dbdir):
+        sharded = is_sharded(self.dbdir)
+        next_doc_id = 0
+        #: the next_doc_id shards.json holds (None: there is none yet)
+        self._manifest_next: Optional[int] = None
+        if sharded:
             manifest = read_manifest(self.dbdir)
             if nshards is not None and nshards != manifest["nshards"]:
                 raise IndexStateError(
                     f"{self.dbdir} is sharded {manifest['nshards']} ways; "
                     f"got nshards={nshards} (use `repro reshard` to change)"
                 )
-            self.nshards = manifest["nshards"]
-            next_doc_id = manifest["next_doc_id"]
-        else:
-            if nshards is None:
-                raise IndexStateError(
-                    f"{self.dbdir} has no {MANIFEST_FILE}; pass nshards to "
-                    "create a sharded database"
-                )
-            self.nshards = nshards
-            next_doc_id = 0
-            self.dbdir.mkdir(parents=True, exist_ok=True)
-            if schema_path is not None:
-                (self.dbdir / _SCHEMA_FILE).write_text(schema_path.read_text())
+            nshards = manifest["nshards"]
+            next_doc_id = self._manifest_next = manifest["next_doc_id"]
+        elif nshards is not None and is_flat(self.dbdir):
+            raise IndexStateError(
+                f"{self.dbdir} is a flat DBDIR (one index, no {MANIFEST_FILE}); "
+                f"got nshards={nshards}: a flat DBDIR is not sharded in place"
+            )
+        self.flat = nshards is None
+        self.nshards = 1 if self.flat else nshards
         self.map = ShardMap(self.nshards, next_doc_id, hash_fn=hash_fn)
-        schema_text = None
-        top_schema = self.dbdir / _SCHEMA_FILE
-        if top_schema.exists():
-            schema_text = top_schema.read_text()
-        self.shards = []
-        for k in range(self.nshards):
-            path = shard_dir(self.dbdir, k)
-            path.mkdir(parents=True, exist_ok=True)
-            if schema_text is not None and not (path / _SCHEMA_FILE).exists():
-                (path / _SCHEMA_FILE).write_text(schema_text)
-            self.shards.append(_open_shard(path))
+        if self.flat:
+            self.shards = [open_index(self.dbdir, schema_path)]
+        else:
+            self.shards = self._open_sharded(None if sharded else schema_path)
         # a crash may have left the manifest behind the shard stores;
         # replay the routing rule forward until the map explains them
-        recovered = self.map.recover(
-            [shard.docstore.id_bound for shard in self.shards]
-        )
+        self.map.recover([shard.docstore.id_bound for shard in self.shards])
         self._closed = False
-        if recovered or not is_sharded(self.dbdir):
-            self._write_manifest()
+        self._write_manifest()
+        if self.flat:
+            # one index: its own registry, so `stats --json` keeps its shape
+            self.metrics = self.shards[0].metrics
+            return
         # per-shard registries aggregated under shard.K.* dotted names
         self.metrics = MetricsRegistry()
         for k, shard in enumerate(self.shards):
             self.metrics.register(f"shard.{k}", shard.metrics)
         self.metrics.register("routing", self._routing_report)
+
+    def _open_sharded(self, schema_path: Optional[Path]) -> list:
+        """Open every shard directory; ``schema_path`` only when creating."""
+        self.dbdir.mkdir(parents=True, exist_ok=True)
+        if schema_path is not None:
+            (self.dbdir / SCHEMA_FILE).write_text(schema_path.read_text())
+        schema_text = None
+        top_schema = self.dbdir / SCHEMA_FILE
+        if top_schema.exists():
+            schema_text = top_schema.read_text()
+        shards = []
+        for k in range(self.nshards):
+            path = shard_dir(self.dbdir, k)
+            path.mkdir(parents=True, exist_ok=True)
+            if schema_text is not None and not (path / SCHEMA_FILE).exists():
+                (path / SCHEMA_FILE).write_text(schema_text)
+            shards.append(open_index(path))
+        return shards
 
     # -- routing ---------------------------------------------------------
 
@@ -137,9 +139,17 @@ class ShardRouter:
         }
 
     def _write_manifest(self) -> None:
-        write_manifest(self.dbdir, self.nshards, self.map.next_doc_id)
+        """Persist the map once the shard stores behind it are committed,
+        so the manifest never runs ahead of them (a lagging one is what
+        :meth:`ShardMap.recover` replays); a current one is left alone."""
+        if not self.flat and self._manifest_next != self.map.next_doc_id:
+            write_manifest(self.dbdir, self.nshards, self.map.next_doc_id)
+            self._manifest_next = self.map.next_doc_id
 
     def shard_dirs(self) -> list[Path]:
+        """The directory of each shard: the DBDIR itself when it is flat."""
+        if self.flat:
+            return [self.dbdir]
         return [shard_dir(self.dbdir, k) for k in range(self.nshards)]
 
     # -- ingestion -------------------------------------------------------
@@ -232,7 +242,8 @@ class ShardRouter:
         for g, s in plan:
             g2, s2, _ = self.map.append_next()
             assert (g2, s2) == (g, s)
-        self._write_manifest()
+        if durability == "batch":  # else the flush that commits it writes it
+            self._write_manifest()
         return [g for g, _ in plan]
 
     def _repair_partial_chunk(
@@ -270,7 +281,7 @@ class ShardRouter:
                     self.shards[s].flush()
                 except Exception:
                     pass  # the original failure is the one to surface
-        self._write_manifest()
+            self._write_manifest()
         return burned
 
     def remove(self, doc_id: int) -> None:
@@ -344,12 +355,12 @@ class ShardRouter:
         errors = []
         for shard in self.shards:
             try:
-                _close_shard(shard)
+                close_index(shard)
             except Exception as exc:  # close every shard before raising
                 errors.append(exc)
-        self._write_manifest()
         if errors:
-            raise errors[0]
+            raise errors[0]  # a shard's commit failed: keep the manifest
+        self._write_manifest()
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -382,6 +393,10 @@ def reshard_db(
     if new_nshards < 1:
         raise IndexStateError(f"new_nshards must be >= 1, got {new_nshards}")
     dbdir = Path(dbdir)
+    if not is_sharded(dbdir):
+        raise IndexStateError(
+            f"{dbdir} is not sharded; build one with `repro index --shards N` first"
+        )
     old = ShardRouter(dbdir, hash_fn=hash_fn)
     tmp_root = dbdir / "reshard.tmp"
     if tmp_root.exists():
@@ -390,17 +405,17 @@ def reshard_db(
     report = {"old_nshards": old.nshards, "new_nshards": new_nshards,
               "documents": 0, "tombstones": 0}
     schema_text = None
-    top_schema = dbdir / _SCHEMA_FILE
+    top_schema = dbdir / SCHEMA_FILE
     if top_schema.exists():
         schema_text = top_schema.read_text()
     new_map = ShardMap(new_nshards, hash_fn=hash_fn)
     new_shards = []
     for k in range(new_nshards):
-        path = tmp_root / f"shard-{k}"
+        path = shard_dir(tmp_root, k)
         path.mkdir()
         if schema_text is not None:
-            (path / _SCHEMA_FILE).write_text(schema_text)
-        new_shards.append(_open_shard(path))
+            (path / SCHEMA_FILE).write_text(schema_text)
+        new_shards.append(open_index(path))
     try:
         for g in range(old.map.next_doc_id):
             g2, s, expect_local = new_map.append_next()
@@ -444,7 +459,7 @@ def reshard_db(
     finally:
         for shard in new_shards:
             try:
-                _close_shard(shard)
+                close_index(shard)
             except Exception:
                 pass
         next_doc_id = old.map.next_doc_id
@@ -456,9 +471,9 @@ def reshard_db(
         shutil.rmtree(old_root)
     old_root.mkdir()
     for k in range(report["old_nshards"]):
-        os.replace(shard_dir(dbdir, k), old_root / f"shard-{k}")
+        os.replace(shard_dir(dbdir, k), shard_dir(old_root, k))
     for k in range(new_nshards):
-        os.replace(tmp_root / f"shard-{k}", shard_dir(dbdir, k))
+        os.replace(shard_dir(tmp_root, k), shard_dir(dbdir, k))
     write_manifest(dbdir, new_nshards, next_doc_id)
     shutil.rmtree(old_root)
     tmp_root.rmdir()

@@ -1,4 +1,4 @@
-"""Document routing: the stable hash, the manifest, and the id map.
+"""Document routing: the stable hash and the id map.
 
 **Routing rule.**  Global document ids are assigned by a monotonic
 counter (``next_doc_id`` in the manifest) and never reused; the shard of
@@ -17,8 +17,8 @@ linear pass at open time — and both the embedded
 :class:`~repro.shard.router.ShardRouter` and the process-backed
 :class:`~repro.shard.executor.ShardedExecutor` share it.
 
-**Crash recovery.**  The manifest is written *after* the shard stores,
-so a crash can leave it behind reality (never ahead).  ``recover``
+**Crash recovery.**  The manifest is written *after* the shard stores
+commit, so a crash can leave it behind reality (never ahead).  ``recover``
 advances ``next_doc_id`` while some shard's docstore holds more slots
 than the map accounts for; any other disagreement is a layout drift the
 map refuses to paper over.
@@ -26,28 +26,15 @@ map refuses to paper over.
 
 from __future__ import annotations
 
-import json
-import os
 from binascii import crc32
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+# the manifest and the shard directories belong to the DBDIR layout;
+# shard_dir stays importable from here, where scripts look for it
+from repro.dbdir import shard_dir
 from repro.errors import IndexStateError
 
-__all__ = [
-    "MANIFEST_FILE",
-    "SHARD_DIR_FMT",
-    "ShardMap",
-    "is_sharded",
-    "read_manifest",
-    "shard_dir",
-    "shard_of",
-    "write_manifest",
-]
-
-MANIFEST_FILE = "shards.json"
-SHARD_DIR_FMT = "shard-{}"
-_MANIFEST_VERSION = 1
+__all__ = ["ShardMap", "shard_dir", "shard_of"]
 
 HashFn = Callable[[int], int]
 
@@ -63,52 +50,6 @@ def shard_of(doc_id: int, nshards: int, hash_fn: Optional[HashFn] = None) -> int
         raise IndexStateError(f"nshards must be >= 1, got {nshards}")
     h = hash_fn(doc_id) if hash_fn is not None else crc32(doc_id.to_bytes(8, "little"))
     return h % nshards
-
-
-def shard_dir(dbdir: Path, shard: int) -> Path:
-    return Path(dbdir) / SHARD_DIR_FMT.format(shard)
-
-
-def is_sharded(dbdir) -> bool:
-    """Whether ``dbdir`` is a sharded database directory (has a manifest)."""
-    return (Path(dbdir) / MANIFEST_FILE).exists()
-
-
-def read_manifest(dbdir) -> dict:
-    path = Path(dbdir) / MANIFEST_FILE
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexStateError(f"{path}: unreadable shard manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
-        raise IndexStateError(
-            f"{path}: unsupported shard manifest {manifest.get('version')!r}"
-        )
-    nshards = manifest.get("nshards")
-    next_doc_id = manifest.get("next_doc_id")
-    if not isinstance(nshards, int) or nshards < 1:
-        raise IndexStateError(f"{path}: bad nshards {nshards!r}")
-    if not isinstance(next_doc_id, int) or next_doc_id < 0:
-        raise IndexStateError(f"{path}: bad next_doc_id {next_doc_id!r}")
-    return manifest
-
-
-def write_manifest(dbdir, nshards: int, next_doc_id: int) -> None:
-    """Atomically persist the manifest (side file + ``os.replace``)."""
-    path = Path(dbdir) / MANIFEST_FILE
-    side = path.with_suffix(".json.tmp")
-    side.write_text(
-        json.dumps(
-            {
-                "version": _MANIFEST_VERSION,
-                "nshards": nshards,
-                "next_doc_id": next_doc_id,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    os.replace(side, path)
 
 
 class ShardMap:
@@ -197,6 +138,14 @@ class ShardMap:
                     f"manifest routed {len(self._locals[s])} there — the "
                     "shard files and the manifest have diverged"
                 )
+        if self.nshards == 1:
+            # one shard (a flat DBDIR is one): every global id is its own
+            # local id, so there is no hash to replay
+            ids = range(self.next_doc_id, shard_id_bounds[0])
+            self._locals[0].extend(ids)
+            self._route.update((g, (0, g)) for g in ids)
+            self.next_doc_id = shard_id_bounds[0]
+            return len(ids)
         recovered = 0
         while any(
             len(self._locals[s]) < bound

@@ -1,18 +1,18 @@
 """Per-shard worker process: ``python -m repro.shard.worker SHARD_DIR``.
 
-One worker owns one shard directory — a complete single-directory index
-(pager, WAL, docstore) opened exactly as ``repro query``
-would open it — and serves the frame protocol of
-:mod:`repro.shard.protocol` on a loopback TCP socket.  ``query`` frames
+One worker owns one index directory — a shard, or a flat DBDIR —
+opened by :func:`repro.dbdir.open_index` (pager, WAL, docstore), and
+serves the frame protocol of :mod:`repro.shard.protocol` on a loopback
+TCP socket.  A worker only reads: writes to a DBDIR go through
+:class:`~repro.shard.router.ShardRouter`.  ``query`` frames
 are answered one at a time, in arrival order, on the worker's one query
 thread (a fresh :class:`~repro.index.guard.QueryGuard` per frame):
 matching is pure Python under the GIL, so a second query thread would
 add lock hand-offs and no parallelism — the parallelism is one process
-per shard.  Every other op (``ping``, ``stats``, ``add``, ``remove``,
-``flush``, ``shutdown``) runs inline on the connection thread, so a long
-query can never make a heartbeat miss; the index write lock serialises
-``add``/``remove`` against the query in flight.  Replies may therefore
-overtake one another and carry the request ``id`` for demultiplexing.
+per shard.  The other ops (``ping``, ``stats``, ``shutdown``) run inline
+on the connection thread, so a long query can never make a heartbeat
+miss.  Replies may therefore overtake one another and carry the request
+``id`` for demultiplexing.
 
 Lifecycle: the worker announces ``PORT <n>`` on stdout once listening
 (the parent spawns with ``--port 0`` and reads the line), exits on a
@@ -33,27 +33,12 @@ import threading
 import time
 from pathlib import Path
 
+from repro.dbdir import close_index, open_index
 from repro.errors import ReproError
 from repro.index.guard import QueryGuard
 from repro.shard.protocol import FrameError, recv_frame, send_frame
 
 __all__ = ["main", "serve_shard"]
-
-
-def _guard_factory_from(spec):
-    """A per-query guard factory for a frame's ``guard`` object, or None."""
-    if not spec:
-        return None
-    deadline_ms = spec.get("deadline_ms")
-    max_steps = spec.get("max_steps")
-    max_page_reads = spec.get("max_page_reads")
-    if deadline_ms is None and max_steps is None and max_page_reads is None:
-        return None
-    return lambda: QueryGuard(
-        deadline_ms=deadline_ms,
-        max_steps=max_steps,
-        max_page_reads=max_page_reads,
-    )
 
 
 class _ShardServer:
@@ -110,11 +95,10 @@ class _ShardServer:
             request_id = request.get("id", 0)
             t0 = time.perf_counter()
             try:
-                guard_factory = _guard_factory_from(request.get("guard"))
                 result = self.index.query(
                     request["xpath"],
                     verify=bool(request.get("verify", False)),
-                    guard=guard_factory() if guard_factory is not None else None,
+                    guard=QueryGuard.from_spec(request.get("guard")),
                 )
             except Exception as exc:  # an answer for this frame, not a crash
                 self._fail(conn, send_lock, request_id, exc)
@@ -132,45 +116,17 @@ class _ShardServer:
             self._queries.put((conn, send_lock, request))
             return
         try:
-            if op == "add":
-                from repro.doc.parser import parse_document
-
-                document = parse_document(request["xml"])
-                expect = request.get("expect_local")
-                # check the router's expectation BEFORE mutating: a stale,
-                # duplicated, or replayed add must fail loudly without
-                # inserting — writes are at-most-once, never retried
-                if expect is not None and self.index.docstore.id_bound != expect:
-                    raise ReproError(
-                        f"shard would assign local id "
-                        f"{self.index.docstore.id_bound}, router expected "
-                        f"{expect} — layouts have diverged"
-                    )
-                local = self.index.add(document)
-                if expect is not None and local != expect:
-                    raise ReproError(
-                        f"shard assigned local id {local}, router expected "
-                        f"{expect} — layouts have diverged"
-                    )
-                self._reply(conn, send_lock, request_id,
-                            {"ok": True, "local_id": local})
-            elif op == "remove":
-                self.index.remove(int(request["local_id"]))
-                self._reply(conn, send_lock, request_id, {"ok": True})
-            elif op == "stats":
+            if op == "stats":
                 snapshot = self.index.metrics.snapshot()
                 snapshot["documents"] = len(self.index)
                 self._reply(conn, send_lock, request_id, {
                     "ok": True,
                     "snapshot": snapshot,
-                    # id_bound (tombstones included) is what the router's
-                    # manifest recovery reconciles against
+                    # id_bound (tombstones included) is what the
+                    # executor's id map reconciles against
                     "id_bound": self.index.docstore.id_bound,
                     "documents": len(self.index),
                 })
-            elif op == "flush":
-                self.index.flush()
-                self._reply(conn, send_lock, request_id, {"ok": True})
             elif op == "ping":
                 self._reply(conn, send_lock, request_id, {"ok": True})
             elif op == "shutdown":
@@ -220,8 +176,6 @@ def serve_shard(
     announcement, stdin orphan watchdog, SIGTERM handling — around a
     server subclass that injects faults into the reply path.
     """
-    from repro.cli import _close_index, open_index
-
     index = open_index(shard_dir)
     server = server_cls(index)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -257,7 +211,7 @@ def serve_shard(
         except OSError:
             pass
         server.close()
-        _close_index(index)
+        close_index(index)
     return 0
 
 

@@ -280,3 +280,177 @@ class TestExplainAndMetrics:
         assert snap["documents"] == 2
         for shard in snap["shard"].values():
             assert shard["buffer_pool"]["misses"] == shard["pager"]["reads"]
+
+
+# ---------------------------------------------------------------------------
+# one handle, two layouts: a flat DBDIR and a sharded one answer alike
+
+DBLP_SPLIT = "article,inproceedings,book,incollection,phdthesis"
+LAYOUTS = {"flat": None, "sharded": 2}
+
+
+@pytest.fixture(scope="module")
+def dblp_corpus(tmp_path_factory):
+    from repro.datasets.dblp import DblpConfig, write_corpus
+
+    path = tmp_path_factory.mktemp("corpus") / "dblp.xml"
+    write_corpus(path, 400, DblpConfig(seed=7))
+    return path
+
+
+def _ingest(db, corpus, shards):
+    build = ["ingest", str(db), str(corpus), "--split", DBLP_SPLIT]
+    assert main(build + (["--shards", str(shards)] if shards else [])) == 0
+
+
+def _ids(out: str) -> list[int]:
+    """The doc ids of a ``query`` answer line."""
+    import re
+
+    (line,) = [ln for ln in out.splitlines() if " match(es) (" in ln]
+    return [int(x) for x in re.findall(r"\d+", line.split("): ", 1)[1])]
+
+
+def _nodes(out: str) -> dict[int, list[int]]:
+    """``nodes`` output as doc id -> matched positions."""
+    result = {}
+    for line in out.splitlines():
+        if line.startswith("  doc "):
+            head, rendered = line[len("  doc "):].split(": ", 1)
+            result[int(head)] = [int(p.split(":")[0]) for p in rendered.split(", ")]
+    return result
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_layout_parity(tmp_path, capsys, dblp_corpus, layout):
+    """Every command body is written once, against the DBDIR handle, so a
+    flat and a sharded DBDIR answer exactly what one in-memory index over
+    the same records answers: global ids are assigned in stream order."""
+    import json as _json
+
+    from repro.doc.stream import iter_stream_records
+    from repro.index.vist import VistIndex
+
+    reference = VistIndex()
+    reference.add_batch(iter_stream_records(dblp_corpus, DBLP_SPLIT.split(",")))
+    db = str(tmp_path / "db")
+    _ingest(db, dblp_corpus, LAYOUTS[layout])
+    capsys.readouterr()
+    queries = ("//article/author", "//inproceedings[year]/title", "//phdthesis/year")
+
+    for xpath in queries:
+        for verify in (False, True):
+            assert main(["query", db, xpath] + (["--verify"] if verify else [])) == 0
+            assert _ids(capsys.readouterr().out) == reference.query(xpath, verify=verify)
+    assert main(["nodes", db, "//book/title"]) == 0
+    assert _nodes(capsys.readouterr().out) == reference.query_nodes("//book/title")
+
+    removed = [3, 57, 210]
+    assert main(["remove", db] + [str(doc_id) for doc_id in removed]) == 0
+    assert "removed 3 document(s)" in capsys.readouterr().out
+    for doc_id in removed:
+        reference.remove(doc_id)
+    for xpath in queries:
+        assert main(["query", db, xpath]) == 0
+        assert _ids(capsys.readouterr().out) == reference.query(xpath)
+
+    assert main(["check", db]) == 0
+    assert "all invariants hold" in capsys.readouterr().out
+    assert main(["scrub", db]) == 0
+    capsys.readouterr()
+    assert main(["stats", db, "--json"]) == 0
+    assert _json.loads(capsys.readouterr().out)["documents"] == len(reference)
+
+
+def _degraded_db(tmp_path, corpus, shards, xpath):
+    """A DBDIR whose first index has one flipped byte in the last page a
+    fresh open reads to answer ``xpath``: the query degrades to the
+    docstore and stays right.  Returns (dbdir, first index directory)."""
+    from repro.dbdir import TREE_FILE, close_index, open_index, shard_dirs
+    from repro.storage.pager import page_offset
+    from repro.storage.wal import WalPager
+
+    db = tmp_path / "db"
+    _ingest(db, corpus, shards)
+    first = shard_dirs(db)[0]
+    index = open_index(first)
+    reads = []
+    read = WalPager.read
+    WalPager.read = lambda self, page_id: (reads.append(page_id), read(self, page_id))[1]
+    try:
+        index.query(xpath)
+    finally:
+        WalPager.read = read
+        close_index(index)
+    with open(first / TREE_FILE, "r+b") as fh:
+        offset = page_offset(reads[-1], 4096) + 64
+        fh.seek(offset)
+        byte = fh.read(1)
+        fh.seek(offset)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+    return str(db), first
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_degraded_answer_is_tagged_and_recorded_on_every_layout(
+    tmp_path, capsys, dblp_corpus, layout
+):
+    from repro.dbdir import HEALTH_FILE
+
+    xpath = "//article/author"
+    db, first = _degraded_db(tmp_path, dblp_corpus, LAYOUTS[layout], xpath)
+    capsys.readouterr()
+    assert main(["query", db, xpath]) == 0
+    captured = capsys.readouterr()
+    assert ", degraded)" in captured.out
+    assert "health: read-suspect" in captured.err
+    assert (first / HEALTH_FILE).exists()
+    # salvage rebuilds the damaged index and clears its sidecar
+    assert main(["salvage", db]) == 0
+    assert not (first / HEALTH_FILE).exists()
+    capsys.readouterr()
+    assert main(["query", db, xpath]) == 0
+    captured = capsys.readouterr()
+    assert "degraded" not in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_stats_prints_the_health_report_before_the_damage_stops_it(
+    tmp_path, capsys, dblp_corpus, layout
+):
+    """README sends a damaged DBDIR's user to `repro stats`: its recorded
+    health comes out even though walking the damaged tree exits 3."""
+    xpath = "//article/author"
+    db, _first = _degraded_db(tmp_path, dblp_corpus, LAYOUTS[layout], xpath)
+    main(["query", db, xpath])
+    capsys.readouterr()
+    assert main(["stats", db]) == 3
+    captured = capsys.readouterr()
+    assert "health: read-suspect (recorded by an earlier run" in captured.out
+    assert "corrupt data:" in captured.err
+
+
+class TestLayoutIsKept:
+    def test_index_shards_on_a_flat_dbdir_is_refused(self, tmp_path, xml_file, capsys):
+        db = str(tmp_path / "db")
+        assert main(["index", db, str(xml_file), "--split", "purchase"]) == 0
+        capsys.readouterr()
+        rc = main(["index", db, str(xml_file), "--split", "purchase", "--shards", "2"])
+        assert rc == 1
+        assert "flat DBDIR" in capsys.readouterr().err
+        assert not (tmp_path / "db" / "shards.json").exists()
+        main(["query", db, "//purchase"])
+        assert "2 match(es)" in capsys.readouterr().out  # nothing hidden
+
+    def test_router_refuses_nshards_on_a_flat_dbdir(self, tmp_path, xml_file):
+        from repro.errors import IndexStateError
+        from repro.shard import ShardRouter
+
+        db = tmp_path / "db"
+        assert main(["index", str(db), str(xml_file), "--split", "purchase"]) == 0
+        with pytest.raises(IndexStateError, match="flat DBDIR"):
+            ShardRouter(db, 2)
+        with ShardRouter(db) as router:  # the flat DBDIR, as one shard
+            assert (router.flat, router.nshards, len(router)) == (True, 1, 2)
+            assert router.shard_dirs() == [db]
+        assert not (db / "shards.json").exists()

@@ -243,7 +243,7 @@ def test_page_read_budget_on_disk_index(tmp_path):
 def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path):
     """Physical reads are what is budgeted: the same query that a cold
     index cannot answer under ``max_page_reads=0`` passes once warm."""
-    from repro.cli import _close_index, open_index
+    from repro.dbdir import close_index, open_index
 
     index = open_index(tmp_path / "db")
     for i in range(6):
@@ -252,7 +252,7 @@ def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path):
                 f"<site><item><location>US</location><name>v{i}</name></item></site>"
             )
         )
-    _close_index(index)
+    close_index(index)
     index = open_index(tmp_path / "db")
     try:
         query = "/site//item[location='US']"
@@ -264,7 +264,7 @@ def test_page_read_budget_is_spent_by_node_cache_misses_only(tmp_path):
         assert index.query(query, guard=guard) == list(range(6))
         assert guard.page_reads == 0
     finally:
-        _close_index(index)
+        close_index(index)
 
 
 def test_all_wildcard_query_respects_guard():

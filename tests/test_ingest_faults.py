@@ -393,7 +393,8 @@ class TestJournaledFlushSweeps:
         self._sweep(tmp_path, _records(60, seed=42), change)
 
     def test_worker_adds_then_flush(self, tmp_path):
-        """A shard worker's write sequence: ``add`` ops, then ``flush``."""
+        """Single-document ``add`` calls, then one flush: the write pattern
+        of ``VistIndex.add`` / ``ShardRouter.add`` outside a batch."""
         fresh = _records(12, seed=44)
 
         def change(index):
@@ -407,11 +408,11 @@ def _crash_after_removal_commit(dbdir):
     """A 20-record DBDIR whose removal of ids 2 and 11 committed but
     whose tombstone writes a crash cut off; returns the answers the
     removals left."""
-    from repro.cli import _close_index, open_index
+    from repro.dbdir import close_index, open_index
 
     index = open_index(dbdir)
     index.add_batch(_records(20, seed=45))
-    _close_index(index)
+    close_index(index)
 
     index = open_index(dbdir)
     for doc_id in (2, 11):
@@ -428,7 +429,7 @@ class TestRemovalRecovery:
     def test_crash_after_commit_replays_stamped_tombstones(self, tmp_path):
         """The commit landed, the tombstone writes did not: reopening
         finishes the removals, and a second reopen finds nothing to do."""
-        from repro.cli import _close_index, open_index
+        from repro.dbdir import close_index, open_index
 
         dbdir = tmp_path / "db"
         answers = _crash_after_removal_commit(dbdir)
@@ -442,20 +443,20 @@ class TestRemovalRecovery:
             with pytest.raises(StorageError, match="document 2 was deleted"):
                 reopened.remove(2)
         finally:
-            _close_index(reopened)
+            close_index(reopened)
         again = open_index(dbdir)
         try:
             assert again.recovered_removals == 0
             assert len(again) == 18
         finally:
-            _close_index(again)
+            close_index(again)
         assert scrub_db(dbdir).ok
 
     def test_salvage_before_reopen_keeps_the_stamped_removals(self, tmp_path):
         """The same crash, then ``salvage`` before anything reopens the
         directory: the rebuild reads the old tree's removal stamp, so
         neither document comes back in either store."""
-        from repro.cli import _close_index, open_index
+        from repro.dbdir import close_index, open_index
 
         dbdir = tmp_path / "db"
         answers = _crash_after_removal_commit(dbdir)
@@ -468,7 +469,7 @@ class TestRemovalRecovery:
             assert len(reopened) == 18
             assert _answers(reopened) == answers
         finally:
-            _close_index(reopened)
+            close_index(reopened)
         assert scrub_db(dbdir).ok
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.cli import _close_index, open_index
+from repro.dbdir import close_index, open_index
 from repro.doc.model import XmlNode
 from repro.doc.parser import parse_document
 from repro.errors import CorruptionError, QueryError, TranslationError
@@ -290,7 +290,7 @@ def test_flipped_docstore_byte_is_never_answered_silently(tmp_path):
     roots = [parse_document(d).root for d in TWIG_DOCS]
     index.add_all(roots)
     offset = index.docstore._offsets[1]  # the record of doc 1, a twig candidate
-    _close_index(index)
+    close_index(index)
     with open(tmp_path / "docs.dat", "r+b") as fh:
         fh.seek(offset + 12)  # past the record header, inside the payload
         byte = fh.read(1)

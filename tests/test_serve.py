@@ -30,7 +30,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _close_index, main, open_index
+from repro.cli import main
+from repro.dbdir import close_index, open_index
 from repro.shard import ShardRouter
 from repro.shard.protocol import recv_frame, send_frame
 
@@ -74,7 +75,7 @@ def _expected(dbdir: Path) -> dict:
             for verify in (False, True)
         }
     finally:
-        _close_index(index)
+        close_index(index)
 
 
 def _env() -> dict:

@@ -14,11 +14,11 @@ Layers covered, bottom up:
   the connection serving;
 * :class:`ShardedExecutor` end-to-end over real worker processes:
   answers equal the embedded router's, per-shard failures are captured
-  per outcome (not fatal), routed writes land where the router says;
+  per outcome (not fatal);
 * the cross-shard differential-oracle hammer: K client threads fan
-  verified queries over every worker process while a writer interleaves
-  adds/removes through the same executor; every answer must equal the
-  single-directory reference and every shard must scrub clean after.
+  verified queries over every worker process; every answer must equal
+  the single-directory reference and every shard must check and scrub
+  clean after.
 
 The worker-process tests spawn real interpreters; the small
 configurations run in tier-1 and the full hammer sweep is ``slow``.
@@ -27,10 +27,8 @@ configurations run in tier-1 and the full hammer sweep is ``slow``.
 from __future__ import annotations
 
 import json
-import random
 import socket
 import threading
-import time
 from contextlib import contextmanager
 from zlib import crc32
 
@@ -120,14 +118,16 @@ class TestShardMap:
             assert [m.route(g)[1] for g in globals_] == list(range(len(globals_)))
 
     def test_recover_replays_unaccounted_ids(self):
-        live = ShardMap(3)
-        for _ in range(20):
-            live.append_next()
-        bounds = list(live.shard_counts())
-        stale = ShardMap(3, next_doc_id=12)  # manifest lagged the stores
-        assert stale.recover(bounds) == 8
-        assert stale.next_doc_id == 20
-        assert list(stale.shard_counts()) == bounds
+        for nshards in (3, 1):  # one shard recovers without the hash
+            live = ShardMap(nshards)
+            for _ in range(20):
+                live.append_next()
+            bounds = list(live.shard_counts())
+            stale = ShardMap(nshards, next_doc_id=12)  # manifest lagged the stores
+            assert stale.recover(bounds) == 8
+            assert stale.next_doc_id == 20
+            assert list(stale.shard_counts()) == bounds
+            assert [stale.route(g) for g in range(20)] == [live.route(g) for g in range(20)]
 
     def test_recover_rejects_unexplainable_drift(self):
         m = ShardMap(3, next_doc_id=10)
@@ -222,6 +222,37 @@ class TestShardRouter:
             assert sorted(router.query("//a")) == list(range(10))
         # and the recovery was persisted
         assert json.loads((dbdir / MANIFEST_FILE).read_text())["next_doc_id"] == 10
+
+    def test_read_only_session_leaves_the_manifest_alone(self, tmp_path):
+        """Every map change wrote the manifest when it was made, so a
+        session that only reads (then flushes and closes) writes none."""
+        dbdir = tmp_path / "db"
+        with ShardRouter(dbdir, 3) as router:
+            router.add_all([_doc(i) for i in range(6)])
+        before = (dbdir / MANIFEST_FILE).stat()
+        with ShardRouter(dbdir) as router:
+            assert sorted(router.query("//a")) == list(range(6))
+            router.flush()
+        after = (dbdir / MANIFEST_FILE).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_manifest_waits_for_the_commit_of_an_uncommitted_batch(self, tmp_path):
+        """``durability="none"`` commits no shard, so the manifest waits for
+        the flush: a crash before it leaves a lagging manifest, which the
+        next open recovers, never one ahead of the stores, which no open
+        can explain."""
+        dbdir = tmp_path / "db"
+
+        def manifest_next():
+            return json.loads((dbdir / MANIFEST_FILE).read_text())["next_doc_id"]
+
+        with ShardRouter(dbdir, 2) as router:
+            router.add_batch([_doc(i) for i in range(4)])
+            assert manifest_next() == 4
+            router.add_batch([_doc(i) for i in range(4, 8)], durability="none")
+            assert manifest_next() == 4
+            router.flush()
+            assert manifest_next() == 8
 
     def test_nshards_mismatch_is_loud(self, tmp_path):
         with ShardRouter(tmp_path / "db", 3) as router:
@@ -560,41 +591,6 @@ class TestShardedExecutor:
         with ShardedExecutor(dbdir) as executor:
             assert executor.submit("//a").result(30).result == ids
 
-    def test_routed_writes_land_and_persist(self, sharded_db):
-        dbdir, ids = sharded_db
-        with ShardedExecutor(dbdir) as executor:
-            new_id = executor.add(_doc(100, label="b"))
-            assert new_id == len(ids)
-            executor.remove(ids[2])
-            outcome = executor.submit("//a").result(30)
-            assert outcome.result == [g for g in ids if g != ids[2]]
-            assert executor.submit("//b").result(30).result == [new_id]
-        # the embedded view agrees after the workers are gone
-        with ShardRouter(dbdir) as router:
-            assert sorted(router.query("//b")) == [new_id]
-            assert sorted(router.query("//a")) == [g for g in ids if g != ids[2]]
-
-    def test_query_between_worker_add_and_map_append(self, sharded_db):
-        """add() tells the worker first and the routing map second; a
-        query answered in between carries a local id the map cannot
-        translate yet.  It must resolve — without the unacknowledged
-        document — not die inside the reply callback."""
-        from repro.shard.routing import shard_of
-
-        dbdir, ids = sharded_db
-        with ShardedExecutor(dbdir) as executor:
-            g = executor.map.next_doc_id
-            s = shard_of(g, executor.nshards, executor.map.hash_fn)
-            expect_local = len(executor.map.globals_of(s))
-            executor._write_call(  # the first half of add()
-                s,
-                {"op": "add", "xml": _doc(g).to_xml(), "expect_local": expect_local},
-            )
-            outcome = executor.submit("//a").result(30)
-            assert outcome.ok and outcome.result == ids
-            executor.map.append_next()  # the second half
-            assert executor.submit("//a").result(30).result == ids + [g]
-
     def test_answered_rpcs_release_their_deadline_timers(self, sharded_db):
         """An rpc deadline sits on the supervisor heap for the whole
         timeout (60 s); once the rpc is answered it must hold nothing —
@@ -630,16 +626,8 @@ class TestShardedExecutor:
 # the cross-shard differential-oracle hammer
 
 
-def _noise_doc(i: int) -> XmlNode:
-    # labels disjoint from DocQueryGenerator's alphabet, as in the
-    # thread-hammer: wildcard hits are filtered by the seeded projection
-    root = XmlNode("z1")
-    root.element("z2", text=f"n{i}")
-    return root
-
-
 def _run_cross_shard_hammer(
-    tmp_path, *, seed, docs, nshards, client_threads, submissions, writer_ops
+    tmp_path, *, seed, docs, nshards, client_threads, submissions
 ):
     """K client threads of verified scatter-gather vs the reference."""
     from repro.repair import scrub_db
@@ -648,14 +636,13 @@ def _run_cross_shard_hammer(
     oracle = _Oracle(seed, docs, 10)
     dbdir = tmp_path / "db"
     with ShardRouter(dbdir, nshards) as router:
-        seeded_ids = set(router.add_all(oracle.corpus))
+        router.add_all(oracle.corpus)
 
     workload = [
         oracle.queries[i % len(oracle.queries)] for i in range(submissions)
     ]
     outcomes: dict[int, object] = {}
     outcomes_lock = threading.Lock()
-    noise_live: list[int] = []
     errors: list[BaseException] = []
 
     with ShardedExecutor(dbdir, verify=True) as executor:
@@ -671,21 +658,10 @@ def _run_cross_shard_hammer(
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)
 
-        def writer() -> None:
-            try:
-                rng = random.Random(seed + 1)
-                for i in range(writer_ops):
-                    noise_live.append(executor.add(_noise_doc(i)))
-                    if len(noise_live) > 2 and rng.random() < 0.4:
-                        executor.remove(noise_live.pop(0))
-                    time.sleep(0.001)
-            except BaseException as exc:  # noqa: BLE001 - asserted below
-                errors.append(exc)
-
         threads = [
             threading.Thread(target=client, args=(k,))
             for k in range(client_threads)
-        ] + [threading.Thread(target=writer)]
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -699,20 +675,15 @@ def _run_cross_shard_hammer(
                 f"query #{pos} {workload[pos].to_xpath()!r} "
                 f"raised: {outcome.error!r}"
             )
-            got = sorted(g for g in outcome.result if g in seeded_ids)
+            got = outcome.result
             want = oracle.expected[pos % len(oracle.queries)]
             assert got == want, (
                 f"query #{pos} {workload[pos].to_xpath()!r}: "
                 f"scatter-gather={got} reference={want}"
             )
 
-        # surviving noise documents are really indexed, cross-shard
-        live = executor.submit("/z1").result(60)
-        assert live.ok and live.result == sorted(noise_live)
-
     # afterwards: `repro check`/`scrub` semantics hold on every shard
     with ShardRouter(dbdir) as router:
-        assert sorted(router.query("/z1")) == sorted(noise_live)
         for k, shard in enumerate(router.shards):
             for report in check_index(shard):
                 assert report.ok, f"shard {k}: {report.summary()}"
@@ -721,7 +692,7 @@ def _run_cross_shard_hammer(
 
 
 def test_cross_shard_hammer_first_config(tmp_path):
-    """Tier-1 hammer: 3 shards, 3 client threads, interleaved writer."""
+    """Tier-1 hammer: 3 shards, 3 client threads."""
     _run_cross_shard_hammer(
         tmp_path,
         seed=21,
@@ -729,22 +700,19 @@ def test_cross_shard_hammer_first_config(tmp_path):
         nshards=3,
         client_threads=3,
         submissions=24,
-        writer_ops=15,
     )
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "seed,nshards,client_threads,submissions,writer_ops",
+    "seed,nshards,client_threads,submissions",
     [
-        (22, 2, 4, 60, 40),
-        (23, 4, 4, 60, 40),
-        (24, 5, 8, 90, 60),
+        (22, 2, 4, 60),
+        (23, 4, 4, 60),
+        (24, 5, 8, 90),
     ],
 )
-def test_cross_shard_hammer_sweep(
-    tmp_path, seed, nshards, client_threads, submissions, writer_ops
-):
+def test_cross_shard_hammer_sweep(tmp_path, seed, nshards, client_threads, submissions):
     _run_cross_shard_hammer(
         tmp_path,
         seed=seed,
@@ -752,5 +720,4 @@ def test_cross_shard_hammer_sweep(
         nshards=nshards,
         client_threads=client_threads,
         submissions=submissions,
-        writer_ops=writer_ops,
     )
