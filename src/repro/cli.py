@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import Future
 from pathlib import Path
@@ -148,6 +149,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader of stdout left early (`repro stats --json DBDIR | head`):
+        # not an error.  Point fd 1 at devnull so what is still buffered,
+        # and the interpreter's final flush, go nowhere quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -894,8 +903,7 @@ def _print_cache_stats(index: VistIndex, label: str = "") -> None:
         print(
             f"{label}posting cache: {postings['hits']} hits / "
             f"{postings['misses']} misses ({postings['hit_rate']:.1%}), "
-            f"{postings['groups']} group(s) resident, "
-            f"{postings['invalidations']} invalidation(s)"
+            f"{postings['groups']} group(s) resident"
         )
     else:
         print(f"{label}posting cache: disabled")

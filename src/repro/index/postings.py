@@ -12,12 +12,14 @@ the dominant cost of Algorithm 2 on repeated query traffic (the same hot
 again by every later query).
 
 :class:`PostingCache` is an LRU over such groups.  It is a *lookaside*
-structure: the B+Trees stay byte-identical, the cache is dropped on
-reopen and invalidated (per affected key group) on ``insert``/``remove``.
-Scope labels never change once assigned (Section 3.4: "labels, once
-assigned, stay fixed"), so cached ``(prefix, n, end)`` rows only go stale
-when an entry is *added to* or *removed from* a group — which is what
-:meth:`PostingCache.invalidate_entry` covers.
+structure: the B+Trees stay byte-identical and the cache is dropped on
+reopen.  Scope labels never change once assigned (Section 3.4: "labels,
+once assigned, stay fixed"), so a resident group only ever gains or
+loses whole ``(prefix, n, end)`` rows — one per trie node an insert
+creates or a removal reclaims.  The writer hands those rows to
+:meth:`PostingCache.add_rows` / :meth:`PostingCache.drop_rows`, which
+splice them into every cached group that covers them, in place: the hot
+groups stay resident across updates instead of being scanned again.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ def _intern_prefix(prefix: Prefix) -> Prefix:
     return prefix
 
 
+def _insert_int(column: IntColumn, i: int, value: int) -> IntColumn:
+    """``column.insert(i, value)``; an ``array('q')`` that cannot hold
+    ``value`` becomes a list first (as :func:`pack_ints` would pack it)."""
+    try:
+        column.insert(i, value)
+    except OverflowError:  # the array is left untouched
+        column = list(column)
+        column.insert(i, value)
+    return column
+
+
 class PostingGroup:
     """One D-Ancestor key group as packed parallel columns, sorted by ``n``.
 
@@ -79,7 +92,11 @@ class PostingGroup:
     :func:`pack_ints` when they fit int64, plain lists
     otherwise) and ``prefixes`` (interned prefix tuples).  The matcher
     consumes the columns directly through :meth:`join` — bisects plus
-    index arithmetic, no per-posting object.
+    index arithmetic, no per-posting object.  :meth:`insert_row` and
+    :meth:`delete_row` keep the columns sorted and parallel under
+    updates; a column keeps its list form once a label above int64 has
+    entered it, so compare groups row by row (:meth:`rows`), not by
+    column type.
     """
 
     __slots__ = ("ns", "ends", "prefixes")
@@ -88,9 +105,25 @@ class PostingGroup:
         rows = sorted(postings, key=lambda row: row[1])
         self.ns = pack_ints([n for _, n, _ in rows])
         self.ends = pack_ints([end for _, _, end in rows])
-        self.prefixes: tuple[Prefix, ...] = tuple(
-            _intern_prefix(prefix) for prefix, _, _ in rows
-        )
+        self.prefixes: list[Prefix] = [_intern_prefix(prefix) for prefix, _, _ in rows]
+
+    def rows(self) -> list[Posting]:
+        """The group as ``(prefix, n, end)`` rows, ascending by ``n``."""
+        return list(zip(self.prefixes, self.ns, self.ends))
+
+    def insert_row(self, prefix: Prefix, n: int, end: int) -> None:
+        """Splice the posting of a new node in at its place by ``n``."""
+        i = bisect_left(self.ns, n)
+        self.ns = _insert_int(self.ns, i, n)
+        self.ends = _insert_int(self.ends, i, end)
+        self.prefixes.insert(i, _intern_prefix(prefix))
+
+    def delete_row(self, n: int) -> None:
+        """Cut the posting labelled ``n`` out, if the group holds it."""
+        ns = self.ns
+        i = bisect_left(ns, n)
+        if i < len(ns) and ns[i] == n:
+            del ns[i], self.ends[i], self.prefixes[i]
 
     def select_span(self, n: int, end: int) -> tuple[int, int]:
         """Column index range of postings with label in ``(n, end]``."""
@@ -153,7 +186,6 @@ class PostingCacheStats(MetricSet):
 
     hits: int = 0
     misses: int = 0
-    invalidations: int = 0
     evictions: int = 0
 
     @property
@@ -179,7 +211,9 @@ class PostingCache:
     scans the B+Tree (the slow part); two threads missing on the same
     key may both load, and the first group installed wins (groups for
     one key are interchangeable under the index's read lock, because
-    scope labels never change once assigned).
+    scope labels never change once assigned).  :meth:`add_rows` and
+    :meth:`drop_rows` splice groups in place; the index calls them under
+    its write lock, so no query is reading a group while it changes.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -187,8 +221,8 @@ class PostingCache:
             raise ValueError(f"posting cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._groups: OrderedDict[GroupKey, PostingGroup] = OrderedDict()
-        # symbol -> cached keys for that symbol, so invalidation does not
-        # scan the whole cache on every insert/remove
+        # symbol -> cached keys for that symbol, so an update does not
+        # scan the whole cache for the groups its rows belong to
         self._by_symbol: dict[Hashable, set[GroupKey]] = {}
         self._lock = threading.Lock()
         self.stats = PostingCacheStats()
@@ -229,30 +263,39 @@ class PostingCache:
                 self._discard_symbol_key(victim)
             return loaded
 
-    def invalidate_entry(self, symbol: Hashable, prefix: Prefix) -> None:
-        """Drop every cached group that covers an entry with this prefix.
+    def add_rows(self, rows: Iterable[tuple[Hashable, Prefix, int, int]]) -> None:
+        """Add each ``(symbol, prefix, n, end)`` row — a trie node just
+        put on the tree — to every cached group that covers it.
 
         An entry ``(symbol, prefix)`` belongs to the groups whose
         ``prefix_len == len(prefix)`` and whose ``leading`` labels are a
-        prefix of ``prefix`` (the wildcard scans at that length), so only
-        those keys go stale when such an entry appears or disappears.
+        prefix of ``prefix`` (the wildcard scans at that length).
         """
         with self._lock:
-            keys = self._by_symbol.get(symbol)
-            if not keys:
+            if not self._groups:
                 return
-            plen = len(prefix)
-            stale = [
-                key
-                for key in keys
-                if key[1] == plen and prefix[: len(key[2])] == key[2]
-            ]
-            for key in stale:
-                self._groups.pop(key, None)
-                keys.discard(key)
-                self.stats.invalidations += 1
-            if not keys:
-                del self._by_symbol[symbol]
+            for symbol, prefix, n, end in rows:
+                for key in self._covering(symbol, prefix):
+                    self._groups[key].insert_row(prefix, n, end)
+
+    def drop_rows(self, rows: Iterable[tuple[Hashable, Prefix, int]]) -> None:
+        """Drop each ``(symbol, prefix, n)`` row — a trie node just deleted
+        from the tree — from every cached group that covers it."""
+        with self._lock:
+            if not self._groups:
+                return
+            for symbol, prefix, n in rows:
+                for key in self._covering(symbol, prefix):
+                    self._groups[key].delete_row(n)
+
+    def _covering(self, symbol: Hashable, prefix: Prefix) -> list[GroupKey]:
+        """Cached keys whose group an entry ``(symbol, prefix)`` belongs to."""
+        plen = len(prefix)
+        return [
+            key
+            for key in self._by_symbol.get(symbol, ())
+            if key[1] == plen and prefix[: len(key[2])] == key[2]
+        ]
 
     def clear(self) -> None:
         """Drop every cached group (bulk rebuilds, reopen)."""

@@ -188,8 +188,10 @@ class CombinedTreeHost:
     When ``self.postings`` holds a :class:`PostingCache`, D-Ancestor key
     groups are decoded once and kept resident, and every lookup becomes
     bisects over the cached group (the on-disk layout is untouched;
-    hosts must call :meth:`_invalidate_postings` when entries appear or
-    disappear).  With ``postings = None`` every group fetch is a fresh
+    hosts hand the cache the ``(prefix, n, end)`` row of every entry they
+    insert or delete — :meth:`PostingCache.add_rows` /
+    :meth:`PostingCache.drop_rows` — or clear it after a wholesale
+    rebuild).  With ``postings = None`` every group fetch is a fresh
     B+Tree range scan — the paper's original access path.
     """
 
@@ -263,11 +265,6 @@ class CombinedTreeHost:
             for _, value in self.docid_tree.scan_windows(bounds)
         ]
 
-    def _invalidate_postings(self, symbol: Symbol, prefix: Prefix) -> None:
-        """Drop cached groups covering ``(symbol, prefix)`` entries."""
-        if self.postings is not None:
-            self.postings.invalidate_entry(symbol, prefix)
-
     def _register_host_metrics(self) -> None:
         """Attach the host's cache/tree/pager counters to ``self.metrics``.
 
@@ -328,7 +325,6 @@ class CombinedTreeHost:
                 "groups": len(self.postings),
                 "hits": stats.hits,
                 "misses": stats.misses,
-                "invalidations": stats.invalidations,
                 "evictions": stats.evictions,
                 "hit_rate": stats.hit_rate,
             }

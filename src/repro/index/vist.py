@@ -25,6 +25,7 @@ fixed, as Section 3.4 requires.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from repro.errors import (
@@ -58,7 +59,7 @@ from repro.labeling.dynamic import (
 )
 from repro.labeling.scope import Scope
 from repro.query.ast import QuerySequence
-from repro.sequence.encoding import Item, StructureEncodedSequence
+from repro.sequence.encoding import Item, Prefix, StructureEncodedSequence, Symbol
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree, TreeStats
 from repro.storage.docstore import DocStore
@@ -118,12 +119,13 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # (root, record-type nodes) have their child counts advanced by
         # nearly every insert, so in-chunk reads go through it (count
         # updates accumulate on one object) and each node is written
-        # once per chunk, in key order.  The created set holds the labels
-        # new this chunk: not on the tree yet, so _end_batch inserts them
-        # without put()'s delete pass.  The DocId buffer holds the
-        # chunk's (n, doc_id) pairs.
+        # once per chunk, in key order.  The created map holds the labels
+        # new this chunk and their items: not on the tree yet, so
+        # _end_batch inserts them without put()'s delete pass and hands
+        # their (prefix, n, end) rows to the posting cache.  The DocId
+        # buffer holds the chunk's (n, doc_id) pairs.
         self._node_overlay: dict[int, tuple[bytes, NodeState]] = {}
-        self._overlay_created: set[int] = set()
+        self._overlay_created: dict[int, Item] = {}
         self._docid_buffer: list[tuple[int, int]] = []
         # stores whose tombstones wait for the commit that detaches their
         # documents, and the ids (encode_uint, concatenated) queued for it
@@ -202,7 +204,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                     child = NodeState(scope, parent_n=parent_state.scope.n)
                     key = node_key(item.symbol, item.prefix, scope.n)
                     overlay[scope.n] = (key, child)
-                    self._overlay_created.add(scope.n)
+                    self._overlay_created[scope.n] = item
                     self._child_cache[parent_state.scope.n, item] = scope.n
                     created.append((scope.n, item, parent_state.scope.n))
                 else:
@@ -212,13 +214,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 path_keys.append(key)
             if labels is None:
                 labels = [state.scope.n for state in path_states[1:]]
-            if self.postings is not None:
-                # Conservative coherence: every item of the sequence may have
-                # introduced a new node into its D-Ancestor key group (scopes
-                # of pre-existing nodes never change, so updates to them keep
-                # cached groups valid).
-                for item in sequence:
-                    self.postings.invalidate_entry(item.symbol, item.prefix)
             doc_id = self.docstore.add(self._make_payload(sequence, labels))
             pair = (labels[-1], doc_id)
             self._docid_buffer.append(pair)
@@ -327,7 +322,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         while created and created[-1][0] in abandoned_ns:
             n, item, parent_n = created.pop()
             del overlay[n]
-            self._overlay_created.discard(n)
+            del self._overlay_created[n]
             self._child_cache.pop((parent_n, item), None)
         borrowed_items = [path_items[k] for k in range(lender_idx + 1, i + 1)]
         borrowed_items.extend(sequence[j] for j in range(i, len(sequence)))
@@ -340,7 +335,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
                 Scope(n, need - offset - 1), parent_n=prev_n, private=True
             )
             overlay[n] = (node_key(item.symbol, item.prefix, n), state)
-            self._overlay_created.add(n)
+            self._overlay_created[n] = item
             created.append((n, item, prev_n))
             labels.append(n)
             prev_n = n
@@ -365,18 +360,24 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         sequence, labels = self._parse_payload(self.docstore.get(doc_id))
         if not self.docid_tree.delete(label_key(labels[-1]), encode_uint(doc_id)):
             raise IndexStateError(f"document {doc_id} has no DocId entry")
-        for item, n in zip(reversed(sequence.items), reversed(labels)):
-            key = node_key(item.symbol, item.prefix, n)
-            value = self.tree.get(key)
-            if value is None:
-                raise IndexStateError(f"missing index entry for doc {doc_id} at {n}")
-            state = NodeState.from_bytes(n, value)
-            hi = label_key(state.scope.end)
-            if next(self.docid_tree.range(label_key(n), hi, include_hi=True), None):
-                break
-            self.tree.delete(key)
-            self._child_cache.pop((state.parent_n, item), None)
-            self._invalidate_postings(item.symbol, item.prefix)
+        reclaimed: list[tuple[Symbol, Prefix, int]] = []
+        try:
+            for item, n in zip(reversed(sequence.items), reversed(labels)):
+                key = node_key(item.symbol, item.prefix, n)
+                value = self.tree.get(key)
+                if value is None:
+                    raise IndexStateError(f"missing index entry for doc {doc_id} at {n}")
+                state = NodeState.from_bytes(n, value)
+                hi = label_key(state.scope.end)
+                if next(self.docid_tree.range(label_key(n), hi, include_hi=True), None):
+                    break
+                self.tree.delete(key)
+                self._child_cache.pop((state.parent_n, item), None)
+                reclaimed.append((item.symbol, item.prefix, n))
+        finally:
+            # the cached groups lose exactly the rows the tree lost
+            if self.postings is not None:
+                self.postings.drop_rows(reclaimed)
         self.docstore.remove(doc_id)
         self._remove_source(doc_id)
         if self._tombstoned_stores:
@@ -404,7 +405,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
             )
         for n, item, parent_n in created:
             self._node_overlay.pop(n, None)
-            self._overlay_created.discard(n)
+            self._overlay_created.pop(n, None)
             self._child_cache.pop((parent_n, item), None)
         if pair is not None:
             self._docid_buffer.remove(pair)
@@ -421,17 +422,34 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         an empty DocId tree takes the packed
         :meth:`~repro.storage.bptree.BPlusTree.bulk_load` path and a
         non-empty one gets ordered inserts — far fewer node splits than
-        random-order descents."""
+        random-order descents.
+
+        Each created node's ``(prefix, n, end)`` row joins the cached
+        posting groups that cover it once its ``tree.insert`` has
+        returned — one cache call for the chunk, on the error path too,
+        so the cache holds exactly the rows the tree holds."""
         self._last_insert = None
         overlay, self._node_overlay = self._node_overlay, {}
-        created, self._overlay_created = self._overlay_created, set()
+        created, self._overlay_created = self._overlay_created, {}
         buffer, self._docid_buffer = self._docid_buffer, []
-        for n, (key, state) in sorted(overlay.items(), key=lambda e: e[1][0]):
-            if n in created:
-                # never on the tree yet: skip put()'s delete pass
-                self.tree.insert(key, state.to_bytes())
-            else:
-                self.tree.put(key, state.to_bytes())
+        entries = sorted(overlay.items(), key=lambda e: e[1][0])
+        applied = 0
+        try:
+            for n, (key, state) in entries:
+                if n in created:
+                    # never on the tree yet: skip put()'s delete pass
+                    self.tree.insert(key, state.to_bytes())
+                else:
+                    self.tree.put(key, state.to_bytes())
+                applied += 1
+        finally:
+            if self.postings is not None:
+                # lazy: an empty cache (every ingest) never builds a row
+                self.postings.add_rows(
+                    (item.symbol, item.prefix, n, state.scope.end)
+                    for n, (_, state) in islice(entries, applied)
+                    if (item := created.get(n)) is not None
+                )
         if not buffer:
             return
         buffer.sort()

@@ -27,6 +27,7 @@ map refuses to paper over.
 from __future__ import annotations
 
 from binascii import crc32
+from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
 # the manifest and the shard directories belong to the DBDIR layout;
@@ -56,8 +57,9 @@ class ShardMap:
     """Bidirectional global↔local document-id map for one shard layout.
 
     Built by replaying the routing rule over ``range(next_doc_id)``;
-    holds, per shard, the ordered list of global ids routed there (the
-    list index *is* the local id) plus the inverse dict.  Removals never
+    holds, per shard, the ascending list of global ids routed there (the
+    list index *is* the local id).  The inverse is the routing rule plus
+    a bisect into that list, so no per-id map is kept.  Removals never
     touch the map — tombstones keep local ids positional.
     """
 
@@ -74,7 +76,6 @@ class ShardMap:
         self.next_doc_id = 0
         self.hash_fn = hash_fn
         self._locals: list[list[int]] = [[] for _ in range(nshards)]
-        self._route: dict[int, tuple[int, int]] = {}
         for _ in range(next_doc_id):
             self.append_next()
 
@@ -84,19 +85,21 @@ class ShardMap:
         s = shard_of(g, self.nshards, self.hash_fn)
         local = len(self._locals[s])
         self._locals[s].append(g)
-        self._route[g] = (s, local)
         self.next_doc_id = g + 1
         return g, s, local
 
     def route(self, doc_id: int) -> tuple[int, int]:
         """``(shard, local_id)`` of a global id ever assigned."""
-        try:
-            return self._route[doc_id]
-        except KeyError:
-            raise IndexStateError(
-                f"doc id {doc_id} was never assigned "
-                f"(next_doc_id is {self.next_doc_id})"
-            ) from None
+        if 0 <= doc_id < self.next_doc_id:
+            s = shard_of(doc_id, self.nshards, self.hash_fn)
+            locals_ = self._locals[s]
+            local = bisect_left(locals_, doc_id)
+            if local < len(locals_) and locals_[local] == doc_id:
+                return s, local
+        raise IndexStateError(
+            f"doc id {doc_id} was never assigned "
+            f"(next_doc_id is {self.next_doc_id})"
+        )
 
     def global_of(self, shard: int, local_id: int) -> int:
         """The global id sitting at ``local_id`` inside ``shard``."""
@@ -143,7 +146,6 @@ class ShardMap:
             # local id, so there is no hash to replay
             ids = range(self.next_doc_id, shard_id_bounds[0])
             self._locals[0].extend(ids)
-            self._route.update((g, (0, g)) for g in ids)
             self.next_doc_id = shard_id_bounds[0]
             return len(ids)
         recovered = 0

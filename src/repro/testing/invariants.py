@@ -31,8 +31,9 @@ contracts the rest of the codebase silently relies on:
     shared; each document has one DocId entry, under its last label.
 
 **Posting cache** (:func:`check_posting_coherence`)
-    every resident posting group byte-equals a fresh scan of its
-    D-Ancestor key range.
+    every resident posting group holds, row for row, the ``(prefix, n,
+    end)`` rows of a fresh scan of its D-Ancestor key range, in the same
+    order.
 """
 
 from __future__ import annotations
@@ -351,16 +352,22 @@ def check_posting_coherence(host) -> InvariantReport:
     for key in list(cache._groups):
         report.checked += 1
         symbol, prefix_len, leading = key
-        cached = cache._groups[key]
-        fresh = PostingGroup(host._load_postings(symbol, prefix_len, leading))
-        if (cached.ns, cached.ends, cached.prefixes) != (
-            fresh.ns,
-            fresh.ends,
-            fresh.prefixes,
-        ):
+        group = cache._groups[key]
+        fresh = PostingGroup(host._load_postings(symbol, prefix_len, leading)).rows()
+        # rows compare by value: an updated group can hold list columns
+        # where a fresh scan packs array('q'), with the same rows
+        columns = (len(group.ns), len(group.ends), len(group.prefixes))
+        if len(set(columns)) != 1:
+            report.fail(
+                f"group ({symbol!r}, {prefix_len}, {leading!r}): columns of "
+                f"unequal length {columns}"
+            )
+        elif group.rows() != fresh:
+            stray = sorted(set(group.rows()).symmetric_difference(fresh), key=lambda r: r[1])
             report.fail(
                 f"group ({symbol!r}, {prefix_len}, {leading!r}): cached "
-                f"{len(cached)} posting(s), tree has {len(fresh)}"
+                f"{len(group)} posting(s), tree has {len(fresh)}; first "
+                f"differing row {stray[0] if stray else '(same rows, out of order)'}"
             )
     return report
 

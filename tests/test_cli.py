@@ -454,3 +454,45 @@ class TestLayoutIsKept:
             assert (router.flat, router.nshards, len(router)) == (True, 1, 2)
             assert router.shard_dirs() == [db]
         assert not (db / "shards.json").exists()
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path, xml_file):
+    """A reader that leaves after one line (`repro … | head -1`) ends the
+    command with exit code 0 and nothing on stderr, not a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    db = tmp_path / "db"
+    assert main(["index", str(db), str(xml_file), "--split", "purchase"]) == 0
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    # stdin serve answers one line per query line, so the second answer
+    # is written only after the pipe has closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(db)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        proc.stdin.write("//purchase\n")
+        proc.stdin.flush()
+        assert "2 match(es)" in proc.stdout.readline()
+        proc.stdout.close()
+        proc.stdin.write("//seller\n")
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

@@ -117,6 +117,27 @@ class TestShardMap:
             globals_ = m.globals_of(s)
             assert [m.route(g)[1] for g in globals_] == list(range(len(globals_)))
 
+    @pytest.mark.parametrize("nshards", [1, 2, 3])
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_route_inverts_global_of(self, nshards, skew):
+        # route() is the routing rule plus a bisect into the shard's ids:
+        # it inverts global_of for every id ever assigned, however the
+        # ids spread (skew: every id but each seventh lands on shard 0)
+        hash_fn = (lambda g: 0 if g % 7 else g) if skew else None
+        m = ShardMap(nshards, next_doc_id=50, hash_fn=hash_fn)
+        m.recover([count + 5 * (nshards == 1) for count in m.shard_counts()])
+        assert m.next_doc_id == (55 if nshards == 1 else 50)
+        for s in range(nshards):
+            for local, g in enumerate(m.globals_of(s)):
+                assert m.global_of(s, local) == g
+                assert m.route(g) == (s, local)
+        assert sorted(g for s in range(nshards) for g in m.globals_of(s)) == list(
+            range(m.next_doc_id)
+        )
+        for never in (-1, m.next_doc_id, m.next_doc_id + 1, 10**30):
+            with pytest.raises(IndexStateError, match="never assigned"):
+                m.route(never)
+
     def test_recover_replays_unaccounted_ids(self):
         for nshards in (3, 1):  # one shard recovers without the hash
             live = ShardMap(nshards)
