@@ -40,17 +40,17 @@ def corpus():
     # ground truth from a full-width-hash index (verified mode): hash
     # collisions are invisible to *bucketed* verification because only
     # hashes are stored, so truth needs the collision-free configuration
-    exact = VistIndex(SequenceEncoder(schema=gen.schema))
+    exact = VistIndex(SequenceEncoder())
     for record in records:
         exact.add(record)
     truth = set(exact.query(QUERY, verify=True))
-    return records, gen.schema, truth
+    return records, truth
 
 
 @pytest.mark.parametrize("buckets", BUCKET_CHOICES, ids=lambda b: str(b))
 def test_ablation_hash_buckets(benchmark, corpus, buckets):
-    records, schema, truth = corpus
-    encoder = SequenceEncoder(schema=schema, hasher=ValueHasher(buckets=buckets))
+    records, truth = corpus
+    encoder = SequenceEncoder(hasher=ValueHasher(buckets=buckets))
     index = VistIndex(encoder)
     for record in records:
         index.add(record)

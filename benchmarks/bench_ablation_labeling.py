@@ -35,13 +35,11 @@ import pytest
 from repro.bench.harness import Report
 from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
-from repro.doc.schema import Schema
-from repro.errors import LabelingError
+from repro.datasets.schema import ChildSpec, ElementDecl, Schema
 from repro.index.vist import VistIndex
 from repro.labeling.dynamic import LambdaAllocator, NodeState, ScopeAllocator
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
-from repro.sequence.transform import SequenceEncoder
 
 N_DOCS = 400
 BUDGET_BITS = [64, 96, 128]
@@ -151,7 +149,8 @@ class FollowSets:
     """The paper's follow sets (Definition 2) with Eq. 2 probabilities.
 
     The follow set of ``x = (sym, prefix)``, in preorder order: the value
-    leaf of ``sym``; its declared children; a repeat of ``sym`` when it is
+    leaf of ``sym``; its declared children, in name order as the encoder
+    sorts siblings (:func:`_in_sibling_order`); a repeat of ``sym`` when it is
     ``*``/``+`` under its parent (geometric continuation); the following
     siblings of ``sym``, then of each ancestor in turn (Eq. 1:
     ``p(y|x) = p(y|d)``); implicitly ε.  A value item starts at the
@@ -192,10 +191,9 @@ class FollowSets:
             spec = decl.child(current)
             if spec is not None and spec.repeatable:
                 raw.append((current, prefix, spec.repeat_continue_prob()))
-            position = decl.child_position(current)
-            start = position + 1 if position is not None else len(decl.children)
-            for later in decl.children[start:]:
-                raw.append((later.name, prefix, later.prob))
+            for later in _in_sibling_order(decl):
+                if later.name > current:
+                    raw.append((later.name, prefix, later.prob))
         # Eq. 2: Px(y_i) = p_i * prod_{j<i} (1 - p_j)
         out: list[FollowCandidate] = []
         still_here = 1.0
@@ -216,8 +214,15 @@ class FollowSets:
         if include_value and (decl is None or decl.has_text or not decl.children):
             raw.append((VALUE, chain, self.value_prob))
         if decl is not None:
-            for spec in decl.children:
+            for spec in _in_sibling_order(decl):
                 raw.append((spec.name, chain, spec.prob))
+
+
+def _in_sibling_order(decl: ElementDecl) -> list[ChildSpec]:
+    """A declaration's children in the order the index stores siblings:
+    by name (paper Section 2's order without a DTD), not as declared —
+    otherwise the clues would describe sequences the index never holds."""
+    return sorted(decl.children, key=lambda spec: spec.name)
 
 
 class ClueAllocator(ScopeAllocator):
@@ -282,6 +287,8 @@ class ClueAllocator(ScopeAllocator):
 
 
 def _corpus(name):
+    """The records and the generator's schema, which only the clue
+    comparator reads."""
     if name == "xmark_items":
         gen = XmarkGenerator(XmarkConfig(seed=8))
         return list(gen.records(N_DOCS, kind="item")), gen.schema
@@ -302,12 +309,11 @@ def _allocators(schema):
 @pytest.mark.parametrize("bits", BUDGET_BITS)
 def test_ablation_labeling(benchmark, corpus_name, bits):
     docs, schema = _corpus(corpus_name)
-    encoder = SequenceEncoder(schema=schema)
 
     def run():
         counts = {}
         for name, allocator in _allocators(schema).items():
-            index = VistIndex(encoder, allocator=allocator, max_label=1 << bits)
+            index = VistIndex(allocator=allocator, max_label=1 << bits)
             for doc in docs:
                 index.add(doc)
             counts[name] = index.underflow_count

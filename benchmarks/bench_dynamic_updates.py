@@ -13,11 +13,8 @@ same order as insertion; query results stay exact under churn.
 
 import pytest
 
-from repro.bench.harness import Report, build_index, time_call
+from repro.bench.harness import Report, build_index
 from repro.datasets.dblp import DblpConfig, DblpGenerator
-from repro.index.rist import RistIndex
-from repro.index.vist import VistIndex
-from repro.sequence.transform import SequenceEncoder
 
 BASE_SIZE = 1200
 BATCH_SIZE = 100
@@ -31,15 +28,13 @@ REPORT = Report(
 
 
 @pytest.fixture(scope="module")
-def corpus():
+def records():
     gen = DblpGenerator(DblpConfig(seed=21))
-    records = list(gen.records(BASE_SIZE + 2 * BATCH_SIZE))
-    return records, gen.schema
+    return list(gen.records(BASE_SIZE + 2 * BATCH_SIZE))
 
 
-def test_vist_incremental_insert(benchmark, corpus):
-    records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema)
+def test_vist_incremental_insert(benchmark, records):
+    index = build_index("vist", records[:BASE_SIZE])
     batch = records[BASE_SIZE : BASE_SIZE + BATCH_SIZE]
 
     def insert_batch():
@@ -51,20 +46,18 @@ def test_vist_incremental_insert(benchmark, corpus):
     assert len(index) == BASE_SIZE + BATCH_SIZE
 
 
-def test_rist_full_rebuild(benchmark, corpus):
-    records, schema = corpus
+def test_rist_full_rebuild(benchmark, records):
 
     def rebuild():
-        return build_index("rist", records[: BASE_SIZE + BATCH_SIZE], schema)
+        return build_index("rist", records[: BASE_SIZE + BATCH_SIZE])
 
     benchmark.pedantic(rebuild, rounds=1, iterations=1)
     seconds = benchmark.stats.stats.median
     REPORT.add("rist full rebuild", seconds, seconds / BATCH_SIZE)
 
 
-def test_vist_deletion(benchmark, corpus):
-    records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema)
+def test_vist_deletion(benchmark, records):
+    index = build_index("vist", records[:BASE_SIZE])
     victims = list(range(BATCH_SIZE))
 
     def delete_batch():
@@ -77,10 +70,9 @@ def test_vist_deletion(benchmark, corpus):
     assert len(index) == BASE_SIZE - BATCH_SIZE
 
 
-def test_query_under_churn(benchmark, corpus):
+def test_query_under_churn(benchmark, records):
     """Interleave inserts, deletes and queries; results stay consistent."""
-    records, schema = corpus
-    index = build_index("vist", records[:BASE_SIZE], schema)
+    index = build_index("vist", records[:BASE_SIZE])
     churn = records[BASE_SIZE : BASE_SIZE + BATCH_SIZE]
     expr = "//author[text='David']"
 

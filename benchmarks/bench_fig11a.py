@@ -31,10 +31,9 @@ REPORT = Report(
 
 def _corpus(name):
     if name == "dblp":
-        gen = DblpGenerator(DblpConfig(seed=2))
-        return list(gen.records(N_DBLP)), gen.schema
+        return list(DblpGenerator(DblpConfig(seed=2)).records(N_DBLP))
     gen = XmarkGenerator(XmarkConfig(seed=2))
-    return list(gen.records(N_XMARK_ITEMS, kind="item")), gen.schema
+    return list(gen.records(N_XMARK_ITEMS, kind="item"))
 
 
 def _trie_kbytes(index) -> float:
@@ -52,8 +51,8 @@ def _trie_kbytes(index) -> float:
 @pytest.mark.parametrize("dataset", ["dblp", "xmark_items"])
 @pytest.mark.parametrize("kind", ["rist", "vist"])
 def test_fig11a_index_size(benchmark, dataset, kind):
-    docs, schema = _corpus(dataset)
-    _, index = time_call(lambda: build_index(kind, docs, schema))
+    docs = _corpus(dataset)
+    _, index = time_call(lambda: build_index(kind, docs))
     benchmark.pedantic(lambda: index.index_stats(), rounds=1, iterations=1)
     stats = index.index_stats()
     btree_kb = sum(s.total_bytes for s in stats.values()) / 1024

@@ -51,21 +51,18 @@ def corpora():
     xmark = XmarkGenerator(
         XmarkConfig(seed=1, target_date_rate=0.1, person1_rate=0.1)
     )
-    docs = {
+    return {
         "dblp": list(dblp.records(N_DBLP)),
         "xmark": list(xmark.records(N_XMARK)),
     }
-    schemas = {"dblp": dblp.schema, "xmark": xmark.schema}
-    return docs, schemas
 
 
 @pytest.fixture(scope="module")
 def indexes(corpora):
-    docs, schemas = corpora
     out = {}
     for dataset in ("dblp", "xmark"):
         for kind in KINDS:
-            out[dataset, kind] = build_index(kind, docs[dataset], schemas[dataset])
+            out[dataset, kind] = build_index(kind, corpora[dataset])
     return out
 
 

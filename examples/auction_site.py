@@ -21,7 +21,7 @@ def main():
         pocatello_rate=0.1, person1_rate=0.2,
     )
     generator = XmarkGenerator(config)
-    index = VistIndex(SequenceEncoder(schema=generator.schema))
+    index = VistIndex(SequenceEncoder())
     for record in generator.records(N_RECORDS):
         index.add(record)
     print(f"indexed {N_RECORDS} auction-site substructure records")

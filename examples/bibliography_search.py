@@ -28,7 +28,7 @@ N_RECORDS = 400
 def build(workdir: Path) -> None:
     generator = DblpGenerator(DblpConfig(seed=42, david_rate=0.03))
     index = VistIndex(
-        SequenceEncoder(schema=generator.schema),
+        SequenceEncoder(),
         docstore=FileDocStore(workdir / "docs.dat"),
         pager=WalPager(workdir / "vist.db"),
     )
@@ -41,9 +41,8 @@ def build(workdir: Path) -> None:
 
 
 def search(workdir: Path) -> None:
-    generator = DblpGenerator(DblpConfig(seed=42))  # same schema
     index = VistIndex(
-        SequenceEncoder(schema=generator.schema),
+        SequenceEncoder(),
         docstore=FileDocStore(workdir / "docs.dat"),
         pager=WalPager(workdir / "vist.db"),
     )

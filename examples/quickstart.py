@@ -8,18 +8,7 @@ that path-at-a-time indexes need joins for.
 Run:  python examples/quickstart.py
 """
 
-from repro import Schema, SequenceEncoder, VistIndex, XmlNode
-
-PURCHASE_DTD = """
-<!ELEMENT purchase (seller, buyer)>
-<!ELEMENT seller   (item*)>
-<!ATTLIST seller   name CDATA location CDATA>
-<!ELEMENT buyer    (item*)>
-<!ATTLIST buyer    name CDATA location CDATA>
-<!ELEMENT item     (manufacturer?, item*)>
-<!ELEMENT manufacturer (#PCDATA)>
-"""
-
+from repro import VistIndex, XmlNode
 
 def make_purchase(seller_loc, buyer_loc, manufacturers, nested=None):
     """One purchase record; ``nested`` adds a sub-item to the first item."""
@@ -37,10 +26,9 @@ def make_purchase(seller_loc, buyer_loc, manufacturers, nested=None):
 
 
 def main():
-    # A schema (parsed from a DTD, as in paper Figure 1) fixes sibling
-    # order and feeds the clue-based dynamic labelling of Section 3.4.1.
-    schema = Schema.from_dtd(PURCHASE_DTD)
-    index = VistIndex(SequenceEncoder(schema=schema))
+    # Siblings sort by label (paper Section 2's order when no DTD is
+    # given), so the index needs nothing but the records.
+    index = VistIndex()
 
     orders = [
         make_purchase("boston", "newyork", ["intel", "ibm"]),

@@ -10,7 +10,7 @@ Reproduction of Wang, Park, Fan & Yu (SIGMOD 2003).  The public API:
   strawman designs (Sections 3.2–3.3);
 * :class:`PathIndex` / :class:`XissIndex` — the two comparison baselines
   of the evaluation;
-* document model, parser, schemas, sequence transform, XPath-subset
+* document model, parser, sequence transform, XPath-subset
   parser, dataset generators and the storage substrate underneath.
 
 Quick start::
@@ -37,11 +37,7 @@ from repro.datasets import (
     xmark_schema,
 )
 from repro.doc import (
-    ChildSpec,
     CorpusStats,
-    ElementDecl,
-    Occurs,
-    Schema,
     XmlDocument,
     XmlNode,
     parse_document,
@@ -83,10 +79,6 @@ __all__ = [
     "parse_fragment",
     "split_records",
     "split_document",
-    "Schema",
-    "ElementDecl",
-    "ChildSpec",
-    "Occurs",
     "CorpusStats",
     "Item",
     "StructureEncodedSequence",

@@ -46,12 +46,8 @@ class XissIndex(XmlIndexBase):
         pager: Optional[Pager] = None,
         *,
         source_store=None,
-        max_alternatives: int = 24,
     ) -> None:
-        super().__init__(
-            encoder, docstore,
-            source_store=source_store, max_alternatives=max_alternatives,
-        )
+        super().__init__(encoder, docstore, source_store=source_store)
         self._pager = pager if pager is not None else MemoryPager()
         self.occurrences = BPlusTree(self._pager, slot=0)
         self.join_count = 0  # joins performed, reported by benchmarks

@@ -43,12 +43,8 @@ class PathIndex(XmlIndexBase):
         pager: Optional[Pager] = None,
         *,
         source_store=None,
-        max_alternatives: int = 24,
     ) -> None:
-        super().__init__(
-            encoder, docstore,
-            source_store=source_store, max_alternatives=max_alternatives,
-        )
+        super().__init__(encoder, docstore, source_store=source_store)
         self._pager = pager if pager is not None else MemoryPager()
         self.paths = BPlusTree(self._pager, slot=0)
         self.join_count = 0

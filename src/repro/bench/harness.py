@@ -25,7 +25,6 @@ from repro.baselines.pathindex import PathIndex
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
-from repro.sequence.transform import SequenceEncoder
 
 __all__ = [
     "INDEX_KINDS",
@@ -46,13 +45,12 @@ _FACTORIES = {
 }
 
 
-def build_index(kind: str, documents: Iterable, schema=None, **kwargs):
+def build_index(kind: str, documents: Iterable, **kwargs):
     """Build an index of the given kind over ``documents``.
 
     ``kind`` is one of :data:`INDEX_KINDS`.
     """
-    encoder = SequenceEncoder(schema=schema)
-    index = _FACTORIES[kind](encoder, **kwargs)
+    index = _FACTORIES[kind](**kwargs)
     for doc in documents:
         index.add(doc)
     if kind == "rist":

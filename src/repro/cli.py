@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro index  DBDIR file1.xml file2.xml ...
-                           [--schema schema.dtd] [--split item,person]
-                           [--shards N]
+                           [--split item,person] [--shards N]
     python -m repro query  DBDIR "/site//item[location='US']" [--verify]
                            [--show] [--workers N]
     python -m repro stats  DBDIR
@@ -20,10 +19,9 @@ shard.
 
 ``index`` creates (or extends) a persistent index under ``DBDIR``.
 ``--split`` applies the paper's substructure splitting before indexing,
-one record per instance of the listed labels.  The DTD passed with
-``--schema`` fixes the sibling order and must be the same for indexing
-and querying; the CLI therefore stores a copy inside DBDIR and reuses it
-automatically.
+one record per instance of the listed labels.  Siblings are sorted by
+label (the paper's order when no DTD is given), so nothing about the
+order needs storing.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Optional
 
-from repro.dbdir import HEALTH_FILE, load_schema, open_db, open_index, shard_dirs
+from repro.dbdir import HEALTH_FILE, open_db, open_index, shard_dirs
 from repro.doc.parser import parse_document_bytes
 from repro.doc.split import split_records
 from repro.doc.stream import iter_stream_records
@@ -53,9 +51,9 @@ from repro.errors import (
 from repro.index.guard import QueryGuard
 from repro.index.vist import VistIndex
 
-# open_index and load_schema are re-exported: scripts and the benchmark
-# harness import them from here
-__all__ = ["main", "open_index", "load_schema"]
+# open_index is re-exported: scripts and the benchmark harness import it
+# from here
+__all__ = ["main", "open_index"]
 
 # Exit codes (also in the --help epilog). 2 doubles as the "damage or
 # invariant violations found" code of `check` and `scrub`.
@@ -172,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("dbdir", type=Path)
     p_index.add_argument("files", type=Path, nargs="+")
     p_index.add_argument(
-        "--schema", type=Path, help="DTD whose order sorts siblings (all a schema changes)"
-    )
-    p_index.add_argument(
         "--split",
         help="comma-separated record labels; split documents before indexing",
     )
@@ -194,9 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ingest.add_argument("dbdir", type=Path)
     p_ingest.add_argument("files", type=Path, nargs="+")
-    p_ingest.add_argument(
-        "--schema", type=Path, help="DTD whose order sorts siblings (all a schema changes)"
-    )
     p_ingest.add_argument(
         "--split",
         help="comma-separated record labels: each instance becomes one "
@@ -422,7 +414,7 @@ def _add_records(
     ``add_batch`` of the DBDIR's handle, which commits each batch through
     the journal.  Returns the new ids and a description of where they
     went."""
-    with open_db(args.dbdir, args.shards, args.schema) as db:
+    with open_db(args.dbdir, args.shards) as db:
         ids = db.add_batch(records, **batch)
         if db.flat:
             layout = "1 directory"

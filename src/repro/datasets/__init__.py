@@ -7,6 +7,7 @@ from repro.datasets.dblp import (
     DblpGenerator,
     dblp_schema,
 )
+from repro.datasets.schema import ChildSpec, ElementDecl, Occurs, Schema
 from repro.datasets.synthetic import ROOT_LABEL, SyntheticConfig, SyntheticGenerator
 from repro.datasets.xmark import (
     RECORD_LABELS as XMARK_RECORD_LABELS,
@@ -17,6 +18,10 @@ from repro.datasets.xmark import (
 )
 
 __all__ = [
+    "Schema",
+    "ElementDecl",
+    "ChildSpec",
+    "Occurs",
     "SyntheticConfig",
     "SyntheticGenerator",
     "ROOT_LABEL",

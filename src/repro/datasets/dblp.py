@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.datasets.schema import ChildSpec, Occurs, Schema
 from repro.doc.model import XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import DatasetError
 
 __all__ = [
@@ -57,8 +57,8 @@ _SCHOOLS = ["Stanford", "Wisconsin", "POSTECH", "Columbia", "Maryland"]
 
 
 def dblp_schema() -> Schema:
-    """Schema fixing sibling order; its statistics feed the A-λ clue
-    comparator."""
+    """The corpus's element declarations; their statistics feed the A-λ
+    clue comparator (the index reads no schema)."""
     schema = Schema("dblp")
     authors = ChildSpec("author", Occurs.PLUS, mean_repeats=2.0)
     common = [ChildSpec("key", is_attribute=True), authors, ChildSpec("title")]

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.datasets.schema import ChildSpec, Occurs, Schema
 from repro.doc.model import XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import DatasetError
 
 __all__ = [
@@ -58,8 +58,8 @@ _PAYMENTS = ["Cash", "Check", "Creditcard", "Money-order"]
 
 
 def xmark_schema() -> Schema:
-    """Schema fixing sibling order; its statistics feed the A-λ clue
-    comparator."""
+    """The corpus's element declarations; their statistics feed the A-λ
+    clue comparator (the index reads no schema)."""
     schema = Schema("site")
     schema.element(
         "site",

@@ -3,13 +3,17 @@
 A DBDIR is laid out one of two ways::
 
     DBDIR/                         # flat: one index at the top
-      vist.db  vist.db.wal  docs.dat  sources.dat  schema.dtd  health.json
+      vist.db  vist.db.wal  docs.dat  sources.dat  health.json
 
     DBDIR/                         # sharded: a manifest plus one flat
       shards.json                  #   index directory per shard
-      schema.dtd                   # copied into every shard
-      shard-0/  vist.db  vist.db.wal  docs.dat  sources.dat  schema.dtd
+      shard-0/  vist.db  vist.db.wal  docs.dat  sources.dat
       shard-1/  ...
+
+Siblings are always sorted by label.  A directory that still holds a
+``schema.dtd`` — written when a DTD could fix the sibling order — has its
+sequences in an order this build never produces; it is refused on open,
+and ``repro salvage`` re-encodes it from ``sources.dat``.
 
 This module is the one place that spells those names.  :func:`open_index`
 opens one flat index directory (a shard is one); :func:`open_db` opens
@@ -25,8 +29,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from repro.doc.schema import Schema
-from repro.errors import IndexStateError
+from repro.errors import IndexFormatError, IndexStateError
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
@@ -44,7 +47,7 @@ __all__ = [
     "close_index",
     "is_flat",
     "is_sharded",
-    "load_schema",
+    "refuse_schema_order",
     "open_db",
     "open_index",
     "read_manifest",
@@ -58,6 +61,7 @@ TREE_FILE = "vist.db"
 TREE_JOURNAL = TREE_FILE + JOURNAL_SUFFIX
 DOC_FILE = "docs.dat"
 SOURCE_FILE = "sources.dat"
+#: the DTD a directory of the old schema sibling order holds
 SCHEMA_FILE = "schema.dtd"
 #: what a degraded query observed, kept for ``repro stats``
 HEALTH_FILE = "health.json"
@@ -67,17 +71,19 @@ SHARD_DIR_FMT = "shard-{}"
 _MANIFEST_VERSION = 1
 
 
-def load_schema(dbdir: Path) -> Optional[Schema]:
-    """The schema stored inside ``dbdir``, if indexing recorded one."""
-    stored_schema = Path(dbdir) / SCHEMA_FILE
-    if stored_schema.exists():
-        return Schema.from_dtd(stored_schema.read_text())
-    return None
+def refuse_schema_order(dbdir) -> None:
+    """Raise :class:`~repro.errors.IndexFormatError` when ``dbdir`` holds
+    ``schema.dtd``: its stored sequences are in the schema's sibling order,
+    which this build's queries never match."""
+    if (Path(dbdir) / SCHEMA_FILE).exists():
+        raise IndexFormatError(
+            f"{dbdir} holds {SCHEMA_FILE}: its sequences are in a schema's "
+            "sibling order, this build sorts siblings by label; run `repro "
+            "salvage DBDIR` to re-encode every document from its source"
+        )
 
 
-def open_index(
-    dbdir: Path, schema_path: Optional[Path] = None, *, wal: bool = False
-) -> VistIndex:
+def open_index(dbdir: Path, *, wal: bool = False) -> VistIndex:
     """Open (or create) the one index in ``dbdir`` through the journaled pager.
 
     Every index directory opens the same way, so every writer commits
@@ -85,11 +91,10 @@ def open_index(
     discarded on open.  ``wal`` is accepted and ignored: it chose a pager
     when there were two, and the benchmark harness still passes it."""
     dbdir = Path(dbdir)
+    refuse_schema_order(dbdir)
     dbdir.mkdir(parents=True, exist_ok=True)
-    if schema_path is not None:
-        (dbdir / SCHEMA_FILE).write_text(schema_path.read_text())
     return VistIndex(
-        SequenceEncoder(schema=load_schema(dbdir)),
+        SequenceEncoder(),
         docstore=FileDocStore(dbdir / DOC_FILE),
         pager=WalPager(dbdir / TREE_FILE),
         source_store=FileDocStore(dbdir / SOURCE_FILE),
@@ -164,7 +169,7 @@ def write_manifest(dbdir, nshards: int, next_doc_id: int) -> None:
     os.replace(side, path)
 
 
-def open_db(dbdir, nshards: Optional[int] = None, schema_path: Optional[Path] = None):
+def open_db(dbdir, nshards: Optional[int] = None):
     """Open (or create) ``dbdir`` in either layout as one
     :class:`~repro.shard.router.ShardRouter`.
 
@@ -174,4 +179,4 @@ def open_db(dbdir, nshards: Optional[int] = None, schema_path: Optional[Path] = 
     """
     from repro.shard.router import ShardRouter
 
-    return ShardRouter(dbdir, nshards, schema_path=schema_path)
+    return ShardRouter(dbdir, nshards)

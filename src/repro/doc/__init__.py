@@ -1,4 +1,4 @@
-"""XML document substrate: tree model, parser, schemas, corpus statistics."""
+"""XML document substrate: tree model, parser, splitting, corpus statistics."""
 
 from repro.doc.model import XmlDocument, XmlNode
 from repro.doc.parser import (
@@ -9,7 +9,6 @@ from repro.doc.parser import (
     parse_document_bytes,
     parse_fragment,
 )
-from repro.doc.schema import ChildSpec, ElementDecl, Occurs, Schema
 from repro.doc.split import split_document, split_records
 from repro.doc.stats import CorpusStats
 from repro.doc.stream import iter_stream_records
@@ -24,10 +23,6 @@ __all__ = [
     "detect_xml_encoding",
     "decode_xml_bytes",
     "iter_stream_records",
-    "Schema",
-    "ElementDecl",
-    "ChildSpec",
-    "Occurs",
     "CorpusStats",
     "split_records",
     "split_document",

@@ -88,10 +88,9 @@ class XmlIndexBase:
         docstore: Optional[DocStore] = None,
         *,
         source_store: Optional[DocStore] = None,
-        max_alternatives: int = 24,
     ) -> None:
         self.encoder = encoder if encoder is not None else SequenceEncoder()
-        self.translator = QueryTranslator(self.encoder, max_alternatives=max_alternatives)
+        self.translator = QueryTranslator(self.encoder)
         self.docstore = docstore if docstore is not None else MemoryDocStore()
         # optional: keep the original XML text so query results can be
         # materialised back into documents (see get_document)
@@ -276,7 +275,8 @@ class XmlIndexBase:
         index's answer is returned and no document is read (DESIGN.md §2).
 
         ``fallback`` enables the paper's footnote-2 escape hatch: a query
-        whose branch permutations exceed ``max_alternatives`` is
+        whose branch permutations exceed
+        :data:`~repro.query.translate.MAX_ALTERNATIVES` is
         *relaxed* (same-label branches deduplicated), raw-matched, and
         then always verified against the original tree — exact results
         at verification cost instead of a :class:`TranslationError`.
@@ -525,7 +525,7 @@ class XmlIndexBase:
                 "the index with a source_store"
             )
         capture = CapturingHasher(self.encoder.hasher)
-        encoder = SequenceEncoder(self.encoder.schema, capture)
+        encoder = SequenceEncoder(hasher=capture)
         sequence = encoder.encode_document(self.get_document(doc_id))
         return sequence, capture.raw
 

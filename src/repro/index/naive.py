@@ -34,12 +34,8 @@ class NaiveIndex(XmlIndexBase):
         docstore: Optional[DocStore] = None,
         *,
         source_store=None,
-        max_alternatives: int = 24,
     ) -> None:
-        super().__init__(
-            encoder, docstore,
-            source_store=source_store, max_alternatives=max_alternatives,
-        )
+        super().__init__(encoder, docstore, source_store=source_store)
         self.trie = SequenceTrie()
         self.metrics.register("trie.nodes", lambda: self.trie.node_count)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.doc.schema import Schema
 from repro.errors import IndexStateError
 from repro.index.base import XmlIndexBase
 from repro.index.matching import SequenceMatcher
@@ -47,13 +46,9 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         pager: Optional[Pager] = None,
         *,
         source_store=None,
-        max_alternatives: int = 24,
         posting_cache_size: int = 512,
     ) -> None:
-        XmlIndexBase.__init__(
-            self, encoder, docstore,
-            source_store=source_store, max_alternatives=max_alternatives,
-        )
+        XmlIndexBase.__init__(self, encoder, docstore, source_store=source_store)
         self._pager = pager if pager is not None else MemoryPager()
         self.tree = BPlusTree(self._pager, slot=0)
         self.docid_tree = BPlusTree(self._pager, slot=1)

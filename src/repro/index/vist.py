@@ -5,8 +5,8 @@ virtual trie through the combined B+Tree: for each sequence item it looks
 for an *immediate child* of the current node with that ``(symbol,
 prefix)``; if none exists, a fresh scope is carved from the parent by
 :class:`~repro.labeling.dynamic.LambdaAllocator` (Eq. 5–6's λ rule in
-closed form; a schema only fixes sibling order).  The document id lands
-in the DocId tree under the label of the last node.
+closed form, with no schema statistics).  The document id lands in the
+DocId tree under the label of the last node.
 
 **Scope underflow.**  When the allocator cannot carve another scope, the
 insert borrows a block of sequential ids from the reserve of the nearest
@@ -86,13 +86,9 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         *,
         source_store: Optional[DocStore] = None,
         max_label: int = DEFAULT_MAX,
-        max_alternatives: int = 24,
         posting_cache_size: int = 512,
     ) -> None:
-        XmlIndexBase.__init__(
-            self, encoder, docstore,
-            source_store=source_store, max_alternatives=max_alternatives,
-        )
+        XmlIndexBase.__init__(self, encoder, docstore, source_store=source_store)
         self._pager = pager if pager is not None else MemoryPager()
         self.tree = BPlusTree(self._pager, slot=0)
         self.docid_tree = BPlusTree(self._pager, slot=1)

@@ -4,8 +4,9 @@ Conversion rules (paper, "Mapping Data and Queries to Structure-Encoded
 Sequences"):
 
 * queries are emitted in preorder with the *same* sibling order as the
-  data transform (schema order, else lexicographic), so a query confined
-  to one record structure is a non-contiguous subsequence of the data;
+  data transform (lexicographic by label, whatever the parent), so a
+  query confined to one record structure is a non-contiguous subsequence
+  of the data — under a ``*`` parent too;
 * wildcard nodes (``*`` and ``//``) are discarded, but the prefixes of
   their descendants carry a :class:`~repro.query.ast.Star` /
   :class:`~repro.query.ast.Dslash` placeholder token;
@@ -21,8 +22,8 @@ Sequences"):
   concrete sibling groups — e.g. Table 3's Q8, where ``*[person=...]``
   may fall before or after ``date`` in document order.
 
-``max_alternatives`` caps the combinatorial growth; queries past the cap
-raise :class:`~repro.errors.TranslationError` (the paper's footnote-2
+:data:`MAX_ALTERNATIVES` caps the combinatorial growth; queries past the
+cap raise :class:`~repro.errors.TranslationError` (the paper's footnote-2
 fallback of splitting the query and joining results is delegated to the
 verified evaluation mode).
 """
@@ -30,6 +31,7 @@ verified evaluation mode).
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 from typing import Optional
 
 from repro.errors import TranslationError
@@ -43,7 +45,10 @@ from repro.query.ast import (
 )
 from repro.sequence.transform import SequenceEncoder
 
-__all__ = ["QueryTranslator", "relax_query_tree", "raw_is_exact"]
+__all__ = ["MAX_ALTERNATIVES", "QueryTranslator", "relax_query_tree", "raw_is_exact"]
+
+#: the most sequence alternatives one query may translate to
+MAX_ALTERNATIVES = 24
 
 
 def relax_query_tree(root: QueryNode) -> QueryNode:
@@ -124,16 +129,8 @@ def _tree_size(node: QueryNode) -> int:
 class QueryTranslator:
     """Translates query trees with the sibling order of a data encoder."""
 
-    def __init__(
-        self,
-        encoder: Optional[SequenceEncoder] = None,
-        *,
-        max_alternatives: int = 24,
-    ) -> None:
+    def __init__(self, encoder: Optional[SequenceEncoder] = None) -> None:
         self.encoder = encoder if encoder is not None else SequenceEncoder()
-        if max_alternatives < 1:
-            raise TranslationError("max_alternatives must be >= 1")
-        self.max_alternatives = max_alternatives
 
     # -- public API --------------------------------------------------------
 
@@ -189,25 +186,16 @@ class QueryTranslator:
         alternatives: list[list[QueryItem]],
     ) -> None:
         fixed, floating = self._grouped_children(node)
-        orderings: list[list[list[QueryNode]]]
-        if node.is_wildcard and len(fixed) + len(floating) > 1:
-            # Under a wildcard parent the schema order is unknowable (it
-            # depends on what the wildcard matches), so every group
-            # ordering is possible.
-            all_groups = fixed + [[w] for w in floating]
-            self._check_cap(len(alternatives) * _factorial(len(all_groups)))
-            orderings = [list(p) for p in permutations(all_groups)]
-        else:
-            orderings = [fixed]
-            for wildcard_child in floating:
-                next_orderings = []
-                for ordering in orderings:
-                    for pos in range(len(ordering) + 1):
-                        next_orderings.append(
-                            ordering[:pos] + [[wildcard_child]] + ordering[pos:]
-                        )
-                orderings = next_orderings
-        self._check_cap(len(alternatives) * len(orderings))
+        orderings = [fixed]
+        for wildcard_child in floating:
+            # check before enumerating: k wildcard branches place k! ways
+            placements = len(orderings) * (len(orderings[0]) + 1)
+            self._check_cap(len(alternatives) * placements)
+            orderings = [
+                ordering[:pos] + [[wildcard_child]] + ordering[pos:]
+                for ordering in orderings
+                for pos in range(len(ordering) + 1)
+            ]
         if len(orderings) == 1:
             for group in orderings[0]:
                 self._emit_group(group, child_prefix, alternatives)
@@ -231,7 +219,7 @@ class QueryTranslator:
         if len(group) == 1:
             self._emit(group[0], child_prefix, alternatives)
             return
-        self._check_cap(len(alternatives) * _factorial(len(group)))
+        self._check_cap(len(alternatives) * factorial(len(group)))
         base = [list(alt) for alt in alternatives]
         merged: list[list[QueryItem]] = []
         for order in permutations(range(len(group))):
@@ -241,52 +229,38 @@ class QueryTranslator:
             merged.extend(forked)
         alternatives[:] = merged
 
+    @staticmethod
     def _grouped_children(
-        self, node: QueryNode
+        node: QueryNode,
     ) -> tuple[list[list[QueryNode]], list[QueryNode]]:
         """Children in data sibling order.
 
         Returns ``(fixed, floating)``: ``fixed`` is the ordered list of
-        concrete sibling groups (same-label children grouped together);
-        ``floating`` are wildcard children, whose placement the caller
-        enumerates.
+        concrete sibling groups (same-label children grouped together, in
+        label order); ``floating`` are wildcard children, whose placement
+        the caller enumerates.
         """
-        schema = self.encoder.schema
         concrete = [c for c in node.children if not c.is_wildcard]
         floating = [c for c in node.children if c.is_wildcard]
-
-        def label_key(child: QueryNode) -> tuple:
-            if schema is not None and not node.is_wildcard:
-                return tuple(schema.sibling_position(node.label, child.label))
-            return (0, child.label)
-
-        ordered = sorted(
-            enumerate(concrete), key=lambda entry: (label_key(entry[1]), entry[0])
-        )
         fixed: list[list[QueryNode]] = []
-        for _, child in ordered:
+        # a stable sort: equal labels keep query order
+        for child in sorted(concrete, key=lambda c: c.label):
             if fixed and fixed[-1][0].label == child.label:
                 fixed[-1].append(child)
             else:
                 fixed.append([child])
         return fixed, floating
 
-    def _check_cap(self, count: int) -> None:
-        if count > self.max_alternatives:
+    @staticmethod
+    def _check_cap(count: int) -> None:
+        if count > MAX_ALTERNATIVES:
             raise TranslationError(
                 f"query expands to {count} sequence alternatives "
-                f"(cap {self.max_alternatives}); split the query, simplify its "
-                "branches, or raise max_alternatives"
+                f"(cap {MAX_ALTERNATIVES}); split the query or simplify "
+                "its branches"
             )
 
     def _next_wid(self) -> int:
         wid = self._wid_counter
         self._wid_counter += 1
         return wid
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

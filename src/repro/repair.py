@@ -24,7 +24,11 @@ those ids, and salvage removes them from both stores.  Because only the
 sequence half of each stored payload is read and the old tree is never
 opened through the index, salvage is also the upgrade path for a
 directory whose entry format this build does not read
-(:class:`~repro.errors.IndexFormatError`).
+(:class:`~repro.errors.IndexFormatError`).  A directory written in a
+schema's sibling order (it holds ``schema.dtd``) has stored sequences in
+an order this build never produces, so there the source is the
+authority: every live document is re-encoded from ``sources.dat`` in
+label order, and salvage refuses, naming the id, when one has no source.
 
 Both work on each index directory of :func:`repro.dbdir.shard_dirs`:
 the DBDIR itself when it is flat, every shard when it is sharded.  A
@@ -41,19 +45,21 @@ from pathlib import Path
 from repro.dbdir import (
     DOC_FILE,
     HEALTH_FILE,
+    SCHEMA_FILE,
     SOURCE_FILE,
     TREE_FILE,
     TREE_JOURNAL,
-    load_schema,
     open_index,
+    refuse_schema_order,
     shard_dirs,
 )
+from repro.doc.parser import parse_document_bytes
 from repro.errors import CorruptionError, IndexFormatError, PageError, StorageError
 from repro.index.store import META_REMOVED_KEY, decode_removed
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree, reachable_page_ids
-from repro.storage.checksums import CHECKSUM_SIZE, page_checksum, verify_trailer
+from repro.storage.checksums import page_checksum, verify_trailer
 from repro.storage.docstore import FileDocStore
 from repro.storage.pager import peek_header, slot_size, unpack_header_page
 from repro.storage.wal import JOURNAL_SUFFIX, WalPager
@@ -332,6 +338,12 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
         # each and aggregate so one report covers all the damage
         report = ScrubReport(dbdir=str(dbdir))
         report.notes.append(f"sharded database: {len(sharded)} shard(s) scrubbed")
+        try:
+            # no shard open sees the top level's schema.dtd; every command does
+            refuse_schema_order(dbdir)
+        except IndexFormatError as exc:
+            report.invariants_checked = True
+            report.invariant_violations.append(str(exc))
         for k, shard_path in enumerate(sharded):
             sub = scrub_db(shard_path, invariants=invariants)
             report.files.extend(sub.files)
@@ -411,7 +423,9 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     """Rebuild the ViST index of ``dbdir`` from its document store.
 
     Preconditions: ``docs.dat`` must scrub clean (it is the source of
-    truth).  The rebuild re-inserts every stored sequence through
+    truth).  The rebuild re-inserts every stored sequence (re-encoded
+    from ``sources.dat`` where a ``schema.dtd`` says the stored order is
+    not this build's, which then goes) through
     :class:`~repro.index.vist.VistIndex` into side files, preserving
     document ids positionally (tombstoned ids, and the ids the old tree
     stamped as removed, are burned as placeholders), asserts every
@@ -421,26 +435,37 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     interrupted salvage left beside its side file.
 
     Raises :class:`~repro.errors.CorruptionError` when the docstore is
-    damaged, and whatever :func:`repro.testing.invariants.assert_invariants`
-    raises when the rebuilt index is not clean (the originals are left
-    untouched in both cases).
+    damaged, :class:`~repro.errors.StorageError` when a document to
+    re-encode has no source, and whatever
+    :func:`repro.testing.invariants.assert_invariants` raises when the
+    rebuilt index is not clean (the originals are left untouched in all
+    three cases).
     """
-    from repro.testing.invariants import assert_invariants
-
     dbdir = Path(os.fspath(dbdir))
     sharded = shard_dirs(dbdir)
-    if sharded != [dbdir]:
-        report = SalvageReport(dbdir=str(dbdir))
-        report.notes.append(f"sharded database: {len(sharded)} shard(s) salvaged")
-        replaced_all = True
-        for k, shard_path in enumerate(sharded):
-            sub = salvage_db(shard_path)
-            report.documents += sub.documents
-            report.tombstones += sub.tombstones
-            replaced_all = replaced_all and sub.replaced
-            report.notes.extend(f"shard {k}: {n}" for n in sub.notes)
-        report.replaced = replaced_all
-        return report
+    if sharded == [dbdir]:
+        return _salvage_dir(dbdir, reencode=False)
+    report = SalvageReport(dbdir=str(dbdir))
+    report.notes.append(f"sharded database: {len(sharded)} shard(s) salvaged")
+    reencode = (dbdir / SCHEMA_FILE).exists()
+    replaced_all = True
+    for k, shard_path in enumerate(sharded):
+        sub = _salvage_dir(shard_path, reencode=reencode)
+        report.documents += sub.documents
+        report.tombstones += sub.tombstones
+        replaced_all = replaced_all and sub.replaced
+        report.notes.extend(f"shard {k}: {n}" for n in sub.notes)
+    (dbdir / SCHEMA_FILE).unlink(missing_ok=True)
+    report.replaced = replaced_all
+    return report
+
+
+def _salvage_dir(dbdir: Path, *, reencode: bool) -> SalvageReport:
+    """Salvage one index directory (flat DBDIR or shard); ``reencode``
+    forces re-encoding from the sources even without a ``schema.dtd``
+    here (a sharded DBDIR whose top level holds one)."""
+    from repro.testing.invariants import assert_invariants
+
     report = SalvageReport(dbdir=str(dbdir))
     doc_path = dbdir / DOC_FILE
     if not doc_path.exists():
@@ -474,24 +499,41 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
         if side.exists():
             side.unlink()  # leftovers of an interrupted salvage
 
-    if removed and (dbdir / SOURCE_FILE).exists():
-        with FileDocStore(dbdir / SOURCE_FILE) as sources:
+    reencode = reencode or (dbdir / SCHEMA_FILE).exists()
+    source_path = dbdir / SOURCE_FILE
+    sources = FileDocStore(source_path) if source_path.exists() else None
+    old_docs = FileDocStore(doc_path)
+    rebuilt = None
+    try:
+        if reencode:
+            for doc_id in old_docs.ids():
+                if doc_id not in removed and (sources is None or doc_id not in sources):
+                    raise StorageError(
+                        f"{dbdir}: document {doc_id} has no source in "
+                        f"{SOURCE_FILE} to re-encode in label order; nothing "
+                        "was changed"
+                    )
+        if removed and sources is not None:
             for doc_id in removed & set(sources.ids()):
                 sources.remove(doc_id)
-    old_docs = FileDocStore(doc_path)
-    rebuilt = VistIndex(
-        SequenceEncoder(schema=load_schema(dbdir)),
-        docstore=FileDocStore(doc_side),
-        pager=WalPager(tree_side),
-    )
-    try:
+            sources.write_tombstones()
+        rebuilt = VistIndex(
+            SequenceEncoder(),
+            docstore=FileDocStore(doc_side),
+            pager=WalPager(tree_side),
+        )
         for doc_id in range(old_docs.id_bound):
             if doc_id in old_docs and doc_id not in removed:
-                # only the sequence half of a payload is read — its bytes
-                # are the same in every entry format, which is what makes
-                # salvage the upgrade path; the re-insert assigns fresh
-                # labels and persists a new payload
-                sequence = rebuilt._payload_to_sequence(old_docs.get(doc_id))
+                if reencode:
+                    sequence = rebuilt.encoder.encode_document(
+                        parse_document_bytes(sources.get(doc_id))
+                    )
+                else:
+                    # only the sequence half of a payload is read — its
+                    # bytes are the same in every entry format, which is
+                    # what makes salvage the upgrade path; the re-insert
+                    # assigns fresh labels and persists a new payload
+                    sequence = rebuilt._payload_to_sequence(old_docs.get(doc_id))
                 new_id = rebuilt.add_sequence(sequence)
                 report.documents += 1
             else:
@@ -506,8 +548,11 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
         assert_invariants(rebuilt)
         rebuilt.flush()
     finally:
-        _close_quietly(rebuilt)
+        if rebuilt is not None:
+            _close_quietly(rebuilt)
         old_docs.close()
+        if sources is not None:
+            sources.close()
 
     os.replace(tree_side, dbdir / TREE_FILE)
     os.replace(doc_side, doc_path)
@@ -515,6 +560,12 @@ def salvage_db(dbdir: str | os.PathLike) -> SalvageReport:
     if wal_path.exists():
         wal_path.unlink()
         report.notes.append("removed stale WAL journal of the damaged index")
+    if reencode:
+        (dbdir / SCHEMA_FILE).unlink(missing_ok=True)
+        report.notes.append(
+            f"re-encoded {report.documents} document(s) from {SOURCE_FILE} "
+            "in label order"
+        )
     # the rebuilt index starts with a clean bill of health
     (dbdir / HEALTH_FILE).unlink(missing_ok=True)
     report.replaced = True

@@ -4,8 +4,10 @@ The transform expands a document tree (attributes and values become
 nodes), enforces the paper's sibling order, and emits the preorder list of
 ``(symbol, prefix)`` items:
 
-* sibling *elements/attributes* are ordered by the schema's linear order
-  when a schema is given, else lexicographically by label;
+* sibling *elements/attributes* are ordered lexicographically by label
+  (the paper's order when no DTD is given; it does not depend on the
+  parent, which is what lets a query under ``*`` fix its branches'
+  order);
 * multiple occurrences of the same label keep document order (the paper
   orders them "arbitrarily" — document order makes the transform
   deterministic);
@@ -16,10 +18,9 @@ nodes), enforces the paper's sibling order, and emits the preorder list of
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.doc.model import XmlDocument, XmlNode
-from repro.doc.schema import Schema
 from repro.sequence.encoding import Item, StructureEncodedSequence
 from repro.sequence.vocabulary import ValueHasher
 
@@ -29,18 +30,12 @@ __all__ = ["SequenceEncoder"]
 class SequenceEncoder:
     """Reusable document-to-sequence transformer.
 
-    ``schema`` fixes the sibling order (optional); ``hasher`` is the
-    paper's ``h()`` and defaults to unbucketed 64-bit FNV-1a.  Queries
-    must be translated with the *same* encoder configuration
-    (:class:`repro.query.translate.QueryTranslator` takes one).
+    ``hasher`` is the paper's ``h()`` and defaults to unbucketed 64-bit
+    FNV-1a.  Queries must be translated with the *same* hasher
+    (:class:`repro.query.translate.QueryTranslator` takes the encoder).
     """
 
-    def __init__(
-        self,
-        schema: Optional[Schema] = None,
-        hasher: Optional[ValueHasher] = None,
-    ) -> None:
-        self.schema = schema
+    def __init__(self, hasher: Optional[ValueHasher] = None) -> None:
         self.hasher = hasher if hasher is not None else ValueHasher()
 
     def encode_document(self, document: XmlDocument) -> StructureEncodedSequence:
@@ -53,24 +48,17 @@ class SequenceEncoder:
         self._walk(node.expanded(), (), items)
         return StructureEncodedSequence(items)
 
-    def sibling_sort_key(self, parent_label: str) -> Callable[[tuple[int, XmlNode]], tuple]:
-        """Sort key for ``(document_position, node)`` pairs under a parent.
+    @staticmethod
+    def sibling_sort_key(entry: tuple[int, XmlNode]) -> tuple:
+        """Sort key for a ``(document_position, node)`` pair among siblings.
 
-        Values first (document order), then schema/lexicographic label
-        order, then document order for equal labels.
+        Values first (document order), then label order, then document
+        order for equal labels.
         """
-
-        def key(entry: tuple[int, XmlNode]) -> tuple:
-            position, child = entry
-            if child.is_value:
-                return (0, (0, ""), position)
-            if self.schema is not None:
-                label_key = self.schema.sibling_position(parent_label, child.label)
-            else:
-                label_key = (0, child.label)
-            return (1, label_key, position)
-
-        return key
+        position, child = entry
+        if child.is_value:
+            return (0, "", position)
+        return (1, child.label, position)
 
     def _walk(self, node: XmlNode, prefix: tuple[str, ...], items: list[Item]) -> None:
         if node.is_value:
@@ -78,8 +66,5 @@ class SequenceEncoder:
             return
         items.append(Item(node.label, prefix))
         child_prefix = prefix + (node.label,)
-        ordered = sorted(
-            enumerate(node.children), key=self.sibling_sort_key(node.label)
-        )
-        for _, child in ordered:
+        for _, child in sorted(enumerate(node.children), key=self.sibling_sort_key):
             self._walk(child, child_prefix, items)

@@ -26,12 +26,12 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.dbdir import (
     MANIFEST_FILE,
-    SCHEMA_FILE,
     close_index,
     is_flat,
     is_sharded,
     open_index,
     read_manifest,
+    refuse_schema_order,
     shard_dir,
     write_manifest,
 )
@@ -62,11 +62,11 @@ class ShardRouter:
         dbdir,
         nshards: Optional[int] = None,
         *,
-        schema_path: Optional[Path] = None,
         hash_fn: Optional[HashFn] = None,
         wal: bool = False,
     ) -> None:
         self.dbdir = Path(dbdir)
+        refuse_schema_order(self.dbdir)
         sharded = is_sharded(self.dbdir)
         next_doc_id = 0
         #: the next_doc_id shards.json holds (None: there is none yet)
@@ -89,9 +89,9 @@ class ShardRouter:
         self.nshards = 1 if self.flat else nshards
         self.map = ShardMap(self.nshards, next_doc_id, hash_fn=hash_fn)
         if self.flat:
-            self.shards = [open_index(self.dbdir, schema_path)]
+            self.shards = [open_index(self.dbdir)]
         else:
-            self.shards = self._open_sharded(None if sharded else schema_path)
+            self.shards = self._open_sharded()
         # a crash may have left the manifest behind the shard stores;
         # replay the routing rule forward until the map explains them
         self.map.recover([shard.docstore.id_bound for shard in self.shards])
@@ -107,23 +107,9 @@ class ShardRouter:
             self.metrics.register(f"shard.{k}", shard.metrics)
         self.metrics.register("routing", self._routing_report)
 
-    def _open_sharded(self, schema_path: Optional[Path]) -> list:
-        """Open every shard directory; ``schema_path`` only when creating."""
-        self.dbdir.mkdir(parents=True, exist_ok=True)
-        if schema_path is not None:
-            (self.dbdir / SCHEMA_FILE).write_text(schema_path.read_text())
-        schema_text = None
-        top_schema = self.dbdir / SCHEMA_FILE
-        if top_schema.exists():
-            schema_text = top_schema.read_text()
-        shards = []
-        for k in range(self.nshards):
-            path = shard_dir(self.dbdir, k)
-            path.mkdir(parents=True, exist_ok=True)
-            if schema_text is not None and not (path / SCHEMA_FILE).exists():
-                (path / SCHEMA_FILE).write_text(schema_text)
-            shards.append(open_index(path))
-        return shards
+    def _open_sharded(self) -> list:
+        """Open (or create) every shard directory."""
+        return [open_index(shard_dir(self.dbdir, k)) for k in range(self.nshards)]
 
     # -- routing ---------------------------------------------------------
 
@@ -404,18 +390,8 @@ def reshard_db(
     tmp_root.mkdir()
     report = {"old_nshards": old.nshards, "new_nshards": new_nshards,
               "documents": 0, "tombstones": 0}
-    schema_text = None
-    top_schema = dbdir / SCHEMA_FILE
-    if top_schema.exists():
-        schema_text = top_schema.read_text()
     new_map = ShardMap(new_nshards, hash_fn=hash_fn)
-    new_shards = []
-    for k in range(new_nshards):
-        path = shard_dir(tmp_root, k)
-        path.mkdir()
-        if schema_text is not None:
-            (path / SCHEMA_FILE).write_text(schema_text)
-        new_shards.append(open_index(path))
+    new_shards = [open_index(shard_dir(tmp_root, k)) for k in range(new_nshards)]
     try:
         for g in range(old.map.next_doc_id):
             g2, s, expect_local = new_map.append_next()

@@ -7,9 +7,6 @@ query with the naive reference evaluator
 
 * **ViST in both configurations** — posting cache on/off, each over
   the one file pager (:class:`~repro.storage.wal.WalPager`);
-* **schema'd ViST** (``vist[schema]``) — a schema whose sibling order
-  reverses the generator's labels, so every sequence, trie and label
-  differs from the lexicographic configurations;
 * **Naive** (Algorithm 1 on the materialised trie) and **RIST** (static
   labels);
 * the two join-based baselines (**PathIndex**, **XissIndex**), which are
@@ -21,12 +18,10 @@ Two equalities are asserted per query:
   result set (baselines compare their plain results — they are exact by
   construction);
 * *raw*: the unverified subsequence-matching results of Naive, RIST and
-  every lexicographic ViST configuration agree with each other (they
-  implement the same subsequence-matching semantics — Naive is
-  Algorithm 1 on the materialised trie, the anchor — so any disagreement
-  is a walker/cache bug even though raw results may legitimately differ
-  from XPath).  The schema'd ViST matches other sequences, so its raw
-  answers join no consensus; it is checked in exact mode only.
+  every ViST configuration agree with each other (they implement the
+  same subsequence-matching semantics — Naive is Algorithm 1 on the
+  materialised trie, the anchor — so any disagreement is a walker/cache
+  bug even though raw results may legitimately differ from XPath).
 
 On the first divergence of a seed the failing case is **shrunk**
 (greedy: drop documents, prune document subtrees, simplify the query)
@@ -55,22 +50,19 @@ from typing import Callable, Optional, Sequence
 from repro.baselines.nodeindex import XissIndex
 from repro.baselines.pathindex import PathIndex
 from repro.doc.model import XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.query.ast import QueryNode
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.wal import WalPager
-from repro.testing.generator import LABELS, DocQueryGenerator
+from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import assert_invariants
 from repro.testing.reference import reference_results
 
 __all__ = [
     "VistConfig",
     "VIST_CONFIGS",
-    "SCHEMA_FAMILY",
-    "reversed_sibling_schema",
     "Divergence",
     "OracleReport",
     "DifferentialOracle",
@@ -91,21 +83,6 @@ class VistConfig:
 VIST_CONFIGS: tuple[VistConfig, ...] = tuple(
     VistConfig(posting_cache=cache) for cache in (True, False)
 )
-
-
-SCHEMA_FAMILY = "vist[schema]"
-
-
-def reversed_sibling_schema() -> Schema:
-    """A schema under which the generator's labels sort siblings in the
-    reverse of the lexicographic order (``d`` before ``c`` before ...):
-    the sibling order is all a schema changes in a ViST index (paper
-    Section 2)."""
-    schema = Schema(LABELS[0])
-    children = [ChildSpec(child, Occurs.MANY) for child in sorted(LABELS, reverse=True)]
-    for label in LABELS:
-        schema.element(label, children, has_text=True)
-    return schema
 
 
 @dataclass
@@ -197,10 +174,6 @@ class DifferentialOracle:
         for config in VIST_CONFIGS:
             if family == config.name:
                 return self._build_vist(config, corpus, workdir, tag="-shrink")
-        if family == SCHEMA_FAMILY:
-            index = VistIndex(SequenceEncoder(schema=reversed_sibling_schema()))
-            ids = index.add_all(corpus)
-            return index, {doc_id: pos for pos, doc_id in enumerate(ids)}
         ctor = {
             "naive": NaiveIndex,
             "rist": RistIndex,
@@ -229,7 +202,7 @@ class DifferentialOracle:
             indexes: dict[str, tuple[object, dict[int, int]]] = {}
             for config in VIST_CONFIGS:
                 indexes[config.name] = self._build_vist(config, corpus, workdir)
-            for family in ("naive", "rist", "pathindex", "xissindex", SCHEMA_FAMILY):
+            for family in ("naive", "rist", "pathindex", "xissindex"):
                 indexes[family] = self._build_family(family, corpus, workdir)
             raw_families = ["naive", "rist"] + [c.name for c in VIST_CONFIGS]
             pairs = 0
@@ -265,8 +238,7 @@ class DifferentialOracle:
                 # of the exact answer, the documented false-positive-only
                 # direction does NOT hold in general, so no assert here)
             if self.check_invariants:
-                for family in (VIST_CONFIGS[0].name, SCHEMA_FAMILY):
-                    assert_invariants(indexes[family][0])
+                assert_invariants(indexes[VIST_CONFIGS[0].name][0])
             # deletion coherence: remove one document from a cached ViST
             # and re-check one query against the shrunken reference
             if corpus and queries:
@@ -447,7 +419,7 @@ class DifferentialOracle:
         *,
         progress: Optional[Callable[[int, OracleReport], None]] = None,
     ) -> OracleReport:
-        report = OracleReport(families=len(VIST_CONFIGS) + 5)
+        report = OracleReport(families=len(VIST_CONFIGS) + 4)
         for seed in seeds:
             pairs, raw_exact, divergences = self.run_seed(seed)
             report.seeds += 1

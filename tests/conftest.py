@@ -3,7 +3,6 @@
 import pytest
 
 from repro.doc.model import XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
@@ -27,19 +26,6 @@ class ExplodingStore(MemoryDocStore):
             raise StorageError("simulated store failure")
         self.adds += 1
         return super().add(payload)
-
-
-def build_purchase_schema() -> Schema:
-    """One-letter schema matching paper Figures 3-5."""
-    schema = Schema("P")
-    schema.element("P", [ChildSpec("S"), ChildSpec("B")])
-    schema.element("S", [ChildSpec("N"), ChildSpec("I", Occurs.MANY), ChildSpec("L")])
-    schema.element("B", [ChildSpec("L"), ChildSpec("N")])
-    schema.element("I", [ChildSpec("M"), ChildSpec("N"), ChildSpec("I", Occurs.MANY)])
-    schema.element("N", has_text=True, value_cardinality=64)
-    schema.element("L", has_text=True, value_cardinality=64)
-    schema.element("M", has_text=True, value_cardinality=64)
-    return schema
 
 
 def build_figure3_record() -> XmlNode:
@@ -83,13 +69,8 @@ INDEX_FACTORIES = {
 
 
 @pytest.fixture
-def purchase_schema():
-    return build_purchase_schema()
-
-
-@pytest.fixture
-def purchase_encoder(purchase_schema):
-    return SequenceEncoder(schema=purchase_schema)
+def purchase_encoder():
+    return SequenceEncoder()
 
 
 @pytest.fixture(params=sorted(INDEX_FACTORIES))

@@ -15,7 +15,6 @@ from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
 from tests.conftest import (
     build_figure3_record,
-    build_purchase_schema,
     build_record,
 )
 
@@ -98,7 +97,7 @@ BASELINE_FACTORIES = {"path": PathIndex, "xiss": XissIndex, "apex": ApexIndex}
 
 @pytest.fixture(params=sorted(BASELINE_FACTORIES))
 def baseline(request):
-    encoder = SequenceEncoder(schema=build_purchase_schema())
+    encoder = SequenceEncoder()
     return BASELINE_FACTORIES[request.param](encoder)
 
 

@@ -1,8 +1,16 @@
 """Tests for the command-line interface (index / query / stats)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.datasets.dblp import DblpConfig, DblpGenerator
+from repro.dbdir import open_db
+from repro.errors import IndexFormatError
+from repro.query.xpath import parse_xpath
+from repro.sequence.transform import SequenceEncoder
+from repro.testing.reference import reference_results
 
 PURCHASES = """
 <purchases>
@@ -18,13 +26,8 @@ PURCHASES = """
 """
 
 DTD = """
-<!ELEMENT purchase (seller, buyer)>
-<!ELEMENT seller (item*)>
-<!ATTLIST seller location CDATA>
-<!ELEMENT buyer EMPTY>
-<!ATTLIST buyer location CDATA>
-<!ELEMENT item (manufacturer?)>
-<!ELEMENT manufacturer (#PCDATA)>
+<!ELEMENT article (title, author+, year)>
+<!ATTLIST article key CDATA>
 """
 
 
@@ -168,22 +171,77 @@ class TestNodesAndRemoveCommands:
         assert "1 match(es)" in capsys.readouterr().out  # doc 1 was never reached
 
 
+class _ReversedOrderEncoder(SequenceEncoder):
+    """Siblings in reverse label order: a stand-in for the order a DTD
+    imposed when ``--schema`` existed, which this build never writes."""
+
+    @staticmethod
+    def sibling_sort_key(entry):
+        position, child = entry
+        if child.is_value:
+            return (0, (), position)
+        return (1, tuple(-ord(c) for c in child.label) + (1,), position)
+
+
 class TestSchemaHandling:
-    def test_schema_stored_and_reused(self, tmp_path, xml_file, capsys):
-        dtd = tmp_path / "schema.dtd"
-        dtd.write_text(DTD)
-        db = str(tmp_path / "db")
-        main(
-            [
-                "index", db, str(xml_file),
-                "--split", "purchase", "--schema", str(dtd),
-            ]
-        )
+    QUERIES = [
+        "/article[author][title][year]",
+        "/*[author][title][year]",
+        "//author",
+        "/inproceedings[booktitle]/year",
+    ]
+    REMOVED = (3, 17)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["flat", "sharded"])
+    def test_schema_dbdir_refused_then_salvaged(
+        self, tmp_path, capsys, monkeypatch, shards
+    ):
+        """A DBDIR written in a schema's sibling order (it holds
+        ``schema.dtd``, per shard too) is refused by every command, naming
+        salvage; ``repro salvage`` re-encodes it from its sources in label
+        order, keeping ids and tombstones."""
+        db = tmp_path / "db"
+        records = list(DblpGenerator(DblpConfig(seed=5)).records(60))
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.dbdir.SequenceEncoder", _ReversedOrderEncoder)
+            with open_db(db, shards) as old:
+                assert old.add_batch(records) == list(range(len(records)))
+                for doc_id in self.REMOVED:
+                    old.remove(doc_id)
+        for path in [db] + sorted(db.glob("shard-*")):
+            (path / "schema.dtd").write_text(DTD)
+
+        with pytest.raises(IndexFormatError, match="repro salvage DBDIR"):
+            open_db(db)
+        assert main(["query", str(db), self.QUERIES[0]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "salvage" in err and "Traceback" not in err
+        assert main(["scrub", str(db)]) == 2
+        assert "salvage" in capsys.readouterr().out
+
+        assert main(["salvage", str(db)]) == 0
+        out = capsys.readouterr().out
+        assert f"rebuilt {len(records) - len(self.REMOVED)} document(s)" in out
+        assert f"+{len(self.REMOVED)} tombstone(s)" in out
+        assert "in label order" in out
+        assert list(db.rglob("schema.dtd")) == []
+        assert main(["check", str(db)]) == 0
+        assert main(["scrub", str(db)]) == 0
         capsys.readouterr()
-        # query without --schema: the stored copy must be used, so the
-        # sibling order matches and the branching query still answers
-        main(["query", db, "/purchases/purchase[seller[location='boston']]/buyer"])
-        assert "1 match(es)" in capsys.readouterr().out
+
+        live = {i: r for i, r in enumerate(records) if i not in self.REMOVED}
+        with open_db(db) as upgraded:
+            assert len(upgraded) == len(live)
+            hasher = upgraded.shards[0].encoder.hasher
+            for xpath in self.QUERIES:
+                query = parse_xpath(xpath)
+                want = [
+                    list(live)[pos]
+                    for pos in reference_results(list(live.values()), query, hasher)
+                ]
+                assert want, xpath
+                assert upgraded.query(xpath) == want, xpath
+                assert upgraded.query(xpath, verify=True) == want, xpath
 
     def test_stats_output(self, tmp_path, xml_file, capsys):
         db = str(tmp_path / "db")

@@ -110,7 +110,7 @@ class TestDblp:
     def test_average_sequence_length_near_paper(self):
         """DBLP sequences average ≈ 31 items in the paper; stay in range."""
         gen = DblpGenerator(DblpConfig(seed=3))
-        encoder = SequenceEncoder(schema=gen.schema)
+        encoder = SequenceEncoder()
         lengths = [len(encoder.encode_node(r)) for r in gen.records(200)]
         mean = sum(lengths) / len(lengths)
         assert 10 <= mean <= 40
@@ -127,7 +127,7 @@ class TestDblp:
 
     def test_table3_queries_have_answers(self):
         gen = DblpGenerator(DblpConfig(seed=5, david_rate=0.05))
-        index = VistIndex(SequenceEncoder(schema=gen.schema))
+        index = VistIndex(SequenceEncoder())
         for record in gen.records(150):
             index.add(record)
         assert index.query("/inproceedings/title")
@@ -165,7 +165,7 @@ class TestXmark:
             person1_rate=0.3,
         )
         gen = XmarkGenerator(cfg)
-        index = VistIndex(SequenceEncoder(schema=gen.schema))
+        index = VistIndex(SequenceEncoder())
         for record in gen.records(300):
             index.add(record)
         q6 = index.query(
@@ -181,7 +181,7 @@ class TestXmark:
 
     def test_queries_agree_with_verification(self):
         gen = XmarkGenerator(XmarkConfig(seed=4, target_date_rate=0.3, person1_rate=0.2))
-        index = VistIndex(SequenceEncoder(schema=gen.schema))
+        index = VistIndex(SequenceEncoder())
         for record in gen.records(150):
             index.add(record)
         for expr in [

@@ -4,8 +4,7 @@ import pytest
 
 from repro.doc.model import XmlNode
 from repro.doc.parser import parse_document, parse_fragment
-from repro.doc.schema import Schema
-from repro.errors import PageError, XmlParseError
+from repro.errors import PageError
 from repro.index.vist import VistIndex
 from repro.sequence.encoding import Item, StructureEncodedSequence
 from repro.sequence.transform import SequenceEncoder
@@ -60,21 +59,6 @@ class TestUnicodeEndToEnd:
         doc_id = index.add(doc)
         seq = index.load_sequence(doc_id)
         assert seq == SequenceEncoder().encode_node(doc)
-
-
-class TestSchemaEdges:
-    def test_dtd_with_comments_between_decls(self):
-        schema = Schema.from_dtd(
-            "<!ELEMENT a (b)>\n<!-- note -->\n<!ELEMENT b EMPTY>"
-        )
-        assert schema.require("a").child("b") is not None
-
-    def test_sibling_order_total_over_mixed_decls(self):
-        schema = Schema.from_dtd("<!ELEMENT a (x, y)>")
-        keys = [
-            schema.sibling_position("a", label) for label in ["y", "x", "zzz", "aaa"]
-        ]
-        assert keys[1] < keys[0] < keys[3] < keys[2]  # x < y < aaa < zzz
 
 
 class TestWalEdges:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datasets.dblp import DblpConfig, DblpGenerator, dblp_schema
+from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
 from repro.doc.model import XmlNode
 from repro.errors import CodecError, KeyTooLargeError
@@ -216,18 +216,14 @@ class TestPayloadLabels:
 # (key, value), computed by _label_digest.  Re-pinned when Chain.allocate
 # took its closed form (child k of [lo, lo+W) is [lo + k·W//(k+1),
 # lo + (k+1)·W//(k+2))) and a schema stopped selecting clue allocation:
-# every label moved on purpose.  3 974 and 4 036 trie nodes (the schema
-# orders siblings differently, so the tries differ), no borrow in either.
-PINNED = {
-    "lambda": "431eb6416b860a70dd7ea37028bd4a95916837a29ba98db6e6a6d4477b772284",
-    "schema": "0ce668491e35c1272c535c49e218cd7762c2a62a6288340161dad798c1506c17",
-}
+# every label moved on purpose.  3 974 trie nodes, no borrow.
+PINNED_DIGEST = "431eb6416b860a70dd7ea37028bd4a95916837a29ba98db6e6a6d4477b772284"
 
 
-def _pinned_index(schema) -> VistIndex:
+def _pinned_index() -> VistIndex:
     """300 DBLP + 100 XMark records, seed 7, through both insert paths
     (batched and per-document), then every seventh document removed."""
-    index = VistIndex(SequenceEncoder(schema=schema))
+    index = VistIndex(SequenceEncoder())
     dblp = list(DblpGenerator(DblpConfig(seed=7)).records(300))
     xmark = list(XmarkGenerator(XmarkConfig(seed=7)).records(100))
     ids = index.add_batch(dblp[:200], batch_size=64, durability="none")
@@ -251,23 +247,23 @@ def _label_digest(index: VistIndex) -> str:
     return digest.hexdigest()
 
 
-@pytest.fixture(scope="module", params=["lambda", "schema"])
-def pinned(request):
-    schema = dblp_schema() if request.param == "schema" else None
-    return request.param, _pinned_index(schema)
+# one configuration, the λ allocator the index ships; the parameter keeps
+# the test ids stable
+@pytest.fixture(scope="module", params=["lambda"])
+def pinned():
+    return _pinned_index()
 
 
 def test_label_assignment_pin(pinned):
     """No allocator or codec change moves a label unannounced: same keys,
     same DocIds."""
-    name, index = pinned
-    assert _label_digest(index) == PINNED[name]
-    assert_invariants(index)
+    assert _label_digest(pinned) == PINNED_DIGEST
+    assert_invariants(pinned)
 
 
 def test_pinned_corpus_exercises_every_chain(pinned):
     """Chains of one child (the 86 %), of a few, and a wide one."""
-    _, index = pinned
+    index = pinned
     states = [
         NodeState.from_bytes(decode_node_key(key)[2], value)
         for key, value in _node_entries(index)
@@ -278,14 +274,13 @@ def test_pinned_corpus_exercises_every_chain(pinned):
 
 
 def test_byte_census_gate(pinned):
-    """Counts, exact for the seed.  The readings at this commit are 21.0 /
-    4.37 (λ) and 20.9 / 4.26 (schema'd λ), against 23.0 / 22.9 mean value
-    bytes while every entry stored a reference count, 36.4 / 4.37 and a
-    clue-allocated 24.7 / 6.14 while chains stored their cursor, 63.8 /
-    6.91 and 54.8 / 12.07 with 2**256 labels and no λ floor, and 129.1 /
-    32.5 and 106.5 / 33.0 before the parent-relative codec; the bounds are
-    the readings + 10 %."""
-    name, index = pinned
+    """Counts, exact for the seed.  The readings at this commit are 21.0
+    mean value bytes and 4.37 label bytes per item, against 23.0 while
+    every entry stored a reference count, 36.4 / 4.37 while chains stored
+    their cursor, 63.8 / 6.91 with 2**256 labels and no λ floor, and
+    129.1 / 32.5 before the parent-relative codec; the bounds are the
+    readings + 10 %."""
+    index = pinned
     entries = _node_entries(index)
     mean_value = sum(len(value) for _, value in entries) / len(entries)
     label_bytes = items = 0
@@ -294,9 +289,8 @@ def test_byte_census_gate(pinned):
         seq_len, offset = decode_uint(payload)
         label_bytes += len(payload) - offset - seq_len
         items += len(index._payload_to_sequence(payload))
-    max_value, max_label_bytes = {"lambda": (23.1, 4.8), "schema": (23.0, 4.7)}[name]
-    assert mean_value <= max_value
-    assert label_bytes / items <= max_label_bytes
+    assert mean_value <= 23.1
+    assert label_bytes / items <= 4.8
 
 
 def test_default_width_leaves_headroom_on_the_benchmark_mix():

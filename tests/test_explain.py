@@ -9,7 +9,7 @@ from repro.sequence.transform import SequenceEncoder
 
 @pytest.fixture
 def index():
-    return VistIndex(SequenceEncoder(), max_alternatives=6)
+    return VistIndex(SequenceEncoder())
 
 
 class TestExplain:
@@ -41,8 +41,9 @@ class TestExplain:
         assert plan.auto_verified
 
     def test_translation_fallback_reported(self, index):
-        plan = index.explain("/A[B/C][B/D]/B/E")  # 6 permutations > cap 6? 3! = 6 ok
-        plan = index.explain("/A[B/C][B/D][B/E]/B/F")  # 4! = 24 > 6
+        plan = index.explain("/A[B/C][B/D][B/E]/B/F")  # 4! = 24, at the cap
+        assert plan.translation_error is None
+        plan = index.explain("/A[B/C][B/D][B/E][B/F]/B/G")  # 5! = 120 > 24
         assert plan.translation_error is not None
         assert plan.auto_verified
         assert not plan.raw_exact

@@ -6,12 +6,13 @@ from repro.doc.model import XmlNode
 from repro.errors import TranslationError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
-from repro.query.translate import QueryTranslator, relax_query_tree
+from repro.query.translate import MAX_ALTERNATIVES, relax_query_tree
 from repro.query.xpath import parse_xpath
 from repro.sequence.transform import SequenceEncoder
+from repro.testing.reference import reference_results
 
-# four same-label branches: 4! = 24 permutations > the cap below
-WIDE_QUERY = "/A[B/C][B/D][B/E]/B/F"
+# five same-label branches: 5! = 120 permutations > the cap of 24
+WIDE_QUERY = "/A[B/C][B/D][B/E][B/F]/B/G"
 
 
 def doc_with(*grandchildren: str) -> XmlNode:
@@ -65,7 +66,7 @@ class TestRelaxQueryTree:
         original = parse_xpath(WIDE_QUERY)
         relaxed = relax_query_tree(original)
         hasher = ValueHasher()
-        full = doc_with("C", "D", "E", "F")
+        full = doc_with("C", "D", "E", "F", "G")
         partial = doc_with("C", "D")
         for doc in (full, partial):
             seq = encoder.encode_node(doc)
@@ -75,40 +76,41 @@ class TestRelaxQueryTree:
 
 class TestQueryFallback:
     def make_index(self) -> VistIndex:
-        return VistIndex(SequenceEncoder(), max_alternatives=6)
+        return VistIndex(SequenceEncoder())
 
     def test_translation_error_without_fallback(self):
         index = self.make_index()
-        index.add(doc_with("C", "D", "E", "F"))
-        with pytest.raises(TranslationError):
+        index.add(doc_with("C", "D", "E", "F", "G"))
+        with pytest.raises(TranslationError, match=f"cap {MAX_ALTERNATIVES}"):
             index.query(WIDE_QUERY, fallback=False)
 
     def test_fallback_returns_exact_results(self):
         index = self.make_index()
-        yes = index.add(doc_with("C", "D", "E", "F"))
-        index.add(doc_with("C", "D", "E"))  # missing F
-        index.add(doc_with("F"))
+        yes = index.add(doc_with("C", "D", "E", "F", "G"))
+        index.add(doc_with("C", "D", "E", "F"))  # missing G
+        index.add(doc_with("G"))
         assert index.query(WIDE_QUERY) == [yes]
 
     def test_fallback_matches_unconstrained_translator(self):
-        """The fallback result equals what a translator with a huge cap
-        plus verification would produce."""
-        small = self.make_index()
-        big = VistIndex(SequenceEncoder(), max_alternatives=1000)
+        """The fallback result equals the reference evaluator's answer,
+        which no translation cap bounds."""
+        index = self.make_index()
         docs = [
-            doc_with("C", "D", "E", "F"),
-            doc_with("F", "E", "D", "C"),
-            doc_with("C", "F"),
-            doc_with("C", "D", "F"),
+            doc_with("C", "D", "E", "F", "G"),
+            doc_with("G", "F", "E", "D", "C"),
+            doc_with("C", "G"),
+            doc_with("C", "D", "F", "G"),
+            doc_with("C", "D", "E", "F", "G", "G"),
         ]
-        for doc in docs:
-            small.add(doc)
-            big.add(doc)
-        assert small.query(WIDE_QUERY) == big.query(WIDE_QUERY, verify=True)
+        assert index.add_all(docs) == list(range(len(docs)))
+        want = reference_results(docs, parse_xpath(WIDE_QUERY), index.encoder.hasher)
+        assert want == [0, 1, 4]
+        assert index.query(WIDE_QUERY) == want
+        assert index.query(WIDE_QUERY, verify=True) == want
 
     def test_fallback_applies_to_naive_index_too(self):
-        index = NaiveIndex(SequenceEncoder(), max_alternatives=6)
-        yes = index.add(doc_with("C", "D", "E", "F"))
+        index = NaiveIndex(SequenceEncoder())
+        yes = index.add(doc_with("C", "D", "E", "F", "G"))
         index.add(doc_with("C"))
         assert index.query(WIDE_QUERY) == [yes]
 

@@ -18,7 +18,7 @@ import pytest
 from repro.bench.workloads import TABLE3_QUERIES
 from repro.cli import main, open_index
 from repro.datasets.dblp import DblpConfig, DblpGenerator
-from repro.errors import IndexFormatError
+from repro.errors import IndexFormatError, StorageError
 from repro.index.store import (
     ENTRY_FORMAT,
     META_FORMAT_KEY,
@@ -29,6 +29,7 @@ from repro.index.store import (
 from repro.index.vist import VistIndex
 from repro.labeling.dynamic import DEFAULT_MAX, NodeState
 from repro.query.xpath import parse_xpath
+from repro.repair import salvage_db
 from repro.sequence.transform import SequenceEncoder
 from repro.shard import ShardRouter
 from repro.shard.routing import shard_dir
@@ -455,3 +456,42 @@ def test_a_wide_index_keeps_working_and_salvage_narrows_it(tmp_path, capsys):
     assert index._root_state.scope.end == DEFAULT_MAX - 1
     _close(index)
     assert _answers(dbdir) == reference
+
+
+# ---------------------------------------------------------------------------
+# (e) a DBDIR in a schema's sibling order (tests/test_cli.py upgrades one)
+
+
+def test_salvage_refuses_a_schema_dbdir_with_a_missing_source(tmp_path):
+    """Re-encoding needs every live document's source: salvage names the
+    first one without and changes nothing."""
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    (dbdir / "schema.dtd").write_text("<!ELEMENT article (title)>")
+    with FileDocStore(dbdir / "sources.dat") as sources:
+        sources.remove(9)
+    before = {name: (dbdir / name).read_bytes() for name in ("vist.db", "docs.dat")}
+    with pytest.raises(StorageError, match="document 9 has no source"):
+        salvage_db(dbdir)
+    assert (dbdir / "schema.dtd").exists()
+    assert {name: (dbdir / name).read_bytes() for name in before} == before
+    with pytest.raises(IndexFormatError, match="schema.dtd.*repro salvage DBDIR"):
+        open_index(dbdir)
+
+
+def test_a_schema_dtd_at_the_top_of_a_sharded_dbdir_alone(tmp_path, capsys):
+    """Only the top level holds ``schema.dtd`` (no shard copy): scrub
+    still reports it, and salvage re-encodes every shard and deletes it."""
+    dbdir = tmp_path / "sdb"
+    with ShardRouter(dbdir, 2) as router:
+        router.add_batch(_records(), durability="none")
+        expected = {q: router.query(q, verify=True) for q in DBLP_QUERIES}
+    (dbdir / "schema.dtd").write_text("<!ELEMENT article (title)>")
+    assert main(["scrub", str(dbdir)]) == 2
+    assert "repro salvage DBDIR" in capsys.readouterr().out
+    assert main(["salvage", str(dbdir)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("in label order") == 2  # one note per shard
+    assert list(dbdir.rglob("schema.dtd")) == []
+    with ShardRouter(dbdir) as router:
+        assert {q: router.query(q, verify=True) for q in DBLP_QUERIES} == expected

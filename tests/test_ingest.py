@@ -42,7 +42,7 @@ def _records(count=60, seed=3):
 
 def _memory_index():
     return VistIndex(
-        SequenceEncoder(schema=None),
+        SequenceEncoder(),
         docstore=MemoryDocStore(),
         source_store=MemoryDocStore(),
     )
@@ -133,7 +133,7 @@ def _feed_with_one_failure(records, runs, failing, fail_at):
     stores = {"docstore": MemoryDocStore(), "source": MemoryDocStore()}
     stores[failing] = ExplodingStore(fail_at)
     index = VistIndex(
-        SequenceEncoder(schema=None),
+        SequenceEncoder(),
         docstore=stores["docstore"],
         source_store=stores["source"],
     )

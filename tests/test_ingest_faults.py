@@ -70,7 +70,7 @@ class TestSourceFailureRollback:
         stores = {"docstore": MemoryDocStore(), "source": MemoryDocStore()}
         stores[failing] = ExplodingStore(fail_at=6)
         index = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=stores["docstore"],
             source_store=stores["source"],
         )
@@ -88,7 +88,7 @@ class TestSourceFailureRollback:
         assert index.add_batch(records[7:]) == [6, 7, 8]
         _assert_clean(index)
         oracle = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=MemoryDocStore(),
         )
@@ -108,7 +108,7 @@ class TestSourceFailureRollback:
         # scope holds a DocId key exactly when a document traverses it)
         records = _records(400)
         index = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=MemoryDocStore(),
             max_label=1 << 14,
@@ -129,7 +129,7 @@ class TestSourceFailureRollback:
         documents = DocQueryGenerator(13).corpus(8, 10)
         source = ExplodingStore(fail_at=5)
         index = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=source,
         )
@@ -148,7 +148,7 @@ class TestSourceFailureRollback:
         records = _records(5)
         source = ExplodingStore(fail_at=2)
         index = NaiveIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=source,
         )
@@ -159,7 +159,7 @@ class TestSourceFailureRollback:
         assert len(index) == 2
         source.fail_at = None
         assert index.add(records[2]) == 2
-        oracle = NaiveIndex(SequenceEncoder(schema=None))
+        oracle = NaiveIndex(SequenceEncoder())
         oracle.add_all(records[:3])
         assert sorted(index.query("//book")) == sorted(oracle.query("//book"))
 
@@ -167,7 +167,7 @@ class TestSourceFailureRollback:
         records = _records(10)
         source = ExplodingStore(fail_at=6)
         index = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=source,
         )
@@ -181,7 +181,7 @@ class TestSourceFailureRollback:
         source.fail_at = None
         assert index.add_batch(records[6:], batch_size=4) == [6, 7, 8, 9]
         oracle = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=MemoryDocStore(),
             source_store=MemoryDocStore(),
         )
@@ -192,7 +192,7 @@ class TestSourceFailureRollback:
 class TestTrailingDocTruncation:
     def _open(self, tmp_path):
         return VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=FileDocStore(tmp_path / "docs.dat"),
             pager=WalPager(str(tmp_path / "vist.db")),
             source_store=FileDocStore(tmp_path / "sources.dat"),
@@ -243,7 +243,7 @@ class TestBatchCommitSweep:
 
     def _index(self, pager, tmp_path):
         return VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=FileDocStore(tmp_path / "docs.dat"),
             pager=pager,
             source_store=FileDocStore(tmp_path / "sources.dat"),
@@ -329,7 +329,7 @@ class TestJournaledFlushSweeps:
         def open_on(pager):
             # repro.cli.open_index's layout, over the harness's pager
             return VistIndex(
-                SequenceEncoder(schema=None),
+                SequenceEncoder(),
                 docstore=FileDocStore(docs),
                 pager=pager,
                 source_store=FileDocStore(sources),
@@ -479,7 +479,7 @@ class TestRemovalRecovery:
         """The removed ids of one commit live in one tree cell; a run that
         would overflow it commits the queue first and goes on."""
         index = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=FileDocStore(tmp_path / "docs.dat"),
             pager=WalPager(tmp_path / "vist.db", page_size=1024),
             source_store=FileDocStore(tmp_path / "sources.dat"),
@@ -498,7 +498,7 @@ class TestRemovalRecovery:
         index.source_store.close()
 
         reopened = VistIndex(
-            SequenceEncoder(schema=None),
+            SequenceEncoder(),
             docstore=FileDocStore(tmp_path / "docs.dat"),
             pager=WalPager(tmp_path / "vist.db"),
             source_store=FileDocStore(tmp_path / "sources.dat"),

@@ -1,8 +1,8 @@
 """The differential oracle: generator, reference evaluator, driver, shrinker.
 
 The tier-1 tests keep the sweep small; the CI correctness job runs the
-``slow``-marked sweep (>= 200 document/query pairs across the four ViST
-configurations, the schema'd ViST, Naive/RIST and the join baselines).
+``slow``-marked sweep (>= 200 document/query pairs across the ViST
+configurations, Naive/RIST and the join baselines).
 """
 
 import copy
@@ -12,16 +12,13 @@ import pytest
 
 from repro.doc.model import XmlNode
 from repro.query.xpath import parse_xpath
-from repro.sequence.transform import SequenceEncoder
 from repro.sequence.vocabulary import ValueHasher
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.oracle import (
-    SCHEMA_FAMILY,
     VIST_CONFIGS,
     DifferentialOracle,
     Divergence,
     OracleReport,
-    reversed_sibling_schema,
 )
 from repro.testing.reference import reference_matches, reference_results
 
@@ -97,8 +94,8 @@ class TestOracleRuns:
         # queries per seed + the post-deletion re-check
         assert report.pairs == 3 * (2 + 1)
         assert len(VIST_CONFIGS) == 2  # posting cache on/off
-        # naive, rist, the two join baselines and the schema'd ViST
-        assert report.families == len(VIST_CONFIGS) + 5
+        # naive, rist and the two join baselines
+        assert report.families == len(VIST_CONFIGS) + 4
 
     @pytest.mark.slow
     def test_full_sweep_200_pairs(self):
@@ -150,38 +147,6 @@ class TestOracleRuns:
         out = capsys.readouterr().out
         assert "(0 answered raw-exact" in out and "0 divergence(s)" in out
         assert main(["--seeds", "49"] + small[2:]) == 0  # too few seeds to judge
-
-
-class TestSchemaFamily:
-    def test_schema_reverses_the_generator_sibling_order(self):
-        doc = XmlNode("a")
-        for label in ("b", "d", "c", "a"):
-            doc.element(label)
-        lexicographic = [item.symbol for item in SequenceEncoder().encode_node(doc)]
-        encoder = SequenceEncoder(schema=reversed_sibling_schema())
-        reversed_order = [item.symbol for item in encoder.encode_node(doc)]
-        assert lexicographic == ["a", "a", "b", "c", "d"]
-        assert reversed_order == ["a", "d", "c", "b", "a"]
-
-    def test_a_wrong_schema_answer_is_an_exact_divergence(self, monkeypatch):
-        """The schema'd index is held to the reference in exact mode, under
-        its own family name, and never to the raw consensus."""
-        build = DifferentialOracle._build_family
-
-        def drop_first_doc(self, family, corpus, workdir):
-            if family == SCHEMA_FAMILY:
-                index, id_to_pos = build(self, family, corpus, workdir)
-                first = min(id_to_pos)
-                index.remove(first)
-                return index, id_to_pos
-            return build(self, family, corpus, workdir)
-
-        monkeypatch.setattr(DifferentialOracle, "_build_family", drop_first_doc)
-        oracle = DifferentialOracle(docs_per_seed=4, queries_per_seed=6, shrink=False)
-        report = oracle.run(range(4))
-        assert report.divergences
-        assert {(d.family, d.kind) for d in report.divergences} == {(SCHEMA_FAMILY, "exact")}
-        assert all(0 in d.expected and 0 not in d.got for d in report.divergences)
 
 
 class _BrokenOracle(DifferentialOracle):

@@ -28,13 +28,12 @@ from repro.testing.invariants import check_posting_coherence
 from tests.conftest import (
     ExplodingStore,
     build_figure3_record,
-    build_purchase_schema,
     build_record,
 )
 
 
 def make_index(**kwargs) -> VistIndex:
-    return VistIndex(SequenceEncoder(schema=build_purchase_schema()), **kwargs)
+    return VistIndex(SequenceEncoder(), **kwargs)
 
 
 def labels_in(group: PostingGroup, n: int, end: int) -> list[int]:
@@ -292,8 +291,8 @@ DBLP_QUERIES = [q.xpath for q in TABLE3_QUERIES if q.dataset == "dblp"]
 
 def dblp_twins(count: int, **kwargs) -> tuple[VistIndex, VistIndex]:
     """A cached DBLP index and its uncached twin over the same records."""
-    cached = VistIndex(SequenceEncoder(schema=None), **kwargs)
-    uncached = VistIndex(SequenceEncoder(schema=None), posting_cache_size=0)
+    cached = VistIndex(SequenceEncoder(), **kwargs)
+    uncached = VistIndex(SequenceEncoder(), posting_cache_size=0)
     records = dblp_records(count)
     cached.add_batch(records, durability="none")
     uncached.add_batch(records, durability="none")
@@ -400,7 +399,7 @@ class TestVistCoherence:
         reopened.docstore.close()
 
     def test_rist_finalize_clears_cache(self):
-        index = RistIndex(SequenceEncoder(schema=build_purchase_schema()))
+        index = RistIndex(SequenceEncoder())
         uncached = make_index(posting_cache_size=0)
         for doc in corpus(10):
             index.add(doc)

@@ -9,7 +9,7 @@ import pytest
 from repro.dbdir import close_index, open_index
 from repro.doc.model import XmlNode
 from repro.doc.parser import parse_document
-from repro.errors import CorruptionError, QueryError, TranslationError
+from repro.errors import CorruptionError, QueryError
 from repro.index.naive import NaiveIndex
 from repro.index.rist import RistIndex
 from repro.index.verification import find_result_nodes, verify_document
@@ -230,18 +230,6 @@ def test_docstore_reads_follow_the_routing(factory):
     store.gets.clear()
     assert index.query(twig) == [0, 1, 3, 4]
     assert store.gets == []
-
-
-def test_translation_error_is_not_swallowed():
-    """Relaxing changes nothing in a raw-exact query, so past the cap its
-    error surfaces as before; the plan reports it and claims no skip."""
-    index, _ = build(["<r><a/><b/><c/><d/></r>"], max_alternatives=2)
-    query = parse_xpath("/*[a][b][c][d]")  # raw-exact by shape, 4! orderings
-    assert raw_is_exact(query)
-    plan = index.explain(query)
-    assert plan.translation_error and not plan.raw_exact
-    with pytest.raises(TranslationError):
-        index.query(query, verify=True)
 
 
 def test_routing_counters_trace_and_plan():

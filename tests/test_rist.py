@@ -6,11 +6,11 @@ from repro.errors import IndexStateError
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
-from tests.conftest import build_figure3_record, build_purchase_schema, build_record
+from tests.conftest import build_figure3_record, build_record
 
 
 def make_index() -> RistIndex:
-    return RistIndex(SequenceEncoder(schema=build_purchase_schema()))
+    return RistIndex(SequenceEncoder())
 
 
 class TestLifecycle:
@@ -82,7 +82,7 @@ class TestEquivalenceWithVist:
     ]
 
     def test_same_results_as_vist(self):
-        encoder = SequenceEncoder(schema=build_purchase_schema())
+        encoder = SequenceEncoder()
         rist = RistIndex(encoder)
         vist = VistIndex(encoder)
         docs = [

@@ -1,22 +1,11 @@
-"""Tests for schemas, DTD parsing and corpus statistics."""
+"""Tests for the generators' schemas and for corpus statistics."""
 
 import pytest
 
+from repro.datasets.schema import ChildSpec, Occurs, Schema
 from repro.doc.model import XmlDocument, XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.doc.stats import CorpusStats
 from repro.errors import SchemaError
-
-PURCHASE_DTD = """
-<!ELEMENT purchases (purchase*)>
-<!ELEMENT purchase  (seller, buyer)>
-<!ELEMENT seller    (item*)>
-<!ATTLIST seller    ID ID  location CDATA  name CDATA>
-<!ELEMENT buyer     (item*)>
-<!ATTLIST buyer     ID ID  location CDATA  name CDATA>
-<!ELEMENT item      (item*)>
-<!ATTLIST item      name CDATA  manufacturer CDATA>
-"""
 
 
 class TestSchemaConstruction:
@@ -51,70 +40,13 @@ class TestSchemaConstruction:
         assert spec.repeat_continue_prob() == pytest.approx(0.75)
         assert ChildSpec("y").repeat_continue_prob() == 0.0
 
-
-class TestSiblingOrder:
-    def test_declared_children_sort_by_declaration(self):
-        s = Schema("r")
-        s.element("r", [ChildSpec("z"), ChildSpec("a")])
-        assert s.sibling_position("r", "z") < s.sibling_position("r", "a")
-
-    def test_undeclared_children_sort_lexicographically_after(self):
-        s = Schema("r")
-        s.element("r", [ChildSpec("z")])
-        assert s.sibling_position("r", "z") < s.sibling_position("r", "aaa")
-        assert s.sibling_position("r", "aaa") < s.sibling_position("r", "bbb")
-
-    def test_unknown_parent(self):
-        s = Schema("r")
-        assert s.sibling_position("ghost", "a") < s.sibling_position("ghost", "b")
-
-
-class TestDtdParsing:
-    def test_paper_figure1(self):
-        s = Schema.from_dtd(PURCHASE_DTD)
-        assert s.root == "purchases"
-        purchase = s.require("purchase")
-        assert [c.name for c in purchase.children] == ["seller", "buyer"]
-        seller = s.require("seller")
-        # attributes come first, then sub-elements
-        assert [c.name for c in seller.children] == ["ID", "location", "name", "item"]
-        assert seller.child("item").occurs == Occurs.MANY
-        assert seller.child("ID").is_attribute
-
-    def test_occurrence_suffixes(self):
-        s = Schema.from_dtd("<!ELEMENT a (b?, c+, d*)>\n<!ELEMENT b EMPTY>")
-        a = s.require("a")
-        assert a.child("b").occurs == Occurs.OPT
-        assert a.child("c").occurs == Occurs.PLUS
-        assert a.child("d").occurs == Occurs.MANY
-
-    def test_pcdata(self):
-        s = Schema.from_dtd("<!ELEMENT title (#PCDATA)>")
-        assert s.require("title").has_text
-        assert not s.require("title").children
-
-    def test_choice_children_become_optional(self):
-        s = Schema.from_dtd("<!ELEMENT a (b | c)>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>")
-        a = s.require("a")
-        assert a.child("b").occurs == Occurs.OPT
-        assert a.child("c").occurs == Occurs.OPT
-
-    def test_outer_star_distributes(self):
-        s = Schema.from_dtd("<!ELEMENT a (b)*>")
-        assert s.require("a").child("b").occurs == Occurs.MANY
-
-    def test_explicit_root(self):
-        s = Schema.from_dtd(PURCHASE_DTD, root="purchase")
-        assert s.root == "purchase"
-
-    def test_empty_dtd_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema.from_dtd("just text")
-
     def test_occurrence_prob_lookup(self):
-        s = Schema.from_dtd(PURCHASE_DTD)
+        s = Schema("purchase")
+        s.element("purchase", [ChildSpec("seller"), ChildSpec("buyer")])
+        s.element("seller", [ChildSpec("item", Occurs.MANY)])
         assert s.occurrence_prob("purchase", "seller") == 1.0
         assert 0 < s.occurrence_prob("seller", "item") < 1.0
+        assert s.occurrence_prob("seller", "undeclared") == 0.1
         assert s.occurrence_prob("nowhere", "x") == 0.5  # default
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.doc.model import XmlNode
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import CodecError
 from repro.index.verification import rebuild_tree
 from repro.sequence.encoding import (
@@ -61,16 +60,6 @@ def figure3_tree() -> XmlNode:
     return p
 
 
-def figure3_schema() -> Schema:
-    """Sibling order matching the drawing in paper Figure 3."""
-    schema = Schema("P")
-    schema.element("P", [ChildSpec("S"), ChildSpec("B")])
-    schema.element("S", [ChildSpec("N"), ChildSpec("I", Occurs.MANY), ChildSpec("L")])
-    schema.element("B", [ChildSpec("L"), ChildSpec("N")])
-    schema.element("I", [ChildSpec("M"), ChildSpec("N"), ChildSpec("I", Occurs.MANY)])
-    return schema
-
-
 class TestValueHasher:
     def test_deterministic(self):
         h = ValueHasher()
@@ -98,37 +87,41 @@ class TestFigure4:
     """The headline example: Figure 3's record encodes to Figure 4's D."""
 
     def test_exact_sequence(self):
-        encoder = SequenceEncoder(schema=figure3_schema())
+        # Figure 4 spells D in the drawing's sibling order; with no DTD
+        # the paper sorts siblings by label (Section 2), which is this
+        # build's only order: B before S under P, I before L before N
+        # under S, the two I's in document order.
+        encoder = SequenceEncoder()
         h = encoder.hasher
         got = encoder.encode_node(figure3_tree())
         expected = [
             ("P", ()),
-            ("S", ("P",)),
-            ("N", ("P", "S")),
-            (h("dell"), ("P", "S", "N")),
-            ("I", ("P", "S")),
-            ("M", ("P", "S", "I")),
-            (h("ibm"), ("P", "S", "I", "M")),
-            ("N", ("P", "S", "I")),
-            (h("part#1"), ("P", "S", "I", "N")),
-            ("I", ("P", "S", "I")),
-            ("M", ("P", "S", "I", "I")),
-            (h("part#2"), ("P", "S", "I", "I", "M")),
-            ("I", ("P", "S")),
-            ("N", ("P", "S", "I")),
-            (h("intel"), ("P", "S", "I", "N")),
-            ("L", ("P", "S")),
-            (h("boston"), ("P", "S", "L")),
             ("B", ("P",)),
             ("L", ("P", "B")),
             (h("newyork"), ("P", "B", "L")),
             ("N", ("P", "B")),
             (h("panasia"), ("P", "B", "N")),
+            ("S", ("P",)),
+            ("I", ("P", "S")),
+            ("I", ("P", "S", "I")),
+            ("M", ("P", "S", "I", "I")),
+            (h("part#2"), ("P", "S", "I", "I", "M")),
+            ("M", ("P", "S", "I")),
+            (h("ibm"), ("P", "S", "I", "M")),
+            ("N", ("P", "S", "I")),
+            (h("part#1"), ("P", "S", "I", "N")),
+            ("I", ("P", "S")),
+            ("N", ("P", "S", "I")),
+            (h("intel"), ("P", "S", "I", "N")),
+            ("L", ("P", "S")),
+            (h("boston"), ("P", "S", "L")),
+            ("N", ("P", "S")),
+            (h("dell"), ("P", "S", "N")),
         ]
         assert [(i.symbol, i.prefix) for i in got] == expected
 
     def test_lexicographic_fallback_order(self):
-        # Without a schema, B sorts before S under P.
+        # siblings sort by label: B before S under P
         encoder = SequenceEncoder()
         got = encoder.encode_node(figure3_tree())
         labels = [i.symbol for i in got if not i.is_value]
@@ -136,7 +129,7 @@ class TestFigure4:
         assert labels[1] == "B"  # Buyer precedes Seller lexicographically
 
     def test_value_follows_its_node(self):
-        encoder = SequenceEncoder(schema=figure3_schema())
+        encoder = SequenceEncoder()
         got = list(encoder.encode_node(figure3_tree()))
         for i, item in enumerate(got):
             if item.is_value:
@@ -217,7 +210,7 @@ def _reference_from_bytes(data: bytes) -> list[Item]:
 
 class TestSequenceCodec:
     def test_roundtrip_figure4(self):
-        encoder = SequenceEncoder(schema=figure3_schema())
+        encoder = SequenceEncoder()
         seq = encoder.encode_node(figure3_tree())
         assert StructureEncodedSequence.from_bytes(seq.to_bytes()) == seq
 
@@ -296,7 +289,7 @@ def _canonical_expanded(node: XmlNode, encoder: SequenceEncoder) -> tuple:
     """The expanded tree in the encoder's sibling order, values hashed."""
     if node.is_value:
         return ("value", encoder.hasher(node.value))
-    ordered = sorted(enumerate(node.children), key=encoder.sibling_sort_key(node.label))
+    ordered = sorted(enumerate(node.children), key=encoder.sibling_sort_key)
     return (
         "elem",
         node.label,

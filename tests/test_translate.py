@@ -1,28 +1,19 @@
 """Tests for query translation — reproduces paper Table 2 exactly."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.doc.schema import ChildSpec, Occurs, Schema
 from repro.errors import TranslationError
 from repro.query.ast import Dslash, QueryNode, Star
-from repro.query.translate import QueryTranslator
+from repro.query.translate import MAX_ALTERNATIVES, QueryTranslator, raw_is_exact
 from repro.query.xpath import parse_xpath
-from repro.sequence.transform import SequenceEncoder
-
-
-def table2_schema() -> Schema:
-    """One-letter schema matching the paper's running example."""
-    schema = Schema("P")
-    schema.element("P", [ChildSpec("S"), ChildSpec("B")])
-    schema.element("S", [ChildSpec("N"), ChildSpec("I", Occurs.MANY), ChildSpec("L")])
-    schema.element("B", [ChildSpec("L"), ChildSpec("N")])
-    schema.element("I", [ChildSpec("M"), ChildSpec("N"), ChildSpec("I", Occurs.MANY)])
-    return schema
+from repro.testing.generator import DocQueryGenerator
 
 
 @pytest.fixture
 def translator():
-    return QueryTranslator(SequenceEncoder(schema=table2_schema()))
+    return QueryTranslator()
 
 
 def shapes(seq):
@@ -52,14 +43,16 @@ class TestTable2:
         (seq,) = translator.translate(
             parse_xpath("/P[S[L='boston']]/B[L='newyork']")
         )
+        # Table 2 spells Q2 in the drawing's order, S first; the data
+        # transform sorts siblings by label, so B comes first here
         assert shapes(seq) == [
             ("P", ()),
-            ("S", ("P",)),
-            ("L", ("P", "S")),
-            (h("boston"), ("P", "S", "L")),
             ("B", ("P",)),
             ("L", ("P", "B")),
             (h("newyork"), ("P", "B", "L")),
+            ("S", ("P",)),
+            ("L", ("P", "S")),
+            (h("boston"), ("P", "S", "L")),
         ]
 
     def test_q3_star(self, translator):
@@ -117,14 +110,14 @@ class TestQ5Permutations:
         seqs = translator.translate(parse_xpath("/A[B/C][B/D]/B/E"))
         assert len(seqs) == 6
 
-    def test_alternative_cap(self):
-        t = QueryTranslator(SequenceEncoder(), max_alternatives=2)
-        with pytest.raises(TranslationError):
-            t.translate(parse_xpath("/A[B/C][B/D]/B/E"))
-
-    def test_cap_validation(self):
-        with pytest.raises(TranslationError):
-            QueryTranslator(max_alternatives=0)
+    def test_alternative_cap(self, translator):
+        # four same-label branches make 4! = 24 sequences, at the cap;
+        # five make 120, past it
+        assert MAX_ALTERNATIVES == 24
+        four = translator.translate(parse_xpath("/A[B/C][B/D][B/E]/B/F"))
+        assert len(four) == MAX_ALTERNATIVES
+        with pytest.raises(TranslationError, match="120 sequence alternatives"):
+            translator.translate(parse_xpath("/A[B/C][B/D][B/E][B/F]/B/G"))
 
 
 class TestWildcardBranchPlacement:
@@ -140,6 +133,13 @@ class TestWildcardBranchPlacement:
         first_symbols = {shapes(seq)[1][0] for seq in seqs}
         assert first_symbols == {"p", "d"}
 
+    def test_cap_stops_the_placement_enumeration(self, translator):
+        """Ten wildcard branches would place 10! ways; the cap refuses at
+        the fifth branch (5! = 120), before enumerating the rest."""
+        query = parse_xpath("/r" + "".join(f"[*/x{i}]" for i in range(10)))
+        with pytest.raises(TranslationError, match="expands to 120 sequence"):
+            translator.translate(query)
+
     def test_wildcard_value_predicate_emits_placeholder_item(self, translator):
         h = translator.encoder.hasher
         q = QueryNode("a")
@@ -149,17 +149,41 @@ class TestWildcardBranchPlacement:
 
 
 class TestSiblingOrderConsistency:
-    def test_branches_follow_schema_order(self, translator):
+    def test_branches_follow_label_order(self, translator):
         """Branch order in the query matches the data transform's order."""
-        (seq,) = translator.translate(parse_xpath("/P[B]/S"))
+        (seq,) = translator.translate(parse_xpath("/P[S]/B"))
         labels = [s for s, _ in shapes(seq)]
-        assert labels == ["P", "S", "B"]  # schema: S before B
+        assert labels == ["P", "B", "S"]
 
-    def test_lexicographic_without_schema(self):
-        t = QueryTranslator(SequenceEncoder())
-        (seq,) = t.translate(parse_xpath("/r[z]/a"))
+    def test_lexicographic_without_schema(self, translator):
+        (seq,) = translator.translate(parse_xpath("/r[z]/a"))
         labels = [item.symbol for item in seq]
         assert labels == ["r", "a", "z"]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_concrete_children_of_a_star_keep_label_order(self, translator, k):
+        """Sibling order does not depend on the parent's label, so the
+        branches of a ``*`` node have one order: the same as under any
+        concrete parent."""
+        labels = ["year", "url", "title", "pages", "author"][:k]
+        steps = "".join(f"[{label}]" for label in labels)
+        (seq,) = translator.translate(parse_xpath(f"/dblp/*{steps}"))
+        assert [s for s, _ in shapes(seq)] == ["dblp"] + sorted(labels)
+        (concrete,) = translator.translate(parse_xpath(f"/dblp/article{steps}"))
+        assert [s for s, _ in shapes(concrete)] == ["dblp", "article"] + sorted(labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_raw_exact_queries_translate_to_one_sequence(self, seed):
+        """A query whose raw answer is exact has exactly one sequence: no
+        same-label or wildcard branch leaves an order open."""
+        translator = QueryTranslator()
+        generator = DocQueryGenerator(seed)
+        corpus = generator.corpus(4)
+        for _ in range(8):
+            query = generator.query(corpus)
+            if raw_is_exact(query):
+                assert len(translator.translate(query)) == 1, query.to_xpath()
 
     def test_min_prefix_len(self, translator):
         (seq,) = translator.translate(parse_xpath("/P//I"))
@@ -169,3 +193,35 @@ class TestSiblingOrderConsistency:
         (seq2,) = translator.translate(parse_xpath("/P/*/L"))
         assert seq2[1].min_prefix_len == 2
         assert seq2[1].is_exact_len
+
+
+@pytest.mark.parametrize(
+    "xpath",
+    [
+        "/dblp/*[author][title][year][pages][url]",
+        "/dblp/*[author][key][pages][title][year]",
+    ],
+)
+def test_five_branch_star_answers_on_dblp(xpath):
+    """Five concrete branches under ``*`` translate to one sequence, not
+    5! = 120 orderings past the cap, and answer the reference, raw and
+    exact, on DBLP records kept under their ``dblp`` spine."""
+    from repro.datasets.dblp import DblpConfig, DblpGenerator
+    from repro.doc.model import XmlNode
+    from repro.index.vist import VistIndex
+    from repro.testing.reference import reference_results
+
+    docs = []
+    for record in DblpGenerator(DblpConfig(seed=4)).records(80):
+        spine = XmlNode("dblp")
+        spine.add(record)
+        docs.append(spine)
+    index = VistIndex()
+    assert index.add_all(docs) == list(range(len(docs)))
+    query = parse_xpath(xpath)
+    assert len(index.translator.translate(query)) == 1
+    want = reference_results(docs, query, index.encoder.hasher)
+    assert index.query(xpath, fallback=False) == want
+    assert index.query(xpath, verify=True) == want
+    if "url" not in xpath:
+        assert len(want) > 10

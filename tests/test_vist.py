@@ -12,11 +12,24 @@ from repro.sequence.transform import SequenceEncoder
 from repro.storage.docstore import FileDocStore
 from repro.storage.wal import WalPager
 from repro.testing.invariants import assert_invariants
-from tests.conftest import build_figure3_record, build_purchase_schema, build_record
+from tests.conftest import build_figure3_record, build_record
 
 
 def make_index(**kwargs) -> VistIndex:
-    return VistIndex(SequenceEncoder(schema=build_purchase_schema()), **kwargs)
+    return VistIndex(SequenceEncoder(), **kwargs)
+
+
+class TestFigure3:
+    def test_stored_in_label_order(self):
+        """The Figure 3 record is stored with its siblings in label order
+        (paper Section 2 without a DTD): B before S under P, and a query
+        written in the drawing's order, S first, still finds it."""
+        index = make_index()
+        doc_id = index.add(build_figure3_record())
+        labels = [i.symbol for i in index.load_sequence(doc_id) if not i.is_value]
+        assert labels == list("PBLNSIIMMNINLN")
+        assert index.query("/P[S[L='boston']]/B[L='newyork']") == [doc_id]
+        assert index.query("/P/*[L='newyork']") == [doc_id]
 
 
 class TestDynamicInsertion:
@@ -29,7 +42,7 @@ class TestDynamicInsertion:
         assert got == sorted([a, b])
 
     def test_rist_rejects_insert_after_query(self):
-        index = RistIndex(SequenceEncoder(schema=build_purchase_schema()))
+        index = RistIndex(SequenceEncoder())
         index.add(build_record("boston", "newyork", ["intel"]))
         index.query("/P")
         with pytest.raises(IndexStateError):
@@ -94,7 +107,7 @@ class TestDynamicInsertion:
         from repro.sequence.transform import SequenceEncoder as SE
 
         vist = make_index()
-        naive = NaiveIndex(SE(schema=build_purchase_schema()))
+        naive = NaiveIndex(SE())
         for loc in ["boston", "austin", "boston", "dallas"]:
             record = build_record(loc, "newyork", ["intel"])
             vist.add(record)
@@ -175,7 +188,7 @@ class TestWritePattern:
         from repro.index.store import node_key
 
         records = list(DblpGenerator(DblpConfig(seed=36)).records(2000))
-        index = VistIndex(SequenceEncoder(schema=None))
+        index = VistIndex(SequenceEncoder())
         index.add_batch(records[:1600], durability="none")
         tree = index.tree
         puts, inserts, deletes = [], [], []
@@ -316,7 +329,7 @@ class TestPersistence:
     def test_reopen_from_disk(self, tmp_path):
         pager_path = tmp_path / "vist.db"
         docs_path = tmp_path / "docs.dat"
-        encoder = SequenceEncoder(schema=build_purchase_schema())
+        encoder = SequenceEncoder()
 
         index = VistIndex(
             encoder,
