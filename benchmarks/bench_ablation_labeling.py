@@ -13,7 +13,9 @@ comparators that live only here, behind ``VistIndex``'s ``allocator=``
 seam: a constant λ = 8 (floored at ``k + 1``), the paper's equal-rate
 ``uniform(16)``, and clue allocation over the generator's schema.  They
 keep their cursors in a dict on the allocator, keyed by the parent's
-label — enough because the bench never reopens an index.
+label — enough because the bench never reopens an index — and, like the
+index's own allocator, give each child the largest width its entry can
+store inside its share (:func:`~repro.labeling.dynamic.floor_width`).
 
 Finding (recorded in EXPERIMENTS.md): λ=2 — the default allocator —
 never borrows on either corpus at any budget from 2^64 up.  A larger
@@ -37,7 +39,12 @@ from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
 from repro.datasets.schema import ChildSpec, ElementDecl, Schema
 from repro.index.vist import VistIndex
-from repro.labeling.dynamic import LambdaAllocator, NodeState, ScopeAllocator
+from repro.labeling.dynamic import (
+    LambdaAllocator,
+    NodeState,
+    ScopeAllocator,
+    floor_width,
+)
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
 
@@ -73,7 +80,7 @@ class _Cursor:
             return None
         self.next = start + share
         self.k += 1
-        return Scope(start, share - 1)
+        return Scope(start, floor_width(share) - 1)
 
 
 class ConstantLambdaAllocator(ScopeAllocator):
@@ -118,7 +125,7 @@ class UniformAllocator(ScopeAllocator):
         if share < 1 or k >= self.expected_children:
             return None
         self._counts[scope.n] = k + 1
-        return Scope(scope.n + 1 + k * share, share - 1)
+        return Scope(scope.n + 1 + k * share, floor_width(share) - 1)
 
 
 VALUE = "\x00value"  # follow-set label of "a hashed value leaf"
@@ -258,7 +265,7 @@ class ClueAllocator(ScopeAllocator):
             return overflow.allocate(scope.n + 1 + clue_width, usable - clue_width, 4)
         slot_lo, slot_width, is_value = slot
         if not is_value:
-            return Scope(slot_lo, slot_width - 1) if slot_width >= 1 else None
+            return Scope(slot_lo, floor_width(slot_width) - 1) if slot_width >= 1 else None
         owner = child.prefix[-1] if child.prefix else self.follow_sets.schema.root
         lam = max(2, self.follow_sets.schema.value_cardinality(owner))
         values = self._cursors.setdefault((scope.n, "value"), _Cursor())

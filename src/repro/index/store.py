@@ -49,10 +49,12 @@ META_STORE_BOUNDS_KEY = encode_tuple(("", 0, "store-bounds"))
 # reopen re-applies any stamped id still live (VistIndex._apply_removals)
 META_REMOVED_KEY = encode_tuple(("", 0, "removed"))
 # layout of what a ViST tree holds (NodeState values, docstore payloads,
-# front-coded leaf pages since format 5), stamped when the tree is created.  There is one decoder: a tree with
-# another number, or none, is rebuilt by `repro salvage`, never read.
+# front-coded leaf pages since format 5, a shared node's size as a
+# two-byte width m·2^e since format 6), stamped when the tree is created.
+# There is one decoder: a tree with another number, or none, is rebuilt
+# by `repro salvage`, never read.
 META_FORMAT_KEY = encode_tuple(("", 0, "format"))
-ENTRY_FORMAT = 5
+ENTRY_FORMAT = 6
 # every combined-tree key that is not a trie node
 RESERVED_KEYS = frozenset(
     (

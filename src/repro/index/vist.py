@@ -56,6 +56,7 @@ from repro.labeling.dynamic import (
     LambdaAllocator,
     NodeState,
     ScopeAllocator,
+    scope_end,
 )
 from repro.labeling.scope import Scope
 from repro.query.ast import QuerySequence
@@ -470,11 +471,10 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
     def root_scope(self) -> Scope:
         return self._root_state.scope
 
-    def _end_of(self, n: int, value: bytes) -> int:
-        # NodeState.to_bytes starts [flags][uint size]...; the query path
-        # only needs the scope end, so decode just the size field instead
-        # of rebuilding the whole NodeState per posting (hot in group loads).
-        return n + decode_uint(value, 1)[0]
+    # the query path only needs the scope end: read the flag byte and the
+    # two-byte width (a varint for a private node) instead of rebuilding
+    # the whole NodeState per posting (hot in group loads)
+    _end_of = staticmethod(scope_end)
 
     # ------------------------------------------------------------------
     # payloads: sequence bytes + the node labels of the insert path

@@ -16,6 +16,13 @@ where the next child starts — is a function of ``k`` alone, so a chain
 persists nothing but its child count.  Integer arithmetic only: at
 ``Max = 2**128`` float rounding would overlap scopes.
 
+Eq. 5–6 fix the share, not the precision it is written down at.  A child
+takes the largest width ``m·2^e`` (an 8-bit ``m``) that fits its share —
+:func:`floor_width`, less than 1/128 of the share lost — so its entry
+stores the width in two bytes.  Rounding *down* keeps every child inside
+its share: scopes stay nested and disjoint, and the gap a child leaves
+before the next share is ids nobody uses.
+
 Every node also *reserves* the tail of its scope, and when allocation
 bottoms out (scope underflow), the insert path borrows a sequential block
 of ids from the nearest ancestor whose reserve can cover the rest of the
@@ -33,12 +40,20 @@ parent.  :meth:`NodeState.to_bytes` therefore stores every label as its
 distance from the node's own ``n`` (which the key already carries) and
 omits what is idle::
 
-    [flags][size][n − parent_n]
-    [reserve_used]          only with _FLAG_RESERVE
-    [k]                     only with _FLAG_CHAIN
+    [flags][m][e][n − parent_n]     size + 1 = m·2^e, one byte each
+    [reserve_used]                  only with _FLAG_RESERVE
+    [k]                             only with _FLAG_CHAIN
 
-``size`` stays the first integer, at offset 1: the query path decodes
-nothing else (``VistIndex._end_of``).
+Two kinds of node keep an exact size, a varint in place of ``[m][e]``:
+the root (label 0, whose width is whatever ``max_label`` the index was
+built with) and a private node (a borrowed block hands out consecutive
+sizes, which no rounding can keep).  A private node neither lends nor
+allocates, so it has no tail::
+
+    [flags][size][n − parent_n]     the root may add the tail above
+
+The size is always right behind the flags: the query path decodes
+nothing else (:func:`scope_end`, ``VistIndex._end_of``).
 """
 
 from __future__ import annotations
@@ -53,12 +68,17 @@ from repro.storage.serialization import decode_uint, encode_uint
 
 DEFAULT_MAX = 1 << 128  # root scope [0, 2^128); labels are unbounded ints
 
-_FLAG_PRIVATE = 0x01
+_FLAG_PRIVATE = 0x01  # borrowed; its size is an exact varint
 _FLAG_RESERVE = 0x02  # reserve_used > 0 follows
 _FLAG_CHAIN = 0x04  # chain.k > 0 follows
 _KNOWN_FLAGS = _FLAG_PRIVATE | _FLAG_RESERVE | _FLAG_CHAIN
 # the chain's k counts children, not labels
 _COUNTER_BOUND = (1 << 64) - 1
+# a shared width m·2^e: m one byte (128 ≤ m when e > 0), e one byte
+_MANTISSA_BITS = 8
+_MIN_MANTISSA = 1 << (_MANTISSA_BITS - 1)
+_MAX_EXPONENT = 255
+_MAX_WIDTH = 255 << _MAX_EXPONENT
 
 __all__ = [
     "DEFAULT_MAX",
@@ -66,7 +86,37 @@ __all__ = [
     "NodeState",
     "ScopeAllocator",
     "LambdaAllocator",
+    "floor_width",
+    "scope_end",
 ]
+
+
+def floor_width(share: int) -> int:
+    """The largest width ``m·2^e`` a shared entry can store that is at
+    most ``share`` (≥ 1): ``share`` itself below 256, else ``share`` with
+    all but its top 8 bits cleared."""
+    e = share.bit_length() - _MANTISSA_BITS
+    if e <= 0:
+        return share
+    if e > _MAX_EXPONENT:
+        return _MAX_WIDTH
+    return share >> e << e
+
+
+def _encode_width(width: int) -> bytes:
+    e = max(0, width.bit_length() - _MANTISSA_BITS)
+    m = width >> e
+    if m << e != width or e > _MAX_EXPONENT:
+        raise CodecError(f"scope width {width} is not m·2^e with an 8-bit m")
+    return bytes((m, e))
+
+
+def scope_end(n: int, data: bytes) -> int:
+    """``n + size`` of the state encoded in ``data``, decoding nothing
+    else: the query path's one read of a value."""
+    if data[0] & _FLAG_PRIVATE or not n:
+        return n + decode_uint(data, 1)[0]
+    return n + (data[1] << data[2]) - 1
 
 
 @dataclass
@@ -81,7 +131,9 @@ class Chain:
     k: int = 0  # children allocated so far
 
     def allocate(self, region_lo: int, region_width: int) -> Optional[Scope]:
-        """Carve child ``k``: ``[lo + k·W//(k+1), lo + (k+1)·W//(k+2))``.
+        """Carve child ``k`` from its share ``[lo + k·W//(k+1), lo +
+        (k+1)·W//(k+2))``: the share's start, and its width rounded down
+        by :func:`floor_width`.
 
         ``None`` — and ``k`` unchanged — when that share is empty.
         """
@@ -91,7 +143,7 @@ class Chain:
         if share < 1:
             return None
         self.k = k + 1
-        return Scope(start, share - 1)
+        return Scope(start, floor_width(share) - 1)
 
 
 @dataclass
@@ -119,12 +171,13 @@ class NodeState:
         if self.chain.k:
             flags |= _FLAG_CHAIN
             tail += encode_uint(self.chain.k)
-        return (
-            bytes([flags])
-            + encode_uint(self.scope.size)
-            + encode_uint(self.scope.n - self.parent_n)
-            + tail
-        )
+        if self.private and tail:
+            raise CodecError("a private node neither lends nor allocates")
+        if self.private or not self.scope.n:
+            size = encode_uint(self.scope.size)
+        else:
+            size = _encode_width(self.scope.size + 1)
+        return bytes([flags]) + size + encode_uint(self.scope.n - self.parent_n) + tail
 
     @classmethod
     def from_bytes(cls, n: int, data: bytes) -> "NodeState":
@@ -133,7 +186,18 @@ class NodeState:
         flags = data[0]
         if flags & ~_KNOWN_FLAGS:
             raise CodecError(f"unknown node state flag bits {flags & ~_KNOWN_FLAGS:#x}")
-        size, offset = decode_uint(data, 1)
+        private = bool(flags & _FLAG_PRIVATE)
+        if private and flags != _FLAG_PRIVATE:
+            raise CodecError("a private node neither lends nor allocates")
+        if private or not n:
+            size, offset = decode_uint(data, 1)
+        else:
+            if len(data) < 3:
+                raise CodecError("truncated scope width")
+            m, e = data[1], data[2]
+            if not m or (e and m < _MIN_MANTISSA):
+                raise CodecError(f"scope width {m}·2^{e} is not normalised")
+            size, offset = (m << e) - 1, 3
         parent_delta, offset = decode_uint(data, offset)
         if parent_delta > n:
             raise CodecError(f"parent delta {parent_delta} exceeds the label {n}")
@@ -152,18 +216,19 @@ class NodeState:
             scope=Scope(n, size),
             parent_n=n - parent_delta,
             reserve_used=reserve_used,
-            private=bool(flags & _FLAG_PRIVATE),
+            private=private,
             chain=Chain(k),
         )
 
     @staticmethod
     def max_encoded_len(label_bound: int) -> int:
-        """Longest :meth:`to_bytes` of any state under a root whose labels
-        stay within ``label_bound``: private, reserve used, a chain — three
-        label-width integers (size, parent delta, reserve) and one
-        counter (``k``)."""
+        """Longest :meth:`to_bytes` of any non-root state under a root whose
+        labels stay within ``label_bound``: a shared node with a reserve
+        used and a chain — the two-byte width, two label-width integers
+        (parent delta, reserve) and one counter (``k``).  A private node's
+        exact size costs a label width, but it has no tail."""
         label = len(encode_uint(label_bound))
-        return 1 + 3 * label + len(encode_uint(_COUNTER_BOUND))
+        return 3 + 2 * label + len(encode_uint(_COUNTER_BOUND))
 
 
 class ScopeAllocator:

@@ -1,11 +1,15 @@
 """The parent-relative entry codec: what it stores, what it refuses, and
-the proof that it moved no label.
+the proof that it moved no label it did not mean to.
 
-* Hypothesis round trips of :class:`NodeState` (labels up to 2**256, every
-  flag combination) and of docstore payload label lists, a borrowed insert
-  path included;
+* Hypothesis round trips of :class:`NodeState` — shared states (two-byte
+  widths up to ``2**128``, every flag combination) and exact ones (the
+  root and private nodes, labels up to ``2**256``) — and of docstore
+  payload label lists, a borrowed insert path included;
 * every malformed value — truncated, trailing byte, unknown flag bit,
-  parent delta above the label — is a :class:`CodecError`;
+  non-normalised width, parent delta above the label — is a
+  :class:`CodecError`, and so is writing a width the entry cannot store;
+* ``Chain.allocate`` hands out only storable widths, inside the exact
+  share, losing under 1/128 of it;
 * the **label-assignment pin**: sha-256 over every combined-tree key and
   DocId entry of a seeded corpus, committed here as constants;
 * the **byte-census gate**: mean entry value and payload label bytes on
@@ -13,6 +17,8 @@ the proof that it moved no label.
 * the **headroom gate**: the benchmark's DBLP + XMark mix, ingested into a
   default index, never borrows and keeps every scope at least ``2**64``
   wide;
+* the **borrow path** on a corpus that borrows: A-λ's deep XMark items
+  under a ``2**48`` root;
 * both edges of ``_validate_key_sizes`` at the default page size.
 """
 
@@ -25,53 +31,95 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datasets.dblp import DblpConfig, DblpGenerator
-from repro.datasets.xmark import XmarkConfig, XmarkGenerator
+from repro.datasets.xmark import TARGET_DATE, XmarkConfig, XmarkGenerator
 from repro.doc.model import XmlNode
 from repro.errors import CodecError, KeyTooLargeError
 from repro.index.store import RESERVED_KEYS, decode_node_key, node_key, node_key_len
 from repro.index.vist import VistIndex
-from repro.labeling.dynamic import Chain, LambdaAllocator, NodeState
+from repro.labeling.dynamic import (
+    Chain,
+    LambdaAllocator,
+    NodeState,
+    floor_width,
+    scope_end,
+)
 from repro.labeling.scope import Scope
+from repro.query.xpath import parse_xpath
 from repro.sequence.transform import SequenceEncoder
 from repro.storage.bptree import BPlusTree
 from repro.storage.pager import DEFAULT_PAGE_SIZE, MemoryPager
 from repro.storage.serialization import decode_uint, encode_uint
 from repro.testing.invariants import assert_invariants
+from repro.testing.reference import reference_results
 
 LABELS = st.integers(min_value=0, max_value=1 << 256)
 COUNTS = st.sampled_from([0, 1, 2, 300, (1 << 64) - 1])
+# what Chain.allocate can hand out under a 2**128 root: every storable width
+WIDTHS = st.integers(min_value=1, max_value=1 << 128).map(floor_width)
 
 
 @st.composite
-def node_states(draw) -> NodeState:
-    n = draw(LABELS)
+def shared_states(draw) -> NodeState:
+    """A non-root node a chain carved: a two-byte width, any tail."""
+    n = draw(st.integers(min_value=1, max_value=1 << 256))
     state = NodeState(
-        scope=Scope(n, draw(LABELS)),
-        parent_n=draw(st.integers(min_value=0, max_value=n)),
+        scope=Scope(n, draw(WIDTHS) - 1),
+        parent_n=draw(st.integers(min_value=0, max_value=n - 1)),
         reserve_used=draw(st.one_of(st.just(0), LABELS)),
-        private=draw(st.booleans()),
     )
     if draw(st.booleans()):
         state.chain = Chain(draw(COUNTS.filter(bool)))
     return state
 
 
+@st.composite
+def exact_states(draw) -> NodeState:
+    """The root (label 0, any width, any tail) or a private node (any
+    size, no tail): the two that store their size exactly."""
+    if draw(st.booleans()):
+        state = NodeState(
+            scope=Scope(0, draw(LABELS)),
+            parent_n=0,
+            reserve_used=draw(st.one_of(st.just(0), LABELS)),
+        )
+        if draw(st.booleans()):
+            state.chain = Chain(draw(COUNTS.filter(bool)))
+        return state
+    n = draw(st.integers(min_value=1, max_value=1 << 256))
+    return NodeState(
+        scope=Scope(n, draw(LABELS)),
+        parent_n=draw(st.integers(min_value=0, max_value=n - 1)),
+        private=True,
+    )
+
+
+def node_states():
+    return st.one_of(shared_states(), exact_states())
+
+
 class TestNodeStateCodec:
-    @given(state=node_states())
+    @given(state=shared_states())
     def test_round_trip(self, state):
         data = state.to_bytes()
         assert NodeState.from_bytes(state.scope.n, data) == state
-        # the query path reads the scope end and nothing else: size is
-        # the first integer, at offset 1, whatever the flags say
+        # the width is the two bytes behind the flags: m·2^e = size + 1
+        assert data[1] << data[2] == state.scope.size + 1
+        assert scope_end(state.scope.n, data) == state.scope.end
+
+    @given(state=exact_states())
+    def test_exact_round_trip(self, state):
+        data = state.to_bytes()
+        assert NodeState.from_bytes(state.scope.n, data) == state
+        # the root's and a private node's size is an exact varint
         assert decode_uint(data, 1)[0] == state.scope.size
+        assert scope_end(state.scope.n, data) == state.scope.end
 
     def test_every_flag_combination_round_trips(self):
         n = (1 << 255) + 12345
-        for mask in range(8):
+        for mask in (0, 2, 4, 6):
             state = NodeState(
-                scope=Scope(n, 1 << 200),
+                scope=Scope(n, (1 << 200) - 1),
                 parent_n=n - 1,
-                private=bool(mask & 1),
                 reserve_used=77 if mask & 2 else 0,
             )
             if mask & 4:
@@ -79,12 +127,30 @@ class TestNodeStateCodec:
             data = state.to_bytes()
             assert data[0] == mask
             assert NodeState.from_bytes(n, data) == state
+        private = NodeState(scope=Scope(n, 1 << 200), parent_n=n - 1, private=True)
+        assert private.to_bytes()[0] == 1
+        assert NodeState.from_bytes(n, private.to_bytes()) == private
+
+    def test_a_private_node_has_no_tail(self):
+        """A borrowed node is never a lender and never a parent: the codec
+        writes no reserve or chain for it, and reads none."""
+        for tail in ({"reserve_used": 3}, {"chain": Chain(2)}):
+            state = NodeState(Scope(9, 4), parent_n=8, private=True, **tail)
+            with pytest.raises(CodecError, match="private"):
+                state.to_bytes()
+        exact = encode_uint(4) + encode_uint(1)
+        for flags in (0x03, 0x05, 0x07):
+            with pytest.raises(CodecError, match="private"):
+                NodeState.from_bytes(9, bytes([flags]) + exact + encode_uint(2))
 
     def test_idle_fields_cost_nothing(self):
         n = 1 << 250
         leaf = NodeState(scope=Scope(n, 0), parent_n=n - 1)
-        # flags, size 0, delta 1: an only-child leaf is four bytes
-        assert len(leaf.to_bytes()) == 1 + 1 + 2
+        # flags, width 1·2^0, delta 1: an only-child leaf is five bytes
+        assert leaf.to_bytes() == b"\x00\x01\x00" + encode_uint(1)
+        # and a 2**120-wide scope costs no more than a 1-wide one
+        wide = NodeState(scope=Scope(n, (1 << 120) - 1), parent_n=n - 1)
+        assert len(wide.to_bytes()) == 5
 
     @given(state=node_states())
     def test_within_the_priced_worst_case(self, state):
@@ -109,6 +175,39 @@ class TestNodeStateCodec:
         with pytest.raises(CodecError, match="flag"):
             NodeState.from_bytes(9, bytes(data))
 
+    def test_every_two_byte_width_is_normalised_or_refused(self):
+        """All 65 536 ``(m, e)``: a width is ``1 ≤ m ≤ 255`` at ``e = 0``
+        and ``128 ≤ m ≤ 255`` above it — one encoding per width — and
+        every other pair is a :class:`CodecError`."""
+        n = 1 << 130
+        decoded = set()
+        for m in range(256):
+            for e in range(256):
+                data = bytes([0, m, e]) + encode_uint(1)  # delta 1
+                if m == 0 or (e and m < 128):
+                    with pytest.raises(CodecError, match="normalised"):
+                        NodeState.from_bytes(n, data)
+                    continue
+                state = NodeState.from_bytes(n, data)
+                assert state.scope.size + 1 == m << e
+                assert state.to_bytes() == data
+                decoded.add(m << e)
+        assert len(decoded) == 255 + 128 * 255
+
+    @given(size=st.integers(min_value=0, max_value=1 << 256))
+    def test_an_unstorable_width_is_refused_not_rounded(self, size):
+        state = NodeState(scope=Scope(10, size), parent_n=9)
+        if floor_width(size + 1) == size + 1:
+            assert NodeState.from_bytes(10, state.to_bytes()) == state
+        else:
+            with pytest.raises(CodecError, match="width"):
+                state.to_bytes()
+
+    def test_truncated_width_is_a_codec_error(self):
+        for data in (b"\x00", b"\x00\x80"):
+            with pytest.raises(CodecError, match="truncated"):
+                NodeState.from_bytes(9, data)
+
     def test_parent_delta_above_the_label_is_a_codec_error(self):
         data = NodeState(Scope(1000, 4), parent_n=10).to_bytes()  # delta 990
         assert NodeState.from_bytes(1000, data).parent_n == 10
@@ -117,19 +216,54 @@ class TestNodeStateCodec:
 
     def test_flagged_but_idle_fields_are_a_codec_error(self):
         # a set flag bit promises a non-zero field: one encoding per state
-        size_delta = encode_uint(4) + encode_uint(1)
+        width_delta = bytes([5, 0]) + encode_uint(1)
         with pytest.raises(CodecError, match="reserve"):
-            NodeState.from_bytes(9, b"\x02" + size_delta + encode_uint(0))
+            NodeState.from_bytes(9, b"\x02" + width_delta + encode_uint(0))
         with pytest.raises(CodecError, match="idle chain"):
-            NodeState.from_bytes(9, b"\x04" + size_delta + encode_uint(0))
+            NodeState.from_bytes(9, b"\x04" + width_delta + encode_uint(0))
 
     def test_state_behind_its_own_label_cannot_be_written(self):
         # a parent above its child contradicts the trie (every child is
         # carved from inside its parent's scope); the encoder refuses the
         # negative delta instead of writing a wrapped one
-        state = NodeState(Scope(50, 10), parent_n=60, chain=Chain(1))
+        state = NodeState(Scope(50, 9), parent_n=60, chain=Chain(1))
         with pytest.raises(CodecError):
             state.to_bytes()
+
+
+class TestStorableAllocation:
+    @given(
+        region_lo=st.integers(min_value=1, max_value=1 << 128),
+        region_width=st.integers(min_value=1, max_value=1 << 128),
+        k=st.integers(min_value=0, max_value=1 << 70),
+    )
+    def test_child_lies_in_its_exact_share_and_is_storable(
+        self, region_lo, region_width, k
+    ):
+        """Child ``k`` starts its exact share ``[lo + k·W//(k+1), lo +
+        (k+1)·W//(k+2))``, ends inside it, has a width the entry stores
+        as written, and leaves less than 1/128 of the share unused."""
+        lo = region_lo + k * region_width // (k + 1)
+        hi = region_lo + (k + 1) * region_width // (k + 2)
+        scope = Chain(k).allocate(region_lo, region_width)
+        if hi <= lo:
+            assert scope is None
+            return
+        assert scope.n == lo and scope.end < hi
+        state = NodeState(scope, parent_n=region_lo - 1)
+        assert NodeState.from_bytes(scope.n, state.to_bytes()) == state
+        share, width = hi - lo, scope.size + 1
+        assert 128 * (share - width) < share
+
+    @given(share=st.integers(min_value=1, max_value=1 << 300))
+    def test_floor_width_is_the_largest_storable_width(self, share):
+        width = floor_width(share)
+        assert 1 <= width <= share
+        e = max(0, width.bit_length() - 8)
+        assert width >> e << e == width and e <= 255
+        if share < 255 << 255:  # below the widest storable width
+            # the next storable width up is 2**e more, and exceeds the share
+            assert width + (1 << e) > share
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +349,12 @@ class TestPayloadLabels:
 # sha-256 over every non-reserved combined-tree key and every DocId
 # (key, value), computed by _label_digest.  Re-pinned when Chain.allocate
 # took its closed form (child k of [lo, lo+W) is [lo + k·W//(k+1),
-# lo + (k+1)·W//(k+2))) and a schema stopped selecting clue allocation:
-# every label moved on purpose.  3 974 trie nodes, no borrow.
-PINNED_DIGEST = "431eb6416b860a70dd7ea37028bd4a95916837a29ba98db6e6a6d4477b772284"
+# lo + (k+1)·W//(k+2))) and a schema stopped selecting clue allocation,
+# and again when each child's width was rounded down to a storable m·2^e
+# (entry format 6): a narrower parent carves its children at other
+# labels, so every label below the root's children moved on purpose.
+# 3 974 trie nodes and the same key stems either time, no borrow.
+PINNED_DIGEST = "2d57fbdf86458303963ce91e33e9b1b50a670def562fca7f1a6b67471e36b580"
 
 
 def _pinned_index() -> VistIndex:
@@ -274,12 +411,13 @@ def test_pinned_corpus_exercises_every_chain(pinned):
 
 
 def test_byte_census_gate(pinned):
-    """Counts, exact for the seed.  The readings at this commit are 21.0
-    mean value bytes and 4.37 label bytes per item, against 23.0 while
-    every entry stored a reference count, 36.4 / 4.37 while chains stored
-    their cursor, 63.8 / 6.91 with 2**256 labels and no λ floor, and
-    129.1 / 32.5 before the parent-relative codec; the bounds are the
-    readings + 10 %."""
+    """Counts, exact for the seed.  The readings at this commit are 8.11
+    mean value bytes and 4.37 label bytes per item, against 21.0 while a
+    shared node's size was a varint (format 5), 23.0 while every entry
+    stored a reference count, 36.4 / 4.37 while chains stored their
+    cursor, 63.8 / 6.91 with 2**256 labels and no λ floor, and 129.1 /
+    32.5 before the parent-relative codec; the bounds are the readings +
+    10 %."""
     index = pinned
     entries = _node_entries(index)
     mean_value = sum(len(value) for _, value in entries) / len(entries)
@@ -289,16 +427,17 @@ def test_byte_census_gate(pinned):
         seq_len, offset = decode_uint(payload)
         label_bytes += len(payload) - offset - seq_len
         items += len(index._payload_to_sequence(payload))
-    assert mean_value <= 23.1
+    assert mean_value <= 8.9
     assert label_bytes / items <= 4.8
 
 
 def test_default_width_leaves_headroom_on_the_benchmark_mix():
     """1 600 DBLP + 500 XMark records (the benchmark's corpus shape) into a
     default index: no borrow, no private node, and the narrowest scope is
-    still ``2**64`` ids wide — a 75-bit size at this commit (73 bits while
-    chains stored their cursor), so a corpus much larger than this one
-    still fits under ``2**128``."""
+    still ``2**64`` ids wide — a 75-bit size at this commit, as before
+    widths were rounded to a storable ``m·2^e`` (73 bits while chains
+    stored their cursor), so a corpus much larger than this one still
+    fits under ``2**128``."""
     index = VistIndex(SequenceEncoder())
     records = list(DblpGenerator(DblpConfig(seed=7)).records(1600))
     records += XmarkGenerator(
@@ -311,7 +450,56 @@ def test_default_width_leaves_headroom_on_the_benchmark_mix():
         for key, value in _node_entries(index)
     ]
     assert not any(state.private for state in states)
-    assert min(state.scope.size for state in states) >= 1 << 64
+    narrowest = min(state.scope.size for state in states)
+    assert narrowest >= 1 << 64
+    # rounding each width down costs under 1/128 of a share per level:
+    # within one bit of the 75 the exact widths of format 5 kept
+    assert narrowest.bit_length() >= NARROWEST_BITS_FORMAT_5 - 1
+
+
+NARROWEST_BITS_FORMAT_5 = 75
+
+
+# ---------------------------------------------------------------------------
+# the borrow path, on a corpus that borrows
+
+ITEM_QUERIES = [
+    f"/site//item[location='US']/mail/date[text='{TARGET_DATE}']",
+    "/site/regions/*/item/location",
+    "//item[location='US']",
+    f"//mail/date[text='{TARGET_DATE}']",
+    "//item[quantity='3']/mail/from",
+]
+
+
+def test_borrowed_blocks_on_deep_xmark_items():
+    """A-λ's 400 XMark items (seed 8) under a ``2**48`` root borrow — 25
+    times here, 24 times while widths were exact (format 5), 0 times at
+    the default width — so the private nodes' exact sizes are written,
+    read and matched on a real corpus, not only on a hand-built chain."""
+    records = list(XmarkGenerator(XmarkConfig(seed=8)).records(400, kind="item"))
+    index = VistIndex(SequenceEncoder(), max_label=1 << 48)
+    for record in records:
+        index.add(record)
+    assert index.underflow_count == 25
+    assert_invariants(index)
+    private = 0
+    for key, value in _node_entries(index):
+        n = decode_node_key(key)[2]
+        state = NodeState.from_bytes(n, value)
+        if state.private:
+            private += 1
+            # an exact varint size, not a rounded width
+            assert decode_uint(value, 1)[0] == state.scope.size
+            assert state.to_bytes() == value
+        assert scope_end(n, value) == state.scope.end
+    assert private > index.underflow_count
+    hasher = index.encoder.hasher
+    for xpath in ITEM_QUERIES:
+        expected = reference_results(records, parse_xpath(xpath), hasher)
+        assert expected, xpath
+        assert index.query(xpath) == expected, xpath
+        assert index.query(xpath, verify=True) == expected, xpath
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +530,28 @@ class TestKeySizeBudget:
         index = VistIndex(SequenceEncoder())
         end = index._root_state.scope.end
         length = self.longest_accepted_label(index)
-        # format 2's allowance — six label-width integers (three of them
-        # chain cursors) and four counters — would have refused it
+        assert length == 949  # 934 while a shared size was a varint
+        # format 5's allowance — three label-width integers (size, parent
+        # delta, reserve) and a counter — would have refused it
         counter = len(encode_uint((1 << 64) - 1))
-        old_allowance = 1 + 6 * len(encode_uint(end)) + 4 * counter
+        old_allowance = 1 + 3 * len(encode_uint(end)) + counter
         assert _root_key_len(index, length) + old_allowance > self.cell_budget()
         doc_id = index.add(_doc_with_root_label(length))
         assert index.query("/" + "k" * length) == [doc_id]
         # ... and a cell under that key still fits when its label and its
-        # state are the widest the codec can write: private, reserve used,
+        # state are the widest the codec can write: shared, reserve used,
         # a chain, every label-sized field as wide as the root allows
         key = node_key("k" * length, (), end)
         worst = NodeState(
-            scope=Scope(end, end),
+            scope=Scope(end, floor_width(end) - 1),
             parent_n=0,
             reserve_used=end,
-            private=True,
             chain=Chain((1 << 64) - 1),
         )
         assert len(worst.to_bytes()) == NodeState.max_encoded_len(end)
+        # a private node's exact size is a label width, but it has no tail
+        private = NodeState(scope=Scope(end, end), parent_n=0, private=True)
+        assert len(private.to_bytes()) < NodeState.max_encoded_len(end)
         index.tree.insert(key, worst.to_bytes())
         assert NodeState.from_bytes(end, index.tree.get(key)) == worst
         with pytest.raises(KeyTooLargeError):  # the budget is tight, not padded

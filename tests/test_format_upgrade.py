@@ -22,6 +22,7 @@ from repro.errors import IndexFormatError, StorageError
 from repro.index.store import (
     ENTRY_FORMAT,
     META_FORMAT_KEY,
+    META_REMOVED_KEY,
     RESERVED_KEYS,
     ROOT_KEY,
     decode_node_key,
@@ -244,20 +245,49 @@ def _format2_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes
     )
 
 
+def _varint_size_state_bytes(state: NodeState, middle: bytes = b"") -> bytes:
+    """``[flags][size][n − parent_n]``, then ``middle``, then
+    ``reserve_used`` behind flag 0x02 and the λ-chain's ``k`` behind flag
+    0x04: the layout formats 3-5 wrote, every size an exact varint."""
+    flags = 0x01 if state.private else 0
+    tail = b""
+    if state.reserve_used:
+        flags |= 0x02
+        tail += encode_uint(state.reserve_used)
+    if state.chain.k:
+        flags |= 0x04
+        tail += encode_uint(state.chain.k)
+    return (
+        bytes([flags])
+        + encode_uint(state.scope.size)
+        + encode_uint(state.scope.n - state.parent_n)
+        + middle
+        + tail
+    )
+
+
 def _format3_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes:
-    """What format 3 wrote: this build's value with ``[refs]`` after the
-    parent delta, ``[flags][size][n − parent_n][refs]`` and the same
+    """What format 3 wrote: ``[flags][size][n − parent_n][refs]`` and the
     flagged tail."""
-    data = state.to_bytes()
-    _size, offset = decode_uint(data, 1)
-    _delta, offset = decode_uint(data, offset)
-    return data[:offset] + encode_uint(refs) + data[offset:]
+    return _varint_size_state_bytes(state, encode_uint(refs))
 
 
-def _rewrite_in_format(dbdir: Path, fmt: int, state_bytes) -> None:
+def _format5_state_bytes(index: VistIndex, state: NodeState, refs: int) -> bytes:
+    """What formats 4 and 5 wrote: ``[flags][size][n − parent_n]`` and the
+    flagged tail — a shared node's size a varint, not a two-byte
+    ``m·2^e``."""
+    return _varint_size_state_bytes(state)
+
+
+def _rewrite_in_format(dbdir: Path, fmt: int, state_bytes, removed=()) -> None:
+    """Re-encode every entry with ``state_bytes`` and stamp ``fmt``; a
+    ``removed`` id is stamped as removed by the last commit, its
+    tombstones cut off as a crash after that commit leaves them."""
     index = open_index(dbdir)
     _rewrite_entries(index, state_bytes)
     index.tree.put(META_FORMAT_KEY, encode_uint(fmt))
+    if removed:
+        index.tree.put(META_REMOVED_KEY, b"".join(encode_uint(i) for i in removed))
     _close(index)
 
 
@@ -295,6 +325,38 @@ def test_salvage_upgrades_a_format_3_dbdir(tmp_path, fresh_answers):
     index = open_index(dbdir)
     assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
     assert all(doc_id not in index.docstore for doc_id in REMOVED)
+    _close(index)
+
+
+def test_salvage_upgrades_a_format_5_dbdir(tmp_path, capsys, fresh_answers):
+    """A DBDIR whose shared sizes are varints is refused on open and by
+    scrub, both naming ``salvage``.  Format 5 has this build's page
+    layout, so salvage reads the old removal stamp and applies it: a
+    document whose removal committed but whose tombstones were cut off
+    stays removed, beside the tombstones the stores already hold."""
+    dbdir = tmp_path / "db"
+    _build(dbdir)
+    cut = min(doc_id for answer in fresh_answers.values() for doc_id in answer)
+    _rewrite_in_format(dbdir, 5, _format5_state_bytes, removed=(cut,))
+    old_size = (dbdir / "vist.db").stat().st_size
+    with pytest.raises(IndexFormatError, match="format 5.*salvage"):
+        open_index(dbdir)
+    assert main(["scrub", str(dbdir)]) != 0
+    assert "salvage" in capsys.readouterr().out
+
+    assert main(["salvage", str(dbdir)]) == 0
+    out = capsys.readouterr().out
+    assert f"rebuilt {120 - len(REMOVED) - 1} document(s)" in out
+    assert f"+{len(REMOVED) + 1} tombstone(s)" in out
+    assert "unreadable" not in out
+    expected = {q: [d for d in ids if d != cut] for q, ids in fresh_answers.items()}
+    assert expected != fresh_answers  # the stamp is what removes ``cut``
+    assert _answers(dbdir) == expected
+    assert (dbdir / "vist.db").stat().st_size < old_size
+    index = open_index(dbdir)
+    assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT) == encode_uint(6)
+    for doc_id in (*REMOVED, cut):
+        assert doc_id not in index.docstore and doc_id not in index.source_store
     _close(index)
 
 
@@ -387,6 +449,9 @@ def test_salvage_upgrades_a_format_4_dbdir(tmp_path, capsys, fresh_answers):
 
 
 def test_every_shard_is_stamped_and_salvage_upgrades_all(tmp_path, capsys):
+    """Every shard is stamped 6; a sharded DBDIR whose shards hold format
+    5 is refused, and salvage brings every shard to format 6 with the
+    same answers."""
     dbdir = tmp_path / "sdb"
     with ShardRouter(dbdir, 3) as router:
         router.add_batch(_records(), durability="none")
@@ -395,9 +460,9 @@ def test_every_shard_is_stamped_and_salvage_upgrades_all(tmp_path, capsys):
     shards = [shard_dir(dbdir, k) for k in range(3)]
     for path in shards:
         index = open_index(path)
-        assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT)
+        assert index.tree.get(META_FORMAT_KEY) == encode_uint(ENTRY_FORMAT) == encode_uint(6)
         _close(index)
-        _drop_stamp(path)
+        _rewrite_in_format(path, 5, _format5_state_bytes)
     with pytest.raises(IndexFormatError, match="salvage"):
         ShardRouter(dbdir)
 
@@ -407,6 +472,7 @@ def test_every_shard_is_stamped_and_salvage_upgrades_all(tmp_path, capsys):
         assert {q: router.query(q, verify=True) for q in DBLP_QUERIES} == expected
         for shard in router.shards:
             assert_invariants(shard)
+            assert shard.tree.get(META_FORMAT_KEY) == encode_uint(6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.labeling.dynamic import (
     Chain,
     LambdaAllocator,
     NodeState,
+    floor_width,
 )
 from repro.labeling.scope import Scope
 from repro.sequence.encoding import Item
@@ -89,9 +90,10 @@ class TestChain:
     ):
         """A reference chain that carries ``next`` and ``remaining`` as
         fields (the cursor format 2 persisted) and starts each child where
-        the last one ended hands out the scopes ``allocate`` derives from
-        ``k`` alone; each share is Eq. 6's ``remaining / λ`` with
-        ``λ = k + 2``, within the one id a floor division can drop."""
+        the last one's share ended hands out the scopes ``allocate``
+        derives from ``k`` alone; each share is Eq. 6's ``remaining / λ``
+        with ``λ = k + 2``, within the one id a floor division can drop,
+        and the scope is the share's storable floor."""
         chain = Chain()
         ref_k, ref_next = 0, region_lo
         for _ in range(count):
@@ -99,7 +101,7 @@ class TestChain:
             end = region_lo + (ref_k + 1) * region_width // (ref_k + 2)
             expected = None
             if end > ref_next:
-                expected = Scope(ref_next, end - ref_next - 1)
+                expected = Scope(ref_next, floor_width(end - ref_next) - 1)
                 assert abs((end - ref_next) - ref_remaining // (ref_k + 2)) <= 1
                 ref_next = end
                 ref_k += 1
@@ -112,10 +114,11 @@ class TestChain:
         count=st.integers(min_value=1, max_value=300),
     )
     def test_derived_children_tile_the_region(self, region_lo, region_width, count):
-        """For any ``W ≥ 1``: the children are disjoint and contiguous from
-        ``lo``, lie inside ``[lo, lo + W)``, and ``allocate`` returns
-        ``None`` exactly when child ``k``'s share would be empty — after
-        which the chain allocates nothing, ever."""
+        """For any ``W ≥ 1``: the shares are contiguous from ``lo`` and lie
+        inside ``[lo, lo + W)``, each child starts its share and is its
+        storable floor, and ``allocate`` returns ``None`` exactly when
+        child ``k``'s share would be empty — after which the chain
+        allocates nothing, ever."""
         chain = Chain()
         cursor = region_lo
         for _ in range(count):
@@ -126,11 +129,11 @@ class TestChain:
                 assert share == 0 and chain.k == k
                 assert chain.allocate(region_lo, region_width) is None
                 break
-            assert share == scope.size + 1 >= 1
-            assert scope.n == cursor  # contiguous: starts where the last ended
+            assert floor_width(share) == scope.size + 1 >= 1
+            assert scope.n == cursor  # starts where the last share ended
             assert scope.end < region_lo + region_width
             assert chain.k == k + 1
-            cursor = scope.end + 1
+            cursor += share
 
     @given(
         region_lo=st.integers(min_value=0, max_value=1 << 128),
@@ -138,14 +141,17 @@ class TestChain:
         k=st.integers(min_value=0, max_value=1 << 70),
     )
     def test_any_k_is_contiguous_with_the_next(self, region_lo, region_width, k):
-        """Child ``k`` and child ``k + 1``, derived independently, meet."""
+        """Child ``k`` and child ``k + 1``, derived independently: the
+        next child starts where child ``k``'s share ends, so child ``k``
+        lies before it and leaves at most a rounding gap."""
         a = Chain(k).allocate(region_lo, region_width)
         b = Chain(k + 1).allocate(region_lo, region_width)
         for scope in (a, b):
             if scope is not None:
                 assert region_lo <= scope.n and scope.end < region_lo + region_width
         if a is not None and b is not None:
-            assert a.end + 1 == b.n
+            assert a.end < b.n
+            assert floor_width(b.n - a.n) == a.size + 1
 
     @given(
         width=st.integers(min_value=2, max_value=1 << 200),
@@ -165,29 +171,35 @@ class TestChain:
         fanout=st.integers(min_value=2, max_value=300),
     )
     def test_share_is_width_over_k_plus_1_k_plus_2(self, size, fanout):
-        """Child ``k`` of a chain over ``W`` usable ids gets
+        """Child ``k`` of a chain over ``W`` usable ids gets a share of
         ``W / ((k+1)(k+2))`` within rounding (two floor divisions, each
         off by less than one id), so ``F`` children spend about
-        ``2·log₂(F+1)`` bits of their parent's scope."""
+        ``2·log₂(F+1)`` bits of their parent's scope; the stored width
+        loses less than 1/128 of the share."""
         alloc = LambdaAllocator()
         state = NodeState(scope=Scope(0, size), parent_n=0)
         width = alloc.usable_size(state.scope)
         for k in range(fanout):
-            share = alloc.place(state, None, Item(f"c{k}", ())).size + 1
+            scope = alloc.place(state, None, Item(f"c{k}", ()))
+            share = 1 + (k + 1) * width // (k + 2) - scope.n
             if k == 0:
                 assert share == width // 2
             else:
                 assert abs(share * (k + 1) * (k + 2) - width) < (k + 1) * (k + 2)
+            assert scope.size + 1 == floor_width(share)
+            assert 128 * (share - scope.size - 1) < share
         assert width < (share + 1) * fanout * (fanout + 1)  # the last, smallest child
 
 
 class TestNodeState:
     def test_roundtrip(self):
-        state = NodeState(scope=Scope(7, 1 << 128), parent_n=3, private=True)
+        state = NodeState(scope=Scope(7, (1 << 128) - 1), parent_n=3)
         state.chain.allocate(8, 1000)
         state.reserve_used = 17
         restored = NodeState.from_bytes(7, state.to_bytes())
         assert restored == state
+        private = NodeState(scope=Scope(7, 1 << 128), parent_n=3, private=True)
+        assert NodeState.from_bytes(7, private.to_bytes()) == private
 
     def test_rejects_garbage(self):
         with pytest.raises(Exception):
