@@ -10,6 +10,12 @@ A DBDIR is laid out one of two ways::
       shard-0/  vist.db  vist.db.wal  docs.dat  sources.dat
       shard-1/  ...
 
+The manifest is ``{"version": 2, "nshards": N, "next_doc_id": n}``:
+global id ``g`` lives on ``shard-(g mod N)`` at local id ``g div N``
+(:mod:`repro.shard.routing`).  A version-1 manifest placed documents by
+crc32 of their id; :func:`read_manifest` refuses it, naming ``repro
+reshard DBDIR N``, the one command that reads it.
+
 Siblings are always sorted by label.  A directory that still holds a
 ``schema.dtd`` — written when a DTD could fix the sibling order — has its
 sequences in an order this build never produces; it is refused on open,
@@ -47,6 +53,7 @@ __all__ = [
     "close_index",
     "is_flat",
     "is_sharded",
+    "load_manifest",
     "refuse_schema_order",
     "open_db",
     "open_index",
@@ -68,7 +75,10 @@ HEALTH_FILE = "health.json"
 # a sharded DBDIR
 MANIFEST_FILE = "shards.json"
 SHARD_DIR_FMT = "shard-{}"
-_MANIFEST_VERSION = 1
+#: routing version: 2 places global id g on shard g mod N at local id g div N
+_MANIFEST_VERSION = 2
+#: the version of a DBDIR that placed documents by crc32 of their id
+_CRC32_MANIFEST_VERSION = 1
 
 
 def refuse_schema_order(dbdir) -> None:
@@ -129,25 +139,45 @@ def shard_dirs(dbdir) -> list[Path]:
     ``shard-0 .. shard-(N-1)`` for a sharded one."""
     if not is_sharded(dbdir):
         return [Path(dbdir)]
-    return [shard_dir(dbdir, k) for k in range(read_manifest(dbdir)["nshards"])]
+    return [shard_dir(dbdir, k) for k in range(load_manifest(dbdir)["nshards"])]
 
 
-def read_manifest(dbdir) -> dict:
+def load_manifest(dbdir) -> dict:
+    """Parse ``shards.json`` of either routing version this build knows:
+    1 (crc32 placement, read only by ``repro reshard`` and ``repro
+    salvage``) or 2 (``g mod N``).  Routing code calls
+    :func:`read_manifest`."""
     path = Path(dbdir) / MANIFEST_FILE
     try:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IndexStateError(f"{path}: unreadable shard manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("version") != _MANIFEST_VERSION:
-        raise IndexStateError(
-            f"{path}: unsupported shard manifest {manifest.get('version')!r}"
-        )
+    if not isinstance(manifest, dict) or manifest.get("version") not in (
+        _CRC32_MANIFEST_VERSION,
+        _MANIFEST_VERSION,
+    ):
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        raise IndexStateError(f"{path}: unsupported shard manifest {version!r}")
     nshards = manifest.get("nshards")
     next_doc_id = manifest.get("next_doc_id")
     if not isinstance(nshards, int) or nshards < 1:
         raise IndexStateError(f"{path}: bad nshards {nshards!r}")
     if not isinstance(next_doc_id, int) or next_doc_id < 0:
         raise IndexStateError(f"{path}: bad next_doc_id {next_doc_id!r}")
+    return manifest
+
+
+def read_manifest(dbdir) -> dict:
+    """The manifest of a DBDIR this build can route: a version-1 one
+    placed documents by crc32 and is refused with the upgrade command."""
+    manifest = load_manifest(dbdir)
+    if manifest["version"] == _CRC32_MANIFEST_VERSION:
+        raise IndexFormatError(
+            f"{Path(dbdir) / MANIFEST_FILE}: version-1 shard manifest: its "
+            "documents are placed by crc32 of their id, this build places "
+            "global id g on shard g mod N; run `repro reshard "
+            f"{dbdir} {manifest['nshards']}` to rewrite it"
+        )
     return manifest
 
 

@@ -49,12 +49,22 @@ from repro.dbdir import (
     SOURCE_FILE,
     TREE_FILE,
     TREE_JOURNAL,
+    is_sharded,
+    open_db,
     open_index,
+    read_manifest,
     refuse_schema_order,
     shard_dirs,
 )
 from repro.doc.parser import parse_document_bytes
-from repro.errors import CorruptionError, IndexFormatError, PageError, StorageError
+from repro.errors import (
+    CorruptionError,
+    IndexFormatError,
+    IndexStateError,
+    PageError,
+    ReproError,
+    StorageError,
+)
 from repro.index.store import META_REMOVED_KEY, decode_removed
 from repro.index.vist import VistIndex
 from repro.sequence.transform import SequenceEncoder
@@ -332,28 +342,8 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
     pages would drown the real signal (and the open itself may fail).
     """
     dbdir = Path(os.fspath(dbdir))
-    sharded = shard_dirs(dbdir)
-    if sharded != [dbdir]:
-        # sharded database: every shard is a complete directory; scrub
-        # each and aggregate so one report covers all the damage
-        report = ScrubReport(dbdir=str(dbdir))
-        report.notes.append(f"sharded database: {len(sharded)} shard(s) scrubbed")
-        try:
-            # no shard open sees the top level's schema.dtd; every command does
-            refuse_schema_order(dbdir)
-        except IndexFormatError as exc:
-            report.invariants_checked = True
-            report.invariant_violations.append(str(exc))
-        for k, shard_path in enumerate(sharded):
-            sub = scrub_db(shard_path, invariants=invariants)
-            report.files.extend(sub.files)
-            if sub.invariants_checked:
-                report.invariants_checked = True
-            report.invariant_violations.extend(
-                f"shard {k}: {v}" for v in sub.invariant_violations
-            )
-            report.notes.extend(f"shard {k}: {n}" for n in sub.notes)
-        return report
+    if is_sharded(dbdir):
+        return _scrub_sharded(dbdir, invariants=invariants)
     report = ScrubReport(dbdir=str(dbdir))
     tree_path = dbdir / TREE_FILE
     if tree_path.exists():
@@ -381,6 +371,38 @@ def scrub_db(dbdir: str | os.PathLike, *, invariants: bool = True) -> ScrubRepor
         else:
             report.invariants_checked = True
             report.invariant_violations = _check_invariants(dbdir)
+    return report
+
+
+def _scrub_sharded(dbdir: Path, *, invariants: bool) -> ScrubReport:
+    """Scrub every shard, aggregated so one report covers all the damage,
+    and check the manifest against its shards: one that no open accepts
+    (unreadable, version 1, or routing a shard more slots than it holds)
+    is an invariant violation."""
+    report = ScrubReport(dbdir=str(dbdir))
+    try:
+        shard_paths = shard_dirs(dbdir)
+    except IndexStateError:  # unreadable: no shard count to scrub by
+        shard_paths = []
+    else:
+        report.notes.append(f"sharded database: {len(shard_paths)} shard(s) scrubbed")
+    for k, shard_path in enumerate(shard_paths):
+        sub = scrub_db(shard_path, invariants=invariants)
+        report.files.extend(sub.files)
+        report.invariants_checked |= sub.invariants_checked
+        report.invariant_violations.extend(
+            f"shard {k}: {v}" for v in sub.invariant_violations
+        )
+        report.notes.extend(f"shard {k}: {n}" for n in sub.notes)
+    try:
+        # no shard open sees the top level's schema.dtd; every command does
+        refuse_schema_order(dbdir)
+        read_manifest(dbdir)
+        if invariants and report.checksums_ok:
+            open_db(dbdir).close()  # the manifest against the stores
+    except ReproError as exc:
+        report.invariants_checked = True
+        report.invariant_violations.append(str(exc))
     return report
 
 

@@ -1,23 +1,25 @@
 """Sharded multi-process serving (docs/INTERNALS.md section 12).
 
-ViST's DocId-labeled postings make hash-sharding by document trivially
+ViST's DocId-labeled postings make sharding by document trivially
 correct: every query answer is a per-document decision, so the union of
 per-shard result sets *is* the exact global answer.  This package
 partitions documents across N full index directories
-(``DBDIR/shard-K/``), each with its own pager/WAL/docstore, and executes
+(``DBDIR/shard-K/``) — global id ``g`` on shard ``g mod N`` at local id
+``g div N`` — each with its own pager/WAL/docstore, and executes
 queries scatter-gather over per-shard worker **processes** — the route
 around the GIL wall PR 5 measured (4 threads at 0.99x single-thread
 qps).
 
 Layers:
 
-* :mod:`repro.shard.routing` — the stable DocId hash and the derivable
-  global↔local id map (:class:`ShardMap`); the manifest and every other
+* :mod:`repro.shard.routing` — the global↔local id arithmetic and its
+  crash-recovery rule (:class:`ShardMap`); the manifest and every other
   DBDIR file name live in :mod:`repro.dbdir`;
 * :mod:`repro.shard.router` — :class:`ShardRouter`, the in-process
   handle on a DBDIR, flat or sharded (:func:`repro.dbdir.open_db`):
   add/remove routing — the one write path — sequential scatter
-  queries, and ``reshard``;
+  queries, and ``reshard`` (also the upgrade of a version-1, crc32-placed
+  DBDIR);
 * :mod:`repro.shard.protocol` — length-prefixed JSON frames;
 * :mod:`repro.shard.worker` — the per-shard worker process
   (``python -m repro.shard.worker``): one open index, one query thread,
@@ -32,7 +34,7 @@ Layers:
 """
 
 from repro.dbdir import MANIFEST_FILE, is_sharded
-from repro.shard.routing import ShardMap, shard_of
+from repro.shard.routing import ShardMap
 from repro.shard.router import ShardRouter, reshard_db
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "ShardedExecutor",
     "is_sharded",
     "reshard_db",
-    "shard_of",
 ]
 
 _LAZY = {

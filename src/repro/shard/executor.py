@@ -9,9 +9,10 @@ what actually breaks the GIL wall: the matching work runs in N
 interpreters.
 
 Every submitted query is fanned out to *all* shards and the per-shard
-answers (local doc ids) are mapped through the
-:class:`~repro.shard.routing.ShardMap` back to global ids and merged —
-an exact union, because membership is a per-document decision.
+answers (local doc ids) are mapped back to global ids by the
+:class:`~repro.shard.routing.ShardMap`'s arithmetic (local ``l`` of
+shard ``s`` is global ``l·N + s``) and merged — an exact union, because
+membership is a per-document decision.
 
 **Fault tolerance** (docs/INTERNALS.md section 13) is layered on top:
 
@@ -35,10 +36,13 @@ an exact union, because membership is a per-document decision.
 
 The executor only reads.  Writes to a DBDIR have one path,
 :class:`~repro.shard.router.ShardRouter`, and the executor never writes
-the manifest: a manifest that lags the shard stores is recovered in
-memory here (:meth:`ShardMap.recover` against each worker's
-``id_bound``) and on disk by the router's next open.  A flat DBDIR is
-served as one shard: its one worker opens the directory itself.
+the manifest.  Its map is the manifest's ``(nshards, next_doc_id)``;
+mapping an answer back needs only the shard count, so a manifest that
+lags the shard stores changes no answer.  :meth:`ShardedExecutor.stats`
+catches the map up from the workers' ``id_bound`` values it fetches
+anyway, and the router's next open catches up the manifest.  A
+version-1 (crc32) manifest is refused, as every open refuses it.  A flat
+DBDIR is served as one shard: its one worker opens the directory itself.
 """
 
 from __future__ import annotations
@@ -451,6 +455,9 @@ class ShardedExecutor:
         socket_wrapper: Optional[Callable] = None,
     ) -> None:
         self.dbdir = Path(dbdir)
+        next_doc_id = (
+            read_manifest(self.dbdir)["next_doc_id"] if is_sharded(self.dbdir) else 0
+        )
         dirs = shard_dirs(self.dbdir)
         nshards = len(dirs)
         if workers is not None and workers != nshards:
@@ -469,9 +476,6 @@ class ShardedExecutor:
         self.supervise = supervise
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.metrics = MetricsRegistry()
-        next_doc_id = (
-            read_manifest(self.dbdir)["next_doc_id"] if is_sharded(self.dbdir) else 0
-        )
         self.map = ShardMap(nshards, next_doc_id)
         self._closed = False
         self.clients: list[_ShardClient] = []
@@ -493,25 +497,7 @@ class ShardedExecutor:
                 )
                 client.start()
                 self.clients.append(client)
-            # supervision is live before the first RPC so even the
-            # manifest-recovery stats below survive a worker dying young
             self._supervisor.start()
-            bounds = []
-            for client in self.clients:
-                response = self._call(
-                    client,
-                    {"op": "stats"},
-                    retryable=True,
-                    timeout_s=_SPAWN_TIMEOUT,
-                ).result(_SPAWN_TIMEOUT + 5.0)
-                bound = response.get("id_bound") if response.get("ok") else None
-                if not isinstance(bound, int):
-                    raise ShardError(
-                        f"shard {client.shard} stats carry no id_bound; "
-                        "cannot reconcile the manifest"
-                    )
-                bounds.append(bound)
-            self.map.recover(bounds)
         except BaseException:
             self.close()
             raise
@@ -725,8 +711,7 @@ class ShardedExecutor:
             else:
                 merged: list[int] = []
                 for s, locals_ in results.items():
-                    globals_of = self.map.globals_of(s)
-                    merged.extend(globals_of[local] for local in locals_)
+                    merged.extend(self.map.global_of(s, local) for local in locals_)
                 outcome.result = sorted(merged)
                 if missing:
                     outcome.missing_shards = sorted(missing)
@@ -818,6 +803,7 @@ class ShardedExecutor:
             for client in self.clients
         ]
         shards: dict[str, object] = {}
+        bounds: list = []
         for s, future in futures:
             try:
                 response = future.result(_SPAWN_TIMEOUT)
@@ -829,6 +815,9 @@ class ShardedExecutor:
                 if response.get("ok")
                 else f"<error: {response.get('error')}>"
             )
+            bounds.append(response.get("id_bound"))
+        if len(bounds) == self.nshards and all(isinstance(b, int) for b in bounds):
+            self.map.recover(bounds)  # a manifest lagging the stores
         return {
             "shard": shards,
             "routing": {

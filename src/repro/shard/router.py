@@ -8,19 +8,23 @@ no manifest is written.  Each shard opens through
 :func:`repro.dbdir.open_index`: its own pager, WAL, docstore and source
 store.
 
-The router owns add/remove routing (global id → stable hash → shard,
-see :mod:`repro.shard.routing`) — the one write path of a DBDIR —
+The router owns add/remove routing (global id ``g`` → shard ``g mod N``,
+local id ``g div N``, see :mod:`repro.shard.routing`) — the one write
+path of a DBDIR —
 answers queries by a *sequential* scatter over the open shards (the
 process-parallel, read-only path is
 :class:`~repro.shard.executor.ShardedExecutor`), and implements
 ``repro reshard``: rebuilding a sharded directory under a new shard
-count while preserving every global id and every answer.
+count while preserving every global id and every answer.  ``reshard`` is
+also the upgrade of a version-1 DBDIR, whose documents were placed by
+crc32 of their id; every other open refuses one.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+from binascii import crc32
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -29,6 +33,7 @@ from repro.dbdir import (
     close_index,
     is_flat,
     is_sharded,
+    load_manifest,
     open_index,
     read_manifest,
     refuse_schema_order,
@@ -38,7 +43,7 @@ from repro.dbdir import (
 from repro.doc.model import XmlDocument, XmlNode
 from repro.errors import IndexStateError
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.routing import HashFn, ShardMap
+from repro.shard.routing import ShardMap
 
 __all__ = ["ShardRouter", "reshard_db"]
 
@@ -50,11 +55,8 @@ class ShardRouter:
     must match the manifest (or be ``None``); on a flat one it must be
     ``None``: a flat DBDIR is not sharded in place.  A new DBDIR is
     sharded ``nshards`` ways when it is given and flat when it is not.
-    ``hash_fn`` overrides the stable routing hash — test-only, for
-    forcing placement (it is *not* persisted, so a directory written
-    with a custom hash must be reopened with it).  ``wal`` is accepted
-    and ignored, as in :func:`repro.dbdir.open_index`: every shard opens
-    through the journaled pager.
+    ``wal`` is accepted and ignored, as in :func:`repro.dbdir.open_index`:
+    every shard opens through the journaled pager.
     """
 
     def __init__(
@@ -62,7 +64,6 @@ class ShardRouter:
         dbdir,
         nshards: Optional[int] = None,
         *,
-        hash_fn: Optional[HashFn] = None,
         wal: bool = False,
     ) -> None:
         self.dbdir = Path(dbdir)
@@ -87,14 +88,21 @@ class ShardRouter:
             )
         self.flat = nshards is None
         self.nshards = 1 if self.flat else nshards
-        self.map = ShardMap(self.nshards, next_doc_id, hash_fn=hash_fn)
-        if self.flat:
-            self.shards = [open_index(self.dbdir)]
-        else:
-            self.shards = self._open_sharded()
-        # a crash may have left the manifest behind the shard stores;
-        # replay the routing rule forward until the map explains them
-        self.map.recover([shard.docstore.id_bound for shard in self.shards])
+        self.map = ShardMap(self.nshards, next_doc_id)
+        self.shards = [open_index(path) for path in self.shard_dirs()]
+        try:
+            # a crash may have left the manifest behind the shard stores:
+            # ids continue one past the highest global id any shard holds
+            self.map.recover([shard.docstore.id_bound for shard in self.shards])
+            # and a crash between two shards' commits of one chunk left a
+            # shard short of its share: its missing slots are burned and
+            # committed before a manifest routing them is written
+            for s in {g % self.nshards for g in self._pad(self.map.next_doc_id)}:
+                self.shards[s].flush()
+        except BaseException:
+            for shard in self.shards:
+                close_index(shard)
+            raise
         self._closed = False
         self._write_manifest()
         if self.flat:
@@ -107,27 +115,20 @@ class ShardRouter:
             self.metrics.register(f"shard.{k}", shard.metrics)
         self.metrics.register("routing", self._routing_report)
 
-    def _open_sharded(self) -> list:
-        """Open (or create) every shard directory."""
-        return [open_index(shard_dir(self.dbdir, k)) for k in range(self.nshards)]
-
     # -- routing ---------------------------------------------------------
 
     def _routing_report(self) -> dict:
-        live = [0] * self.nshards
-        for k, shard in enumerate(self.shards):
-            live[k] = len(shard.docstore)
         return {
             "nshards": self.nshards,
             "next_doc_id": self.map.next_doc_id,
             "routed": self.map.shard_counts(),
-            "live": live,
+            "live": [len(shard.docstore) for shard in self.shards],
         }
 
     def _write_manifest(self) -> None:
         """Persist the map once the shard stores behind it are committed,
         so the manifest never runs ahead of them (a lagging one is what
-        :meth:`ShardMap.recover` replays); a current one is left alone."""
+        :meth:`ShardMap.recover` catches up); a current one is left alone."""
         if not self.flat and self._manifest_next != self.map.next_doc_id:
             write_manifest(self.dbdir, self.nshards, self.map.next_doc_id)
             self._manifest_next = self.map.next_doc_id
@@ -158,22 +159,21 @@ class ShardRouter:
     ) -> list[int]:
         """Bulk-route documents: one shard-level batch per chunk and shard.
 
-        Each chunk of ``batch_size`` documents is planned against the
-        routing map (global id → shard) without advancing it, grouped by
-        shard, and handed to each shard's
-        :meth:`~repro.index.base.XmlIndexBase.add_batch` as one group.
-        The map advances and the manifest is rewritten only once the
-        whole chunk landed, so a process crash between chunks recovers
-        cleanly by forward replay.
+        Each chunk of ``batch_size`` documents takes the next global ids,
+        is grouped by shard (``g mod N``), and each group is handed to its
+        shard's :meth:`~repro.index.base.XmlIndexBase.add_batch` as one
+        batch.  The map advances and the manifest is rewritten only once
+        the whole chunk landed.  A process crash between two shards'
+        commits leaves the later shard short of its share; the next open
+        continues ids past the highest one held and pads the short shard
+        with burned slots before any chunk lands on it.
 
-        If a chunk dies *between shards* (one shard landed its group,
-        another did not), the planned global ids that never landed are
-        burned as positional tombstones and the map advanced over the
-        whole plan — the only layout :class:`ShardMap.recover` can
-        explain.  The raised error names the burned ids; the documents
-        they stood for must be re-submitted (under fresh ids).  A chunk
-        that fails before any shard landed a document consumes no id: its
-        error propagates unchanged.
+        If a chunk dies *between shards* in this process, every shard is
+        padded the same way up to the end of the chunk, and the map
+        advanced over it.  The raised error names the burned ids; the
+        documents they stood for must be re-submitted (under fresh ids).
+        A chunk that fails before any shard landed a document consumes no
+        id: its error propagates unchanged.
         """
         from itertools import islice
 
@@ -193,20 +193,15 @@ class ShardRouter:
             doc_ids.extend(self._add_chunk(chunk, durability))
 
     def _add_chunk(self, chunk: list, durability: str) -> list[int]:
-        from repro.shard.routing import shard_of
-
         base = self.map.next_doc_id
-        plan = [
-            (base + i, shard_of(base + i, self.nshards, self.map.hash_fn))
-            for i in range(len(chunk))
-        ]
-        groups: dict[int, list] = {}
-        for (_, s), doc in zip(plan, chunk):
-            groups.setdefault(s, []).append(doc)
+        end = base + len(chunk)
+        groups: dict[int, tuple[int, list]] = {}  # shard -> (first local, docs)
+        for g, doc in zip(range(base, end), chunk):
+            local, s = divmod(g, self.nshards)
+            groups.setdefault(s, (local, []))[1].append(doc)
         pre_bound = {s: self.shards[s].docstore.id_bound for s in groups}
         try:
-            for s, docs in groups.items():  # insertion order = global order
-                start = len(self.map.globals_of(s))
+            for s, (start, docs) in groups.items():  # insertion order = global order
                 locals_ = self.shards[s].add_batch(
                     docs, batch_size=len(docs), durability=durability
                 )
@@ -219,56 +214,42 @@ class ShardRouter:
         except BaseException as exc:
             if all(self.shards[s].docstore.id_bound == pre_bound[s] for s in groups):
                 raise  # nothing landed: the map and the stores still agree
-            burned = self._repair_partial_chunk(plan, pre_bound, durability)
+            burned = self._pad(end)
+            self.map.next_doc_id = end
+            if durability == "batch":
+                try:
+                    for s in groups:
+                        self.shards[s].flush()
+                except Exception:
+                    pass  # the original failure is the one to surface
+                else:  # the manifest waits for the burns it routes
+                    self._write_manifest()
             raise IndexStateError(
                 f"bulk chunk failed after partially landing; {len(burned)} "
                 f"planned global id(s) tombstoned to keep the layout "
                 f"recoverable: {burned[:10]}{'...' if len(burned) > 10 else ''}"
             ) from exc
-        for g, s in plan:
-            g2, s2, _ = self.map.append_next()
-            assert (g2, s2) == (g, s)
+        self.map.next_doc_id = end
         if durability == "batch":  # else the flush that commits it writes it
             self._write_manifest()
-        return [g for g, _ in plan]
+        return list(range(base, end))
 
-    def _repair_partial_chunk(
-        self, plan: list[tuple[int, int]], pre_bound: dict[int, int], durability: str
-    ) -> list[int]:
-        """A chunk died between shards: burn the ids that never landed.
-
-        Per-shard landed counts (docstore id-bound deltas) consume the
-        plan in global order; every remaining planned id is written as a
-        positional tombstone (the :func:`reshard_db` idiom — an id burned
-        in both stores).  The map then
-        advances over the whole plan: any other layout would leave a
-        later-global-id document explainable only by skipping an earlier
-        one, which :meth:`ShardMap.recover` rightly refuses.
-        """
-        landed = {
-            s: max(0, self.shards[s].docstore.id_bound - pre_bound[s])
-            for s in pre_bound
-        }
+    def _pad(self, upto: int) -> list[int]:
+        """Burn a slot, in the docstore and the source store, for every
+        global id below ``upto`` that its shard does not hold, so the next
+        document each shard takes lands at local id ``g div N``.  Returns
+        the burned global ids, ascending.  No index ever held them, so
+        the burns commit with the shard's next flush, which must precede
+        the manifest that routes them."""
         burned: list[int] = []
-        for g, s in plan:
-            if landed.get(s, 0) > 0:
-                landed[s] -= 1
-            else:
-                shard = self.shards[s]
-                shard.docstore.burn()
-                if shard.source_store is not None:
-                    shard.source_store.burn()
-                burned.append(g)
-            g2, s2, _ = self.map.append_next()
-            assert (g2, s2) == (g, s)
-        if durability == "batch":
-            for s in pre_bound:
-                try:
-                    self.shards[s].flush()
-                except Exception:
-                    pass  # the original failure is the one to surface
-            self._write_manifest()
-        return burned
+        for s, share in enumerate(self.map.shard_counts(upto)):
+            shard = self.shards[s]
+            held = shard.docstore.id_bound
+            for store in (shard.docstore, shard.source_store):
+                while store is not None and store.id_bound < share:
+                    store.burn()
+            burned.extend(self.map.global_of(s, local) for local in range(held, share))
+        return sorted(burned)
 
     def remove(self, doc_id: int) -> None:
         """Tombstone a document in its shard; global ids are never reused."""
@@ -292,8 +273,7 @@ class ShardRouter:
         for s, shard in enumerate(self.shards):
             guard = guard_factory() if guard_factory is not None else None
             locals_ = shard.query(query, verify=verify, guard=guard)
-            globals_of = self.map.globals_of(s)
-            out.extend(globals_of[local] for local in locals_)
+            out.extend(self.map.global_of(s, local) for local in locals_)
         return sorted(out)
 
     def query_nodes(self, query) -> dict[int, list[int]]:
@@ -301,9 +281,8 @@ class ShardRouter:
         self._ensure_open()
         out: dict[int, list[int]] = {}
         for s, shard in enumerate(self.shards):
-            globals_of = self.map.globals_of(s)
             for local, positions in shard.query_nodes(query).items():
-                out[globals_of[local]] = positions
+                out[self.map.global_of(s, local)] = positions
         return out
 
     # -- document access -------------------------------------------------
@@ -359,20 +338,18 @@ class ShardRouter:
         self.close()
 
 
-def reshard_db(
-    dbdir,
-    new_nshards: int,
-    *,
-    hash_fn: Optional[HashFn] = None,
-) -> dict:
+def reshard_db(dbdir, new_nshards: int) -> dict:
     """Rebalance ``dbdir`` to ``new_nshards`` shards, preserving global ids.
 
     Every global id ever assigned is replayed into a fresh layout built
     under ``DBDIR/reshard.tmp`` — live documents re-inserted (sequence
-    and stored source), removed ids tombstoned positionally — so the
-    derivable id map stays exact under the new shard count.  The fresh
-    shards must pass every structural invariant before they atomically
-    replace the old directories.  Returns a small report dict.
+    and stored source), removed ids tombstoned positionally — so global
+    id ``g`` lands on shard ``g mod new_nshards`` at local id ``g div
+    new_nshards``.  The fresh shards must pass every structural invariant
+    before they atomically replace the old directories.  A version-1
+    DBDIR (documents placed by crc32 of their id) is read here and only
+    here, which makes ``repro reshard DBDIR N`` its upgrade.  Returns a
+    small report dict.
     """
     from repro.testing.invariants import assert_invariants
 
@@ -383,22 +360,30 @@ def reshard_db(
         raise IndexStateError(
             f"{dbdir} is not sharded; build one with `repro index --shards N` first"
         )
-    old = ShardRouter(dbdir, hash_fn=hash_fn)
-    tmp_root = dbdir / "reshard.tmp"
-    if tmp_root.exists():
-        shutil.rmtree(tmp_root)  # leftovers of an interrupted reshard
-    tmp_root.mkdir()
-    report = {"old_nshards": old.nshards, "new_nshards": new_nshards,
+    refuse_schema_order(dbdir)
+    manifest = load_manifest(dbdir)
+    old_nshards = manifest["nshards"]
+    old_shards = [open_index(shard_dir(dbdir, k)) for k in range(old_nshards)]
+    new_shards: list = []
+    report = {"old_nshards": old_nshards, "new_nshards": new_nshards,
               "documents": 0, "tombstones": 0}
-    new_map = ShardMap(new_nshards, hash_fn=hash_fn)
-    new_shards = [open_index(shard_dir(tmp_root, k)) for k in range(new_nshards)]
+    tmp_root = dbdir / "reshard.tmp"
     try:
-        for g in range(old.map.next_doc_id):
-            g2, s, expect_local = new_map.append_next()
-            assert g2 == g
+        bounds = [shard.docstore.id_bound for shard in old_shards]
+        if manifest["version"] == 1:
+            routes = _crc32_routes(manifest["next_doc_id"], bounds)
+        else:
+            old_map = ShardMap(old_nshards, manifest["next_doc_id"])
+            old_map.recover(bounds)
+            routes = [old_map.route(g) for g in range(old_map.next_doc_id)]
+        if tmp_root.exists():
+            shutil.rmtree(tmp_root)  # leftovers of an interrupted reshard
+        tmp_root.mkdir()
+        new_shards = [open_index(shard_dir(tmp_root, k)) for k in range(new_nshards)]
+        for g, (old_s, old_local) in enumerate(routes):
+            expect_local, s = divmod(g, new_nshards)
             target = new_shards[s]
-            old_s, old_local = old.map.route(g)
-            old_shard = old.shards[old_s]
+            old_shard = old_shards[old_s]
             if old_local in old_shard.docstore:
                 local = target.add_sequence(old_shard.load_sequence(old_local))
                 source = None
@@ -433,24 +418,42 @@ def reshard_db(
             assert_invariants(shard)
             shard.flush()
     finally:
-        for shard in new_shards:
+        for shard in new_shards + old_shards:
             try:
                 close_index(shard)
             except Exception:
                 pass
-        next_doc_id = old.map.next_doc_id
-        old.close()
     # promote: move the old shard dirs aside, the new ones in, then drop
     # the old.  The manifest is rewritten only after the swap succeeds.
     old_root = dbdir / "reshard.old"
     if old_root.exists():
         shutil.rmtree(old_root)
     old_root.mkdir()
-    for k in range(report["old_nshards"]):
+    for k in range(old_nshards):
         os.replace(shard_dir(dbdir, k), shard_dir(old_root, k))
     for k in range(new_nshards):
         os.replace(shard_dir(tmp_root, k), shard_dir(dbdir, k))
-    write_manifest(dbdir, new_nshards, next_doc_id)
+    write_manifest(dbdir, new_nshards, len(routes))
     shutil.rmtree(old_root)
     tmp_root.rmdir()
     return report
+
+
+def _crc32_routes(next_doc_id: int, bounds: list[int]) -> list[tuple[int, int]]:
+    """``(shard, local id)`` of every global id of a version-1 DBDIR: shard
+    ``crc32(g as 8 little-endian bytes) mod N``, at the rank of ``g``
+    among the ids placed there.  Replayed past ``next_doc_id`` while a
+    shard holds documents a crash kept the manifest from counting."""
+    routes: list[tuple[int, int]] = []
+    held = [0] * len(bounds)
+    while len(routes) < next_doc_id or held != bounds:
+        g = len(routes)
+        s = crc32(g.to_bytes(8, "little")) % len(bounds)
+        if g >= next_doc_id and held[s] >= bounds[s]:
+            raise IndexStateError(
+                f"the shards hold {bounds} slot(s), which no run of the "
+                "version-1 crc32 placement explains"
+            )
+        routes.append((s, held[s]))
+        held[s] += 1
+    return routes

@@ -6,11 +6,17 @@ cannot be opened, and the typed error names ``repro salvage`` — which
 rebuilds the index from the *sequence* half of every stored payload, bytes
 that are the same in every entry format.  The old layout is hand-built
 here, byte by byte; nothing in ``src/`` can read it.
+
+A sharded DBDIR's manifest carries a routing version the same way:
+version 1 placed documents by crc32 of their id, and only ``repro
+reshard`` reads it; every other command refuses it, naming that command.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from binascii import crc32
 from pathlib import Path
 
 import pytest
@@ -561,3 +567,56 @@ def test_a_schema_dtd_at_the_top_of_a_sharded_dbdir_alone(tmp_path, capsys):
     assert list(dbdir.rglob("schema.dtd")) == []
     with ShardRouter(dbdir) as router:
         assert {q: router.query(q, verify=True) for q in DBLP_QUERIES} == expected
+
+
+# ---------------------------------------------------------------------------
+# (e) a version-1 manifest: documents placed by crc32 of their id
+
+
+def _build_crc32_layout(dbdir: Path, records, removed: int) -> None:
+    """The layout a version-1 DBDIR has: global id g on shard
+    crc32(g as 8 little-endian bytes) mod 2, at its rank among the ids
+    placed there."""
+    shards = [open_index(shard_dir(dbdir, k)) for k in range(2)]
+    for g, record in enumerate(records):
+        shard = shards[crc32(g.to_bytes(8, "little")) % 2]
+        local = shard.add(record)
+        if g == removed:
+            shard.remove(local)
+    for shard in shards:
+        _close(shard)
+    (dbdir / "shards.json").write_text(
+        json.dumps({"version": 1, "nshards": 2, "next_doc_id": len(records)})
+    )
+
+
+def test_a_crc32_layout_is_refused_and_reshard_upgrades_it(tmp_path, capsys):
+    dbdir = tmp_path / "sdb"
+    records = _records()
+    removed = REMOVED[0]
+    _build_crc32_layout(dbdir, records, removed)
+    # a layout g mod 2 cannot read: some ids sit on the other shard
+    assert any(crc32(g.to_bytes(8, "little")) % 2 != g % 2 for g in range(20))
+
+    assert main(["query", str(dbdir), DBLP_QUERIES[0]]) == 1
+    err = capsys.readouterr().err
+    assert "repro reshard" in err and "Traceback" not in err
+    assert main(["scrub", str(dbdir)]) == 2
+    assert "repro reshard" in capsys.readouterr().out
+    with pytest.raises(IndexFormatError, match="repro reshard"):
+        ShardRouter(dbdir)
+
+    assert main(["reshard", str(dbdir), "2"]) == 0
+    capsys.readouterr()
+    assert json.loads((dbdir / "shards.json").read_text())["version"] == 2
+    assert main(["scrub", str(dbdir)]) == 0
+    capsys.readouterr()
+    live = {g: r for g, r in enumerate(records) if g != removed}
+    with ShardRouter(dbdir) as router:
+        assert list(router.doc_ids()) == list(live)  # every id kept, one tombstone
+        hasher = router.shards[0].encoder.hasher
+        for xpath in DBLP_QUERIES:
+            query = parse_xpath(xpath)
+            want = [g for g, r in live.items() if reference_matches(r, query, hasher)]
+            assert router.query(xpath, verify=True) == want, xpath
+        assert router.add(records[0]) == len(records)

@@ -17,18 +17,29 @@ Four layers of failure are proven here:
   whose answers are the pre- or the post-commit ones — removal
   tombstones reach the stores only after the commit that detaches the
   documents;
-* **partial sharded chunk**: the router burns positional tombstones for
-  planned ids that never landed, so ``ShardMap.recover`` can always
-  explain the directory on the next open; a chunk no shard landed any
-  of burns nothing.
+* **partial sharded chunk**: a chunk that dies between two shards in
+  process pads every shard with burned slots up to the chunk's end, so
+  global id ``g`` stays at local id ``g div N`` on shard ``g mod N``; a
+  chunk no shard landed any of burns nothing; and a *process* that dies
+  between two shards' commits leaves a directory every command opens,
+  whose next id is one past the highest id any shard holds.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.errors import IndexStateError, ScopeUnderflowError, StorageError
 from repro.index.naive import NaiveIndex
 from repro.index.vist import VistIndex
+from repro.query.xpath import parse_xpath
 from repro.repair import DOC_FILE, SOURCE_FILE, TREE_FILE, salvage_db, scrub_db
 from repro.sequence.transform import SequenceEncoder
 from repro.shard.router import ShardRouter
@@ -37,6 +48,7 @@ from repro.storage.wal import WalPager
 from repro.testing.faults import sweep_commit_faults
 from repro.testing.generator import DocQueryGenerator
 from repro.testing.invariants import assert_invariants, check_index
+from repro.testing.reference import reference_results
 from tests.conftest import ExplodingStore
 
 QUERIES = ["//book", "//article", "//author", "//phdthesis/year"]
@@ -602,3 +614,73 @@ class TestShardedChunkRepair:
             assert reopened.query("//book") == answers
         finally:
             reopened.close()
+
+    def test_crash_between_shard_commits_reopens(self, tmp_path, capsys):
+        """A process dies after shard 0 committed its group of a batch
+        chunk and before shard 1's group ran: every command still opens
+        the directory, answers are the reference over the documents that
+        landed, and ids continue past the highest one held."""
+        dbdir = tmp_path / "db"
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from repro.datasets.dblp import DblpConfig, DblpGenerator
+            from repro.shard.router import ShardRouter
+
+            records = list(DblpGenerator(DblpConfig(seed=31)).records(20))
+            router = ShardRouter(sys.argv[1], 2)
+            router.add_batch(records[:10], batch_size=10)
+            groups = []
+
+            def second_group_dies(add_batch):
+                def wrapped(*args, **kwargs):
+                    if groups:  # the first group of the chunk committed
+                        os._exit(17)
+                    groups.append(add_batch(*args, **kwargs))
+                    return groups[-1]
+                return wrapped
+
+            for shard in router.shards:
+                shard.add_batch = second_group_dies(shard.add_batch)
+            router.add_batch(records[10:], batch_size=10)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).resolve().parents[1]),
+                          env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(dbdir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 17, proc.stderr
+        records = _records(20, seed=31)
+        landed = {g: records[g] for g in [*range(10), 10, 12, 14, 16, 18]}
+
+        for xpath in QUERIES:
+            assert main(["query", str(dbdir), xpath]) == 0
+        capsys.readouterr()
+        assert main(["scrub", str(dbdir)]) == 0, capsys.readouterr().out
+        with ShardRouter(dbdir) as router:
+            assert router.map.next_doc_id == 19
+            assert list(router.doc_ids()) == sorted(landed)
+            hasher = router.shards[0].encoder.hasher
+            for xpath in QUERIES:
+                want = [
+                    list(landed)[pos]
+                    for pos in reference_results(
+                        list(landed.values()), parse_xpath(xpath), hasher
+                    )
+                ]
+                assert router.query(xpath) == want, xpath
+                assert router.query(xpath, verify=True) == want, xpath
+            for shard in router.shards:
+                assert_invariants(shard)
+            # 19 was planned for shard 1 and never landed: no document held it
+            assert router.add(records[19]) == 19
+            assert router.map.route(19) == (1, 9)
+            assert_invariants(router.shards[1])
+        with ShardRouter(dbdir) as router:
+            assert list(router.doc_ids()) == sorted(landed) + [19]
+            assert router.add(records[0]) == 20

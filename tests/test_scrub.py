@@ -20,6 +20,7 @@ misuse classes, so storage-layer callers can be pager-agnostic.
 
 from __future__ import annotations
 
+import json
 import random
 import shutil
 import struct
@@ -27,10 +28,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import open_index
+from repro.cli import main, open_index
 from repro.doc.parser import parse_document
 from repro.errors import CorruptionError, PageError
 from repro.repair import salvage_db, scrub_db, scrub_page_file, scrub_record_file
+from repro.shard import ShardRouter
 from repro.storage.checksums import pack_trailer
 from repro.storage.pager import (
     DEFAULT_PAGE_SIZE,
@@ -402,3 +404,34 @@ def test_clean_database_has_no_leaks(pristine, tmp_path):
     reach = scrub_page_reachability(dbdir / "vist.db")
     assert reach.ok
     assert any("no leaks" in note for note in reach.notes)
+
+
+def test_scrub_checks_the_manifest_against_its_shards(tmp_path, capsys):
+    """A sharded DBDIR whose manifest no open accepts fails scrub (exit 2)
+    even when every shard file is clean: a manifest routing a shard more
+    slots than it holds, or one that cannot be read."""
+    dbdir = tmp_path / "sdb"
+    with ShardRouter(dbdir, 2) as router:
+        router.add_batch([parse_document(text) for text in _corpus()[:10]])
+    manifest_path = dbdir / "shards.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert main(["scrub", str(dbdir)]) == 0
+    capsys.readouterr()
+
+    manifest["next_doc_id"] = 14  # routes 7 slots to each 5-slot shard
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["query", str(dbdir), "//item"]) == 1
+    assert "routed 7" in capsys.readouterr().err
+    assert main(["scrub", str(dbdir)]) == 2
+    out = capsys.readouterr().out
+    assert "routed 7" in out and "manifest" in out
+
+    manifest_path.write_text("{not json")
+    report = scrub_db(dbdir)
+    assert not report.ok
+    assert "unreadable shard manifest" in report.invariant_violations[0]
+    assert main(["scrub", str(dbdir)]) == 2
+    manifest_path.write_text("[]")  # JSON, but no manifest
+    assert main(["scrub", str(dbdir)]) == 2
+    assert main(["query", str(dbdir), "//item"]) == 1
+    assert "unsupported shard manifest" in capsys.readouterr().err
